@@ -41,6 +41,7 @@ from .data import (
     save_mask_csv,
 )
 from .errors import (
+    ConvergenceError,
     CopulaBnError,
     DataError,
     DegenerateColumnError,
@@ -77,6 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CbnModel",
+    "ConvergenceError",
     "CopulaBnError",
     "Dag",
     "DataError",

@@ -124,7 +124,7 @@ def _log_pdf_matrix(model, values, observed):
     out = np.zeros_like(values)
     for j, marginal in enumerate(model.marginals):
         idx = observed[:, j]
-        out[idx, j] = np.log(marginal.pdf(values[idx, j]))
+        out[idx, j] = marginal.log_pdf(values[idx, j])
     return out
 
 

@@ -57,3 +57,7 @@ class InvalidInputError(CopulaBnError):
 
 class SingularDesignError(NumericalError):
     """A least-squares design matrix is rank deficient."""
+
+
+class ConvergenceError(NumericalError):
+    """An iterative solver ran out of iterations before meeting its tolerance."""

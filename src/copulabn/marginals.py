@@ -11,16 +11,25 @@ package:
   sampling.
 
 The cdf is clamped away from 0 and 1 so its normal score is always finite;
-the clamp bounds double as the reachable range of ``quantile``.
+the clamp bounds double as the reachable range of ``quantile``.  The
+quantile inverts the cdf with safeguarded Newton steps (the pdf is the cdf's
+derivative) inside a bracket read off a cached cdf table.  ``log_pdf`` stays
+finite beyond the support, where the summed density underflows to 0.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
 
-from .errors import DegenerateInputError, EmptyInputError, InvalidInputError, OutOfRangeError
+from .errors import (
+    ConvergenceError,
+    DegenerateInputError,
+    EmptyInputError,
+    InvalidInputError,
+    OutOfRangeError,
+)
 
 __all__ = ["KdeMarginal", "fit_kde", "CDF_FLOOR", "CDF_CEIL"]
 
@@ -96,6 +105,26 @@ class KdeMarginal:
         out *= _INV_SQRT_2PI / self.bandwidth
         return out.reshape(x.shape) if x.shape else float(out[0])
 
+    def log_pdf(self, x):
+        """Log density at ``x``; finite even where :meth:`pdf` underflows to 0.
+
+        Equals ``np.log(pdf(x))`` wherever ``pdf(x) > 0``.  Far beyond the
+        support every kernel term underflows, so there the log is taken
+        inside the kernel sum: ``logsumexp(-t**2 / 2) - log(m h sqrt(2 pi))``.
+        """
+        x = np.asarray(x, dtype=float)
+        dens = np.asarray(self.pdf(x), dtype=float).reshape(-1)
+        out = np.empty(dens.size, dtype=float)
+        positive = dens > 0.0
+        out[positive] = np.log(dens[positive])
+        under = np.nonzero(~positive)[0]
+        if under.size:
+            far = x.reshape(-1)[under]
+            log_norm = np.log(self.samples.size * self.bandwidth * np.sqrt(2.0 * np.pi))
+            for sl, t in self._kernel_columns(far):
+                out[under[sl]] = logsumexp(-0.5 * t * t, axis=1) - log_norm
+        return out.reshape(x.shape) if x.shape else float(out[0])
+
     def cdf(self, x):
         """Clamped distribution function at ``x``.
 
@@ -111,13 +140,21 @@ class KdeMarginal:
 
     @cached_property
     def _bracket_grid(self):
-        # Monotone cdf table used to start quantile bisection on a narrow
-        # bracket instead of the whole support.
+        # Monotone cdf table that gives each quantile target a narrow starting
+        # bracket and a linear-interpolation first guess.  The 5-bandwidth pad
+        # puts the support ends in the clamp, so the table runs from exactly
+        # CDF_FLOOR to exactly CDF_CEIL and brackets every clipped target.
         xs = np.linspace(self.support_lo, self.support_hi, 1025)
         return xs, self.cdf(xs)
 
     def quantile(self, u, tol=1e-10, max_iter=200):
-        """Inverse of :meth:`cdf` by bisection.
+        """Inverse of :meth:`cdf` by safeguarded Newton iteration.
+
+        Each target starts at the linear interpolation inside its bracket of
+        the cached cdf table.  Every iteration evaluates the cdf on the
+        targets not yet converged, shrinks each bracket by the sign of the
+        error, and takes the Newton step ``x - err / pdf(x)``, or the bracket
+        midpoint when that step is not finite or leaves the bracket.
 
         Parameters
         ----------
@@ -125,11 +162,18 @@ class KdeMarginal:
             Target probabilities, each strictly inside (0, 1).  Targets are
             clipped to the reachable range ``[CDF_FLOOR, CDF_CEIL]`` first.
         tol : float
-            Stop once ``max |cdf(x) - u| < tol``.
+            Stop each target once ``|cdf(x) - u| < tol``.
+        max_iter : int
+            Most cdf evaluations per target.
 
         Returns
         -------
         Value(s) ``x`` with ``|cdf(x) - u| < tol``, shaped like ``u``.
+
+        Raises
+        ------
+        ConvergenceError
+            Some target still misses ``tol`` after ``max_iter`` evaluations.
         """
         u = np.asarray(u, dtype=float)
         flat = u.reshape(-1)
@@ -143,22 +187,30 @@ class KdeMarginal:
         hi_idx = np.clip(np.searchsorted(cs, target, side="left"), 1, xs.size - 1)
         lo = xs[hi_idx - 1].copy()
         hi = xs[hi_idx].copy()
-        # Grid clamping can leave the target outside [cdf(lo), cdf(hi)] at the
-        # extreme ends; widen to the full support there.
-        lo[target <= cs[0]] = self.support_lo
-        hi[target >= cs[-1]] = self.support_hi
+        c_lo = cs[hi_idx - 1]
+        rise = cs[hi_idx] - c_lo
+        frac = np.divide(target - c_lo, rise, out=np.full(target.size, 0.5), where=rise > 0.0)
+        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
 
-        mid = 0.5 * (lo + hi)
+        active = np.arange(target.size)
         for _ in range(max_iter):
-            fmid = self.cdf(mid)
-            err = fmid - target
-            if np.max(np.abs(err)) < tol:
-                break
+            xa = x[active]
+            err = self.cdf(xa) - target[active]
+            open_ = np.abs(err) >= tol
+            active, xa, err = active[open_], xa[open_], err[open_]
+            if active.size == 0:
+                return x.reshape(u.shape) if u.shape else float(x[0])
             high = err > 0.0
-            hi[high] = mid[high]
-            lo[~high] = mid[~high]
-            mid = 0.5 * (lo + hi)
-        return mid.reshape(u.shape) if u.shape else float(mid[0])
+            hi[active[high]] = xa[high]
+            lo[active[~high]] = xa[~high]
+            la, ha = lo[active], hi[active]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                step = xa - err / self.pdf(xa)
+            x[active] = np.where((step > la) & (step < ha), step, 0.5 * (la + ha))
+        raise ConvergenceError(
+            f"quantile left {active.size} of {target.size} targets outside tol={tol:g} "
+            f"after max_iter={max_iter} cdf evaluations"
+        )
 
 
 def fit_kde(values, bandwidth_override=None):

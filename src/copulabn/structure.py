@@ -279,7 +279,7 @@ def _marginal_loglik_terms(data, marginals):
     out = np.zeros(data.num_cols)
     for j, marginal in enumerate(marginals):
         idx = data.observed[:, j]
-        out[j] = float(np.log(marginal.pdf(data.values[idx, j])).sum())
+        out[j] = float(marginal.log_pdf(data.values[idx, j]).sum())
     return out
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import logsumexp, ndtri
 from scipy.stats import kstest
 
 from copulabn.cbn import (
@@ -124,6 +124,29 @@ def test_bound_equals_density_bitwise_on_complete_rows():
         bound = lower_bound_rows(model, data, quad_nodes=quad_nodes)
         np.testing.assert_array_equal(bound, density)
     assert lower_bound(model, data) == float(density.sum())
+
+
+def test_scores_stay_finite_beyond_kde_support():
+    rng = np.random.default_rng(44)
+    data = MaskedDataset.from_values(rng.normal(size=(300, 2)))
+    rows = np.array([[40.0, 0.3], [0.1, -0.2], [-0.4, -60.0]])
+    # Root-only model: the density is the product of the marginals, and at
+    # x = 40 the marginal's kernel sum underflows, so it is taken in logs.
+    roots = fit_complete(data, Dag.empty(2))
+    m0 = roots.marginals[0]
+    t = (40.0 - m0.samples) / m0.bandwidth
+    far = logsumexp(-0.5 * t * t) - np.log(m0.samples.size * m0.bandwidth * np.sqrt(2.0 * np.pi))
+    expected = far + np.log(roots.marginals[1].pdf(0.3))
+    np.testing.assert_allclose(log_density_rows(roots, rows[:1])[0], expected, rtol=1e-12)
+    # With a family the bound still equals the density bitwise, and a row
+    # whose only observed cell is far out still gets a finite bound.
+    model = fit_complete(data, Dag.chain(2))
+    density = log_density_rows(model, rows)
+    assert np.all(np.isfinite(density))
+    np.testing.assert_array_equal(lower_bound_rows(model, MaskedDataset.from_values(rows)), density)
+    masked = rows.copy()
+    masked[0, 1] = np.nan
+    assert np.isfinite(lower_bound_rows(model, MaskedDataset.from_values(masked))[0])
 
 
 def test_bound_is_invariant_to_quadrature_size():

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from copulabn.errors import (
+    ConvergenceError,
     DegenerateInputError,
     EmptyInputError,
     InvalidInputError,
+    NumericalError,
     OutOfRangeError,
 )
 from copulabn.marginals import CDF_CEIL, CDF_FLOOR, KdeMarginal, fit_kde
@@ -105,6 +110,67 @@ def test_quantile_handles_extreme_levels_via_clamp():
     np.testing.assert_allclose(marginal.cdf(hi), CDF_CEIL, rtol=0, atol=1e-9)
 
 
+def _column(kind, size, rng):
+    z = rng.standard_normal(size)
+    if kind == "warped":
+        return np.exp(z / 2.0) + 0.3 * z
+    if kind == "tied":
+        return np.round(z, 0)
+    if kind == "gapped":
+        return np.where(rng.random(size) < 0.5, z, z + 200.0)
+    return rng.standard_cauchy(size)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
+    size=st.integers(20, 300),
+    seed=st.integers(0, 2**32 - 1),
+    narrow=st.booleans(),
+    levels=st.lists(st.floats(1e-12, 1.0 - 1e-12), max_size=20),
+)
+def test_quantile_properties(kind, size, seed, narrow, levels):
+    rng = np.random.default_rng(seed)
+    # A narrow kernel leaves flat cdf stretches between clusters and ties.
+    marginal = fit_kde(_column(kind, size, rng), bandwidth_override=0.05 if narrow else None)
+    tol = 1e-10
+    # The first two targets clip to CDF_FLOOR and CDF_CEIL: both ends are reached.
+    u = np.concatenate([[1e-12, 1.0 - 1e-12], levels, rng.random(100)])
+    x = marginal.quantile(u, tol=tol)
+    clipped = np.clip(u, CDF_FLOOR, CDF_CEIL)
+    assert np.all(np.abs(marginal.cdf(x) - clipped) < tol)
+    assert np.all((marginal.support_lo <= x) & (x <= marginal.support_hi))
+    # Targets more than 2 tol apart are ordered by any outputs within tol.
+    order = np.argsort(clipped, kind="stable")
+    apart = np.diff(clipped[order]) > 2.0 * tol
+    assert np.all(np.diff(x[order])[apart] >= 0.0)
+
+
+def test_quantile_needs_few_cdf_sweeps(monkeypatch):
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal(1000)
+    marginal = fit_kde(np.exp(z / 2.0) + 0.3 * z)
+    marginal._bracket_grid  # the one-off cdf table is not an iteration
+    calls = []
+    cdf = KdeMarginal.cdf
+    monkeypatch.setattr(KdeMarginal, "cdf", lambda self, x: calls.append(1) or cdf(self, x))
+    u = rng.random(1000)
+    x = marginal.quantile(u)
+    assert len(calls) <= 8
+    monkeypatch.undo()
+    assert np.all(np.abs(marginal.cdf(x) - np.clip(u, CDF_FLOOR, CDF_CEIL)) < 1e-10)
+
+
+def test_quantile_raises_when_out_of_iterations():
+    rng = np.random.default_rng(8)
+    marginal = fit_kde(rng.gamma(2.0, 1.0, size=200))
+    levels = np.linspace(0.01, 0.99, 50)
+    with pytest.raises(ConvergenceError):
+        marginal.quantile(levels, max_iter=1)
+    assert issubclass(ConvergenceError, NumericalError)  # so the CLI exits 3
+    marginal.quantile(levels)
+
+
 def test_quantile_rejects_closed_endpoints():
     marginal = fit_kde(np.arange(10.0))
     for bad in (0.0, 1.0, -0.2, 1.7):
@@ -155,3 +221,25 @@ def test_from_params_reproduces_fit():
     assert rebuilt.support_hi == fitted.support_hi
     x = np.linspace(-3, 3, 11)
     np.testing.assert_array_equal(rebuilt.pdf(x), fitted.pdf(x))
+
+
+def test_log_pdf_matches_log_of_pdf_where_positive():
+    rng = np.random.default_rng(9)
+    marginal = fit_kde(rng.normal(size=300))
+    x = np.linspace(-6.0, 6.0, 41)
+    np.testing.assert_array_equal(marginal.log_pdf(x), np.log(marginal.pdf(x)))
+    assert marginal.log_pdf(0.5) == np.log(marginal.pdf(0.5))
+
+
+def test_log_pdf_is_finite_where_pdf_underflows():
+    rng = np.random.default_rng(10)
+    marginal = fit_kde(rng.normal(size=300))
+    x = np.array([-55.0, 0.0, 40.0, 1e4])
+    assert marginal.pdf(40.0) == 0.0
+    got = marginal.log_pdf(x)
+    assert np.all(np.isfinite(got))
+    m, h = marginal.samples.size, marginal.bandwidth
+    for value, xi in zip(got, x):
+        t = (xi - marginal.samples) / h
+        expected = logsumexp(-0.5 * t * t) - np.log(m * h * np.sqrt(2.0 * np.pi))
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
