@@ -28,7 +28,9 @@ ratio terms.  The bound equals the complete-data log-likelihood exactly
 (bitwise, not just numerically) when nothing is hidden.
 """
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,9 +130,16 @@ def _log_pdf_matrix(model, values, observed):
     return out
 
 
-def _normal_scores(model, values, observed):
-    """Per-cell normal scores ndtri(cdf(x)); NaN at hidden cells."""
-    return _normal_scores_from_marginals(model.marginals, values, observed)
+def _block_moments(z_block, obs_block, mu1, mu2):
+    """Per-row expected q = sum z^2 and s^2 = (sum z)^2, hidden cells
+    integrated out under the rule's per-dimension moments ``mu1``, ``mu2``."""
+    zz = np.where(obs_block, z_block, 0.0)
+    q_obs = (zz * zz).sum(axis=1)
+    s_obs = zz.sum(axis=1)
+    t = (~obs_block).sum(axis=1).astype(float)
+    e_q = q_obs + t * mu2
+    e_s_sq = s_obs * s_obs + 2.0 * s_obs * t * mu1 + t * mu2 + t * (t - 1.0) * mu1 * mu1
+    return e_q, e_s_sq
 
 
 def _expected_family_terms(dim, rho, z_block, obs_block, mu1, mu2):
@@ -141,19 +150,9 @@ def _expected_family_terms(dim, rho, z_block, obs_block, mu1, mu2):
     moments ``mu1``, ``mu2``; they reduce to closed form because the log
     ratio is affine in q and s^2.
     """
-
-    def block_moments(zb, ob):
-        zz = np.where(ob, zb, 0.0)
-        q_obs = (zz * zz).sum(axis=1)
-        s_obs = zz.sum(axis=1)
-        t = (~ob).sum(axis=1).astype(float)
-        e_q = q_obs + t * mu2
-        e_s_sq = s_obs * s_obs + 2.0 * s_obs * t * mu1 + t * mu2 + t * (t - 1.0) * mu1 * mu1
-        return e_q, e_s_sq
-
-    eq_f, es_f = block_moments(z_block, obs_block)
+    eq_f, es_f = _block_moments(z_block, obs_block, mu1, mu2)
     top = _log_density_from_stats(dim, rho, eq_f, es_f)
-    eq_p, es_p = block_moments(z_block[:, 1:], obs_block[:, 1:])
+    eq_p, es_p = _block_moments(z_block[:, 1:], obs_block[:, 1:], mu1, mu2)
     bottom = _log_density_from_stats(dim - 1, rho, eq_p, es_p)
     return top - bottom
 
@@ -186,7 +185,7 @@ def _family_term_columns(model, z, observed, quad_nodes):
 
 def _row_totals(model, values, observed, quad_nodes):
     logpdf = _log_pdf_matrix(model, values, observed)
-    z = _normal_scores(model, values, observed)
+    z = _normal_scores_from_marginals(model.marginals, values, observed)
     totals = logpdf.sum(axis=1)
     for term in _family_term_columns(model, z, observed, quad_nodes):
         totals = totals + term
@@ -243,18 +242,10 @@ def _family_stats_from_scores(z, observed, cols, mu1, mu2):
     out via the rule moments."""
     z_block = z[:, cols]
     obs_block = observed[:, cols]
-
-    def block_sums(zb, ob):
-        zz = np.where(ob, zb, 0.0)
-        q_obs = (zz * zz).sum(axis=1)
-        s_obs = zz.sum(axis=1)
-        t = (~ob).sum(axis=1).astype(float)
-        e_q = q_obs + t * mu2
-        e_s_sq = s_obs * s_obs + 2.0 * s_obs * t * mu1 + t * mu2 + t * (t - 1.0) * mu1 * mu1
-        return float(e_q.sum()), float(e_s_sq.sum())
-
-    fam_q, fam_s_sq = block_sums(z_block, obs_block)
-    par_q, par_s_sq = block_sums(z_block[:, 1:], obs_block[:, 1:])
+    fam_q, fam_s_sq = (float(v.sum()) for v in _block_moments(z_block, obs_block, mu1, mu2))
+    par_q, par_s_sq = (
+        float(v.sum()) for v in _block_moments(z_block[:, 1:], obs_block[:, 1:], mu1, mu2)
+    )
     return FamilyStats(
         num_rows=float(z.shape[0]),
         dim=len(cols),
@@ -278,19 +269,19 @@ def fit_missing(data, dag, quad_nodes=8, tol=1e-6):
     fewer than two fully observed rows, its rho falls back to maximizing
     the family's summed expected ratio terms over all rows — its share of
     the likelihood bound — so the fit is total either way.
+
+    Marginals and normal scores come from :func:`_score_table`, so after a
+    structure search on the same ``data`` object neither is computed again.
     """
     _check_quad_nodes(quad_nodes)
     if data.num_cols != dag.num_vars:
         raise InvalidInputError(
             f"data has {data.num_cols} columns but the graph has {dag.num_vars} nodes"
         )
-    marginals = tuple(
-        fit_kde(data.values[data.observed[:, j], j]) for j in range(data.num_cols)
-    )
+    table = _score_table(data)
     copulas = [None] * dag.num_vars
-    has_edges = any(dag.parents)
-    if has_edges:
-        z = _normal_scores_from_marginals(marginals, data.values, data.observed)
+    if any(dag.parents):
+        z = table.z
         mu1, mu2 = rule_moments(quad_nodes)
         for node in range(dag.num_vars):
             parents = dag.parents[node]
@@ -305,16 +296,45 @@ def fit_missing(data, dag, quad_nodes=8, tol=1e-6):
             rho, _ = stats.fit(tol=tol)
             copulas[node] = UniformGaussianCopula(n=len(parents) + 1, rho=rho)
     return CbnModel(
-        dag=dag, marginals=marginals, copulas=tuple(copulas), column_names=data.column_names
+        dag=dag, marginals=table.marginals, copulas=tuple(copulas), column_names=data.column_names
     )
 
 
 def _normal_scores_from_marginals(marginals, values, observed):
+    """Per-cell normal scores ndtri(cdf(x)); NaN at hidden cells."""
     z = np.full(values.shape, np.nan)
     for j, marginal in enumerate(marginals):
         idx = observed[:, j]
         z[idx, j] = ndtri(marginal.cdf(values[idx, j]))
     return z
+
+
+# Score tables by dataset object.  MaskedDataset is frozen with eq=False (it
+# hashes by identity) and its arrays are read-only copies, so a table stays
+# valid while its key lives; a table holds those arrays, never the dataset.
+_SCORE_TABLES = weakref.WeakKeyDictionary()
+
+
+class _ScoreTable:
+    """One dataset's fitted marginals and, built on first use, its read-only z."""
+
+    def __init__(self, data):
+        self.values, self.observed = data.values, data.observed
+        self.marginals = tuple(fit_kde(data.values[data.observed[:, j], j]) for j in range(data.num_cols))
+
+    @cached_property
+    def z(self):
+        z = _normal_scores_from_marginals(self.marginals, self.values, self.observed)
+        z.setflags(write=False)
+        return z
+
+
+def _score_table(data):
+    """The score table of ``data``, built once per dataset object, so search
+    and fit run the KDE fits and the O(rows x centers) transform once."""
+    if data not in _SCORE_TABLES:
+        _SCORE_TABLES[data] = _ScoreTable(data)
+    return _SCORE_TABLES[data]
 
 
 def fit_complete(data, dag, tol=1e-6):
@@ -370,7 +390,7 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     observed = ~np.isnan(x)
     values = x[None, :]
     obs = observed[None, :]
-    z = _normal_scores(model, values, obs)
+    z = _normal_scores_from_marginals(model.marginals, values, obs)
     bound_term = 0.0
     for term in _family_term_columns(model, z, obs, quad_nodes=8):
         bound_term += float(term[0])

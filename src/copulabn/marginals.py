@@ -42,8 +42,10 @@ CDF_CEIL = 1.0 - 1e-6
 # carries all but ~6e-7 of the total probability.
 _SUPPORT_PAD = 5.0
 
-# Element budget per kernel-matrix chunk (points x centers), ~256 MB of f8.
-_CHUNK_ELEMENTS = 32_000_000
+# Element budget per kernel-matrix block (points x centers): 64K doubles, 512 KB,
+# so a block stays in cache from the difference to the row mean.  Blocks split
+# only along the points, so every output is bitwise the same for any budget.
+_CHUNK_ELEMENTS = 65_536
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 

@@ -25,13 +25,11 @@ moments, refit, repeat until the structure stops changing).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .cbn import _family_stats_from_scores
+from .cbn import _family_stats_from_scores, _normal_scores_from_marginals, _score_table
 from .dag import Dag
 from .errors import InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import em_fit_lg, expected_moments, family_ll_from_moments
-from .marginals import fit_kde
 from .quadrature import rule_moments
 
 __all__ = [
@@ -56,9 +54,6 @@ class SearchConfig:
         Restrict every node to at most one parent.
     max_iterations : int
         Cap on accepted moves.
-    random_restart_seed : int
-        Accepted and recorded for forward compatibility; the search is a
-        deterministic single start from the empty graph and never reads it.
     quad_nodes : int
         Per-hidden-dimension node count for missing-data family scoring.
     """
@@ -66,7 +61,6 @@ class SearchConfig:
     max_parents: int = None
     tree_constraint: bool = False
     max_iterations: int = 1000
-    random_restart_seed: int = 0
     quad_nodes: int = 8
 
     def __post_init__(self):
@@ -108,19 +102,14 @@ def bic_penalty(num_params, num_instances):
 
 
 class _CopulaScorer:
-    """Penalized copula family scores from precomputed normal scores."""
+    """Penalized copula family scores from the dataset's score table, which
+    :func:`copulabn.cbn.fit_missing` reuses on the same ``data`` object."""
 
     def __init__(self, data, quad_nodes, rho_tol=1e-6):
         self.num_rows = data.num_rows
-        self.num_vars = data.num_cols
         self.observed = data.observed
-        self.marginals = tuple(
-            fit_kde(data.values[data.observed[:, j], j]) for j in range(data.num_cols)
-        )
-        self.z = np.full(data.values.shape, np.nan)
-        for j, marginal in enumerate(self.marginals):
-            idx = data.observed[:, j]
-            self.z[idx, j] = ndtri(marginal.cdf(data.values[idx, j]))
+        table = _score_table(data)
+        self.marginals, self.z = table.marginals, table.z
         self.moments = rule_moments(quad_nodes)
         self.rho_tol = rho_tol
 
@@ -132,9 +121,7 @@ class _CopulaScorer:
         if not parents:
             return 0.0
         mu1, mu2 = self.moments
-        stats = _family_stats_from_scores(
-            self.z, self.observed, (child, *parents), mu1, mu2
-        )
+        stats = _family_stats_from_scores(self.z, self.observed, (child, *parents), mu1, mu2)
         _, value = stats.fit(tol=self.rho_tol)
         return float(value) - bic_penalty(1, self.num_rows)
 
@@ -142,11 +129,10 @@ class _CopulaScorer:
 class _GaussianScorer:
     """Penalized linear-Gaussian family scores from moment matrices."""
 
-    def __init__(self, mean, second, num_rows, num_vars):
+    def __init__(self, mean, second, num_rows):
         self.mean = mean
         self.second = second
         self.num_rows = num_rows
-        self.num_vars = num_vars
 
     def family_params(self, parents):
         return len(parents) + 2
@@ -265,12 +251,11 @@ def family_score(data, child, parents, marginals, quad_nodes=8):
         raise InvalidInputError(f"child {child} cannot be its own parent")
     if not parents:
         return 0.0
-    z = np.full(data.values.shape, np.nan)
-    for j in {child, *parents}:
-        idx = data.observed[:, j]
-        z[idx, j] = ndtri(marginals[j].cdf(data.values[idx, j]))
+    cols = (child, *parents)
+    observed = data.observed[:, cols]
+    z = _normal_scores_from_marginals([marginals[j] for j in cols], data.values[:, cols], observed)
     mu1, mu2 = rule_moments(quad_nodes)
-    stats = _family_stats_from_scores(z, data.observed, (child, *parents), mu1, mu2)
+    stats = _family_stats_from_scores(z, observed, range(len(cols)), mu1, mu2)
     _, value = stats.fit()
     return float(value) - bic_penalty(1, data.num_rows)
 
@@ -305,42 +290,33 @@ def greedy_search(data, config, model_kind="cbn"):
     if model_kind == "cbn":
         scorer = _CopulaScorer(data, config.quad_nodes)
         parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
-        dag = Dag(data.num_cols, tuple(parent_lists))
         marg_terms = _marginal_loglik_terms(data, scorer.marginals)
-        num_params = sum(1 for ps in parent_lists if ps)
-        penalty = bic_penalty(num_params, data.num_rows)
-        # fam_scores are penalized per family; strip the per-family penalty
-        # back out to report unpenalized contributions.
-        unpenalized = [
-            fam_scores[i] + (bic_penalty(1, data.num_rows) if parent_lists[i] else 0.0)
-            for i in range(data.num_cols)
-        ]
-        per_family = tuple(float(unpenalized[i] + marg_terms[i]) for i in range(data.num_cols))
-        return ScoredStructure(dag=dag, score=float(sum(per_family) - penalty), per_family_scores=per_family)
+        return _scored_structure(data, scorer, parent_lists, fam_scores, marg_terms)
     if model_kind == "lgbn":
         return _greedy_search_lg(data, config)
     raise InvalidInputError(f"unknown model_kind {model_kind!r}")
 
 
-def _scored_structure_lg(data, parent_lists, fam_scores):
-    dag = Dag(data.num_cols, tuple(parent_lists))
-    num_params = sum(len(ps) + 2 for ps in parent_lists)
-    penalty = bic_penalty(num_params, data.num_rows)
-    unpenalized = [
-        fam_scores[i] + bic_penalty(len(parent_lists[i]) + 2, data.num_rows)
+def _scored_structure(data, scorer, parent_lists, fam_scores, marginal_terms):
+    """Search result from per-family penalized scores: each node's own penalty
+    is added back, with its structure-free ``marginal_terms``, to report its
+    unpenalized contribution."""
+    params = [scorer.family_params(ps) for ps in parent_lists]
+    per_family = tuple(
+        float(fam_scores[i] + bic_penalty(params[i], data.num_rows) + marginal_terms[i])
         for i in range(data.num_cols)
-    ]
-    per_family = tuple(float(v) for v in unpenalized)
-    return ScoredStructure(dag=dag, score=float(sum(per_family) - penalty), per_family_scores=per_family)
+    )
+    score = float(sum(per_family) - bic_penalty(sum(params), data.num_rows))
+    return ScoredStructure(Dag(data.num_cols, tuple(parent_lists)), score, per_family)
 
 
 def _greedy_search_lg(data, config, max_structure_rounds=3):
     if data.fully_observed:
         mean = data.values.mean(axis=0)
         second = data.values.T @ data.values / data.num_rows
-        scorer = _GaussianScorer(mean, second, data.num_rows, data.num_cols)
+        scorer = _GaussianScorer(mean, second, data.num_rows)
         parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
-        return _scored_structure_lg(data, parent_lists, fam_scores)
+        return _scored_structure(data, scorer, parent_lists, fam_scores, [0.0] * data.num_cols)
 
     # Structural EM: score on expected moments under the current model,
     # refit with EM on the found structure, repeat until the structure
@@ -350,9 +326,9 @@ def _greedy_search_lg(data, config, max_structure_rounds=3):
     result = None
     for _ in range(max_structure_rounds):
         s1, s2, m = expected_moments(model, data)
-        scorer = _GaussianScorer(s1 / m, s2 / m, m, data.num_cols)
+        scorer = _GaussianScorer(s1 / m, s2 / m, m)
         parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
-        result = _scored_structure_lg(data, parent_lists, fam_scores)
+        result = _scored_structure(data, scorer, parent_lists, fam_scores, [0.0] * data.num_cols)
         if previous is not None and result.dag.parents == previous:
             break
         previous = result.dag.parents

@@ -1,12 +1,20 @@
 """The joint model: exact density, likelihood bound, energy check, sampling."""
 
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp, ndtri
 from scipy.stats import kstest
 
+from copulabn import cbn as cbn_module
+from copulabn import structure as structure_module
+from copulabn.benchmark import fit_model
 from copulabn.cbn import (
     CbnModel,
+    _score_table,
     energy_identity_check,
     fit_complete,
     fit_missing,
@@ -21,7 +29,9 @@ from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import InvalidInputError, OutOfRangeError, ValidationError
 from copulabn.marginals import fit_kde
+from copulabn.model_io import save_model
 from copulabn.quadrature import normal_hermite_rule, tensor_rule
+from copulabn.structure import SearchConfig
 from tests.conftest import chain_scores, cycle_warps, warp_columns
 
 
@@ -280,3 +290,76 @@ def test_forward_samples_reproduce_pairwise_dependence():
     z1 = ndtri(model.marginals[1].cdf(samples[:, 1]))
     observed = float(np.corrcoef(z0, z1)[0, 1])
     assert abs(observed - rho) < 0.05
+
+
+# ------------------------------------------------------- score table
+
+
+def _warped_train(num_rows=300, num_vars=4, seed=60):
+    rng = np.random.default_rng(seed)
+    z = chain_scores(0.6, num_vars, num_rows, rng)
+    return MaskedDataset.from_values(warp_columns(z, cycle_warps(num_vars)))
+
+
+def test_fit_model_fits_each_marginal_once(monkeypatch):
+    # Search and parameter fit share one score table, so the cbn fit runs
+    # one KDE fit per column.  Patch every module that binds fit_kde.
+    calls = []
+
+    def counting_fit_kde(*args, **kwargs):
+        calls.append(1)
+        return fit_kde(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("copulabn") and getattr(module, "fit_kde", None) is fit_kde:
+            monkeypatch.setattr(module, "fit_kde", counting_fit_kde)
+    train = apply_missing_mask(_warped_train(), 0.25, seed=1)
+    model = fit_model(train, "cbn", SearchConfig(max_parents=2))
+    assert any(model.dag.parents)
+    assert len(calls) == train.num_cols
+
+
+def test_score_table_is_per_dataset_object_and_read_only():
+    data = _warped_train()
+    masked = apply_missing_mask(data, 0.3, seed=2)
+    full, part = _score_table(data), _score_table(masked)
+    assert _score_table(data) is full
+    assert part is not full
+    assert part.marginals[0].samples.size == int(masked.observed[:, 0].sum()) < data.num_rows
+    np.testing.assert_array_equal(np.isnan(part.z), ~masked.observed)
+    assert not np.isnan(full.z).any()
+    assert not full.z.flags.writeable
+    with pytest.raises(ValueError):
+        full.z[0, 0] = 0.0
+
+
+def test_score_table_goes_away_with_its_dataset():
+    gc.collect()
+    before = len(cbn_module._SCORE_TABLES)
+    data = _warped_train(num_rows=50)
+    assert _score_table(data).z.shape == (50, 4)
+    assert len(cbn_module._SCORE_TABLES) == before + 1
+    ref = weakref.ref(data)
+    del data
+    gc.collect()
+    assert ref() is None
+    assert len(cbn_module._SCORE_TABLES) == before
+
+
+def test_shared_score_table_fits_the_same_model(monkeypatch, tmp_path):
+    train = apply_missing_mask(_warped_train(seed=61), 0.25, seed=3)
+    config = SearchConfig(max_parents=2)
+    shared = fit_model(train, "cbn", config)
+    save_model(shared, tmp_path / "shared.json")
+
+    def fresh_table(data):
+        return cbn_module._ScoreTable(data)
+
+    monkeypatch.setattr(cbn_module, "_score_table", fresh_table)
+    monkeypatch.setattr(structure_module, "_score_table", fresh_table)
+    bypassed = fit_model(train, "cbn", config)
+    save_model(bypassed, tmp_path / "bypassed.json")
+    assert shared.dag.parents == bypassed.dag.parents
+    for a, b in zip(shared.copulas, bypassed.copulas):
+        assert (a is None and b is None) or a.rho == b.rho
+    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "bypassed.json").read_bytes()

@@ -15,6 +15,7 @@ from copulabn.errors import (
     NumericalError,
     OutOfRangeError,
 )
+from copulabn import marginals as marginals_module
 from copulabn.marginals import CDF_CEIL, CDF_FLOOR, KdeMarginal, fit_kde
 
 
@@ -243,3 +244,28 @@ def test_log_pdf_is_finite_where_pdf_underflows():
         t = (xi - marginal.samples) / h
         expected = logsumexp(-0.5 * t * t) - np.log(m * h * np.sqrt(2.0 * np.pi))
         np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [0.3, np.array([]), np.linspace(-4.0, 4.0, 23), np.array([-60.0, -0.2, 45.0, 1e4, 2.5])],
+    ids=["scalar", "empty", "ragged", "far"],
+)
+def test_kernel_blocks_do_not_change_results(monkeypatch, query):
+    # Blocks split only along the query points, so every block size must
+    # give bitwise the same pdf, cdf and log_pdf: one point per block (a
+    # budget of 1 or 7 elements), 7 points per block (a ragged last block
+    # for 23 or 5 points), and one block for all.
+    rng = np.random.default_rng(11)
+    marginal = fit_kde(rng.gamma(2.0, 1.5, size=301))
+    assert marginal.pdf(45.0) == 0.0  # "far" takes the logsumexp branch
+    results = []
+    for chunk in (1, 7, 7 * 301, 10**9):
+        monkeypatch.setattr(marginals_module, "_CHUNK_ELEMENTS", chunk)
+        results.append([np.asarray(f(query)) for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)])
+    for other in results[1:]:
+        for got, want in zip(other, results[0]):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    if np.ndim(query):
+        assert np.all(np.isfinite(results[0][2]))
