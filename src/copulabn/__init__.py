@@ -70,7 +70,6 @@ from .structure import (
     ScoredStructure,
     SearchConfig,
     bic_penalty,
-    family_score,
     greedy_search,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "deserialize",
     "em_fit_lg",
     "energy_identity_check",
-    "family_score",
     "fit_complete",
     "fit_complete_lg",
     "fit_kde",

@@ -134,18 +134,18 @@ def fit_model(train, model_kind, config):
     """Learn structure on the (possibly masked) training half, then parameters."""
     structure = greedy_search(train, config, model_kind=model_kind)
     if model_kind == "cbn":
-        return fit_missing(train, structure.dag, quad_nodes=config.quad_nodes)
+        return fit_missing(train, structure.dag)
     return em_fit_lg(train, structure.dag)
 
 
-def score_rows(model, data, quad_nodes=8):
+def score_rows(model, data):
     """Per-instance scores under either model kind."""
     if isinstance(model, CbnModel):
-        return lower_bound_rows(model, data, quad_nodes=quad_nodes)
+        return lower_bound_rows(model, data)
     return log_marginal_lg_rows(model, data)
 
 
-def _run_cell(data, protocol, model_kind, max_parents, missing_fraction, split_index, quad_nodes):
+def _run_cell(data, protocol, model_kind, max_parents, missing_fraction, split_index):
     train, test = make_split(data, protocol, split_index)
     seed_train = mask_seed_for(protocol.base_seed, split_index, missing_fraction, "train")
     seed_test = mask_seed_for(protocol.base_seed, split_index, missing_fraction, "test")
@@ -154,10 +154,10 @@ def _run_cell(data, protocol, model_kind, max_parents, missing_fraction, split_i
         test_m = apply_missing_mask(test, missing_fraction, seed_test)
     else:
         test_m = test
-    config = SearchConfig(max_parents=max_parents, quad_nodes=quad_nodes)
+    config = SearchConfig(max_parents=max_parents)
     model = fit_model(train_m, model_kind, config)
-    train_score = float(score_rows(model, train_m, quad_nodes).mean())
-    test_score = float(score_rows(model, test_m, quad_nodes).mean())
+    train_score = float(score_rows(model, train_m).mean())
+    test_score = float(score_rows(model, test_m).mean())
     return train_score, test_score, seed_train, seed_test
 
 
@@ -168,7 +168,6 @@ def run_benchmark(
     max_parents_list,
     missing_fractions,
     output_path,
-    quad_nodes=8,
 ):
     """Run the full grid and write CSV + manifest.
 
@@ -199,7 +198,7 @@ def run_benchmark(
                         t0 = time.time()
                         try:
                             train_score, test_score, seed_train, seed_test = _run_cell(
-                                data, protocol, model_kind, max_parents, p, split_index, quad_nodes
+                                data, protocol, model_kind, max_parents, p, split_index
                             )
                         except Exception as e:
                             raise RuntimeError(
@@ -277,7 +276,6 @@ def run_benchmark(
                 "model_kinds": list(model_kinds),
                 "max_parents_list": list(max_parents_list),
                 "missing_fractions": list(missing_fractions),
-                "quad_nodes": quad_nodes,
             },
             "note": "timings are wall-clock and vary between runs; the CSV is deterministic",
             "cell_wall_seconds": timings,

@@ -14,13 +14,10 @@ log-likelihood is replaced by its decomposable lower bound, obtained by
 moving each instance's hidden coordinates inside an expectation under their
 own marginals.  After the probability integral transform the hidden
 coordinates are independent Uniform(0,1) — equivalently their normal scores
-are independent standard normals — so each family's expectation is a
-Gaussian integral of a quadratic polynomial, evaluated exactly by a tensor
-normal-score quadrature rule with ``quad_nodes`` points per hidden
-dimension (exact for every ``quad_nodes >= 2``).  Because the integrand is
-affine in the statistics ``q = sum z^2`` and ``s^2 = (sum z)^2``, the
-tensor rule collapses to its first two moments and never needs an explicit
-grid.
+are independent standard normals.  Each family's log ratio is affine in the
+statistics ``q = sum z^2`` and ``s^2 = (sum z)^2``, so its expectation
+needs only E[z] = 0 and E[z^2] = 1: with ``t`` hidden members,
+E[q] = q_obs + t and E[s^2] = s_obs^2 + t, in closed form.
 
 Fitting is two-stage: marginals first from each column's observed values,
 then each family's rho by bounded maximization of its own (expected) sum of
@@ -47,7 +44,6 @@ from .dag import Dag
 from .data import SEED_TAG_SAMPLE
 from .errors import InvalidInputError, OutOfRangeError, ValidationError
 from .marginals import fit_kde
-from .quadrature import rule_moments
 
 __all__ = [
     "CbnModel",
@@ -130,38 +126,34 @@ def _log_pdf_matrix(model, values, observed):
     return out
 
 
-def _block_moments(z_block, obs_block, mu1, mu2):
-    """Per-row expected q = sum z^2 and s^2 = (sum z)^2, hidden cells
-    integrated out under the rule's per-dimension moments ``mu1``, ``mu2``."""
+def _block_moments(z_block, obs_block):
+    """Per-row expected q = sum z^2 and s^2 = (sum z)^2, each hidden cell's
+    score integrated out as an independent standard normal."""
     zz = np.where(obs_block, z_block, 0.0)
     q_obs = (zz * zz).sum(axis=1)
     s_obs = zz.sum(axis=1)
     t = (~obs_block).sum(axis=1).astype(float)
-    e_q = q_obs + t * mu2
-    e_s_sq = s_obs * s_obs + 2.0 * s_obs * t * mu1 + t * mu2 + t * (t - 1.0) * mu1 * mu1
-    return e_q, e_s_sq
+    return q_obs + t, s_obs * s_obs + t
 
 
-def _expected_family_terms(dim, rho, z_block, obs_block, mu1, mu2):
+def _expected_family_terms(dim, rho, z_block, obs_block):
     """Expected log ratio terms for rows with hidden family members.
 
     ``z_block`` is (rows, dim) with child first and NaN at hidden cells.
-    Expectations are under the tensor normal-score rule with per-dimension
-    moments ``mu1``, ``mu2``; they reduce to closed form because the log
-    ratio is affine in q and s^2.
+    The log ratio is affine in q and s^2, so its expectation is the ratio
+    evaluated at their expected values.
     """
-    eq_f, es_f = _block_moments(z_block, obs_block, mu1, mu2)
+    eq_f, es_f = _block_moments(z_block, obs_block)
     top = _log_density_from_stats(dim, rho, eq_f, es_f)
-    eq_p, es_p = _block_moments(z_block[:, 1:], obs_block[:, 1:], mu1, mu2)
+    eq_p, es_p = _block_moments(z_block[:, 1:], obs_block[:, 1:])
     bottom = _log_density_from_stats(dim - 1, rho, eq_p, es_p)
     return top - bottom
 
 
-def _family_term_columns(model, z, observed, quad_nodes):
+def _family_term_columns(model, z, observed):
     """Per-family term vectors: exact ratio on fully observed rows,
-    rule expectation on the rest."""
+    expected ratio on the rest."""
     num_rows = z.shape[0]
-    mu1 = mu2 = None
     columns = []
     for child, parents in model.families():
         cop = model.copulas[child]
@@ -174,20 +166,18 @@ def _family_term_columns(model, z, observed, quad_nodes):
             term[full] = ratio_log_from_z(cop.n, cop.rho, z_block[full])
         partial = ~full
         if partial.any():
-            if mu1 is None:
-                mu1, mu2 = rule_moments(quad_nodes)
             term[partial] = _expected_family_terms(
-                cop.n, cop.rho, z_block[partial], obs_block[partial], mu1, mu2
+                cop.n, cop.rho, z_block[partial], obs_block[partial]
             )
         columns.append(term)
     return columns
 
 
-def _row_totals(model, values, observed, quad_nodes):
+def _row_totals(model, values, observed):
     logpdf = _log_pdf_matrix(model, values, observed)
     z = _normal_scores_from_marginals(model.marginals, values, observed)
     totals = logpdf.sum(axis=1)
-    for term in _family_term_columns(model, z, observed, quad_nodes):
+    for term in _family_term_columns(model, z, observed):
         totals = totals + term
     return totals
 
@@ -199,7 +189,7 @@ def log_density_rows(model, values):
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("log_density needs fully observed, finite rows")
     observed = np.ones(values.shape, dtype=bool)
-    return _row_totals(model, values, observed, quad_nodes=2)
+    return _row_totals(model, values, observed)
 
 
 def log_density(model, x):
@@ -207,19 +197,18 @@ def log_density(model, x):
     return float(log_density_rows(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def lower_bound_rows(model, data, quad_nodes=8):
+def lower_bound_rows(model, data):
     """Per-instance value whose total :func:`lower_bound` returns.
 
     Fully observed rows get their exact joint log density (same arithmetic
     as :func:`log_density_rows`); rows with hidden cells get observed
     marginal terms plus expected ratio terms.
     """
-    _check_quad_nodes(quad_nodes)
     _check_data_shape(model, data.num_cols)
-    return _row_totals(model, data.values, data.observed, quad_nodes)
+    return _row_totals(model, data.values, data.observed)
 
 
-def lower_bound(model, data, quad_nodes=8):
+def lower_bound(model, data):
     """Lower bound on the observed-data log-likelihood.
 
     Sums, over instances, the observed cells' marginal log densities plus
@@ -229,22 +218,17 @@ def lower_bound(model, data, quad_nodes=8):
     transform makes them).  Equals the complete-data log-likelihood when
     nothing is hidden; never exceeds the true observed-data log-likelihood.
     """
-    return float(np.sum(lower_bound_rows(model, data, quad_nodes)))
+    return float(np.sum(lower_bound_rows(model, data)))
 
 
-def _check_quad_nodes(quad_nodes):
-    if not isinstance(quad_nodes, (int, np.integer)) or quad_nodes < 2:
-        raise OutOfRangeError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
-
-
-def _family_stats_from_scores(z, observed, cols, mu1, mu2):
+def _family_stats_from_scores(z, observed, cols):
     """Aggregated :class:`FamilyStats` over all rows, hidden cells integrated
-    out via the rule moments."""
+    out as independent standard normal scores."""
     z_block = z[:, cols]
     obs_block = observed[:, cols]
-    fam_q, fam_s_sq = (float(v.sum()) for v in _block_moments(z_block, obs_block, mu1, mu2))
+    fam_q, fam_s_sq = (float(v.sum()) for v in _block_moments(z_block, obs_block))
     par_q, par_s_sq = (
-        float(v.sum()) for v in _block_moments(z_block[:, 1:], obs_block[:, 1:], mu1, mu2)
+        float(v.sum()) for v in _block_moments(z_block[:, 1:], obs_block[:, 1:])
     )
     return FamilyStats(
         num_rows=float(z.shape[0]),
@@ -256,7 +240,7 @@ def _family_stats_from_scores(z, observed, cols, mu1, mu2):
     )
 
 
-def fit_missing(data, dag, quad_nodes=8, tol=1e-6):
+def fit_missing(data, dag, *, tol=1e-6):
     """Fit a model from partially observed data.
 
     Marginals are fit to each column's observed values.  Each family's rho
@@ -273,7 +257,6 @@ def fit_missing(data, dag, quad_nodes=8, tol=1e-6):
     Marginals and normal scores come from :func:`_score_table`, so after a
     structure search on the same ``data`` object neither is computed again.
     """
-    _check_quad_nodes(quad_nodes)
     if data.num_cols != dag.num_vars:
         raise InvalidInputError(
             f"data has {data.num_cols} columns but the graph has {dag.num_vars} nodes"
@@ -282,7 +265,6 @@ def fit_missing(data, dag, quad_nodes=8, tol=1e-6):
     copulas = [None] * dag.num_vars
     if any(dag.parents):
         z = table.z
-        mu1, mu2 = rule_moments(quad_nodes)
         for node in range(dag.num_vars):
             parents = dag.parents[node]
             if not parents:
@@ -292,7 +274,7 @@ def fit_missing(data, dag, quad_nodes=8, tol=1e-6):
             if int(complete.sum()) >= 2:
                 stats = stats_from_z_rows(z[np.ix_(complete, cols)])
             else:
-                stats = _family_stats_from_scores(z, data.observed, cols, mu1, mu2)
+                stats = _family_stats_from_scores(z, data.observed, cols)
             rho, _ = stats.fit(tol=tol)
             copulas[node] = UniformGaussianCopula(n=len(parents) + 1, rho=rho)
     return CbnModel(
@@ -345,7 +327,7 @@ def fit_complete(data, dag, tol=1e-6):
     """
     if not data.fully_observed:
         raise InvalidInputError("fit_complete requires fully observed data; use fit_missing")
-    return fit_missing(data, dag, quad_nodes=2, tol=tol)
+    return fit_missing(data, dag, tol=tol)
 
 
 class EnergyCheckResult(NamedTuple):
@@ -360,7 +342,7 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     """Cross-validate the bound's expectation against direct Monte Carlo.
 
     ``bound_term`` is the instance's contribution to :func:`lower_bound`
-    minus its observed marginal log sum, i.e. the quadrature value of
+    minus its observed marginal log sum, i.e. the closed-form value of
     E[sum_i log R_i] with hidden coordinates integrated under their own
     marginals.  ``energy_mc`` estimates the same expectation by sampling
     hidden values directly from their kernel marginals (mixture draws:
@@ -392,7 +374,7 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     obs = observed[None, :]
     z = _normal_scores_from_marginals(model.marginals, values, obs)
     bound_term = 0.0
-    for term in _family_term_columns(model, z, obs, quad_nodes=8):
+    for term in _family_term_columns(model, z, obs):
         bound_term += float(term[0])
 
     hidden = np.nonzero(~observed)[0]

@@ -87,8 +87,6 @@ def _build_parser():
                        help="parent cap for structure search")
         p.add_argument("--tree", action="store_true",
                        help="restrict structures to at most one parent per variable")
-        p.add_argument("--quad-nodes", type=int, default=8,
-                       help="quadrature nodes per hidden variable (default: 8)")
 
     def common_split_flags(p):
         p.add_argument("--missing-fraction", default="0",
@@ -116,7 +114,6 @@ def _build_parser():
     p_eval.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
                         default="train_only",
                         help="which halves receive hidden cells (default: train_only)")
-    p_eval.add_argument("--quad-nodes", type=int, default=8)
     p_eval.add_argument("--out", default=None, help="optional per-instance score CSV")
 
     p_sample = sub.add_parser("sample", help="draw rows from a fitted model")
@@ -136,7 +133,6 @@ def _build_parser():
                          help="comma list of fractions (default: 0)")
     p_bench.add_argument("--splits", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--quad-nodes", type=int, default=8)
     p_bench.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
                          default="train_only")
     p_bench.add_argument("--out", required=True, help="output CSV path")
@@ -149,17 +145,15 @@ def _build_parser():
     return parser
 
 
-def _max_parents_arg(args):
+def _max_parents_list(args):
+    """Parent caps from --tree/--max-parents: [1] under --tree, [3] when unset."""
     if args.tree:
         if args.max_parents is not None and _int_list(args.max_parents) != [1]:
             raise _UsageError("--tree is incompatible with --max-parents > 1")
-        return 1
+        return [1]
     if args.max_parents is None:
-        return None
-    values = _int_list(args.max_parents)
-    if len(values) != 1:
-        raise _UsageError("this command takes a single --max-parents value")
-    return values[0]
+        return [3]
+    return _int_list(args.max_parents)
 
 
 def _single_fraction(args):
@@ -192,11 +186,10 @@ def _eval_subset(data, args):
 
 def _cmd_fit(args):
     data, _ = _eval_subset(load_csv(args.data), args)
-    config = SearchConfig(
-        max_parents=_max_parents_arg(args),
-        tree_constraint=args.tree,
-        quad_nodes=args.quad_nodes,
-    )
+    caps = _max_parents_list(args)
+    if len(caps) != 1:
+        raise _UsageError("this command takes a single --max-parents value")
+    config = SearchConfig(max_parents=caps[0], tree_constraint=args.tree)
     model = fit_model(data, args.model, config)
     save_model(model, args.out)
     edges = model.dag.num_edges()
@@ -211,7 +204,7 @@ def _cmd_eval(args):
     if list(data.column_names) != list(model.column_names):
         raise DataError("dataset columns do not match the model's columns")
     subset, _ = _eval_subset(data, args)
-    scores = score_rows(model, subset, quad_nodes=args.quad_nodes)
+    scores = score_rows(model, subset)
     mean = float(np.mean(scores))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -241,17 +234,7 @@ def _cmd_sample(args):
 
 def _cmd_benchmark(args):
     kinds = [tok for tok in args.model.split(",") if tok.strip() != ""]
-    for kind in kinds:
-        if kind not in ("cbn", "lgbn"):
-            raise _UsageError(f"unknown model kind {kind!r}")
-    if args.tree:
-        max_parents_list = [1]
-        if args.max_parents is not None and _int_list(args.max_parents) != [1]:
-            raise _UsageError("--tree is incompatible with --max-parents > 1")
-    elif args.max_parents is None:
-        max_parents_list = [3]
-    else:
-        max_parents_list = _int_list(args.max_parents)
+    max_parents_list = _max_parents_list(args)
     fractions = _fraction_list(args.missing_fraction)
     protocol = ExperimentProtocol(
         num_splits=args.splits, base_seed=args.seed, mask_scope=args.mask_scope
@@ -263,7 +246,6 @@ def _cmd_benchmark(args):
         max_parents_list,
         fractions,
         args.out,
-        quad_nodes=args.quad_nodes,
     )
     for a in result.aggregates:
         print(f"benchmark: {a.model_kind} max_parents={a.max_parents} "

@@ -26,17 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cbn import _family_stats_from_scores, _normal_scores_from_marginals, _score_table
+from .cbn import _family_stats_from_scores, _score_table
 from .dag import Dag
 from .errors import InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import em_fit_lg, expected_moments, family_ll_from_moments
-from .quadrature import rule_moments
 
 __all__ = [
     "SearchConfig",
     "ScoredStructure",
     "bic_penalty",
-    "family_score",
     "greedy_search",
 ]
 
@@ -54,14 +52,11 @@ class SearchConfig:
         Restrict every node to at most one parent.
     max_iterations : int
         Cap on accepted moves.
-    quad_nodes : int
-        Per-hidden-dimension node count for missing-data family scoring.
     """
 
     max_parents: int = None
     tree_constraint: bool = False
     max_iterations: int = 1000
-    quad_nodes: int = 8
 
     def __post_init__(self):
         if self.max_parents is None:
@@ -74,8 +69,6 @@ class SearchConfig:
             raise ValidationError(f"max_parents must be >= 0, got {self.max_parents}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.quad_nodes < 2:
-            raise ValidationError(f"quad_nodes must be >= 2, got {self.quad_nodes}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +98,11 @@ class _CopulaScorer:
     """Penalized copula family scores from the dataset's score table, which
     :func:`copulabn.cbn.fit_missing` reuses on the same ``data`` object."""
 
-    def __init__(self, data, quad_nodes, rho_tol=1e-6):
+    def __init__(self, data, rho_tol=1e-6):
         self.num_rows = data.num_rows
         self.observed = data.observed
         table = _score_table(data)
         self.marginals, self.z = table.marginals, table.z
-        self.moments = rule_moments(quad_nodes)
         self.rho_tol = rho_tol
 
     def family_params(self, parents):
@@ -120,8 +112,7 @@ class _CopulaScorer:
         """Maximized family objective minus this family's penalty share."""
         if not parents:
             return 0.0
-        mu1, mu2 = self.moments
-        stats = _family_stats_from_scores(self.z, self.observed, (child, *parents), mu1, mu2)
+        stats = _family_stats_from_scores(self.z, self.observed, (child, *parents))
         _, value = stats.fit(tol=self.rho_tol)
         return float(value) - bic_penalty(1, self.num_rows)
 
@@ -238,28 +229,6 @@ def _run_greedy(num_vars, scorer, config):
     return [tuple(sorted(ps)) for ps in parents], family_scores
 
 
-def family_score(data, child, parents, marginals, quad_nodes=8):
-    """One family's penalized score under the copula model.
-
-    The maximized (over rho) sum of the family's exact or expected log
-    ratio terms, minus the BIC penalty for its single parameter; exactly 0
-    for an empty parent set.  Marginal terms are excluded (they do not
-    depend on the structure).
-    """
-    parents = tuple(parents)
-    if child in parents:
-        raise InvalidInputError(f"child {child} cannot be its own parent")
-    if not parents:
-        return 0.0
-    cols = (child, *parents)
-    observed = data.observed[:, cols]
-    z = _normal_scores_from_marginals([marginals[j] for j in cols], data.values[:, cols], observed)
-    mu1, mu2 = rule_moments(quad_nodes)
-    stats = _family_stats_from_scores(z, observed, range(len(cols)), mu1, mu2)
-    _, value = stats.fit()
-    return float(value) - bic_penalty(1, data.num_rows)
-
-
 def _marginal_loglik_terms(data, marginals):
     out = np.zeros(data.num_cols)
     for j, marginal in enumerate(marginals):
@@ -288,7 +257,7 @@ def greedy_search(data, config, model_kind="cbn"):
         penalty.
     """
     if model_kind == "cbn":
-        scorer = _CopulaScorer(data, config.quad_nodes)
+        scorer = _CopulaScorer(data)
         parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
         marg_terms = _marginal_loglik_terms(data, scorer.marginals)
         return _scored_structure(data, scorer, parent_lists, fam_scores, marg_terms)

@@ -1,9 +1,14 @@
-"""Shared fixtures and synthetic-data generators for the test suite."""
+"""Shared fixtures, synthetic-data generators and quadrature oracles for the
+test suite."""
 
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermitenorm, roots_legendre
+
+from copulabn.errors import OutOfRangeError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WINE_CSV = DATA_DIR / "wine_quality_red.csv"
@@ -76,3 +81,78 @@ def warp_columns(z, kinds):
 def cycle_warps(num_cols):
     order = ["skew", "cube", "identity", "shift"]
     return [order[j % len(order)] for j in range(num_cols)]
+
+
+# ------------------------------------------------------ quadrature oracles
+#
+# Gauss-Legendre on (0, 1) integrates densities in the copula's u
+# coordinates; Gauss-Hermite takes expectations under independent standard
+# normals.  The package scores hidden cells in closed form; these explicit
+# rules are the independent check on it.
+
+
+def _check_nodes(num_nodes):
+    if not isinstance(num_nodes, (int, np.integer)) or num_nodes < 1:
+        raise OutOfRangeError(f"node count must be a positive integer, got {num_nodes!r}")
+
+
+@lru_cache(maxsize=64)
+def unit_legendre_rule(num_nodes):
+    """Gauss-Legendre nodes and weights mapped to (0, 1).
+
+    Parameters
+    ----------
+    num_nodes : int
+        Number of quadrature points.
+
+    Returns
+    -------
+    nodes, weights : ndarray
+        Arrays of shape ``(num_nodes,)``; weights sum to 1.
+    """
+    _check_nodes(num_nodes)
+    x, w = roots_legendre(num_nodes)
+    nodes = 0.5 * (x + 1.0)
+    weights = 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@lru_cache(maxsize=64)
+def normal_hermite_rule(num_nodes):
+    """Gauss-Hermite nodes and weights for the standard normal weight.
+
+    Uses the probabilists' convention: ``sum(w * g(z)) == E[g(Z)]`` for
+    ``Z ~ N(0, 1)``, exactly when ``g`` is a polynomial of degree
+    ``< 2 * num_nodes``.
+
+    Returns
+    -------
+    nodes, weights : ndarray
+        Arrays of shape ``(num_nodes,)``; weights sum to 1.
+    """
+    _check_nodes(num_nodes)
+    z, w = roots_hermitenorm(num_nodes)
+    weights = w / np.sqrt(2.0 * np.pi)
+    z.setflags(write=False)
+    weights.setflags(write=False)
+    return z, weights
+
+
+def tensor_rule(nodes, weights, ndim):
+    """Tensor product of a one-dimensional rule over ``ndim`` coordinates.
+
+    Returns
+    -------
+    points : ndarray of shape (num_nodes ** ndim, ndim)
+    weights : ndarray of shape (num_nodes ** ndim,)
+    """
+    _check_nodes(ndim)
+    grids = np.meshgrid(*([nodes] * ndim), indexing="ij")
+    points = np.stack([g.reshape(-1) for g in grids], axis=1)
+    wgrids = np.meshgrid(*([weights] * ndim), indexing="ij")
+    joint = np.ones(points.shape[0])
+    for g in wgrids:
+        joint = joint * g.reshape(-1)
+    return points, joint

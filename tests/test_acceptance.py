@@ -116,7 +116,7 @@ def test_criterion_01_missing_data_bound_never_exceeds_monte_carlo_evidence():
         for i in range(num_instances):
             values[i, hide[i]] = np.nan
         data = MaskedDataset(values, ~np.isnan(values), names)
-        bound = float(lower_bound_rows(model, data, quad_nodes=8).sum())
+        bound = float(lower_bound_rows(model, data).sum())
 
         # Monte Carlo estimate of the observed-data log-likelihood: hidden
         # value drawn from its own marginal is a standard normal in score
@@ -206,7 +206,7 @@ def test_criterion_03_energy_identity_on_small_model_suite():
             result = energy_identity_check(model, x, mc_samples=20_000, seed=seed)
             ratio = abs(result.bound_term - result.energy_mc) / result.mc_standard_error
             assert ratio <= 3.0, (
-                f"seed {seed}: quadrature and MC disagree by {ratio:.2f} se"
+                f"seed {seed}: closed form and MC disagree by {ratio:.2f} se"
             )
             worst = max(worst, ratio)
     _report(3, f"worst |bound - mc| = {worst:.2f} se over 80 checks")

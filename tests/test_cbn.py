@@ -24,15 +24,21 @@ from copulabn.cbn import (
     lower_bound,
     lower_bound_rows,
 )
-from copulabn.copula import UniformGaussianCopula, ratio_log, ratio_log_from_z
+from copulabn.copula import UniformGaussianCopula, ratio_log, ratio_log_from_z, rho_bounds
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import InvalidInputError, OutOfRangeError, ValidationError
 from copulabn.marginals import fit_kde
 from copulabn.model_io import save_model
-from copulabn.quadrature import normal_hermite_rule, tensor_rule
 from copulabn.structure import SearchConfig
-from tests.conftest import chain_scores, cycle_warps, warp_columns
+from conftest import (
+    chain_scores,
+    cycle_warps,
+    equicorrelated_scores,
+    normal_hermite_rule,
+    tensor_rule,
+    warp_columns,
+)
 
 
 def _chain_model(rho=0.5, num_rows=300, num_vars=3, seed=40, warp=False):
@@ -130,9 +136,7 @@ def test_fit_handles_warped_marginals():
 def test_bound_equals_density_bitwise_on_complete_rows():
     model, data, _ = _chain_model(warp=True)
     density = log_density_rows(model, data.values)
-    for quad_nodes in (2, 8, 16):
-        bound = lower_bound_rows(model, data, quad_nodes=quad_nodes)
-        np.testing.assert_array_equal(bound, density)
+    np.testing.assert_array_equal(lower_bound_rows(model, data), density)
     assert lower_bound(model, data) == float(density.sum())
 
 
@@ -159,41 +163,77 @@ def test_scores_stay_finite_beyond_kde_support():
     assert np.isfinite(lower_bound_rows(model, MaskedDataset.from_values(masked))[0])
 
 
-def test_bound_is_invariant_to_quadrature_size():
-    model, data, rng = _chain_model(num_vars=4)
-    masked = apply_missing_mask(data, 0.35, seed=6)
-    reference = lower_bound_rows(model, masked, quad_nodes=8)
-    for quad_nodes in (2, 3, 16, 31):
-        other = lower_bound_rows(model, masked, quad_nodes=quad_nodes)
-        np.testing.assert_allclose(other, reference, rtol=0, atol=1e-10)
-    with pytest.raises(OutOfRangeError):
-        lower_bound_rows(model, masked, quad_nodes=1)
-
-
 def test_bound_matches_explicit_tensor_quadrature():
-    # The production path collapses the tensor rule to its first two
-    # moments; rebuild the full grid here and check one row exactly.
+    # The bound takes hidden scores' moments in closed form; an explicit
+    # Gauss-Hermite tensor grid of any size >= 2 is exact for the quadratic
+    # integrand, so every rule must agree with it.
     model, data, _ = _chain_model(num_vars=3, warp=True)
     rho1 = model.copulas[1].rho
     rho2 = model.copulas[2].rho
     x = data.values[11]
-    u2 = model.marginals[2].cdf(x[2])
-    z2 = float(ndtri(u2))
+    z2 = float(ndtri(model.marginals[2].cdf(x[2])))
+    row = MaskedDataset(np.array([[np.nan, np.nan, x[2]]]), np.array([[False, False, True]]),
+                        data.column_names)
+    got = lower_bound_rows(model, row)[0]
 
-    values = np.array([[np.nan, np.nan, x[2]]])
-    observed = np.array([[False, False, True]])
-    row = MaskedDataset(values, observed, data.column_names)
-    got = lower_bound_rows(model, row, quad_nodes=8)[0]
+    # A two-parent family, child observed and both parents hidden.
+    vee = CbnModel(Dag(3, ((), (), (0, 1))), model.marginals,
+                   (None, None, UniformGaussianCopula(3, 0.4)), model.column_names)
+    got_vee = lower_bound_rows(vee, row)[0]
 
-    nodes, weights = normal_hermite_rule(8)
-    # family at node 1: child and parent both hidden -> 2-d tensor expectation
-    grid, tensor_weights = tensor_rule(nodes, weights, 2)
-    fam1 = float(tensor_weights @ ratio_log_from_z(2, rho1, grid))
-    # family at node 2: child observed, parent hidden -> 1-d expectation
-    pairs = np.column_stack([np.full(nodes.size, z2), nodes])
-    fam2 = float(weights @ ratio_log_from_z(2, rho2, pairs))
-    expected = float(np.log(model.marginals[2].pdf(x[2]))) + fam1 + fam2
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+    log_pdf2 = float(np.log(model.marginals[2].pdf(x[2])))
+    for num_nodes in (2, 3, 8, 16):
+        nodes, weights = normal_hermite_rule(num_nodes)
+        grid, tensor_weights = tensor_rule(nodes, weights, 2)
+        # family at node 1: child and parent both hidden -> 2-d expectation
+        fam1 = float(tensor_weights @ ratio_log_from_z(2, rho1, grid))
+        # family at node 2: child observed, parent hidden -> 1-d expectation
+        pairs = np.column_stack([np.full(nodes.size, z2), nodes])
+        fam2 = float(weights @ ratio_log_from_z(2, rho2, pairs))
+        np.testing.assert_allclose(got, log_pdf2 + fam1 + fam2, rtol=0, atol=1e-12)
+        # two-parent family: 2-d expectation over the parents
+        triples = np.column_stack([np.full(grid.shape[0], z2), grid])
+        fam_vee = float(tensor_weights @ ratio_log_from_z(3, 0.4, triples))
+        np.testing.assert_allclose(got_vee, log_pdf2 + fam_vee, rtol=0, atol=1e-12)
+
+
+def _oracle_family_objective(model, data, cols, num_nodes=8):
+    """Summed expected log ratio terms of one family, each row's hidden
+    scores laid on an explicit Gauss-Hermite tensor grid."""
+    z = np.zeros(data.values.shape)
+    for j, marginal in enumerate(model.marginals):
+        obs = data.observed[:, j]
+        z[obs, j] = ndtri(marginal.cdf(data.values[obs, j]))
+    nodes, weights = normal_hermite_rule(num_nodes)
+    points, point_weights = [], []
+    for z_row, obs_row in zip(z[:, cols], data.observed[:, cols]):
+        hidden = np.flatnonzero(~obs_row)
+        grid, grid_weights = tensor_rule(nodes, weights, hidden.size)
+        block = np.repeat(z_row[None, :], grid_weights.size, axis=0)
+        block[:, hidden] = grid
+        points.append(block)
+        point_weights.append(grid_weights)
+    points, point_weights = np.vstack(points), np.concatenate(point_weights)
+    return lambda rho: float(point_weights @ ratio_log_from_z(len(cols), rho, points))
+
+
+def test_fit_missing_falls_back_to_the_bound_without_complete_rows():
+    # No row observes the whole family, so its rho maximizes the family's
+    # summed expected ratio terms over all rows.  With two columns that
+    # maximum is at rho = 0; with a two-parent family the rows that see the
+    # child and one parent pull it away from 0.
+    rng = np.random.default_rng(48)
+    for num_cols, dag in ((2, Dag.chain(2)), (3, Dag(3, ((), (), (0, 1))))):
+        values = equicorrelated_scores(0.6, num_cols, 240, rng)
+        for j in range(num_cols):
+            values[j::num_cols, j] = np.nan
+        data = MaskedDataset.from_values(values)
+        model = fit_missing(data, dag)
+        child = num_cols - 1
+        objective = _oracle_family_objective(model, data, (child, *dag.parents[child]))
+        lo, hi = rho_bounds(num_cols)
+        grid_best = max(objective(rho) for rho in np.linspace(lo, hi, 2001))
+        assert objective(model.copulas[child].rho) >= grid_best - 1e-9
 
 
 def test_bound_never_exceeds_mc_log_evidence():

@@ -27,8 +27,7 @@ from copulabn.errors import (
     OutOfRangeError,
     TooFewRowsError,
 )
-from copulabn.quadrature import tensor_rule, unit_legendre_rule
-from tests.conftest import equicorrelated_scores
+from conftest import equicorrelated_scores, tensor_rule, unit_legendre_rule
 
 
 def _sigma(n, rho):

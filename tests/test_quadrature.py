@@ -1,13 +1,8 @@
-"""Quadrature rules against closed-form polynomial integrals."""
+"""The tests' quadrature oracles against closed-form polynomial integrals."""
 
 import numpy as np
 
-from copulabn.quadrature import (
-    normal_hermite_rule,
-    rule_moments,
-    tensor_rule,
-    unit_legendre_rule,
-)
+from conftest import normal_hermite_rule, tensor_rule, unit_legendre_rule
 
 
 def test_unit_rule_integrates_monomials_exactly():
@@ -35,16 +30,6 @@ def test_normal_rule_matches_standard_normal_moments():
     exact = {1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 8: 105.0}
     for k, value in exact.items():
         np.testing.assert_allclose(weights @ nodes**k, value, rtol=0, atol=1e-10)
-
-
-def test_rule_moments_match_direct_sums():
-    for num_nodes in (2, 3, 8, 16):
-        nodes, weights = normal_hermite_rule(num_nodes)
-        m1, m2 = rule_moments(num_nodes)
-        np.testing.assert_allclose(m1, float(weights @ nodes), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(m2, float(weights @ nodes**2), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(m1, 0.0, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(m2, 1.0, rtol=0, atol=1e-12)
 
 
 def test_tensor_rule_shapes_and_weights():

@@ -13,8 +13,8 @@ from copulabn.marginals import fit_kde
 from copulabn.structure import (
     ScoredStructure,
     SearchConfig,
+    _CopulaScorer,
     bic_penalty,
-    family_score,
     greedy_search,
 )
 
@@ -64,8 +64,6 @@ def test_config_defaults_and_validation():
         SearchConfig(max_parents=-1)
     with pytest.raises(ValidationError):
         SearchConfig(max_iterations=0)
-    with pytest.raises(ValidationError):
-        SearchConfig(quad_nodes=1)
 
 
 # -------------------------------------------------------- family score
@@ -77,7 +75,7 @@ def test_family_score_matches_independent_computation():
     z = np.column_stack(
         [ndtri(marginals[j].cdf(data.values[:, j])) for j in range(3)]
     )
-    got = family_score(data, 1, (0,), marginals)
+    got = _CopulaScorer(data).score(1, (0,))
 
     stats = stats_from_z_rows(z[:, [1, 0]])
     rho, value = stats.fit()
@@ -88,21 +86,17 @@ def test_family_score_matches_independent_computation():
     )
 
 
-def test_family_score_empty_parents_and_errors():
-    data = _chain_dataset(num_rows=100, num_vars=3, seed=3)
-    marginals = tuple(fit_kde(data.values[:, j]) for j in range(3))
-    assert family_score(data, 0, (), marginals) == 0.0
-    with pytest.raises(InvalidInputError):
-        family_score(data, 1, (1,), marginals)
+def test_family_score_is_zero_without_parents():
+    scorer = _CopulaScorer(_chain_dataset(num_rows=100, num_vars=3, seed=3))
+    assert scorer.score(0, ()) == 0.0
 
 
 def test_family_score_is_order_symmetric_in_parents():
     # the uniform-correlation family is exchangeable, so parent order
     # cannot matter
-    data = _chain_dataset(num_rows=300, num_vars=4, seed=4)
-    marginals = tuple(fit_kde(data.values[:, j]) for j in range(4))
-    a = family_score(data, 3, (0, 1), marginals)
-    b = family_score(data, 3, (1, 0), marginals)
+    scorer = _CopulaScorer(_chain_dataset(num_rows=300, num_vars=4, seed=4))
+    a = scorer.score(3, (0, 1))
+    b = scorer.score(3, (1, 0))
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
