@@ -20,9 +20,10 @@ needs only E[z] = 0 and E[z^2] = 1: with ``t`` hidden members,
 E[q] = q_obs + t and E[s^2] = s_obs^2 + t, in closed form.
 
 Fitting is two-stage: marginals first from each column's observed values,
-then each family's rho by bounded maximization of its own (expected) sum of
-ratio terms.  The bound equals the complete-data log-likelihood exactly
-(bitwise, not just numerically) when nothing is hidden.
+then each family's rho by exact maximization, over the valid interval, of
+its own (expected) sum of ratio terms.  The bound equals the complete-data
+log-likelihood exactly (bitwise, not just numerically) when nothing is
+hidden.
 """
 
 import weakref
@@ -35,10 +36,10 @@ from scipy.special import ndtr, ndtri
 
 from .copula import (
     UniformGaussianCopula,
-    FamilyStats,
+    _block_moments,
     _log_density_from_stats,
+    family_stats,
     ratio_log_from_z,
-    stats_from_z_rows,
 )
 from .dag import Dag
 from .data import SEED_TAG_SAMPLE
@@ -126,22 +127,13 @@ def _log_pdf_matrix(model, values, observed):
     return out
 
 
-def _block_moments(z_block, obs_block):
-    """Per-row expected q = sum z^2 and s^2 = (sum z)^2, each hidden cell's
-    score integrated out as an independent standard normal."""
-    zz = np.where(obs_block, z_block, 0.0)
-    q_obs = (zz * zz).sum(axis=1)
-    s_obs = zz.sum(axis=1)
-    t = (~obs_block).sum(axis=1).astype(float)
-    return q_obs + t, s_obs * s_obs + t
-
-
 def _expected_family_terms(dim, rho, z_block, obs_block):
-    """Expected log ratio terms for rows with hidden family members.
+    """Expected log ratio terms, hidden family members integrated out.
 
     ``z_block`` is (rows, dim) with child first and NaN at hidden cells.
     The log ratio is affine in q and s^2, so its expectation is the ratio
-    evaluated at their expected values.
+    evaluated at their expected values; on a fully observed row nothing is
+    integrated out and the term is the exact ratio.
     """
     eq_f, es_f = _block_moments(z_block, obs_block)
     top = _log_density_from_stats(dim, rho, eq_f, es_f)
@@ -151,25 +143,12 @@ def _expected_family_terms(dim, rho, z_block, obs_block):
 
 
 def _family_term_columns(model, z, observed):
-    """Per-family term vectors: exact ratio on fully observed rows,
-    expected ratio on the rest."""
-    num_rows = z.shape[0]
+    """Per-family vectors of (expected) log ratio terms, one entry per row."""
     columns = []
     for child, parents in model.families():
         cop = model.copulas[child]
         cols = (child, *parents)
-        z_block = z[:, cols]
-        obs_block = observed[:, cols]
-        full = obs_block.all(axis=1)
-        term = np.zeros(num_rows)
-        if full.any():
-            term[full] = ratio_log_from_z(cop.n, cop.rho, z_block[full])
-        partial = ~full
-        if partial.any():
-            term[partial] = _expected_family_terms(
-                cop.n, cop.rho, z_block[partial], obs_block[partial]
-            )
-        columns.append(term)
+        columns.append(_expected_family_terms(cop.n, cop.rho, z[:, cols], observed[:, cols]))
     return columns
 
 
@@ -221,26 +200,7 @@ def lower_bound(model, data):
     return float(np.sum(lower_bound_rows(model, data)))
 
 
-def _family_stats_from_scores(z, observed, cols):
-    """Aggregated :class:`FamilyStats` over all rows, hidden cells integrated
-    out as independent standard normal scores."""
-    z_block = z[:, cols]
-    obs_block = observed[:, cols]
-    fam_q, fam_s_sq = (float(v.sum()) for v in _block_moments(z_block, obs_block))
-    par_q, par_s_sq = (
-        float(v.sum()) for v in _block_moments(z_block[:, 1:], obs_block[:, 1:])
-    )
-    return FamilyStats(
-        num_rows=float(z.shape[0]),
-        dim=len(cols),
-        fam_q=fam_q,
-        fam_s_sq=fam_s_sq,
-        par_q=par_q,
-        par_s_sq=par_s_sq,
-    )
-
-
-def fit_missing(data, dag, *, tol=1e-6):
+def fit_missing(data, dag):
     """Fit a model from partially observed data.
 
     Marginals are fit to each column's observed values.  Each family's rho
@@ -252,7 +212,9 @@ def fit_missing(data, dag, *, tol=1e-6):
     estimate by roughly the fraction of incomplete rows.  When a family has
     fewer than two fully observed rows, its rho falls back to maximizing
     the family's summed expected ratio terms over all rows — its share of
-    the likelihood bound — so the fit is total either way.
+    the likelihood bound — so the fit is total either way.  Either way the
+    rho is exact: :meth:`copulabn.copula.FamilyStats.fit` solves for it in
+    closed form.
 
     Marginals and normal scores come from :func:`_score_table`, so after a
     structure search on the same ``data`` object neither is computed again.
@@ -270,12 +232,11 @@ def fit_missing(data, dag, *, tol=1e-6):
             if not parents:
                 continue
             cols = (node, *parents)
-            complete = data.observed[:, cols].all(axis=1)
+            z_block, obs_block = z[:, cols], data.observed[:, cols]
+            complete = obs_block.all(axis=1)
             if int(complete.sum()) >= 2:
-                stats = stats_from_z_rows(z[np.ix_(complete, cols)])
-            else:
-                stats = _family_stats_from_scores(z, data.observed, cols)
-            rho, _ = stats.fit(tol=tol)
+                z_block, obs_block = z_block[complete], obs_block[complete]
+            rho, _ = family_stats(z_block, obs_block).fit()
             copulas[node] = UniformGaussianCopula(n=len(parents) + 1, rho=rho)
     return CbnModel(
         dag=dag, marginals=table.marginals, copulas=tuple(copulas), column_names=data.column_names
@@ -319,7 +280,7 @@ def _score_table(data):
     return _SCORE_TABLES[data]
 
 
-def fit_complete(data, dag, tol=1e-6):
+def fit_complete(data, dag):
     """Fit from fully observed data (two-stage: marginals, then per-family rho).
 
     The fitted model's complete-data log-likelihood is >= that of the same
@@ -327,7 +288,7 @@ def fit_complete(data, dag, tol=1e-6):
     """
     if not data.fully_observed:
         raise InvalidInputError("fit_complete requires fully observed data; use fit_missing")
-    return fit_missing(data, dag, tol=tol)
+    return fit_missing(data, dag)
 
 
 class EnergyCheckResult(NamedTuple):

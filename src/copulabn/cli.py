@@ -233,7 +233,7 @@ def _cmd_sample(args):
 
 
 def _cmd_benchmark(args):
-    kinds = [tok for tok in args.model.split(",") if tok.strip() != ""]
+    kinds = [tok.strip() for tok in args.model.split(",") if tok.strip() != ""]
     max_parents_list = _max_parents_list(args)
     fractions = _fraction_list(args.missing_fraction)
     protocol = ExperimentProtocol(

@@ -13,16 +13,22 @@ That structure gives closed forms for everything the package needs:
 * the copula log density reduces to an affine function of the normal-score
   statistics ``q = sum(z_i^2)`` and ``s = sum(z_i)``, which is what makes
   both the missing-data expectations and the maximum-likelihood objective
-  cheap (see :class:`FamilyStats`).
+  cheap (see :class:`FamilyStats`);
+* the maximum-likelihood rho of a family is a root of a polynomial of degree
+  at most 5 or an end of the valid interval, so it is found exactly, with no
+  search and no tolerance (:meth:`FamilyStats.fit`).
 
 ``rho`` is valid iff Sigma is positive definite, i.e. ``rho`` in
 ``(-1/(n-1), 1)``; we shrink that interval by a small margin at both ends so
-Sigma stays numerically positive definite during optimization.
+Sigma stays numerically positive definite at every rho the fit scores.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyroots
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, InvalidRhoError, OutOfRangeError, TooFewRowsError
@@ -38,17 +44,13 @@ __all__ = [
     "ratio_log_from_z",
     "conditional_z_params",
     "fit_rho",
-    "golden_section_maximize",
-    "maximize_over_rho",
     "FamilyStats",
-    "stats_from_z_rows",
+    "family_stats",
 ]
 
 # How far the usable rho interval stays away from the positive-definiteness
 # boundary (-1/(n-1), 1).
 RHO_MARGIN = 1e-4
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def rho_bounds(n):
@@ -227,62 +229,18 @@ def conditional_z_params(c, z_parents):
     return mean, float(variance)
 
 
-def golden_section_maximize(fn, lo, hi, tol=1e-6):
-    """Golden-section search for a maximum of ``fn`` on ``[lo, hi]``.
-
-    Returns ``(x, fn(x))`` once the bracketing interval is narrower than
-    ``tol``.  Unimodality is the caller's responsibility; combine with a
-    coarse grid when that is not guaranteed (see :func:`maximize_over_rho`).
-    """
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
-
-
-def maximize_over_rho(objective, n, tol=1e-6, coarse_points=33):
-    """Maximize a scalar objective over the valid rho interval.
-
-    A coarse grid brackets the best region, golden-section search refines
-    it, and the returned value is guaranteed to score at least as high as
-    the interval endpoints and rho = 0.
-    """
-    lo, hi = rho_bounds(n)
-    grid = np.linspace(lo, hi, coarse_points)
-    vals = np.array([objective(r) for r in grid])
-    best = int(np.argmax(vals))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, coarse_points - 1)]
-    x, fx = golden_section_maximize(objective, a, b, tol)
-    candidates = [(fx, float(x)), (float(vals[0]), float(grid[0])), (float(vals[-1]), float(grid[-1]))]
-    if lo < 0.0 < hi:
-        candidates.append((float(objective(0.0)), 0.0))
-    fbest, xbest = max(candidates, key=lambda t: t[0])
-    return xbest, fbest
-
-
 @dataclass(frozen=True)
 class FamilyStats:
     """Sufficient statistics of one family's rho objective.
 
     The family log-density ratio summed over rows is affine in
-    ``A = sum_rows q`` and ``B = sum_rows s^2`` (and the parent-block
-    analogues), so any weighted sum of ratio terms — including the
-    missing-data expectations, which are themselves affine in per-row q and
-    s^2 — collapses to these five numbers.  ``objective(rho)`` then costs
-    O(1), which is what makes per-family maximum likelihood cheap inside
-    structure search.
+    ``A = sum_rows q`` and ``B = sum_rows s^2`` and in their parent-block
+    analogues ``C`` and ``D``, so any weighted sum of ratio terms — including
+    the missing-data expectations, which are themselves affine in per-row q
+    and s^2 — collapses to these five numbers.  ``objective(rho)`` then costs
+    O(1), and its maximizer is a root of a polynomial of degree at most 5
+    (see :meth:`fit`), which is what makes per-family maximum likelihood
+    cheap inside structure search.
 
     Attributes
     ----------
@@ -319,32 +277,92 @@ class FamilyStats:
             bottom = 0.0
         return top - bottom
 
-    def fit(self, tol=1e-6):
-        """Maximizing rho and the objective value there."""
-        return maximize_over_rho(self.objective, self.dim, tol=tol)
+    def fit(self):
+        """The rho maximizing :meth:`objective` on :func:`rho_bounds`, and
+        the objective value there.
+
+        With ``n = dim``, ``k = n - 1`` parents, ``N = num_rows`` and
+        ``A, B, C, D = fam_q, fam_s_sq, par_q, par_s_sq``, the derivative is
+
+            2 f'(rho) = N / (1-rho) - N (n-1) / (1 + (n-1) rho)
+                        + N (k-1) / (1 + (k-1) rho)
+                        - [(A - B/n) - (C - D/k)] / (1-rho)^2
+                        + B (n-1) / (n (1 + (n-1) rho)^2)
+                        - D (k-1) / (k (1 + (k-1) rho)^2),
+
+        without the C and D terms when ``k == 1``, as in :meth:`objective`.
+        Times ``(1-rho)^2 (1+(n-1) rho)^2 (1+(k-1) rho)^2`` it is a polynomial
+        of degree at most 5, so the maximum is at one of its real roots inside
+        the interval or at an end.  Every root's real part inside the interval
+        is scored (a real root may come back with a tiny imaginary part), as
+        are both ends and rho = 0, and the best candidate wins, rho = 0 on a
+        tie; the result never scores below independence.
+        """
+        n = self.dim
+        lo, hi = rho_bounds(n)
+        k = n - 1
+        N, A, B = self.num_rows, self.fam_q, self.fam_s_sq
+        C, D = (self.par_q, self.par_s_sq) if k >= 2 else (0.0, 0.0)
+        weights = [
+            N, -N * (n - 1), N * (k - 1),
+            (C - D / k) - (A - B / n), B * (n - 1) / n, -D * (k - 1) / k,
+        ]
+        roots = polyroots(np.dot(weights, _stationarity_basis(n))).real
+        candidates = [0.0, lo, hi, *roots[(lo < roots) & (roots < hi)]]
+        values = [self.objective(r) for r in candidates]
+        best = int(np.argmax(values))
+        return float(candidates[best]), float(values[best])
 
 
-def stats_from_z_rows(z_rows):
-    """Exact :class:`FamilyStats` from fully observed normal-score rows."""
-    z = np.asarray(z_rows, dtype=float)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise InvalidInputError("need an (m, d>=2) array of scores")
-    q = np.einsum("ij,ij->i", z, z)
-    s = z.sum(axis=1)
-    zp = z[:, 1:]
-    qp = np.einsum("ij,ij->i", zp, zp)
-    sp = zp.sum(axis=1)
+@lru_cache(maxsize=None)
+def _stationarity_basis(n):
+    """The six products that :meth:`FamilyStats.fit` weights into its
+    stationarity polynomial, as rows of coefficients, lowest degree first.
+
+    With ``a = 1 - rho``, ``b = 1 + (n-1) rho`` and ``c = 1 + (n-2) rho`` they
+    are ``a b^2 c^2, a^2 b c^2, a^2 b^2 c, b^2 c^2, a^2 c^2, a^2 b^2``.
+    """
+    a, b, c = Polynomial([1.0, -1.0]), Polynomial([1.0, n - 1.0]), Polynomial([1.0, n - 2.0])
+    products = (
+        a * b**2 * c**2, a**2 * b * c**2, a**2 * b**2 * c,
+        b**2 * c**2, a**2 * c**2, a**2 * b**2,
+    )
+    basis = np.array([np.pad(p.coef, (0, 6 - p.coef.size)) for p in products])
+    basis.setflags(write=False)
+    return basis
+
+
+def _block_moments(z_block, obs_block):
+    """Per-row expected q = sum z^2 and s^2 = (sum z)^2, each hidden cell's
+    score integrated out as an independent standard normal."""
+    zz = np.where(obs_block, z_block, 0.0)
+    q_obs = (zz * zz).sum(axis=1)
+    s_obs = zz.sum(axis=1)
+    t = (~obs_block).sum(axis=1).astype(float)
+    return q_obs + t, s_obs * s_obs + t
+
+
+def family_stats(z_block, obs_block):
+    """:class:`FamilyStats` of a (rows, dim) score block, child column first.
+
+    ``obs_block`` marks the observed cells.  Each hidden cell's score is
+    integrated out as an independent standard normal and its entry in
+    ``z_block`` is ignored, so the statistics are exact on fully observed
+    rows and are the likelihood bound's expectations elsewhere.
+    """
+    fam_q, fam_s_sq = _block_moments(z_block, obs_block)
+    par_q, par_s_sq = _block_moments(z_block[:, 1:], obs_block[:, 1:])
     return FamilyStats(
-        num_rows=float(z.shape[0]),
-        dim=int(z.shape[1]),
-        fam_q=float(q.sum()),
-        fam_s_sq=float((s * s).sum()),
-        par_q=float(qp.sum()),
-        par_s_sq=float((sp * sp).sum()),
+        num_rows=float(z_block.shape[0]),
+        dim=int(z_block.shape[1]),
+        fam_q=float(fam_q.sum()),
+        fam_s_sq=float(fam_s_sq.sum()),
+        par_q=float(par_q.sum()),
+        par_s_sq=float(par_s_sq.sum()),
     )
 
 
-def fit_rho(family_u_rows, tol=1e-6):
+def fit_rho(family_u_rows):
     """Maximum-likelihood rho for one family from unit-cube rows.
 
     Parameters
@@ -352,14 +370,12 @@ def fit_rho(family_u_rows, tol=1e-6):
     family_u_rows : array_like of shape (m, k+1)
         One row per instance: child's u value first, then the parents'.
         All values strictly inside (0, 1).
-    tol : float
-        Absolute tolerance of the golden-section search.
 
     Returns
     -------
     float
-        The rho maximizing the summed log ratio terms; its objective value
-        is >= the objective at both interval endpoints and at rho = 0.
+        The rho maximizing the summed log ratio terms over the valid
+        interval, found exactly by :meth:`FamilyStats.fit`.
 
     Raises
     ------
@@ -374,5 +390,5 @@ def fit_rho(family_u_rows, tol=1e-6):
     if u.shape[1] < 2:
         raise InvalidInputError("a family needs at least one parent to have a rho")
     z = _scores(u)
-    rho, _ = stats_from_z_rows(z).fit(tol=tol)
+    rho, _ = family_stats(z, np.ones(z.shape, dtype=bool)).fit()
     return rho

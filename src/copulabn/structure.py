@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cbn import _family_stats_from_scores, _score_table
+from .cbn import _score_table
+from .copula import family_stats
 from .dag import Dag
 from .errors import InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import em_fit_lg, expected_moments, family_ll_from_moments
@@ -98,12 +99,11 @@ class _CopulaScorer:
     """Penalized copula family scores from the dataset's score table, which
     :func:`copulabn.cbn.fit_missing` reuses on the same ``data`` object."""
 
-    def __init__(self, data, rho_tol=1e-6):
+    def __init__(self, data):
         self.num_rows = data.num_rows
         self.observed = data.observed
         table = _score_table(data)
         self.marginals, self.z = table.marginals, table.z
-        self.rho_tol = rho_tol
 
     def family_params(self, parents):
         return 1 if parents else 0
@@ -112,8 +112,8 @@ class _CopulaScorer:
         """Maximized family objective minus this family's penalty share."""
         if not parents:
             return 0.0
-        stats = _family_stats_from_scores(self.z, self.observed, (child, *parents))
-        _, value = stats.fit(tol=self.rho_tol)
+        cols = (child, *parents)
+        _, value = family_stats(self.z[:, cols], self.observed[:, cols]).fit()
         return float(value) - bic_penalty(1, self.num_rows)
 
 

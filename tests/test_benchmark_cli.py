@@ -147,6 +147,18 @@ def test_cli_fit_eval_reproduces_benchmark_cell(small_csv, tmp_path, capsys):
     )
 
 
+def test_cli_benchmark_accepts_spaces_in_model_list(small_csv, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main([
+        "benchmark", "--data", str(small_csv), "--model", "cbn, lgbn",
+        "--max-parents", "1", "--splits", "2", "--out", str(out),
+    ]) == 0
+    with open(out, newline="") as fh:
+        kinds = {r["model_kind"] for r in csv.DictReader(fh)}
+    assert kinds == {"cbn", "lgbn"}
+    capsys.readouterr()
+
+
 def test_cli_sample_round_trips(small_csv, tmp_path, capsys):
     model_out = tmp_path / "model.json"
     assert main([

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm
 
@@ -12,13 +14,11 @@ from copulabn.copula import (
     conditional_z_params,
     copula_log_density,
     copula_log_density_rows,
+    family_stats,
     fit_rho,
-    golden_section_maximize,
-    maximize_over_rho,
     ratio_log,
     ratio_log_from_z,
     rho_bounds,
-    stats_from_z_rows,
     uniform_sigma_logdet,
 )
 from copulabn.errors import (
@@ -218,36 +218,48 @@ def test_conditional_density_identity():
         )
 
 
+def _complete_stats(z_rows):
+    return family_stats(z_rows, np.ones(z_rows.shape, dtype=bool))
+
+
 def test_family_stats_objective_matches_row_sum():
     rng = np.random.default_rng(19)
     z_rows = rng.standard_normal((40, 3))
-    stats = stats_from_z_rows(z_rows)
+    stats = _complete_stats(z_rows)
     for rho in (-0.3, 0.0, 0.2, 0.7):
         direct = float(ratio_log_from_z(3, rho, z_rows).sum())
         np.testing.assert_allclose(stats.objective(rho), direct, rtol=0, atol=1e-9)
 
 
-def test_golden_section_finds_known_maximum():
-    best_x, best_value = golden_section_maximize(
-        lambda x: -((x - 0.37) ** 2), -1.0, 1.0, tol=1e-8
-    )
-    np.testing.assert_allclose(best_x, 0.37, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(best_value, 0.0, rtol=0, atol=1e-12)
-
-
-def test_maximize_over_rho_beats_grid_and_reference_points():
-    rng = np.random.default_rng(20)
-    z_rows = equicorrelated_scores(0.5, 3, 600, rng)
-    stats = stats_from_z_rows(z_rows)
-    best_rho, best_value = maximize_over_rho(stats.objective, 3)
-    lo, hi = rho_bounds(3)
-    probes = np.concatenate([np.linspace(lo, hi, 41), [0.0, best_rho]])
-    values = [stats.objective(r) for r in probes]
-    assert best_value >= max(values) - 1e-9
-    # first-order optimality at an interior optimum
-    h = 1e-5
-    gradient = (stats.objective(best_rho + h) - stats.objective(best_rho - h)) / (2 * h)
-    np.testing.assert_allclose(gradient, 0.0, rtol=0, atol=1e-2)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 5),
+    num_rows=st.integers(2, 200),
+    hidden_share=st.floats(0.0, 0.6),
+    end=st.sampled_from(["lo", "hi"]),
+    gap=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_the_exact_maximum(dim, num_rows, hidden_share, end, gap, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = rho_bounds(dim)
+    true_rho = lo + gap if end == "lo" else hi - gap
+    z = equicorrelated_scores(true_rho, dim, num_rows, rng)
+    observed = rng.random(z.shape) >= hidden_share
+    stats = family_stats(np.where(observed, z, np.nan), observed)
+    rho, value = stats.fit()
+    assert lo <= rho <= hi
+    assert value == stats.objective(rho)
+    probes = np.concatenate([np.linspace(lo, hi, 2001), [0.0]])
+    best_probe = max(stats.objective(r) for r in probes)
+    assert value >= best_probe - 1e-9 * (1.0 + abs(value))
+    # An interior maximum is stationary.  The slope, times the distance to
+    # the nearer end, is on the scale of num_rows wherever it is not zero.
+    reach = min(rho - lo, hi - rho)
+    if reach > 1e-3:
+        h = 1e-4 * reach
+        slope = (stats.objective(rho + h) - stats.objective(rho - h)) / (2.0 * h)
+        assert abs(slope) * reach <= 1e-6 * (num_rows + abs(value))
 
 
 def test_fit_rho_recovers_generating_correlation():
@@ -269,8 +281,7 @@ def test_family_stats_fit_agrees_with_fit_rho():
     z = equicorrelated_scores(0.35, 3, 500, rng)
     u = ndtr(z)
     via_u = fit_rho(u)
-    stats = stats_from_z_rows(ndtri(u))
-    via_stats, _ = stats.fit()
+    via_stats, _ = _complete_stats(ndtri(u)).fit()
     np.testing.assert_allclose(via_u, via_stats, rtol=0, atol=1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from copulabn.copula import ratio_log_from_z, stats_from_z_rows
+from copulabn.copula import family_stats, ratio_log_from_z
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import InvalidInputError, OutOfRangeError, ValidationError
@@ -77,8 +77,7 @@ def test_family_score_matches_independent_computation():
     )
     got = _CopulaScorer(data).score(1, (0,))
 
-    stats = stats_from_z_rows(z[:, [1, 0]])
-    rho, value = stats.fit()
+    rho, value = family_stats(z[:, [1, 0]], np.ones((400, 2), dtype=bool)).fit()
     np.testing.assert_allclose(got, value - bic_penalty(1, 400), rtol=0, atol=1e-9)
     # the fitted objective is literally the summed log ratio terms
     np.testing.assert_allclose(
