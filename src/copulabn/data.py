@@ -8,7 +8,7 @@ seeds derived from a single base seed.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,8 +139,6 @@ class ExperimentProtocol:
     split_fraction : float
         Train share of each split (the extra row of an odd-sized dataset
         goes to train).
-    missing_fraction : float
-        Per-cell hiding probability in [0, 1).
     base_seed : int
         Root of all derived randomness.
     mask_scope : str
@@ -150,7 +148,6 @@ class ExperimentProtocol:
 
     num_splits: int = 10
     split_fraction: float = 0.5
-    missing_fraction: float = 0.0
     base_seed: int = 0
     mask_scope: str = "train_only"
 
@@ -159,15 +156,8 @@ class ExperimentProtocol:
             raise ValidationError(f"num_splits must be >= 1, got {self.num_splits}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValidationError(f"split_fraction must be in (0,1), got {self.split_fraction}")
-        if not 0.0 <= self.missing_fraction < 1.0:
-            raise ValidationError(
-                f"missing_fraction must be in [0,1), got {self.missing_fraction}"
-            )
         if self.mask_scope not in ("train_only", "train_and_test"):
             raise ValidationError(f"unknown mask_scope {self.mask_scope!r}")
-
-    def with_missing(self, p):
-        return replace(self, missing_fraction=float(p))
 
 
 def load_csv(path):

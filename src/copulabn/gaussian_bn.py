@@ -4,7 +4,10 @@ Each node is normal with mean affine in its parents and constant noise
 variance.  The joint is multivariate normal, so everything the benchmark
 needs is closed form: fitting is per-family least squares, marginalizing
 out hidden coordinates just drops them from (mean, covariance), and the
-EM E-step is exact Gaussian conditioning.
+EM E-step is exact Gaussian conditioning.  One kernel, :func:`_condition`,
+does all the conditioning: per missing pattern it factors the observed
+covariance block once and returns the rows' log marginals and, for EM,
+the expected moments.
 """
 
 from dataclasses import dataclass
@@ -119,6 +122,14 @@ def _moments_from_complete(values):
     return mean, second
 
 
+def _fit_from_moments(mean, second, dag, column_names):
+    """M-step: the network whose families are least squares on the moments."""
+    families = [_family_from_moments(mean, second, node, dag.parents[node])
+                for node in range(dag.num_vars)]
+    intercepts, coefficients, variances = zip(*families)
+    return LinearGaussianBn(dag, intercepts, coefficients, variances, column_names)
+
+
 def fit_complete_lg(data, dag):
     """Per-family ordinary least squares with maximum-likelihood variances.
 
@@ -137,19 +148,7 @@ def fit_complete_lg(data, dag):
             f"need more than {max_family + 1} rows to fit families of size {max_family}"
         )
     mean, second = _moments_from_complete(data.values)
-    intercepts, coefficients, variances = [], [], []
-    for node in range(dag.num_vars):
-        b0, bs, v = _family_from_moments(mean, second, node, dag.parents[node])
-        intercepts.append(b0)
-        coefficients.append(bs)
-        variances.append(v)
-    return LinearGaussianBn(
-        dag=dag,
-        intercepts=tuple(intercepts),
-        coefficients=tuple(coefficients),
-        variances=tuple(variances),
-        column_names=data.column_names,
-    )
+    return _fit_from_moments(mean, second, dag, data.column_names)
 
 
 def joint_gaussian(model):
@@ -178,15 +177,57 @@ def joint_gaussian(model):
     return mean, cov
 
 
-def _groups_by_pattern(observed):
-    """Row indices grouped by identical observed pattern, deterministic order."""
-    m = observed.shape[0]
-    # Encode each pattern as bytes for hashing; order groups by first row.
-    keys = [observed[i].tobytes() for i in range(m)]
+def _condition(mean, cov, values, observed, moments):
+    """Exact Gaussian conditioning of each row's hidden cells on its observed ones.
+
+    Rows are grouped by missing pattern, and each pattern's observed block
+    Sigma_OO is factored once.  That factor gives every row's log marginal
+    (log-determinant and triangular solve) and, when ``moments`` is true, the
+    E-step gain Sigma_HO Sigma_OO^-1.  Returns ``(log_rows, s1, s2)``: rows
+    with nothing observed score 0; ``s1`` and ``s2`` are the summed
+    conditional first and second moments of x (hidden blocks filled with
+    their conditional means, plus each pattern's conditional covariance once
+    per row), or None when ``moments`` is false.
+    """
+    n = mean.size
+    log_rows = np.zeros(values.shape[0])
+    s1 = np.zeros(n) if moments else None
+    s2 = np.zeros((n, n)) if moments else None
     groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return [(observed[rows[0]], np.asarray(rows)) for rows in groups.values()]
+    for i, pattern in enumerate(observed):
+        groups.setdefault(pattern.tobytes(), []).append(i)
+    for rows in groups.values():
+        rows = np.asarray(rows)
+        pattern = observed[rows[0]]
+        obs = np.nonzero(pattern)[0]
+        if obs.size:
+            factor = cho_factor(cov[np.ix_(obs, obs)], lower=True)
+            x_obs = values[np.ix_(rows, obs)]
+            diff = x_obs - mean[obs]
+            logdet = 2.0 * np.log(np.diag(factor[0])).sum()
+            sol = solve_triangular(factor[0], diff.T, lower=True)
+            log_rows[rows] = -0.5 * (obs.size * _LOG_2PI + logdet + (sol * sol).sum(axis=0))
+        if not moments:
+            continue
+        hid = np.nonzero(~pattern)[0]
+        if hid.size == 0:
+            s1 += x_obs.sum(axis=0)
+            s2 += x_obs.T @ x_obs
+            continue
+        completed = np.empty((rows.size, n))
+        if obs.size == 0:
+            completed[:] = mean
+            cond_cov = cov
+        else:
+            cov_oh = cov[np.ix_(obs, hid)]
+            gain = cho_solve(factor, cov_oh).T  # (|H|, |O|)
+            completed[:, obs] = x_obs
+            completed[:, hid] = mean[hid] + diff @ gain.T
+            cond_cov = np.zeros((n, n))
+            cond_cov[np.ix_(hid, hid)] = cov[np.ix_(hid, hid)] - gain @ cov_oh
+        s1 += completed.sum(axis=0)
+        s2 += completed.T @ completed + rows.size * cond_cov
+    return log_rows, s1, s2
 
 
 def log_marginal_lg_rows(model, data):
@@ -201,20 +242,7 @@ def log_marginal_lg_rows(model, data):
             f"data has {data.num_cols} columns but the model has {model.num_vars} variables"
         )
     mean, cov = joint_gaussian(model)
-    out = np.zeros(data.num_rows)
-    for pattern, rows in _groups_by_pattern(data.observed):
-        obs = np.nonzero(pattern)[0]
-        if obs.size == 0:
-            continue
-        sub_mean = mean[obs]
-        sub_cov = cov[np.ix_(obs, obs)]
-        chol = np.linalg.cholesky(sub_cov)
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        diff = data.values[np.ix_(rows, obs)] - sub_mean
-        sol = solve_triangular(chol, diff.T, lower=True)
-        quad = (sol * sol).sum(axis=0)
-        out[rows] = -0.5 * (obs.size * _LOG_2PI + logdet + quad)
-    return out
+    return _condition(mean, cov, data.values, data.observed, False)[0]
 
 
 def log_marginal_lg(model, instance):
@@ -222,20 +250,14 @@ def log_marginal_lg(model, instance):
 
     Equals the exact integral of the joint density over the hidden ones.
     """
-    x = np.asarray(instance, dtype=float).reshape(-1)
+    x = np.asarray(instance, dtype=float).reshape(1, -1)
     if x.size != model.num_vars:
         raise InvalidInputError(f"expected {model.num_vars} coordinates, got {x.size}")
     observed = ~np.isnan(x)
     if not observed.any():
         raise InvalidInputError("instance has no observed coordinates")
     mean, cov = joint_gaussian(model)
-    obs = np.nonzero(observed)[0]
-    sub_cov = cov[np.ix_(obs, obs)]
-    chol = np.linalg.cholesky(sub_cov)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    diff = x[obs] - mean[obs]
-    sol = solve_triangular(chol, diff, lower=True)
-    return float(-0.5 * (obs.size * _LOG_2PI + logdet + sol @ sol))
+    return float(_condition(mean, cov, x, observed, False)[0][0])
 
 
 def expected_moments(model, data):
@@ -246,34 +268,7 @@ def expected_moments(model, data):
     ``(s1, s2, num_rows)`` with sums not divided by the row count.
     """
     mean, cov = joint_gaussian(model)
-    n = model.num_vars
-    s1 = np.zeros(n)
-    s2 = np.zeros((n, n))
-    for pattern, rows in _groups_by_pattern(data.observed):
-        obs = np.nonzero(pattern)[0]
-        hid = np.nonzero(~pattern)[0]
-        g = rows.size
-        if hid.size == 0:
-            block = data.values[rows]
-            s1 += block.sum(axis=0)
-            s2 += block.T @ block
-            continue
-        completed = np.empty((g, n))
-        if obs.size == 0:
-            completed[:] = mean
-            cond_cov = cov
-        else:
-            factor = cho_factor(cov[np.ix_(obs, obs)], lower=True)
-            x_obs = data.values[np.ix_(rows, obs)]
-            diff = x_obs - mean[obs]
-            gain = cho_solve(factor, cov[np.ix_(obs, hid)]).T  # (|H|, |O|)
-            completed[:, obs] = x_obs
-            completed[:, hid] = mean[hid] + diff @ gain.T
-            cond_cov_h = cov[np.ix_(hid, hid)] - gain @ cov[np.ix_(obs, hid)]
-            cond_cov = np.zeros((n, n))
-            cond_cov[np.ix_(hid, hid)] = cond_cov_h
-        s1 += completed.sum(axis=0)
-        s2 += completed.T @ completed + g * cond_cov
+    _, s1, s2 = _condition(mean, cov, data.values, data.observed, True)
     return s1, s2, data.num_rows
 
 
@@ -296,13 +291,16 @@ def em_fit_lg(data, dag, tol=1e-4, max_iters=200, history=None):
     by missing pattern).  M-step: per-family least squares on the expected
     moments.  Stops when the observed-data log-likelihood improves by less
     than ``tol`` or after ``max_iters`` iterations; the likelihood sequence
-    is non-decreasing up to numerical slack.
+    is non-decreasing up to numerical slack.  One conditioning pass per
+    model yields both its log-likelihood and the next E-step, so k
+    iterations take k + 1 passes.
 
     Parameters
     ----------
     history : list, optional
         If given, the observed-data log-likelihood after each M-step is
-        appended to it.
+        appended to it; the last entry equals
+        ``log_marginal_lg_rows(model, data).sum()`` of the returned model.
     """
     if data.num_cols != dag.num_vars:
         raise InvalidInputError(
@@ -332,25 +330,12 @@ def em_fit_lg(data, dag, tol=1e-4, max_iters=200, history=None):
         column_names=data.column_names,
     )
 
+    _, s1, s2 = _condition(*joint_gaussian(model), data.values, data.observed, True)
     last_ll = -np.inf
     for _ in range(max_iters):
-        s1, s2, m = expected_moments(model, data)
-        mean = s1 / m
-        second = s2 / m
-        intercepts, coefficients, variances = [], [], []
-        for node in range(dag.num_vars):
-            b0, bs, v = _family_from_moments(mean, second, node, dag.parents[node])
-            intercepts.append(b0)
-            coefficients.append(bs)
-            variances.append(v)
-        model = LinearGaussianBn(
-            dag=dag,
-            intercepts=tuple(intercepts),
-            coefficients=tuple(coefficients),
-            variances=tuple(variances),
-            column_names=data.column_names,
-        )
-        ll = float(log_marginal_lg_rows(model, data).sum())
+        model = _fit_from_moments(s1 / data.num_rows, s2 / data.num_rows, dag, data.column_names)
+        log_rows, s1, s2 = _condition(*joint_gaussian(model), data.values, data.observed, True)
+        ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)
         if ll - last_ll < tol:

@@ -30,7 +30,12 @@ from .cbn import _score_table
 from .copula import family_stats
 from .dag import Dag
 from .errors import InvalidInputError, OutOfRangeError, ValidationError
-from .gaussian_bn import em_fit_lg, expected_moments, family_ll_from_moments
+from .gaussian_bn import (
+    _moments_from_complete,
+    em_fit_lg,
+    expected_moments,
+    family_ll_from_moments,
+)
 
 __all__ = [
     "SearchConfig",
@@ -38,6 +43,9 @@ __all__ = [
     "bic_penalty",
     "greedy_search",
 ]
+
+# Cap on structural-EM rounds (search, then EM refit) of the lgbn search.
+_STRUCTURE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -279,11 +287,9 @@ def _scored_structure(data, scorer, parent_lists, fam_scores, marginal_terms):
     return ScoredStructure(Dag(data.num_cols, tuple(parent_lists)), score, per_family)
 
 
-def _greedy_search_lg(data, config, max_structure_rounds=3):
+def _greedy_search_lg(data, config):
     if data.fully_observed:
-        mean = data.values.mean(axis=0)
-        second = data.values.T @ data.values / data.num_rows
-        scorer = _GaussianScorer(mean, second, data.num_rows)
+        scorer = _GaussianScorer(*_moments_from_complete(data.values), data.num_rows)
         parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
         return _scored_structure(data, scorer, parent_lists, fam_scores, [0.0] * data.num_cols)
 
@@ -293,7 +299,7 @@ def _greedy_search_lg(data, config, max_structure_rounds=3):
     model = em_fit_lg(data, Dag.empty(data.num_cols))
     previous = None
     result = None
-    for _ in range(max_structure_rounds):
+    for _ in range(_STRUCTURE_ROUNDS):
         s1, s2, m = expected_moments(model, data)
         scorer = _GaussianScorer(s1 / m, s2 / m, m)
         parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)

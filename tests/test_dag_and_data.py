@@ -227,11 +227,7 @@ def test_protocol_validation():
     with pytest.raises(ValidationError):
         ExperimentProtocol(split_fraction=0.0)
     with pytest.raises(ValidationError):
-        ExperimentProtocol(missing_fraction=1.0)
-    with pytest.raises(ValidationError):
         ExperimentProtocol(mask_scope="everything")
-    updated = ExperimentProtocol().with_missing(0.25)
-    assert updated.missing_fraction == 0.25
 
 
 # ------------------------------------------------------------ masking

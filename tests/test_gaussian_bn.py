@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
+from copulabn import gaussian_bn
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import (
@@ -265,6 +268,89 @@ def test_expected_moments_use_exact_conditioning():
     np.testing.assert_allclose(s2[0, 1], x[0, 0] * cond_mean, rtol=0, atol=1e-12)
 
 
+def _random_network(rng, n):
+    """Linear-Gaussian network on a random DAG over a shuffled node order."""
+    order = rng.permutation(n)
+    parents = [()] * n
+    for pos, node in enumerate(order):
+        earlier = order[:pos]
+        chosen = earlier[rng.random(earlier.size) < 0.5]
+        parents[node] = tuple(int(p) for p in sorted(chosen))
+    return LinearGaussianBn(
+        dag=Dag(n, tuple(parents)),
+        intercepts=tuple(rng.uniform(-2.0, 2.0, n)),
+        coefficients=tuple(tuple(rng.uniform(-1.5, 1.5, len(ps))) for ps in parents),
+        variances=tuple(rng.uniform(0.2, 3.0, n)),
+        column_names=tuple(f"x{i}" for i in range(n)),
+    )
+
+
+def _mixed_mask(rng, num_rows, n):
+    """Masks drawn from a small pool, so patterns repeat; the pool holds a
+    fully observed, an all-hidden and a partly hidden pattern."""
+    partial = rng.random(n) < 0.5
+    partial[rng.integers(n)] = True
+    partial[rng.integers(n)] = False
+    if partial.all():
+        partial[0] = False
+    pool = [np.ones(n, bool), np.zeros(n, bool), partial]
+    pool += [rng.random(n) < 0.6 for _ in range(3)]
+    picks = np.concatenate([np.arange(3), rng.integers(len(pool), size=num_rows - 3)])
+    return np.array([pool[i] for i in picks])
+
+
+def _dense_moments(mean, cov, x, observed):
+    """Row-by-row E-step with an explicit inverse of each Sigma_OO."""
+    n = mean.size
+    s1 = np.zeros(n)
+    s2 = np.zeros((n, n))
+    for row, pattern in zip(x, observed):
+        obs, hid = np.nonzero(pattern)[0], np.nonzero(~pattern)[0]
+        completed = row.copy()
+        cond_cov = np.zeros((n, n))
+        if obs.size == 0:
+            completed = mean.copy()
+            cond_cov = cov.copy()
+        elif hid.size:
+            k = cov[np.ix_(hid, obs)] @ np.linalg.inv(cov[np.ix_(obs, obs)])
+            completed[hid] = mean[hid] + k @ (row[obs] - mean[obs])
+            cond_cov[np.ix_(hid, hid)] = cov[np.ix_(hid, hid)] - k @ cov[np.ix_(obs, hid)]
+        s1 += completed
+        s2 += np.outer(completed, completed) + cond_cov
+    return s1, s2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    num_rows=st.integers(3, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conditioning_matches_dense_oracles(n, num_rows, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_network(rng, n)
+    x = _sample_lg(model, num_rows, rng)
+    observed = _mixed_mask(rng, num_rows, n)
+    data = MaskedDataset(x, observed, model.column_names)
+    mean, cov = joint_gaussian(model)
+
+    rows = log_marginal_lg_rows(model, data)
+    for i in range(num_rows):
+        obs = np.nonzero(observed[i])[0]
+        if obs.size == 0:
+            assert rows[i] == 0.0
+            continue
+        expected = multivariate_normal(mean[obs], cov[np.ix_(obs, obs)]).logpdf(x[i, obs])
+        np.testing.assert_allclose(rows[i], expected, rtol=1e-10, atol=1e-10)
+
+    s1, s2, m = expected_moments(model, data)
+    d1, d2 = _dense_moments(mean, cov, x, observed)
+    assert m == num_rows
+    scale = 1.0 + np.abs(d2).max()
+    np.testing.assert_allclose(s1, d1, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(s2, d2, rtol=0, atol=1e-10 * scale)
+
+
 def test_family_ll_matches_direct_gaussian_log_likelihood():
     rng = np.random.default_rng(8)
     truth = _collider_model()
@@ -314,6 +400,33 @@ def test_em_history_is_non_decreasing():
         assert len(history) >= 2
         diffs = np.diff(history)
         assert (diffs >= -1e-8).all(), f"seed {seed}: EM decreased by {diffs.min()}"
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 200])
+def test_em_conditions_once_per_iteration(monkeypatch, max_iters):
+    # The pass at model_t scores model_t and gives the moments of the next
+    # M-step, so a history of length k takes k + 1 passes, not 2k.
+    rng = np.random.default_rng(15)
+    truth = _collider_model()
+    data = apply_missing_mask(
+        MaskedDataset.from_values(_sample_lg(truth, 300, rng), truth.column_names),
+        0.3,
+        seed=16,
+    )
+    passes = []
+    condition = gaussian_bn._condition
+
+    def counted(*args):
+        passes.append(args)
+        return condition(*args)
+
+    monkeypatch.setattr(gaussian_bn, "_condition", counted)
+    history = []
+    model = em_fit_lg(data, truth.dag, max_iters=max_iters, history=history)
+    monkeypatch.undo()
+    assert 1 <= len(history) <= max_iters
+    assert len(passes) == len(history) + 1
+    assert history[-1] == float(log_marginal_lg_rows(model, data).sum())
 
 
 def test_em_recovers_parameters_under_missingness():
