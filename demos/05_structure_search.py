@@ -2,7 +2,8 @@
 
 Best-ascent hill climbing over add/delete/reverse moves with a BIC
 penalty; family scores decompose, so each move re-scores only the touched
-families. The same engine serves the copula network (one parameter per
+families, and a cap of one parent per node restricts the search to trees.
+The same engine serves the copula network (one parameter per
 family) and the linear-Gaussian baseline (|parents| + 2 parameters per
 family). On data with warped marginals the copula scorer sees the
 dependence cleanly while a joint-Gaussian view is misspecified.
@@ -41,8 +42,8 @@ for kind in ("cbn", "lgbn"):
     print(f"  score : {result.score:,.1f}")
     print()
 
-# The tree constraint caps every node at one parent.
-tree = greedy_search(data, SearchConfig(tree_constraint=True))
+# A cap of one parent per node restricts the search to trees.
+tree = greedy_search(data, SearchConfig(max_parents=1))
 print(f"tree-constrained search: {edges(tree.dag, names)}")
 print()
 

@@ -38,7 +38,6 @@ from .data import (
     make_split,
     prepare_communities_csv,
     save_csv,
-    save_mask_csv,
 )
 from .errors import (
     ConvergenceError,
@@ -129,7 +128,6 @@ __all__ = [
     "ratio_log",
     "rho_bounds",
     "save_csv",
-    "save_mask_csv",
     "serialize",
     "uniform_sigma_logdet",
     "__version__",

@@ -30,7 +30,7 @@ from .data import (
     load_csv,
     make_split,
 )
-from .errors import InvalidInputError
+from .errors import CopulaBnError, InvalidInputError
 from .gaussian_bn import em_fit_lg, log_marginal_lg_rows
 from .structure import SearchConfig, greedy_search
 
@@ -174,8 +174,9 @@ def run_benchmark(
     Rows are produced in canonical order (model kind, parent cap, missing
     fraction, split); the CSV is byte-identical across reruns with the same
     inputs and seed.  On a failing cell, everything finished so far is
-    flushed to ``output_path`` before the error propagates with the cell
-    identified.
+    flushed to ``output_path`` before the error propagates.  A package,
+    arithmetic or value error is re-raised as the same type with the cell
+    named in its message.
     """
     model_kinds = tuple(model_kinds)
     max_parents_list = tuple(int(k) for k in max_parents_list)
@@ -200,8 +201,8 @@ def run_benchmark(
                             train_score, test_score, seed_train, seed_test = _run_cell(
                                 data, protocol, model_kind, max_parents, p, split_index
                             )
-                        except Exception as e:
-                            raise RuntimeError(
+                        except (CopulaBnError, ArithmeticError, ValueError) as e:
+                            raise type(e)(
                                 f"benchmark cell failed (model={model_kind}, "
                                 f"max_parents={max_parents}, missing_fraction={p}, "
                                 f"split={split_index}): {e}"
@@ -268,7 +269,6 @@ def run_benchmark(
             "scipy": scipy.__version__,
             "protocol": {
                 "num_splits": protocol.num_splits,
-                "split_fraction": protocol.split_fraction,
                 "base_seed": protocol.base_seed,
                 "mask_scope": protocol.mask_scope,
             },

@@ -38,6 +38,7 @@ from .copula import (
     UniformGaussianCopula,
     _block_moments,
     _log_density_from_stats,
+    conditional_z_params,
     family_stats,
     ratio_log_from_z,
 )
@@ -380,12 +381,8 @@ def forward_sample(model, count, seed):
             u[:, node] = u_node
             z[:, node] = ndtri(u_node)
             continue
-        cop = model.copulas[node]
-        k = len(parents)
-        denom = 1.0 + (k - 1) * cop.rho
-        mean = cop.rho * z[:, parents].sum(axis=1) / denom
-        sd = np.sqrt(1.0 - k * cop.rho * cop.rho / denom)
-        z_node = mean + sd * rng.standard_normal(count)
+        mean, variance = conditional_z_params(model.copulas[node], z[:, parents])
+        z_node = mean + np.sqrt(variance) * rng.standard_normal(count)
         z[:, node] = z_node
         u[:, node] = np.clip(ndtr(z_node), 1e-12, 1.0 - 1e-12)
     out = np.empty((count, n))

@@ -75,6 +75,13 @@ def _int_list(text):
     return values
 
 
+def _split_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="copulabn", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"copulabn {__version__}")
@@ -91,7 +98,7 @@ def _build_parser():
     def common_split_flags(p):
         p.add_argument("--missing-fraction", default="0",
                        help="fraction of cells to hide (default: 0)")
-        p.add_argument("--splits", type=int, default=10,
+        p.add_argument("--splits", type=_split_count, default=10,
                        help="number of train/test splits (default: 10)")
         p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
 
@@ -131,7 +138,7 @@ def _build_parser():
     p_bench.add_argument("--tree", action="store_true")
     p_bench.add_argument("--missing-fraction", default="0",
                          help="comma list of fractions (default: 0)")
-    p_bench.add_argument("--splits", type=int, default=10)
+    p_bench.add_argument("--splits", type=_split_count, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
                          default="train_only")
@@ -153,7 +160,10 @@ def _max_parents_list(args):
         return [1]
     if args.max_parents is None:
         return [3]
-    return _int_list(args.max_parents)
+    caps = _int_list(args.max_parents)
+    if min(caps) < 0:
+        raise _UsageError(f"--max-parents must be >= 0, got {min(caps)}")
+    return caps
 
 
 def _single_fraction(args):
@@ -189,7 +199,7 @@ def _cmd_fit(args):
     caps = _max_parents_list(args)
     if len(caps) != 1:
         raise _UsageError("this command takes a single --max-parents value")
-    config = SearchConfig(max_parents=caps[0], tree_constraint=args.tree)
+    config = SearchConfig(max_parents=caps[0])
     model = fit_model(data, args.model, config)
     save_model(model, args.out)
     edges = model.dag.num_edges()

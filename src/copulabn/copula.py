@@ -214,19 +214,21 @@ def conditional_z_params(c, z_parents):
     Standard Gaussian conditioning under the uniform-correlation matrix:
     ``mean = rho * sum(z_parents) / (1 + (k-1) rho)`` and
     ``variance = 1 - k * rho**2 / (1 + (k-1) rho)`` for ``k`` parents.
+    ``z_parents`` is one row of k scores, giving a float mean, or a
+    (rows, k) block, giving one mean per row; the variance is a float.
     """
-    z = np.asarray(z_parents, dtype=float).reshape(-1)
-    k = z.size
+    z = np.asarray(z_parents, dtype=float)
+    block = z.ndim == 2
+    z = z if block else z.reshape(1, -1)
+    k = z.shape[1]
     if c.n != k + 1:
         raise InvalidInputError(f"copula dimension {c.n} does not match {k} parents")
-    if k == 0:
-        return 0.0, 1.0
     _check_rho(c.n, c.rho)
     rho = c.rho
     denom = 1.0 + (k - 1) * rho
-    mean = rho * float(z.sum()) / denom
+    mean = rho * z.sum(axis=1) / denom
     variance = 1.0 - k * rho * rho / denom
-    return mean, float(variance)
+    return (mean if block else float(mean[0])), float(variance)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "ExperimentProtocol",
     "load_csv",
     "save_csv",
-    "save_mask_csv",
     "make_split",
     "apply_missing_mask",
     "derive_seed",
@@ -136,9 +135,6 @@ class ExperimentProtocol:
     ----------
     num_splits : int
         Number of random equal train/test splits.
-    split_fraction : float
-        Train share of each split (the extra row of an odd-sized dataset
-        goes to train).
     base_seed : int
         Root of all derived randomness.
     mask_scope : str
@@ -147,15 +143,12 @@ class ExperimentProtocol:
     """
 
     num_splits: int = 10
-    split_fraction: float = 0.5
     base_seed: int = 0
     mask_scope: str = "train_only"
 
     def __post_init__(self):
         if self.num_splits < 1:
             raise ValidationError(f"num_splits must be >= 1, got {self.num_splits}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValidationError(f"split_fraction must be in (0,1), got {self.split_fraction}")
         if self.mask_scope not in ("train_only", "train_and_test"):
             raise ValidationError(f"unknown mask_scope {self.mask_scope!r}")
 
@@ -235,15 +228,6 @@ def save_csv(data, path):
             writer.writerow([_format_cell(x) for x in row])
 
 
-def save_mask_csv(data, path):
-    """Write the observed mask as 0/1 CSV for reproducibility records."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.column_names)
-        for row in data.observed:
-            writer.writerow(["1" if o else "0" for o in row])
-
-
 def make_split(data, protocol, split_index):
     """Deterministic equal train/test split.
 
@@ -258,7 +242,7 @@ def make_split(data, protocol, split_index):
         np.random.SeedSequence([protocol.base_seed, SEED_TAG_SPLIT, split_index])
     )
     perm = rng.permutation(data.num_rows)
-    n_train = int(np.ceil(data.num_rows * protocol.split_fraction))
+    n_train = (data.num_rows + 1) // 2  # the extra row of an odd count goes to train
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
     return data.take_rows(train_idx), data.take_rows(test_idx)
@@ -299,7 +283,7 @@ def _parse_names_file(text):
     return names
 
 
-def prepare_communities_csv(data_path, names_path, out_path, max_missing_fraction=0.5):
+def prepare_communities_csv(data_path, names_path, out_path):
     """Convert the raw communities table to this package's CSV contract.
 
     The raw file is headerless and comma-separated with ``?`` marking
@@ -309,7 +293,7 @@ def prepare_communities_csv(data_path, names_path, out_path, max_missing_fractio
        (``@attribute`` lines; generic ``col_i`` names if none found);
     2. drop the identifier columns (state, county, community,
        communityname, fold) and any column with a non-numeric cell;
-    3. drop columns whose missing fraction exceeds ``max_missing_fraction``;
+    3. drop columns missing in more than half of the rows;
     4. write the survivors as a header CSV with ``?`` turned into empty
        cells.
 
@@ -336,7 +320,7 @@ def prepare_communities_csv(data_path, names_path, out_path, max_missing_fractio
             continue
         column = [row[j].strip() for row in raw_rows]
         missing = sum(1 for cell in column if cell in ("?", ""))
-        if missing > max_missing_fraction * len(column):
+        if 2 * missing > len(column):
             continue
         numeric = True
         for cell in column:

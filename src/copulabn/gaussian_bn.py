@@ -253,6 +253,8 @@ def log_marginal_lg(model, instance):
     x = np.asarray(instance, dtype=float).reshape(1, -1)
     if x.size != model.num_vars:
         raise InvalidInputError(f"expected {model.num_vars} coordinates, got {x.size}")
+    if np.isinf(x).any():
+        raise InvalidInputError("instance has an infinite coordinate")
     observed = ~np.isnan(x)
     if not observed.any():
         raise InvalidInputError("instance has no observed coordinates")

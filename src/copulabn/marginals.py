@@ -215,16 +215,17 @@ class KdeMarginal:
         )
 
 
-def fit_kde(values, bandwidth_override=None):
+def fit_kde(values):
     """Fit a Gaussian kernel density to one variable's observed values.
+
+    The kernel width follows the rule
+    ``1.06 * std(values, ddof=1) * len(values) ** (-1/5)``; use
+    :meth:`KdeMarginal.from_params` for a given width.
 
     Parameters
     ----------
     values : array_like
         Observed values; NaN entries are treated as missing and dropped.
-    bandwidth_override : float, optional
-        Use this kernel width instead of the data-driven rule
-        ``1.06 * std(values, ddof=1) * len(values) ** (-1/5)``.
 
     Returns
     -------
@@ -251,10 +252,4 @@ def fit_kde(values, bandwidth_override=None):
     std = float(np.std(arr, ddof=1))
     if std == 0.0:
         raise DegenerateInputError("all observed values are identical; marginal would be degenerate")
-    if bandwidth_override is None:
-        bandwidth = 1.06 * std * arr.size ** (-0.2)
-    else:
-        bandwidth = float(bandwidth_override)
-        if not np.isfinite(bandwidth) or bandwidth <= 0.0:
-            raise OutOfRangeError(f"bandwidth override must be a positive real, got {bandwidth_override!r}")
-    return KdeMarginal.from_params(arr, bandwidth)
+    return KdeMarginal.from_params(arr, 1.06 * std * arr.size ** (-0.2))

@@ -5,7 +5,10 @@ the empty graph: every legal move is scored, the best strictly improving
 one is applied, and the search stops when none improves.  Scores decompose
 per family, so a move re-scores only the touched families; results are
 deterministic (moves are enumerated in (child, parent) order and the first
-maximum wins).
+maximum wins).  The engine keeps only parent sets and, after each accepted
+move, one ancestor bit set per node, from which every move's acyclicity is
+read (Giudici & Castelo 2003).  ``SearchConfig(max_parents=1)`` restricts
+the search to forests of trees.
 
 Two family scorers plug into the same engine:
 
@@ -46,38 +49,26 @@ __all__ = [
 
 # Cap on structural-EM rounds (search, then EM refit) of the lgbn search.
 _STRUCTURE_ROUNDS = 3
+# Cap on accepted moves of one greedy search.
+_MAX_MOVES = 1000
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the greedy search.
+    """Settings of the greedy search.
 
     Attributes
     ----------
-    max_parents : int or None
-        Parent-set size cap; None resolves to 1 under ``tree_constraint``
-        and 3 otherwise.
-    tree_constraint : bool
-        Restrict every node to at most one parent.
-    max_iterations : int
-        Cap on accepted moves.
+    max_parents : int
+        Parent-set size cap (default 3); 1 restricts the search to forests
+        of trees.
     """
 
-    max_parents: int = None
-    tree_constraint: bool = False
-    max_iterations: int = 1000
+    max_parents: int = 3
 
     def __post_init__(self):
-        if self.max_parents is None:
-            object.__setattr__(self, "max_parents", 1 if self.tree_constraint else 3)
-        if self.tree_constraint and self.max_parents != 1:
-            raise ValidationError(
-                f"tree_constraint requires max_parents=1, got {self.max_parents}"
-            )
         if self.max_parents < 0:
             raise ValidationError(f"max_parents must be >= 0, got {self.max_parents}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -141,25 +132,61 @@ class _GaussianScorer:
         return float(ll) - bic_penalty(len(parents) + 2, self.num_rows)
 
 
-def _creates_cycle(children, src, dst):
-    """True if adding edge src->dst closes a directed cycle (path dst->src)."""
-    stack = [dst]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if node == src:
-            return True
-        if node in seen:
+def _ancestor_sets(parents):
+    """Bit set of each node's strict ancestors (bit p of ``sets[v]`` is set
+    when p ~> v), each built from its parents' sets by an explicit-stack
+    depth-first pass."""
+    sets = [None] * len(parents)
+    for root in range(len(parents)):
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            todo = [p for p in parents[node] if sets[p] is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            bits = 0
+            for p in parents[node]:
+                bits |= sets[p] | 1 << p
+            sets[node] = bits
+    return sets
+
+
+def _moves(parents, ancestors, max_parents):
+    """Every legal move as (kind, child, parent) in scan order: additions,
+    deletions, then reversals, each (child, parent)-ordered.
+
+    Adding parent->child closes a cycle iff child is an ancestor of parent.
+    Reversing parent->child closes one iff another parent of child has
+    parent as an ancestor.
+    """
+    num_vars = len(parents)
+    for child in range(num_vars):
+        if len(parents[child]) >= max_parents:
             continue
-        seen.add(node)
-        stack.extend(children[node])
-    return False
+        for parent in range(num_vars):
+            if parent != child and parent not in parents[child] and not ancestors[parent] >> child & 1:
+                yield "add", child, parent
+    for child in range(num_vars):
+        for parent in sorted(parents[child]):
+            yield "delete", child, parent
+    for child in range(num_vars):
+        for parent in sorted(parents[child]):
+            if len(parents[parent]) < max_parents and not any(
+                ancestors[q] >> parent & 1 for q in parents[child]
+            ):
+                yield "reverse", child, parent
 
 
-def _run_greedy(num_vars, scorer, config):
-    """Best-ascent engine; returns (parent tuple list, penalized family scores)."""
+def _search(data, scorer, config, marginal_terms):
+    """Best-ascent engine: applies the best strictly improving move (first
+    maximum in scan order) until none improves.  Each node's own penalty is
+    added back, with its structure-free ``marginal_terms``, to report its
+    unpenalized contribution."""
+    num_vars = data.num_cols
     parents = [set() for _ in range(num_vars)]
-    children = [set() for _ in range(num_vars)]
+    ancestors = [0] * num_vars
     cache = {}
 
     def fscore(child, parent_set):
@@ -170,71 +197,45 @@ def _run_greedy(num_vars, scorer, config):
 
     current = [fscore(i, ()) for i in range(num_vars)]
 
-    for _ in range(config.max_iterations):
+    for _ in range(_MAX_MOVES):
         best_gain = 0.0
         best_move = None
-        # Additions, (child, parent)-ordered.
-        for child in range(num_vars):
-            if len(parents[child]) >= config.max_parents:
-                continue
-            base = current[child]
-            for parent in range(num_vars):
-                if parent == child or parent in parents[child]:
-                    continue
-                if _creates_cycle(children, parent, child):
-                    continue
-                gain = fscore(child, parents[child] | {parent}) - base
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = ("add", child, parent)
-        # Deletions.
-        for child in range(num_vars):
-            base = current[child]
-            for parent in sorted(parents[child]):
-                gain = fscore(child, parents[child] - {parent}) - base
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = ("delete", child, parent)
-        # Reversals: parent->child becomes child->parent.
-        for child in range(num_vars):
-            for parent in sorted(parents[child]):
-                if len(parents[parent]) >= config.max_parents:
-                    continue
-                # After removing parent->child, adding child->parent must not
-                # close a cycle through some other path parent ~> child.
-                children[parent].discard(child)
-                cyclic = _creates_cycle(children, child, parent)
-                children[parent].add(child)
-                if cyclic:
-                    continue
+        for kind, child, parent in _moves(parents, ancestors, config.max_parents):
+            if kind == "add":
+                gain = fscore(child, parents[child] | {parent}) - current[child]
+            elif kind == "delete":
+                gain = fscore(child, parents[child] - {parent}) - current[child]
+            else:
                 gain = (
                     fscore(child, parents[child] - {parent})
                     - current[child]
                     + fscore(parent, parents[parent] | {child})
                     - current[parent]
                 )
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = ("reverse", child, parent)
+            if gain > best_gain:
+                best_gain = gain
+                best_move = (kind, child, parent)
         if best_move is None:
             break
         kind, child, parent = best_move
         if kind == "add":
             parents[child].add(parent)
-            children[parent].add(child)
-        elif kind == "delete":
-            parents[child].remove(parent)
-            children[parent].remove(child)
         else:
             parents[child].remove(parent)
-            children[parent].remove(child)
+        if kind == "reverse":
             parents[parent].add(child)
-            children[child].add(parent)
             current[parent] = fscore(parent, parents[parent])
         current[child] = fscore(child, parents[child])
+        ancestors = _ancestor_sets(parents)
 
-    family_scores = [fscore(i, parents[i]) for i in range(num_vars)]
-    return [tuple(sorted(ps)) for ps in parents], family_scores
+    parent_lists = [tuple(sorted(ps)) for ps in parents]
+    params = [scorer.family_params(ps) for ps in parent_lists]
+    per_family = tuple(
+        float(fscore(i, ps) + bic_penalty(params[i], data.num_rows) + marginal_terms[i])
+        for i, ps in enumerate(parent_lists)
+    )
+    score = float(sum(per_family) - bic_penalty(sum(params), data.num_rows))
+    return ScoredStructure(Dag(num_vars, tuple(parent_lists)), score, per_family)
 
 
 def _marginal_loglik_terms(data, marginals):
@@ -266,32 +267,16 @@ def greedy_search(data, config, model_kind="cbn"):
     """
     if model_kind == "cbn":
         scorer = _CopulaScorer(data)
-        parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
-        marg_terms = _marginal_loglik_terms(data, scorer.marginals)
-        return _scored_structure(data, scorer, parent_lists, fam_scores, marg_terms)
+        return _search(data, scorer, config, _marginal_loglik_terms(data, scorer.marginals))
     if model_kind == "lgbn":
         return _greedy_search_lg(data, config)
     raise InvalidInputError(f"unknown model_kind {model_kind!r}")
 
 
-def _scored_structure(data, scorer, parent_lists, fam_scores, marginal_terms):
-    """Search result from per-family penalized scores: each node's own penalty
-    is added back, with its structure-free ``marginal_terms``, to report its
-    unpenalized contribution."""
-    params = [scorer.family_params(ps) for ps in parent_lists]
-    per_family = tuple(
-        float(fam_scores[i] + bic_penalty(params[i], data.num_rows) + marginal_terms[i])
-        for i in range(data.num_cols)
-    )
-    score = float(sum(per_family) - bic_penalty(sum(params), data.num_rows))
-    return ScoredStructure(Dag(data.num_cols, tuple(parent_lists)), score, per_family)
-
-
 def _greedy_search_lg(data, config):
     if data.fully_observed:
         scorer = _GaussianScorer(*_moments_from_complete(data.values), data.num_rows)
-        parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
-        return _scored_structure(data, scorer, parent_lists, fam_scores, [0.0] * data.num_cols)
+        return _search(data, scorer, config, [0.0] * data.num_cols)
 
     # Structural EM: score on expected moments under the current model,
     # refit with EM on the found structure, repeat until the structure
@@ -301,9 +286,7 @@ def _greedy_search_lg(data, config):
     result = None
     for _ in range(_STRUCTURE_ROUNDS):
         s1, s2, m = expected_moments(model, data)
-        scorer = _GaussianScorer(s1 / m, s2 / m, m)
-        parent_lists, fam_scores = _run_greedy(data.num_cols, scorer, config)
-        result = _scored_structure(data, scorer, parent_lists, fam_scores, [0.0] * data.num_cols)
+        result = _search(data, _GaussianScorer(s1 / m, s2 / m, m), config, [0.0] * data.num_cols)
         if previous is not None and result.dag.parents == previous:
             break
         previous = result.dag.parents

@@ -160,8 +160,7 @@ def test_criterion_01_missing_data_bound_never_exceeds_monte_carlo_evidence():
 
 
 def _assert_bound_equals_likelihood(data, max_parents=1):
-    config = SearchConfig(max_parents=max_parents, tree_constraint=max_parents == 1)
-    structure = greedy_search(data, config)
+    structure = greedy_search(data, SearchConfig(max_parents=max_parents))
     model = fit_missing(data, structure.dag)
     bound = lower_bound_rows(model, data)
     exact = log_density_rows(model, data.values)
@@ -437,7 +436,7 @@ def _check_sampling(model, sample_seed):
 
 def test_criterion_09_sampling_matches_fitted_model_on_wine(wine_path):
     data = load_csv(wine_path)
-    structure = greedy_search(data, SearchConfig(tree_constraint=True))
+    structure = greedy_search(data, SearchConfig(max_parents=1))
     model = fit_missing(data, structure.dag)
     ks_worst, got, want = _check_sampling(model, sample_seed=9)
     _report(9, f"wine KS max {ks_worst:.4f}; spearman {got:.4f} vs {want:.4f}")

@@ -11,6 +11,7 @@ from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark
 from copulabn.cli import main
 from copulabn.data import ExperimentProtocol, save_csv
 from copulabn.data import MaskedDataset
+from copulabn.errors import SingularDesignError
 
 from conftest import chain_scores, cycle_warps, warp_columns
 
@@ -247,20 +248,57 @@ def test_cli_exit_codes(small_csv, tmp_path, capsys):
         "eval", "--model-file", str(model_out), "--data", str(other),
     ]) == 2
     # numerical: collinear parent candidates break the linear-Gaussian fit
-    # (c depends on the duplicated signal, so the search scores c | {a, b})
+    assert main([
+        "fit", "--data", str(_collinear_csv(tmp_path)), "--model", "lgbn",
+        "--max-parents", "2", "--out", str(tmp_path / "m.json"),
+    ]) == 3
+    capsys.readouterr()
+
+
+def _collinear_csv(tmp_path):
+    """40 rows where a and b are the same column and c follows them, so the
+    search scores c | {a, b} and the linear-Gaussian fit is singular."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=40)
     c_col = x + 0.1 * rng.normal(size=40)
-    dup = tmp_path / "dup.csv"
-    with open(dup, "w", newline="") as fh:
+    path = tmp_path / "dup.csv"
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "b", "c"])
         for i in range(40):
             writer.writerow([repr(float(x[i])), repr(float(x[i])), repr(float(c_col[i]))])
+    return path
+
+
+def test_benchmark_cell_failure_keeps_its_type_and_exit_code(tmp_path, capsys):
+    dup = _collinear_csv(tmp_path)
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SingularDesignError, match=r"model=lgbn, max_parents=2, .*split=1"):
+        run_benchmark(dup, ExperimentProtocol(num_splits=2), ["lgbn"], [2], [0.0], out)
+    # split 0 finished, so its row was flushed before the error propagated
+    assert len(out.read_text().strip().split("\n")) == 2
+    out.unlink()
     assert main([
-        "fit", "--data", str(dup), "--model", "lgbn", "--max-parents", "2",
-        "--out", str(tmp_path / "m.json"),
+        "benchmark", "--data", str(dup), "--model", "lgbn", "--max-parents", "2",
+        "--splits", "2", "--out", str(out),
     ]) == 3
+    assert "split=1" in capsys.readouterr().err
+    assert len(out.read_text().strip().split("\n")) == 2
+
+
+def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, capsys):
+    fit = ["fit", "--data", str(small_csv), "--out", str(tmp_path / "m.json")]
+    bench = ["benchmark", "--data", str(small_csv), "--out", str(tmp_path / "b.csv")]
+    for argv in (
+        fit + ["--max-parents", "-1"],
+        fit + ["--splits", "0", "--split-index", "0"],
+        bench + ["--max-parents", "-1"],
+        bench + ["--max-parents", "1,-2"],
+        bench + ["--splits", "0"],
+    ):
+        assert main(argv) == 1, argv
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "b.csv").exists()
     capsys.readouterr()
 
 

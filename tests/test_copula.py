@@ -202,6 +202,17 @@ def test_conditional_params_match_schur_complement():
             np.testing.assert_allclose(var, expected_var, rtol=0, atol=1e-12)
 
 
+def test_conditional_params_of_a_block_match_each_row():
+    rng = np.random.default_rng(19)
+    for k in (0, 1, 3):
+        c = UniformGaussianCopula(k + 1, 0.3 if k else 0.0)
+        block = rng.standard_normal((5, k))
+        means, var = conditional_z_params(c, block)
+        assert means.shape == (5,)
+        for row, mean in zip(block, means):
+            assert conditional_z_params(c, row) == (mean, var)
+
+
 def test_conditional_density_identity():
     # log c_{k+1}(u) - log c_k(u_par) == log N(z_child; mean, var) - log N(z_child; 0, 1)
     rng = np.random.default_rng(18)

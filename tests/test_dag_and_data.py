@@ -13,7 +13,6 @@ from copulabn.data import (
     make_split,
     prepare_communities_csv,
     save_csv,
-    save_mask_csv,
 )
 from copulabn.errors import (
     DegenerateColumnError,
@@ -170,11 +169,6 @@ def test_csv_round_trip_preserves_values_and_mask(tmp_path):
     np.testing.assert_array_equal(
         back.values[back.observed], data.values[data.observed]
     )
-    mask_path = tmp_path / "mask.csv"
-    save_mask_csv(data, mask_path)
-    text = mask_path.read_text()
-    assert text.splitlines()[0] == "a,b,c"
-    assert set("".join(text.splitlines()[1:]).replace(",", "")) <= {"0", "1"}
 
 
 # ------------------------------------------------------------- splits
@@ -187,7 +181,7 @@ def _toy_data(num_rows=40, num_cols=2, seed=32):
 
 def test_make_split_is_deterministic_disjoint_and_exhaustive():
     data = _toy_data(41)
-    protocol = ExperimentProtocol(num_splits=10, split_fraction=0.5, base_seed=7)
+    protocol = ExperimentProtocol(num_splits=10, base_seed=7)
     train_a, test_a = make_split(data, protocol, 3)
     train_b, test_b = make_split(data, protocol, 3)
     np.testing.assert_array_equal(train_a.values, train_b.values)
@@ -224,8 +218,6 @@ def test_make_split_validates_index():
 def test_protocol_validation():
     with pytest.raises(ValidationError):
         ExperimentProtocol(num_splits=0)
-    with pytest.raises(ValidationError):
-        ExperimentProtocol(split_fraction=0.0)
     with pytest.raises(ValidationError):
         ExperimentProtocol(mask_scope="everything")
 

@@ -234,6 +234,16 @@ def test_log_marginal_empty_rows():
         log_marginal_lg(truth, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_log_marginal_rejects_infinite_coordinates(bad):
+    truth = _collider_model()
+    for row in ([bad, 0.0, 0.0], [0.0, np.nan, bad]):
+        with pytest.raises(InvalidInputError):
+            log_marginal_lg(truth, row)
+    # NaN still marks a hidden cell.
+    assert np.isfinite(log_marginal_lg(truth, [0.1, np.nan, 0.3]))
+
+
 # ------------------------------------------------------------- moments
 
 

@@ -36,12 +36,6 @@ def test_bandwidth_is_scaled_sample_std():
     np.testing.assert_allclose(marginal.bandwidth, expected, rtol=1e-12)
 
 
-def test_bandwidth_override_is_respected():
-    values = np.array([0.0, 1.0, 2.0, 5.0])
-    marginal = fit_kde(values, bandwidth_override=0.7)
-    assert marginal.bandwidth == 0.7
-
-
 def test_pdf_matches_mixture_oracle():
     rng = np.random.default_rng(1)
     values = rng.gamma(2.0, 1.5, size=157)
@@ -133,7 +127,8 @@ def _column(kind, size, rng):
 def test_quantile_properties(kind, size, seed, narrow, levels):
     rng = np.random.default_rng(seed)
     # A narrow kernel leaves flat cdf stretches between clusters and ties.
-    marginal = fit_kde(_column(kind, size, rng), bandwidth_override=0.05 if narrow else None)
+    column = _column(kind, size, rng)
+    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
     tol = 1e-10
     # The first two targets clip to CDF_FLOOR and CDF_CEIL: both ends are reached.
     u = np.concatenate([[1e-12, 1.0 - 1e-12], levels, rng.random(100)])
@@ -204,9 +199,9 @@ def test_fit_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         fit_kde(np.array([1.0, np.inf, 2.0]))
     with pytest.raises(OutOfRangeError):
-        fit_kde(np.arange(5.0), bandwidth_override=0.0)
+        KdeMarginal.from_params(np.arange(5.0), 0.0)
     with pytest.raises(OutOfRangeError):
-        fit_kde(np.arange(5.0), bandwidth_override=-1.0)
+        KdeMarginal.from_params(np.arange(5.0), -1.0)
     with pytest.raises(InvalidInputError):
         fit_kde(np.ones((3, 3)))
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from copulabn.copula import family_stats, ratio_log_from_z
@@ -14,6 +16,8 @@ from copulabn.structure import (
     ScoredStructure,
     SearchConfig,
     _CopulaScorer,
+    _ancestor_sets,
+    _moves,
     bic_penalty,
     greedy_search,
 )
@@ -56,14 +60,9 @@ def test_bic_penalty_rejects_bad_counts():
 
 def test_config_defaults_and_validation():
     assert SearchConfig().max_parents == 3
-    assert SearchConfig(tree_constraint=True).max_parents == 1
     assert SearchConfig(max_parents=2).max_parents == 2
     with pytest.raises(ValidationError):
-        SearchConfig(max_parents=2, tree_constraint=True)
-    with pytest.raises(ValidationError):
         SearchConfig(max_parents=-1)
-    with pytest.raises(ValidationError):
-        SearchConfig(max_iterations=0)
 
 
 # -------------------------------------------------------- family score
@@ -147,13 +146,74 @@ def test_search_never_scores_below_the_empty_graph():
     assert lg.score >= empty_lg - 1e-9
 
 
+# ---------------------------------------------------------- legality
+
+
+def _builds_a_dag(parents):
+    try:
+        Dag(len(parents), tuple(tuple(sorted(ps)) for ps in parents))
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    num_vars=st.integers(1, 12),
+    density=st.floats(0.0, 0.7),
+    max_parents=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_move_legality_matches_dag_validation(num_vars, density, max_parents, seed):
+    # A random DAG: edges run forward along a random node order.
+    rng = np.random.default_rng(seed)
+    order = [int(v) for v in rng.permutation(num_vars)]
+    parents = [set() for _ in range(num_vars)]
+    for i in range(num_vars):
+        for j in range(i + 1, num_vars):
+            if rng.random() < density:
+                parents[order[j]].add(order[i])
+
+    # Ancestor sets against brute-force reachability over parent lists.
+    ancestors = _ancestor_sets(parents)
+    for node in range(num_vars):
+        reached, stack = set(), list(parents[node])
+        while stack:
+            p = stack.pop()
+            if p not in reached:
+                reached.add(p)
+                stack.extend(parents[p])
+        assert ancestors[node] == sum(1 << p for p in reached)
+
+    # The engine offers an add or a reversal exactly when the resulting
+    # graph is a DAG and the touched family stays within the cap.
+    moves = list(_moves(parents, ancestors, max_parents))
+    expected = {"add": [], "delete": [], "reverse": []}
+    for child in range(num_vars):
+        for parent in range(num_vars):
+            if parent == child:
+                continue
+            changed = [set(ps) for ps in parents]
+            if parent in parents[child]:
+                expected["delete"].append(("delete", child, parent))
+                changed[child].remove(parent)
+                changed[parent].add(child)
+                if len(parents[parent]) < max_parents and _builds_a_dag(changed):
+                    expected["reverse"].append(("reverse", child, parent))
+            else:
+                changed[child].add(parent)
+                if len(parents[child]) < max_parents and _builds_a_dag(changed):
+                    expected["add"].append(("add", child, parent))
+    assert moves == expected["add"] + expected["delete"] + expected["reverse"]
+
+
 # ------------------------------------------------------------ recovery
 
 
 def test_recovers_chain_skeleton_from_complete_data():
     data = _chain_dataset(rho=0.5, num_vars=5, num_rows=2000, seed=7)
     expected = Dag.chain(5).skeleton()
-    for config in (SearchConfig(max_parents=2), SearchConfig(tree_constraint=True)):
+    for config in (SearchConfig(max_parents=2), SearchConfig(max_parents=1)):
         result = greedy_search(data, config)
         assert result.dag.skeleton() == expected
 
@@ -200,7 +260,7 @@ def test_parent_caps_are_respected():
         [z0 + 0.4 * rng.standard_normal(1200) for _ in range(3)] + [z0]
     )
     data = MaskedDataset.from_values(x)
-    tree = greedy_search(data, SearchConfig(tree_constraint=True))
+    tree = greedy_search(data, SearchConfig(max_parents=1))
     assert max(len(ps) for ps in tree.dag.parents) <= 1
     capped = greedy_search(data, SearchConfig(max_parents=2))
     assert max(len(ps) for ps in capped.dag.parents) <= 2
