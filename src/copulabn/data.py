@@ -8,6 +8,7 @@ seeds derived from a single base seed.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +164,8 @@ def load_csv(path):
     Raises
     ------
     ParseError
-        Malformed header, ragged rows, or a non-numeric cell (the message
-        names the 1-based row and column).
+        Malformed header, ragged rows, or a non-numeric or infinite cell
+        (the message names the 1-based row and column).
     DegenerateColumnError
         A constant or nearly-empty column (the message names it).
     """
@@ -194,11 +195,15 @@ def load_csv(path):
                     parsed[c] = np.nan
                     continue
                 try:
-                    parsed[c] = float(cell)
+                    parsed[c] = value = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {r}, column {c + 1} ({names[c]}): cannot parse {cell!r} as a number"
                     ) from None
+                if math.isinf(value):
+                    raise ParseError(
+                        f"{path}: row {r}, column {c + 1} ({names[c]}): {cell!r} is not a finite number"
+                    )
             rows.append(parsed)
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")

@@ -3,17 +3,17 @@
 Each node is normal with mean affine in its parents and constant noise
 variance.  The joint is multivariate normal, so everything the benchmark
 needs is closed form: fitting is per-family least squares, marginalizing
-out hidden coordinates just drops them from (mean, covariance), and the
-EM E-step is exact Gaussian conditioning.  One kernel, :func:`_condition`,
-does all the conditioning: per missing pattern it factors the observed
-covariance block once and returns the rows' log marginals and, for EM,
-the expected moments.
+out hidden coordinates is Gaussian conditioning, and so is the EM E-step.
+One kernel, :func:`_condition`, does all the conditioning in information
+form: it reads the joint precision off the network and, per hidden-set
+size |H|, factors every row's |H| x |H| precision block in one batched
+call, which gives the rows' log marginals and, for EM, the expected
+moments.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
     InvalidInputError,
@@ -177,57 +177,60 @@ def joint_gaussian(model):
     return mean, cov
 
 
-def _condition(mean, cov, values, observed, moments):
+def _condition(model, values, observed, moments):
     """Exact Gaussian conditioning of each row's hidden cells on its observed ones.
 
-    Rows are grouped by missing pattern, and each pattern's observed block
-    Sigma_OO is factored once.  That factor gives every row's log marginal
-    (log-determinant and triangular solve) and, when ``moments`` is true, the
-    E-step gain Sigma_HO Sigma_OO^-1.  Returns ``(log_rows, s1, s2)``: rows
-    with nothing observed score 0; ``s1`` and ``s2`` are the summed
-    conditional first and second moments of x (hidden blocks filled with
-    their conditional means, plus each pattern's conditional covariance once
-    per row), or None when ``moments`` is false.
+    Works in information form, straight from the network.  With A = I - B
+    (B the coefficient matrix) and D the noise variances, the precision is
+    Lambda = A^T D^-1 A and log|Sigma| = sum(log D), since A is unit
+    triangular up to a permutation; nothing n x n is factored.  Let d be
+    x - mean with hidden cells set to 0 and u = d Lambda.  A row with hidden
+    set H and observed set O has
+
+        log p(x_O) = -(|O| log 2 pi + log|Sigma| + log|Lambda_HH|
+                       + d^T Lambda d - u_H^T Lambda_HH^-1 u_H) / 2,
+        E[x_H | x_O] = mean_H - Lambda_HH^-1 u_H,
+        Cov(x_H | x_O) = Lambda_HH^-1.
+
+    Rows are grouped by |H|, not by pattern: each group's Lambda_HH blocks
+    are stacked and take one batched Cholesky factorization and one batched
+    solve.  Returns ``(log_rows, s1, s2)``: rows with nothing observed score
+    0; ``s1`` and ``s2`` are the summed conditional first and second moments
+    of x (hidden cells filled with their conditional means, plus each row's
+    conditional covariance), or None when ``moments`` is false.
     """
-    n = mean.size
-    log_rows = np.zeros(values.shape[0])
-    s1 = np.zeros(n) if moments else None
+    n = model.num_vars
+    a = np.eye(n)
+    for node, parents in enumerate(model.dag.parents):
+        a[node, list(parents)] = np.negative(model.coefficients[node])
+    mean = np.linalg.solve(a, model.intercepts)
+    variances = np.asarray(model.variances)
+    scaled = a / np.sqrt(variances)[:, None]
+    precision = scaled.T @ scaled
+    d = np.where(observed, values - mean, 0.0)
+    u = d @ precision
+    num_hidden = n - observed.sum(axis=1)
+    log_rows = -0.5 * ((n - num_hidden) * _LOG_2PI + np.log(variances).sum() + (u * d).sum(axis=1))
+    completed = np.where(observed, values, mean) if moments else None
     s2 = np.zeros((n, n)) if moments else None
-    groups = {}
-    for i, pattern in enumerate(observed):
-        groups.setdefault(pattern.tobytes(), []).append(i)
-    for rows in groups.values():
-        rows = np.asarray(rows)
-        pattern = observed[rows[0]]
-        obs = np.nonzero(pattern)[0]
-        if obs.size:
-            factor = cho_factor(cov[np.ix_(obs, obs)], lower=True)
-            x_obs = values[np.ix_(rows, obs)]
-            diff = x_obs - mean[obs]
-            logdet = 2.0 * np.log(np.diag(factor[0])).sum()
-            sol = solve_triangular(factor[0], diff.T, lower=True)
-            log_rows[rows] = -0.5 * (obs.size * _LOG_2PI + logdet + (sol * sol).sum(axis=0))
-        if not moments:
-            continue
-        hid = np.nonzero(~pattern)[0]
-        if hid.size == 0:
-            s1 += x_obs.sum(axis=0)
-            s2 += x_obs.T @ x_obs
-            continue
-        completed = np.empty((rows.size, n))
-        if obs.size == 0:
-            completed[:] = mean
-            cond_cov = cov
-        else:
-            cov_oh = cov[np.ix_(obs, hid)]
-            gain = cho_solve(factor, cov_oh).T  # (|H|, |O|)
-            completed[:, obs] = x_obs
-            completed[:, hid] = mean[hid] + diff @ gain.T
-            cond_cov = np.zeros((n, n))
-            cond_cov[np.ix_(hid, hid)] = cov[np.ix_(hid, hid)] - gain @ cov_oh
-        s1 += completed.sum(axis=0)
-        s2 += completed.T @ completed + rows.size * cond_cov
-    return log_rows, s1, s2
+    for h in np.unique(num_hidden[num_hidden > 0]):
+        rows = np.nonzero(num_hidden == h)[0]
+        hid = np.nonzero(~observed[rows])[1].reshape(rows.size, h)
+        factor = np.linalg.cholesky(precision[hid[:, :, None], hid[:, None, :]])
+        rhs = np.take_along_axis(u[rows], hid, axis=1)[:, :, None]
+        if moments:
+            rhs = np.concatenate([rhs, np.broadcast_to(np.eye(h), (rows.size, h, h))], axis=2)
+        sol = np.linalg.solve(factor, rhs)  # L^-1 u_H, then L^-1 if moments
+        logdet_hh = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+        log_rows[rows] -= 0.5 * (logdet_hh - (sol[:, :, 0] ** 2).sum(axis=1))
+        if moments:
+            inverse = sol[:, :, 1:].transpose(0, 2, 1) @ sol  # Lambda_HH^-1 [u_H, I]
+            completed[rows[:, None], hid] -= inverse[:, :, 0]
+            np.add.at(s2, (hid[:, :, None], hid[:, None, :]), inverse[:, :, 1:])
+    log_rows[num_hidden == n] = 0.0
+    if not moments:
+        return log_rows, None, None
+    return log_rows, completed.sum(axis=0), s2 + completed.T @ completed
 
 
 def log_marginal_lg_rows(model, data):
@@ -241,8 +244,7 @@ def log_marginal_lg_rows(model, data):
         raise InvalidInputError(
             f"data has {data.num_cols} columns but the model has {model.num_vars} variables"
         )
-    mean, cov = joint_gaussian(model)
-    return _condition(mean, cov, data.values, data.observed, False)[0]
+    return _condition(model, data.values, data.observed, False)[0]
 
 
 def log_marginal_lg(model, instance):
@@ -258,19 +260,17 @@ def log_marginal_lg(model, instance):
     observed = ~np.isnan(x)
     if not observed.any():
         raise InvalidInputError("instance has no observed coordinates")
-    mean, cov = joint_gaussian(model)
-    return float(_condition(mean, cov, x, observed, False)[0][0])
+    return float(_condition(model, x, observed, False)[0][0])
 
 
 def expected_moments(model, data):
     """E-step: expected sums (S1, S2) of x and x x^T given observed cells.
 
     Hidden blocks are filled with their conditional means; S2 additionally
-    receives each pattern's conditional covariance once per row.  Returns
+    receives each row's conditional covariance.  Returns
     ``(s1, s2, num_rows)`` with sums not divided by the row count.
     """
-    mean, cov = joint_gaussian(model)
-    _, s1, s2 = _condition(mean, cov, data.values, data.observed, True)
+    _, s1, s2 = _condition(model, data.values, data.observed, True)
     return s1, s2, data.num_rows
 
 
@@ -289,12 +289,12 @@ def em_fit_lg(data, dag, tol=1e-4, max_iters=200, history=None):
     """Fit under missing data by expectation-maximization.
 
     E-step: exact conditional first and second moments of each row's hidden
-    coordinates given its observed ones (joint-normal conditioning, grouped
-    by missing pattern).  M-step: per-family least squares on the expected
-    moments.  Stops when the observed-data log-likelihood improves by less
-    than ``tol`` or after ``max_iters`` iterations; the likelihood sequence
-    is non-decreasing up to numerical slack.  One conditioning pass per
-    model yields both its log-likelihood and the next E-step, so k
+    coordinates given its observed ones (joint-normal conditioning, batched
+    by the number of hidden cells).  M-step: per-family least squares on the
+    expected moments.  Stops when the observed-data log-likelihood improves
+    by less than ``tol`` or after ``max_iters`` iterations; the likelihood
+    sequence is non-decreasing up to numerical slack.  One conditioning pass
+    per model yields both its log-likelihood and the next E-step, so k
     iterations take k + 1 passes.
 
     Parameters
@@ -332,11 +332,11 @@ def em_fit_lg(data, dag, tol=1e-4, max_iters=200, history=None):
         column_names=data.column_names,
     )
 
-    _, s1, s2 = _condition(*joint_gaussian(model), data.values, data.observed, True)
+    _, s1, s2 = _condition(model, data.values, data.observed, True)
     last_ll = -np.inf
     for _ in range(max_iters):
         model = _fit_from_moments(s1 / data.num_rows, s2 / data.num_rows, dag, data.column_names)
-        log_rows, s1, s2 = _condition(*joint_gaussian(model), data.values, data.observed, True)
+        log_rows, s1, s2 = _condition(model, data.values, data.observed, True)
         ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)

@@ -1,11 +1,12 @@
-"""Shared fixtures, synthetic-data generators and quadrature oracles for the
-test suite."""
+"""Shared fixtures, synthetic-data generators and the quadrature and
+Gaussian-conditioning oracles for the test suite."""
 
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import roots_hermitenorm, roots_legendre
 
 from copulabn.errors import OutOfRangeError
@@ -156,3 +157,65 @@ def tensor_rule(nodes, weights, ndim):
     for g in wgrids:
         joint = joint * g.reshape(-1)
     return points, joint
+
+
+# ---------------------------------------------- Gaussian-conditioning oracle
+#
+# The package conditions in information form, batched by the number of
+# hidden cells; this per-pattern kernel in covariance form is the
+# independent check on it.
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def condition_by_pattern(mean, cov, values, observed, moments):
+    """Exact Gaussian conditioning of each row's hidden cells on its observed ones.
+
+    Rows are grouped by missing pattern, and each pattern's observed block
+    Sigma_OO is factored once.  That factor gives every row's log marginal
+    (log-determinant and triangular solve) and, when ``moments`` is true, the
+    E-step gain Sigma_HO Sigma_OO^-1.  Returns ``(log_rows, s1, s2)``: rows
+    with nothing observed score 0; ``s1`` and ``s2`` are the summed
+    conditional first and second moments of x (hidden blocks filled with
+    their conditional means, plus each pattern's conditional covariance once
+    per row), or None when ``moments`` is false.
+    """
+    n = mean.size
+    log_rows = np.zeros(values.shape[0])
+    s1 = np.zeros(n) if moments else None
+    s2 = np.zeros((n, n)) if moments else None
+    groups = {}
+    for i, pattern in enumerate(observed):
+        groups.setdefault(pattern.tobytes(), []).append(i)
+    for rows in groups.values():
+        rows = np.asarray(rows)
+        pattern = observed[rows[0]]
+        obs = np.nonzero(pattern)[0]
+        if obs.size:
+            factor = cho_factor(cov[np.ix_(obs, obs)], lower=True)
+            x_obs = values[np.ix_(rows, obs)]
+            diff = x_obs - mean[obs]
+            logdet = 2.0 * np.log(np.diag(factor[0])).sum()
+            sol = solve_triangular(factor[0], diff.T, lower=True)
+            log_rows[rows] = -0.5 * (obs.size * _LOG_2PI + logdet + (sol * sol).sum(axis=0))
+        if not moments:
+            continue
+        hid = np.nonzero(~pattern)[0]
+        if hid.size == 0:
+            s1 += x_obs.sum(axis=0)
+            s2 += x_obs.T @ x_obs
+            continue
+        completed = np.empty((rows.size, n))
+        if obs.size == 0:
+            completed[:] = mean
+            cond_cov = cov
+        else:
+            cov_oh = cov[np.ix_(obs, hid)]
+            gain = cho_solve(factor, cov_oh).T  # (|H|, |O|)
+            completed[:, obs] = x_obs
+            completed[:, hid] = mean[hid] + diff @ gain.T
+            cond_cov = np.zeros((n, n))
+            cond_cov[np.ix_(hid, hid)] = cov[np.ix_(hid, hid)] - gain @ cov_oh
+        s1 += completed.sum(axis=0)
+        s2 += completed.T @ completed + rows.size * cond_cov
+    return log_rows, s1, s2

@@ -255,6 +255,15 @@ def test_cli_exit_codes(small_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_cli_infinite_cell_is_a_data_error(tmp_path, capsys, cell):
+    bad = tmp_path / "inf.csv"
+    bad.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n0.5,\n2.5,1.5\n")
+    assert main(["fit", "--data", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"row 3, column 2 (b): '{cell}' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def _collinear_csv(tmp_path):
     """40 rows where a and b are the same column and c follows them, so the
     search scores c | {a, b} and the linear-Gaussian fit is singular."""

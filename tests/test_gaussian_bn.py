@@ -27,6 +27,8 @@ from copulabn.gaussian_bn import (
     log_marginal_lg_rows,
 )
 
+from conftest import condition_by_pattern
+
 
 def _sample_lg(model, count, rng):
     """Ancestral sampling straight from the conditional definitions."""
@@ -361,6 +363,40 @@ def test_conditioning_matches_dense_oracles(n, num_rows, seed):
     np.testing.assert_allclose(s2, d2, rtol=0, atol=1e-10 * scale)
 
 
+def _varied_mask(rng, num_rows, n):
+    """Rows that are fully observed, all hidden, observed in one cell, or
+    hidden at random with a per-row rate, so several |H| groups meet in one
+    call."""
+    observed = rng.random((num_rows, n)) >= rng.random((num_rows, 1))
+    observed[0] = True
+    observed[1] = False
+    observed[2] = np.arange(n) == rng.integers(n)
+    return observed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    num_rows=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_kernel_matches_per_pattern_oracle(n, num_rows, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_network(rng, n)
+    x = _sample_lg(model, num_rows, rng)
+    observed = _varied_mask(rng, num_rows, n)
+    data = MaskedDataset(x, observed, model.column_names)
+    mean, cov = joint_gaussian(model)
+    want_rows, want_s1, want_s2 = condition_by_pattern(mean, cov, data.values, observed, True)
+
+    rows = log_marginal_lg_rows(model, data)
+    assert (rows[~observed.any(axis=1)] == 0.0).all()
+    np.testing.assert_allclose(rows, want_rows, rtol=1e-10, atol=1e-10)
+    s1, s2, _ = expected_moments(model, data)
+    np.testing.assert_allclose(s1, want_s1, rtol=1e-10, atol=1e-10 * np.abs(want_s1).max())
+    np.testing.assert_allclose(s2, want_s2, rtol=1e-10, atol=1e-10 * np.abs(want_s2).max())
+
+
 def test_family_ll_matches_direct_gaussian_log_likelihood():
     rng = np.random.default_rng(8)
     truth = _collider_model()
@@ -410,6 +446,57 @@ def test_em_history_is_non_decreasing():
         assert len(history) >= 2
         diffs = np.diff(history)
         assert (diffs >= -1e-8).all(), f"seed {seed}: EM decreased by {diffs.min()}"
+
+
+def test_em_history_is_non_decreasing_when_every_row_has_its_own_pattern():
+    rng = np.random.default_rng(17)
+    n = 20
+    truth = LinearGaussianBn(
+        dag=Dag.chain(n),
+        intercepts=tuple(rng.uniform(-1.0, 1.0, n)),
+        coefficients=((),) + tuple((c,) for c in rng.uniform(0.5, 0.9, n - 1)),
+        variances=tuple(rng.uniform(0.3, 1.5, n)),
+        column_names=tuple(f"x{i}" for i in range(n)),
+    )
+    data = apply_missing_mask(
+        MaskedDataset.from_values(_sample_lg(truth, 80, rng), truth.column_names),
+        0.3,
+        seed=18,
+    )
+    assert len(np.unique(data.observed, axis=0)) >= 75
+    for dag in (truth.dag, Dag.empty(n)):
+        history = []
+        em_fit_lg(data, dag, history=history)
+        assert len(history) >= 2
+        diffs = np.diff(history)
+        assert (diffs >= -1e-8).all(), f"EM decreased by {diffs.min()}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    num_rows=st.integers(10, 60),
+    missing=st.floats(0.0, 0.6),
+    log_scale=st.integers(-6, 6),
+    decimals=st.sampled_from([None, 0, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_finite_masked_tables_give_finite_em_scores(
+    n, num_rows, missing, log_scale, decimals, seed
+):
+    # Skewed columns at any scale, with an outlier and, when rounded, ties.
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((num_rows, n))
+    values = np.where(rng.random(n) < 0.5, np.exp(z), z) * 10.0**log_scale
+    values[rng.integers(num_rows), rng.integers(n)] *= 1e3
+    if decimals is not None:
+        values = np.round(values, decimals - log_scale)
+    data = apply_missing_mask(MaskedDataset.from_values(values), missing, seed=seed)
+    try:
+        model = em_fit_lg(data, _random_network(rng, n).dag)
+    except SingularDesignError:
+        return  # a loud, typed failure; a fit that returns must score finitely
+    assert np.isfinite(log_marginal_lg_rows(model, data)).all()
 
 
 @pytest.mark.parametrize("max_iters", [1, 3, 200])
