@@ -7,6 +7,11 @@ The same engine serves the copula network (one parameter per
 family) and the linear-Gaussian baseline (|parents| + 2 parameters per
 family). On data with warped marginals the copula scorer sees the
 dependence cleanly while a joint-Gaussian view is misspecified.
+
+A search reports the sum of the penalized family scores it maximized. For
+the copula network that sum leaves out the marginal log densities, which are
+the same for every structure, so the empty graph scores 0 and the two kinds'
+sums are not comparable.
 """
 
 import numpy as np
@@ -39,7 +44,7 @@ for kind in ("cbn", "lgbn"):
     result = greedy_search(data, SearchConfig(max_parents=2), model_kind=kind)
     print(f"{kind} search (max_parents=2)")
     print(f"  edges : {edges(result.dag, names)}")
-    print(f"  score : {result.score:,.1f}")
+    print(f"  score : {result.score:,.1f} (sum of penalized family scores)")
     print()
 
 # A cap of one parent per node restricts the search to trees.

@@ -145,19 +145,25 @@ def score_rows(model, data):
     return log_marginal_lg_rows(model, data)
 
 
-def _run_cell(data, protocol, model_kind, max_parents, missing_fraction, split_index):
+def _masked_split(data, protocol, split_index, missing_fraction):
+    """Split ``split_index``'s train and test halves, masked as the protocol's
+    ``mask_scope`` says, and the train and test mask seeds."""
     train, test = make_split(data, protocol, split_index)
     seed_train = mask_seed_for(protocol.base_seed, split_index, missing_fraction, "train")
     seed_test = mask_seed_for(protocol.base_seed, split_index, missing_fraction, "test")
-    train_m = apply_missing_mask(train, missing_fraction, seed_train)
+    train = apply_missing_mask(train, missing_fraction, seed_train)
     if protocol.mask_scope == "train_and_test":
-        test_m = apply_missing_mask(test, missing_fraction, seed_test)
-    else:
-        test_m = test
-    config = SearchConfig(max_parents=max_parents)
-    model = fit_model(train_m, model_kind, config)
-    train_score = float(score_rows(model, train_m).mean())
-    test_score = float(score_rows(model, test_m).mean())
+        test = apply_missing_mask(test, missing_fraction, seed_test)
+    return train, test, seed_train, seed_test
+
+
+def _run_cell(data, protocol, model_kind, max_parents, missing_fraction, split_index):
+    train, test, seed_train, seed_test = _masked_split(
+        data, protocol, split_index, missing_fraction
+    )
+    model = fit_model(train, model_kind, SearchConfig(max_parents=max_parents))
+    train_score = float(score_rows(model, train).mean())
+    test_score = float(score_rows(model, test).mean())
     return train_score, test_score, seed_train, seed_test
 
 

@@ -36,8 +36,6 @@ from scipy.special import ndtr, ndtri
 
 from .copula import (
     UniformGaussianCopula,
-    _block_moments,
-    _log_density_from_stats,
     conditional_z_params,
     family_stats,
     ratio_log_from_z,
@@ -128,28 +126,13 @@ def _log_pdf_matrix(model, values, observed):
     return out
 
 
-def _expected_family_terms(dim, rho, z_block, obs_block):
-    """Expected log ratio terms, hidden family members integrated out.
-
-    ``z_block`` is (rows, dim) with child first and NaN at hidden cells.
-    The log ratio is affine in q and s^2, so its expectation is the ratio
-    evaluated at their expected values; on a fully observed row nothing is
-    integrated out and the term is the exact ratio.
-    """
-    eq_f, es_f = _block_moments(z_block, obs_block)
-    top = _log_density_from_stats(dim, rho, eq_f, es_f)
-    eq_p, es_p = _block_moments(z_block[:, 1:], obs_block[:, 1:])
-    bottom = _log_density_from_stats(dim - 1, rho, eq_p, es_p)
-    return top - bottom
-
-
 def _family_term_columns(model, z, observed):
     """Per-family vectors of (expected) log ratio terms, one entry per row."""
     columns = []
     for child, parents in model.families():
         cop = model.copulas[child]
         cols = (child, *parents)
-        columns.append(_expected_family_terms(cop.n, cop.rho, z[:, cols], observed[:, cols]))
+        columns.append(ratio_log_from_z(cop.n, cop.rho, z[:, cols], observed[:, cols]))
     return columns
 
 

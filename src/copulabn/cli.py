@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .benchmark import fit_model, mask_seed_for, run_benchmark, score_rows
-from .data import ExperimentProtocol, apply_missing_mask, load_csv, make_split
+from .benchmark import _masked_split, fit_model, mask_seed_for, run_benchmark, score_rows
+from .data import ExperimentProtocol, apply_missing_mask, load_csv
 from .errors import (
     CopulaBnError,
     DataError,
@@ -178,24 +178,19 @@ def _eval_subset(data, args):
     p = _single_fraction(args)
     if args.split_index is None:
         if p > 0.0:
-            seed = mask_seed_for(args.seed, 0, p, "train")
-            data = apply_missing_mask(data, p, seed)
-        return data, p
-    protocol = ExperimentProtocol(num_splits=args.splits, base_seed=args.seed)
-    train, test = make_split(data, protocol, args.split_index)
-    role = getattr(args, "role", "train")
-    subset = train if role == "train" else test
-    masked_roles = {"train"}
-    if getattr(args, "mask_scope", "train_only") == "train_and_test":
-        masked_roles.add("test")
-    if p > 0.0 and role in masked_roles:
-        seed = mask_seed_for(args.seed, args.split_index, p, role)
-        subset = apply_missing_mask(subset, p, seed)
-    return subset, p
+            data = apply_missing_mask(data, p, mask_seed_for(args.seed, 0, p, "train"))
+        return data
+    protocol = ExperimentProtocol(
+        num_splits=args.splits,
+        base_seed=args.seed,
+        mask_scope=getattr(args, "mask_scope", "train_only"),
+    )
+    train, test, _, _ = _masked_split(data, protocol, args.split_index, p)
+    return train if getattr(args, "role", "train") == "train" else test
 
 
 def _cmd_fit(args):
-    data, _ = _eval_subset(load_csv(args.data), args)
+    data = _eval_subset(load_csv(args.data), args)
     caps = _max_parents_list(args)
     if len(caps) != 1:
         raise _UsageError("this command takes a single --max-parents value")
@@ -213,7 +208,7 @@ def _cmd_eval(args):
     data = load_csv(args.data)
     if list(data.column_names) != list(model.column_names):
         raise DataError("dataset columns do not match the model's columns")
-    subset, _ = _eval_subset(data, args)
+    subset = _eval_subset(data, args)
     scores = score_rows(model, subset)
     mean = float(np.mean(scores))
     if args.out is not None:

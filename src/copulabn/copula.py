@@ -106,21 +106,27 @@ def uniform_sigma_logdet(n, rho):
     return (n - 1) * np.log1p(-rho) + np.log1p((n - 1) * rho)
 
 
-def _exponent_from_stats(n, rho, q, s_sq):
-    """``z' (Sigma^-1 - I) z`` written in the statistics q, s^2.
+def _log_density_from_stats(n, rho, q, s_sq, rows=1.0):
+    """Copula log density written in the statistics q = sum z^2 and
+    s^2 = (sum z)^2: ``-0.5 * (rows * log|Sigma| + z' (Sigma^-1 - I) z)``.
 
-    Equals ``(q - rho * s_sq / (1 + (n-1) rho)) / (1 - rho) - q``; exact
-    zero at rho = 0 and for n = 1.
+    The quadratic form is ``(q - rho * s_sq / (1 + (n-1) rho)) / (1 - rho) - q``.
+    Given per-row q and s^2 it returns per-row values; given their sums over
+    ``rows`` rows it returns the summed log density.  Identically zero for
+    ``n <= 1``, so a family without parents has a zero parent block.
     """
-    if n == 1:
-        return np.zeros_like(np.asarray(q, dtype=float))
-    return (q - rho * s_sq / (1.0 + (n - 1) * rho)) / (1.0 - rho) - q
+    if n <= 1:
+        return np.zeros(np.shape(q))
+    exponent = (q - rho * s_sq / (1.0 + (n - 1) * rho)) / (1.0 - rho) - q
+    return -0.5 * (rows * uniform_sigma_logdet(n, rho) + exponent)
 
 
-def _log_density_from_stats(n, rho, q, s_sq):
-    if n == 1:
-        return np.zeros_like(np.asarray(q, dtype=float))
-    return -0.5 * uniform_sigma_logdet(n, rho) - 0.5 * _exponent_from_stats(n, rho, q, s_sq)
+def _ratio_from_stats(n, rho, fam_q, fam_s_sq, par_q, par_s_sq, rows=1.0):
+    """Log ratio of the family block's copula density to the parent block's,
+    both at ``rho``, from each block's statistics (see
+    :func:`_log_density_from_stats`)."""
+    family = _log_density_from_stats(n, rho, fam_q, fam_s_sq, rows)
+    return family - _log_density_from_stats(n - 1, rho, par_q, par_s_sq, rows)
 
 
 def _scores(u):
@@ -138,13 +144,7 @@ def copula_log_density(c, u):
     c : UniformGaussianCopula
     u : sequence of ``c.n`` reals, each strictly inside (0, 1).
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != c.n:
-        raise InvalidInputError(f"expected {c.n} coordinates, got {u.size}")
-    z = _scores(u)
-    q = float(z @ z)
-    s = float(z.sum())
-    return float(_log_density_from_stats(c.n, c.rho, q, s * s))
+    return float(copula_log_density_rows(c, np.asarray(u, dtype=float).reshape(1, -1))[0])
 
 
 def copula_log_density_rows(c, u_rows):
@@ -158,29 +158,30 @@ def copula_log_density_rows(c, u_rows):
     return _log_density_from_stats(c.n, c.rho, q, s * s)
 
 
-def ratio_log_from_z(n, rho, z_rows):
+def ratio_log_from_z(n, rho, z_block, obs_block=None):
     """Log ratio terms from normal scores, child column first.
 
-    ``z_rows`` has shape ``(m, n)`` with the child's score in column 0 and
+    ``z_block`` has shape ``(m, n)`` with the child's score in column 0 and
     parents after it.  Returns the per-row log of (family copula density /
     parent-block copula density), both with the same ``rho``.  Zero when
     there are no parents.
+
+    ``obs_block`` marks the observed cells (None: every cell is observed).
+    Each hidden cell's score is integrated out as an independent standard
+    normal and its entry in ``z_block`` is ignored: the log ratio is affine
+    in q and s^2, so its expectation is the ratio at their expected values.
+    On a fully observed row the term is the exact ratio.
     """
-    z = np.asarray(z_rows, dtype=float)
+    z = np.asarray(z_block, dtype=float)
     if z.ndim == 1:
         z = z[None, :]
     if z.shape[1] != n:
         raise InvalidInputError(f"expected {n} columns, got {z.shape[1]}")
-    if n == 1:
-        return np.zeros(z.shape[0])
-    q = np.einsum("ij,ij->i", z, z)
-    s = z.sum(axis=1)
-    top = _log_density_from_stats(n, rho, q, s * s)
-    zp = z[:, 1:]
-    qp = np.einsum("ij,ij->i", zp, zp)
-    sp = zp.sum(axis=1)
-    bottom = _log_density_from_stats(n - 1, rho, qp, sp * sp)
-    return top - bottom
+    if obs_block is None:
+        obs_block = np.ones(z.shape, dtype=bool)
+    obs = np.asarray(obs_block, dtype=bool).reshape(z.shape)
+    fam, par = _block_moments(z, obs), _block_moments(z[:, 1:], obs[:, 1:])
+    return _ratio_from_stats(n, rho, *fam, *par)
 
 
 def ratio_log(c_family, u_child, u_parents):
@@ -265,19 +266,9 @@ class FamilyStats:
 
     def objective(self, rho):
         """Sum over rows of (expected) family log ratio terms at ``rho``."""
-        n = self.dim
-        top = -0.5 * (
-            self.num_rows * uniform_sigma_logdet(n, rho)
-            + _exponent_from_stats(n, rho, self.fam_q, self.fam_s_sq)
+        return _ratio_from_stats(
+            self.dim, rho, self.fam_q, self.fam_s_sq, self.par_q, self.par_s_sq, self.num_rows
         )
-        if n - 1 >= 2:
-            bottom = -0.5 * (
-                self.num_rows * uniform_sigma_logdet(n - 1, rho)
-                + _exponent_from_stats(n - 1, rho, self.par_q, self.par_s_sq)
-            )
-        else:
-            bottom = 0.0
-        return top - bottom
 
     def fit(self):
         """The rho maximizing :meth:`objective` on :func:`rho_bounds`, and

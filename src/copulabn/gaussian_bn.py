@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    OutOfRangeError,
-    SingularDesignError,
-    ValidationError,
-)
+from .errors import InvalidInputError, SingularDesignError, ValidationError
 
 __all__ = [
     "LinearGaussianBn",
@@ -37,6 +32,10 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 # Noise variances below this are clamped so log densities stay finite.
 _VARIANCE_FLOOR = 1e-9
+# EM stops once the observed-data log-likelihood gains less than _EM_TOL
+# nats in one iteration, or after _EM_MAX_ITERS iterations.
+_EM_TOL = 1e-4
+_EM_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -285,14 +284,14 @@ def family_ll_from_moments(mean, second, child, parents, num_rows):
     return -0.5 * num_rows * (_LOG_2PI + np.log(variance) + 1.0)
 
 
-def em_fit_lg(data, dag, tol=1e-4, max_iters=200, history=None):
+def em_fit_lg(data, dag, history=None):
     """Fit under missing data by expectation-maximization.
 
     E-step: exact conditional first and second moments of each row's hidden
     coordinates given its observed ones (joint-normal conditioning, batched
     by the number of hidden cells).  M-step: per-family least squares on the
     expected moments.  Stops when the observed-data log-likelihood improves
-    by less than ``tol`` or after ``max_iters`` iterations; the likelihood
+    by less than ``_EM_TOL`` or after ``_EM_MAX_ITERS`` iterations; the likelihood
     sequence is non-decreasing up to numerical slack.  One conditioning pass
     per model yields both its log-likelihood and the next E-step, so k
     iterations take k + 1 passes.
@@ -308,10 +307,6 @@ def em_fit_lg(data, dag, tol=1e-4, max_iters=200, history=None):
         raise InvalidInputError(
             f"data has {data.num_cols} columns but the graph has {dag.num_vars} nodes"
         )
-    if tol <= 0:
-        raise OutOfRangeError(f"tol must be positive, got {tol}")
-    if max_iters < 1:
-        raise OutOfRangeError(f"max_iters must be >= 1, got {max_iters}")
     if data.fully_observed:
         model = fit_complete_lg(data, dag)
         if history is not None:
@@ -334,13 +329,13 @@ def em_fit_lg(data, dag, tol=1e-4, max_iters=200, history=None):
 
     _, s1, s2 = _condition(model, data.values, data.observed, True)
     last_ll = -np.inf
-    for _ in range(max_iters):
+    for _ in range(_EM_MAX_ITERS):
         model = _fit_from_moments(s1 / data.num_rows, s2 / data.num_rows, dag, data.column_names)
         log_rows, s1, s2 = _condition(model, data.values, data.observed, True)
         ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)
-        if ll - last_ll < tol:
+        if ll - last_ll < _EM_TOL:
             break
         last_ll = ll
     return model

@@ -49,6 +49,11 @@ _CHUNK_ELEMENTS = 65_536
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# KdeMarginal.quantile stops each target once |cdf(x) - u| < _QUANTILE_TOL and
+# raises ConvergenceError after _QUANTILE_MAX_ITER cdf evaluations.
+_QUANTILE_TOL = 1e-10
+_QUANTILE_MAX_ITER = 200
+
 
 @dataclass(frozen=True, eq=False)
 class KdeMarginal:
@@ -149,7 +154,7 @@ class KdeMarginal:
         xs = np.linspace(self.support_lo, self.support_hi, 1025)
         return xs, self.cdf(xs)
 
-    def quantile(self, u, tol=1e-10, max_iter=200):
+    def quantile(self, u):
         """Inverse of :meth:`cdf` by safeguarded Newton iteration.
 
         Each target starts at the linear interpolation inside its bracket of
@@ -163,19 +168,16 @@ class KdeMarginal:
         u : scalar or array
             Target probabilities, each strictly inside (0, 1).  Targets are
             clipped to the reachable range ``[CDF_FLOOR, CDF_CEIL]`` first.
-        tol : float
-            Stop each target once ``|cdf(x) - u| < tol``.
-        max_iter : int
-            Most cdf evaluations per target.
 
         Returns
         -------
-        Value(s) ``x`` with ``|cdf(x) - u| < tol``, shaped like ``u``.
+        Value(s) ``x`` with ``|cdf(x) - u| < _QUANTILE_TOL``, shaped like ``u``.
 
         Raises
         ------
         ConvergenceError
-            Some target still misses ``tol`` after ``max_iter`` evaluations.
+            Some target still misses ``_QUANTILE_TOL`` after
+            ``_QUANTILE_MAX_ITER`` cdf evaluations.
         """
         u = np.asarray(u, dtype=float)
         flat = u.reshape(-1)
@@ -195,10 +197,10 @@ class KdeMarginal:
         x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
 
         active = np.arange(target.size)
-        for _ in range(max_iter):
+        for _ in range(_QUANTILE_MAX_ITER):
             xa = x[active]
             err = self.cdf(xa) - target[active]
-            open_ = np.abs(err) >= tol
+            open_ = np.abs(err) >= _QUANTILE_TOL
             active, xa, err = active[open_], xa[open_], err[open_]
             if active.size == 0:
                 return x.reshape(u.shape) if u.shape else float(x[0])
@@ -210,8 +212,8 @@ class KdeMarginal:
                 step = xa - err / self.pdf(xa)
             x[active] = np.where((step > la) & (step < ha), step, 0.5 * (la + ha))
         raise ConvergenceError(
-            f"quantile left {active.size} of {target.size} targets outside tol={tol:g} "
-            f"after max_iter={max_iter} cdf evaluations"
+            f"quantile left {active.size} of {target.size} targets outside tol={_QUANTILE_TOL:g} "
+            f"after {_QUANTILE_MAX_ITER} cdf evaluations"
         )
 
 

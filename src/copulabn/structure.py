@@ -73,11 +73,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class ScoredStructure:
-    """Search result: graph, total penalized score, per-node contributions.
+    """Search result: graph, total score, per-node contributions.
 
-    ``per_family_scores[i]`` is node i's unpenalized contribution to the
-    training objective (marginal terms included); ``score`` is their sum
-    minus the BIC penalty for the whole structure.
+    ``per_family_scores[i]`` is node i's penalized family score for its
+    returned parents, the quantity the search maximized, and ``score`` is
+    their sum.  Under the copula model the marginal log densities, the same
+    for every structure, are not included, so the empty graph scores 0.
     """
 
     dag: Dag
@@ -101,11 +102,7 @@ class _CopulaScorer:
     def __init__(self, data):
         self.num_rows = data.num_rows
         self.observed = data.observed
-        table = _score_table(data)
-        self.marginals, self.z = table.marginals, table.z
-
-    def family_params(self, parents):
-        return 1 if parents else 0
+        self.z = _score_table(data).z
 
     def score(self, child, parents):
         """Maximized family objective minus this family's penalty share."""
@@ -123,9 +120,6 @@ class _GaussianScorer:
         self.mean = mean
         self.second = second
         self.num_rows = num_rows
-
-    def family_params(self, parents):
-        return len(parents) + 2
 
     def score(self, child, parents):
         ll = family_ll_from_moments(self.mean, self.second, child, parents, self.num_rows)
@@ -179,11 +173,10 @@ def _moves(parents, ancestors, max_parents):
                 yield "reverse", child, parent
 
 
-def _search(data, scorer, config, marginal_terms):
+def _search(data, scorer, config):
     """Best-ascent engine: applies the best strictly improving move (first
-    maximum in scan order) until none improves.  Each node's own penalty is
-    added back, with its structure-free ``marginal_terms``, to report its
-    unpenalized contribution."""
+    maximum in scan order) until none improves, and returns the penalized
+    family scores it maximized."""
     num_vars = data.num_cols
     parents = [set() for _ in range(num_vars)]
     ancestors = [0] * num_vars
@@ -228,22 +221,8 @@ def _search(data, scorer, config, marginal_terms):
         current[child] = fscore(child, parents[child])
         ancestors = _ancestor_sets(parents)
 
-    parent_lists = [tuple(sorted(ps)) for ps in parents]
-    params = [scorer.family_params(ps) for ps in parent_lists]
-    per_family = tuple(
-        float(fscore(i, ps) + bic_penalty(params[i], data.num_rows) + marginal_terms[i])
-        for i, ps in enumerate(parent_lists)
-    )
-    score = float(sum(per_family) - bic_penalty(sum(params), data.num_rows))
-    return ScoredStructure(Dag(num_vars, tuple(parent_lists)), score, per_family)
-
-
-def _marginal_loglik_terms(data, marginals):
-    out = np.zeros(data.num_cols)
-    for j, marginal in enumerate(marginals):
-        idx = data.observed[:, j]
-        out[j] = float(marginal.log_pdf(data.values[idx, j]).sum())
-    return out
+    dag = Dag(num_vars, tuple(tuple(sorted(ps)) for ps in parents))
+    return ScoredStructure(dag, float(sum(current)), tuple(current))
 
 
 def greedy_search(data, config, model_kind="cbn"):
@@ -261,13 +240,11 @@ def greedy_search(data, config, model_kind="cbn"):
     Returns
     -------
     ScoredStructure
-        ``per_family_scores`` holds each node's unpenalized contribution to
-        the training objective; ``score`` is their sum minus the total BIC
-        penalty.
+        ``per_family_scores`` holds each node's penalized family score for
+        its returned parents; ``score`` is their sum.
     """
     if model_kind == "cbn":
-        scorer = _CopulaScorer(data)
-        return _search(data, scorer, config, _marginal_loglik_terms(data, scorer.marginals))
+        return _search(data, _CopulaScorer(data), config)
     if model_kind == "lgbn":
         return _greedy_search_lg(data, config)
     raise InvalidInputError(f"unknown model_kind {model_kind!r}")
@@ -276,7 +253,7 @@ def greedy_search(data, config, model_kind="cbn"):
 def _greedy_search_lg(data, config):
     if data.fully_observed:
         scorer = _GaussianScorer(*_moments_from_complete(data.values), data.num_rows)
-        return _search(data, scorer, config, [0.0] * data.num_cols)
+        return _search(data, scorer, config)
 
     # Structural EM: score on expected moments under the current model,
     # refit with EM on the found structure, repeat until the structure
@@ -286,7 +263,7 @@ def _greedy_search_lg(data, config):
     result = None
     for _ in range(_STRUCTURE_ROUNDS):
         s1, s2, m = expected_moments(model, data)
-        result = _search(data, _GaussianScorer(s1 / m, s2 / m, m), config, [0.0] * data.num_cols)
+        result = _search(data, _GaussianScorer(s1 / m, s2 / m, m), config)
         if previous is not None and result.dag.parents == previous:
             break
         previous = result.dag.parents

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtri
 from scipy.stats import kstest
 
@@ -27,10 +29,10 @@ from copulabn.cbn import (
 from copulabn.copula import UniformGaussianCopula, ratio_log, ratio_log_from_z, rho_bounds
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
-from copulabn.errors import InvalidInputError, OutOfRangeError, ValidationError
+from copulabn.errors import CopulaBnError, InvalidInputError, OutOfRangeError, ValidationError
 from copulabn.marginals import fit_kde
 from copulabn.model_io import save_model
-from copulabn.structure import SearchConfig
+from copulabn.structure import SearchConfig, greedy_search
 from conftest import (
     chain_scores,
     cycle_warps,
@@ -161,6 +163,38 @@ def test_scores_stay_finite_beyond_kde_support():
     masked = rows.copy()
     masked[0, 1] = np.nan
     assert np.isfinite(lower_bound_rows(model, MaskedDataset.from_values(masked))[0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    num_rows=st.integers(10, 60),
+    rho=st.floats(-0.9, 0.9),
+    missing=st.floats(0.0, 0.6),
+    log_scale=st.integers(-6, 6),
+    decimals=st.sampled_from([None, 0, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_finite_masked_tables_give_finite_cbn_scores(
+    n, num_rows, rho, missing, log_scale, decimals, seed
+):
+    # Dependent, partly skewed columns at any scale, with an outlier and,
+    # when rounded, ties.
+    rng = np.random.default_rng(seed)
+    z = chain_scores(rho, n, num_rows, rng)
+    values = np.where(rng.random(n) < 0.5, np.exp(z), z) * 10.0**log_scale
+    values[rng.integers(num_rows), rng.integers(n)] *= 1e3
+    if decimals is not None:
+        values = np.round(values, decimals - log_scale)
+    try:
+        data = apply_missing_mask(MaskedDataset.from_values(values), missing, seed=seed)
+        result = greedy_search(data, SearchConfig(max_parents=2))
+        rows = lower_bound_rows(fit_missing(data, result.dag), data)
+    except CopulaBnError:
+        return  # a loud, typed failure; a fit that returns must score finitely
+    assert np.isfinite(result.score)
+    assert np.isfinite(result.per_family_scores).all()
+    assert np.isfinite(rows).all()
 
 
 def test_bound_matches_explicit_tensor_quadrature():

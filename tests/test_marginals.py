@@ -129,10 +129,10 @@ def test_quantile_properties(kind, size, seed, narrow, levels):
     # A narrow kernel leaves flat cdf stretches between clusters and ties.
     column = _column(kind, size, rng)
     marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
-    tol = 1e-10
+    tol = marginals_module._QUANTILE_TOL
     # The first two targets clip to CDF_FLOOR and CDF_CEIL: both ends are reached.
     u = np.concatenate([[1e-12, 1.0 - 1e-12], levels, rng.random(100)])
-    x = marginal.quantile(u, tol=tol)
+    x = marginal.quantile(u)
     clipped = np.clip(u, CDF_FLOOR, CDF_CEIL)
     assert np.all(np.abs(marginal.cdf(x) - clipped) < tol)
     assert np.all((marginal.support_lo <= x) & (x <= marginal.support_hi))
@@ -157,12 +157,14 @@ def test_quantile_needs_few_cdf_sweeps(monkeypatch):
     assert np.all(np.abs(marginal.cdf(x) - np.clip(u, CDF_FLOOR, CDF_CEIL)) < 1e-10)
 
 
-def test_quantile_raises_when_out_of_iterations():
+def test_quantile_raises_when_out_of_iterations(monkeypatch):
     rng = np.random.default_rng(8)
     marginal = fit_kde(rng.gamma(2.0, 1.0, size=200))
     levels = np.linspace(0.01, 0.99, 50)
+    monkeypatch.setattr(marginals_module, "_QUANTILE_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        marginal.quantile(levels, max_iter=1)
+        marginal.quantile(levels)
+    monkeypatch.undo()
     assert issubclass(ConvergenceError, NumericalError)  # so the CLI exits 3
     marginal.quantile(levels)
 

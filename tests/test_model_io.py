@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from copulabn.cbn import fit_complete, log_density_rows, lower_bound_rows
+from copulabn.cbn import CbnModel, fit_complete, log_density_rows, lower_bound_rows
+from copulabn.copula import UniformGaussianCopula, rho_bounds
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset
 from copulabn.errors import ParseError, ValidationError
 from copulabn.gaussian_bn import LinearGaussianBn, log_marginal_lg_rows
+from copulabn.marginals import KdeMarginal
 from copulabn.model_io import deserialize, load_model, save_model, serialize
 
 from conftest import chain_scores, cycle_warps, warp_columns
@@ -61,6 +65,71 @@ def test_lgbn_round_trip_is_exact():
     np.testing.assert_array_equal(
         log_marginal_lg_rows(restored, data), log_marginal_lg_rows(model, data)
     )
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["cbn", "lgbn"]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_serialize_then_deserialize_is_the_identity(kind, n, seed):
+    # Random parameters at scales from 1e-6 to 1e6 on a random DAG.
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    parents = [()] * n
+    for pos, node in enumerate(order):
+        earlier = order[:pos]
+        parents[node] = tuple(sorted(int(p) for p in earlier[rng.random(pos) < 0.5]))
+    dag = Dag(n, tuple(parents))
+    names = tuple(f"c{i}" for i in range(n))
+
+    def scaled(size):
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7, size)
+
+    if kind == "cbn":
+        marginals = tuple(
+            KdeMarginal.from_params(scaled(int(rng.integers(2, 30))), abs(scaled(1)[0]) + 1e-9)
+            for _ in range(n)
+        )
+        copulas = tuple(
+            UniformGaussianCopula(len(ps) + 1, float(rng.uniform(*rho_bounds(len(ps) + 1))))
+            if ps
+            else None
+            for ps in parents
+        )
+        model = CbnModel(dag, marginals, copulas, names)
+    else:
+        model = LinearGaussianBn(
+            dag=dag,
+            intercepts=tuple(scaled(n)),
+            coefficients=tuple(tuple(scaled(len(ps))) for ps in parents),
+            variances=tuple(np.abs(scaled(n)) + 1e-9),
+            column_names=names,
+        )
+    text = serialize(model)
+    restored = deserialize(text)
+    assert serialize(restored) == text
+    assert restored.dag == model.dag and restored.column_names == model.column_names
+    if kind == "cbn":
+        for got, want in zip(restored.copulas, model.copulas):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.n == want.n and _bits(got.rho) == _bits(want.rho)
+        for got, want in zip(restored.marginals, model.marginals):
+            assert _bits(got.bandwidth) == _bits(want.bandwidth)
+            np.testing.assert_array_equal(_bits(got.samples), _bits(want.samples))
+    else:
+        for field in ("intercepts", "variances"):
+            np.testing.assert_array_equal(
+                _bits(getattr(restored, field)), _bits(getattr(model, field))
+            )
+        for got, want in zip(restored.coefficients, model.coefficients):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_save_and_load_files(tmp_path):

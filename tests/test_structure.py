@@ -1,17 +1,19 @@
 """Greedy structure search: penalties, family scores, and recovery."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from copulabn import structure
 from copulabn.copula import family_stats, ratio_log_from_z
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import InvalidInputError, OutOfRangeError, ValidationError
-from copulabn.gaussian_bn import family_ll_from_moments
-from copulabn.marginals import fit_kde
+from copulabn.marginals import KdeMarginal, fit_kde
 from copulabn.structure import (
     ScoredStructure,
     SearchConfig,
@@ -101,49 +103,79 @@ def test_family_score_is_order_symmetric_in_parents():
 # ---------------------------------------------------- score invariants
 
 
-def _check_invariant_cbn(result, data):
-    num_params = sum(1 for ps in result.dag.parents if ps)
-    penalty = bic_penalty(num_params, data.num_rows)
-    np.testing.assert_allclose(
-        result.score, sum(result.per_family_scores) - penalty, rtol=0, atol=1e-9
-    )
+@contextlib.contextmanager
+def _recorded_searches():
+    """Every engine run inside the block as (scorer, result), in call order."""
+    runs = []
+    search = structure._search
+
+    def recorded(data, scorer, config):
+        result = search(data, scorer, config)
+        runs.append((scorer, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_search", recorded)
+        yield runs
 
 
-def _check_invariant_lg(result, data):
-    num_params = sum(len(ps) + 2 for ps in result.dag.parents)
-    penalty = bic_penalty(num_params, data.num_rows)
-    np.testing.assert_allclose(
-        result.score, sum(result.per_family_scores) - penalty, rtol=0, atol=1e-9
+def _check_scores(result, runs):
+    """The result is the last engine run's, and its scores are the penalized
+    family scores that run's scorer gives the returned parents."""
+    scorer, last = runs[-1]
+    assert last is result
+    assert result.score == sum(result.per_family_scores)
+    assert result.per_family_scores == tuple(
+        scorer.score(i, ps) for i, ps in enumerate(result.dag.parents)
     )
 
 
 def test_score_decomposes_over_families():
     data = _chain_dataset(num_rows=600, num_vars=4, seed=5)
-    cbn = greedy_search(data, SearchConfig(max_parents=2))
-    assert isinstance(cbn, ScoredStructure)
-    _check_invariant_cbn(cbn, data)
-    lg = greedy_search(data, SearchConfig(max_parents=2), model_kind="lgbn")
-    _check_invariant_lg(lg, data)
+    for kind in ("cbn", "lgbn"):
+        with _recorded_searches() as runs:
+            result = greedy_search(data, SearchConfig(max_parents=2), model_kind=kind)
+        assert isinstance(result, ScoredStructure)
+        assert result.dag.num_edges() > 0
+        _check_scores(result, runs)
 
 
-def test_search_never_scores_below_the_empty_graph():
-    data = _chain_dataset(num_rows=500, num_vars=4, seed=6)
-    # empty-graph score under the copula model: marginal terms only
-    marginals = tuple(fit_kde(data.values[:, j]) for j in range(4))
-    empty_score = sum(
-        float(np.log(m.pdf(data.values[:, j])).sum()) for j, m in enumerate(marginals)
-    )
-    result = greedy_search(data, SearchConfig(max_parents=2))
-    assert result.score >= empty_score - 1e-9
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["cbn", "lgbn"]),
+    num_vars=st.integers(2, 5),
+    num_rows=st.integers(20, 120),
+    rho=st.floats(-0.8, 0.8),
+    missing=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_never_scores_below_the_empty_graph(kind, num_vars, num_rows, rho, missing, seed):
+    rng = np.random.default_rng(seed)
+    x = warp_columns(chain_scores(rho, num_vars, num_rows, rng), cycle_warps(num_vars))
+    data = apply_missing_mask(MaskedDataset.from_values(x), missing, seed=seed)
+    with _recorded_searches() as runs:
+        result = greedy_search(data, SearchConfig(max_parents=2), model_kind=kind)
+    _check_scores(result, runs)
+    # Every run of the engine, structural-EM rounds included, starts from
+    # the empty graph and accepts only improving moves.
+    for scorer, run in runs:
+        empty = sum(scorer.score(i, ()) for i in range(num_vars))
+        assert run.score >= empty - 1e-9 * max(1.0, abs(empty))
+    if kind == "cbn":
+        assert result.score >= -1e-9
 
-    # and under the Gaussian baseline
-    mean = data.values.mean(axis=0)
-    second = data.values.T @ data.values / data.num_rows
-    empty_lg = sum(
-        family_ll_from_moments(mean, second, j, (), data.num_rows) for j in range(4)
-    ) - bic_penalty(2 * 4, data.num_rows)
-    lg = greedy_search(data, SearchConfig(max_parents=2), model_kind="lgbn")
-    assert lg.score >= empty_lg - 1e-9
+
+def test_cbn_search_never_evaluates_a_marginal_density(monkeypatch):
+    # Marginal log densities are the same for every structure, so the
+    # copula search needs only the normal scores.
+    def refuse(self, x):
+        raise AssertionError("the search evaluated a marginal density")
+
+    monkeypatch.setattr(KdeMarginal, "pdf", refuse)
+    monkeypatch.setattr(KdeMarginal, "log_pdf", refuse)
+    data = apply_missing_mask(_chain_dataset(num_rows=300, num_vars=4, seed=14), 0.2, seed=15)
+    result = greedy_search(data, SearchConfig(max_parents=2), model_kind="cbn")
+    assert result.dag.num_edges() > 0
 
 
 # ---------------------------------------------------------- legality
@@ -233,9 +265,10 @@ def test_recovers_chain_skeleton_under_missingness():
         _chain_dataset(rho=0.6, num_vars=4, num_rows=2000, seed=8), 0.1, seed=9
     )
     expected = Dag.chain(4).skeleton()
-    cbn = greedy_search(data, SearchConfig(max_parents=2))
+    with _recorded_searches() as runs:
+        cbn = greedy_search(data, SearchConfig(max_parents=2))
     assert cbn.dag.skeleton() == expected
-    _check_invariant_cbn(cbn, data)
+    _check_scores(cbn, runs)
     # structural EM for the Gaussian baseline, on data it is well
     # specified for (no marginal warps: a linear model on warped columns
     # legitimately wants extra edges)
@@ -244,9 +277,10 @@ def test_recovers_chain_skeleton_under_missingness():
         0.1,
         seed=50,
     )
-    lg = greedy_search(gauss, SearchConfig(max_parents=2), model_kind="lgbn")
+    with _recorded_searches() as runs:
+        lg = greedy_search(gauss, SearchConfig(max_parents=2), model_kind="lgbn")
     assert lg.dag.skeleton() == expected
-    _check_invariant_lg(lg, gauss)
+    _check_scores(lg, runs)
 
 
 # --------------------------------------------------------- constraints
