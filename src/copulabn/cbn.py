@@ -36,6 +36,7 @@ from scipy.special import ndtr, ndtri
 
 from .copula import (
     UniformGaussianCopula,
+    _second_moments,
     conditional_z_params,
     family_stats,
     ratio_log_from_z,
@@ -209,19 +210,17 @@ def fit_missing(data, dag):
         )
     table = _score_table(data)
     copulas = [None] * dag.num_vars
-    if any(dag.parents):
-        z = table.z
-        for node in range(dag.num_vars):
-            parents = dag.parents[node]
-            if not parents:
-                continue
-            cols = (node, *parents)
-            z_block, obs_block = z[:, cols], data.observed[:, cols]
-            complete = obs_block.all(axis=1)
-            if int(complete.sum()) >= 2:
-                z_block, obs_block = z_block[complete], obs_block[complete]
-            rho, _ = family_stats(z_block, obs_block).fit()
-            copulas[node] = UniformGaussianCopula(n=len(parents) + 1, rho=rho)
+    for node, parents in enumerate(dag.parents):
+        if not parents:
+            continue
+        cols = (node, *parents)
+        complete = data.observed[:, cols].all(axis=1)
+        if int(complete.sum()) >= 2:
+            z_cc = table.z[np.ix_(complete, cols)]
+            stats = family_stats(z_cc.T @ z_cc, z_cc.shape[0], range(len(cols)))
+        else:
+            stats = family_stats(table.second, data.num_rows, cols)
+        copulas[node] = UniformGaussianCopula(n=len(cols), rho=stats.fit()[0])
     return CbnModel(
         dag=dag, marginals=table.marginals, copulas=tuple(copulas), column_names=data.column_names
     )
@@ -243,7 +242,7 @@ _SCORE_TABLES = weakref.WeakKeyDictionary()
 
 
 class _ScoreTable:
-    """One dataset's fitted marginals and, built on first use, its read-only z."""
+    """One dataset's fitted marginals and, built on first use, its read-only z and S."""
 
     def __init__(self, data):
         self.values, self.observed = data.values, data.observed
@@ -254,6 +253,12 @@ class _ScoreTable:
         z = _normal_scores_from_marginals(self.marginals, self.values, self.observed)
         z.setflags(write=False)
         return z
+
+    @cached_property
+    def second(self):
+        second = _second_moments(self.z, self.observed)
+        second.setflags(write=False)
+        return second
 
 
 def _score_table(data):
@@ -315,29 +320,22 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     if mc_samples < 2:
         raise OutOfRangeError(f"mc_samples must be >= 2, got {mc_samples}")
     observed = ~np.isnan(x)
-    values = x[None, :]
     obs = observed[None, :]
-    z = _normal_scores_from_marginals(model.marginals, values, obs)
-    bound_term = 0.0
-    for term in _family_term_columns(model, z, obs):
-        bound_term += float(term[0])
+    z = _normal_scores_from_marginals(model.marginals, x[None, :], obs)
+    bound_term = sum((float(t[0]) for t in _family_term_columns(model, z, obs)), 0.0)
 
-    hidden = np.nonzero(~observed)[0]
-    if hidden.size == 0:
+    if observed.all():
         return EnergyCheckResult(bound_term, bound_term, 0.0)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), SEED_TAG_SAMPLE]))
-    z_samples = np.broadcast_to(z[0], (mc_samples, x.size)).copy()
-    for j in hidden:
+    draws = np.full((mc_samples, x.size), np.nan)
+    for j in np.flatnonzero(~observed):
         marginal = model.marginals[j]
         centers = marginal.samples[rng.integers(0, marginal.samples.size, mc_samples)]
-        draws = centers + marginal.bandwidth * rng.standard_normal(mc_samples)
-        z_samples[:, j] = ndtri(marginal.cdf(draws))
-
-    total = np.zeros(mc_samples)
-    for child, parents in model.families():
-        cop = model.copulas[child]
-        total += ratio_log_from_z(cop.n, cop.rho, z_samples[:, (child, *parents)])
+        draws[:, j] = centers + marginal.bandwidth * rng.standard_normal(mc_samples)
+    drawn = np.broadcast_to(~observed, draws.shape)
+    z_samples = np.where(drawn, _normal_scores_from_marginals(model.marginals, draws, drawn), z)
+    total = sum(_family_term_columns(model, z_samples, np.ones_like(drawn)), np.zeros(mc_samples))
     energy_mc = float(total.mean())
     se = float(total.std(ddof=1) / np.sqrt(mc_samples))
     return EnergyCheckResult(bound_term, energy_mc, se)

@@ -238,12 +238,9 @@ class FamilyStats:
 
     The family log-density ratio summed over rows is affine in
     ``A = sum_rows q`` and ``B = sum_rows s^2`` and in their parent-block
-    analogues ``C`` and ``D``, so any weighted sum of ratio terms — including
-    the missing-data expectations, which are themselves affine in per-row q
-    and s^2 — collapses to these five numbers.  ``objective(rho)`` then costs
-    O(1), and its maximizer is a root of a polynomial of degree at most 5
-    (see :meth:`fit`), which is what makes per-family maximum likelihood
-    cheap inside structure search.
+    analogues ``C`` and ``D`` (:func:`family_stats` reads all four from a
+    second-moment matrix), so ``objective(rho)`` costs O(1) and its
+    maximizer is a root of a polynomial of degree at most 5 (see :meth:`fit`).
 
     Attributes
     ----------
@@ -335,23 +332,30 @@ def _block_moments(z_block, obs_block):
     return q_obs + t, s_obs * s_obs + t
 
 
-def family_stats(z_block, obs_block):
-    """:class:`FamilyStats` of a (rows, dim) score block, child column first.
+def _second_moments(z, observed):
+    """The likelihood bound's S = Z0'Z0 + diag(t), the sum over rows of
+    E[z z'] with each hidden score an independent standard normal: Z0 is
+    ``z`` with hidden cells set to 0 and t counts each column's hidden cells."""
+    z0 = np.where(observed, z, 0.0)
+    return z0.T @ z0 + np.diag((~observed).sum(axis=0).astype(float))
 
-    ``obs_block`` marks the observed cells.  Each hidden cell's score is
-    integrated out as an independent standard normal and its entry in
-    ``z_block`` is ignored, so the statistics are exact on fully observed
-    rows and are the likelihood bound's expectations elsewhere.
-    """
-    fam_q, fam_s_sq = _block_moments(z_block, obs_block)
-    par_q, par_s_sq = _block_moments(z_block[:, 1:], obs_block[:, 1:])
+
+def family_stats(second, num_rows, cols):
+    """:class:`FamilyStats` of the family ``cols`` (child first) over
+    ``num_rows`` rows from a second-moment matrix (``Z'Z`` of complete scores,
+    or :func:`_second_moments`): a block's summed q is its trace and its
+    summed s^2 its total.  Blocks are read over sorted indices, so the
+    parents' order changes no bit, and a one-parent family and its reversal
+    share their family block."""
+    cols = tuple(cols)
+    fam, par = (second[np.ix_(idx, idx)] for idx in (sorted(cols), sorted(cols[1:])))
     return FamilyStats(
-        num_rows=float(z_block.shape[0]),
-        dim=int(z_block.shape[1]),
-        fam_q=float(fam_q.sum()),
-        fam_s_sq=float(fam_s_sq.sum()),
-        par_q=float(par_q.sum()),
-        par_s_sq=float(par_s_sq.sum()),
+        num_rows=float(num_rows),
+        dim=len(cols),
+        fam_q=float(np.trace(fam)),
+        fam_s_sq=float(fam.sum()),
+        par_q=float(np.trace(par)),
+        par_s_sq=float(par.sum()),
     )
 
 
@@ -383,5 +387,5 @@ def fit_rho(family_u_rows):
     if u.shape[1] < 2:
         raise InvalidInputError("a family needs at least one parent to have a rho")
     z = _scores(u)
-    rho, _ = family_stats(z, np.ones(z.shape, dtype=bool)).fit()
+    rho, _ = family_stats(z.T @ z, u.shape[0], range(u.shape[1])).fit()
     return rho

@@ -105,7 +105,13 @@ def _family_from_moments(mean, second, child, parents):
     rhs = np.empty(k + 1)
     rhs[0] = mean[child]
     rhs[1:] = second[p, child]
-    if np.linalg.matrix_rank(gram) < k + 1:
+    # Rank is read from the parents' correlations, which rescaling cannot move.  Centring leaves
+    # rounding of ~eps E[x^2] in a variance, ~eps E[x^2] / var in a correlation (2^-40 = 4096 eps).
+    cov = gram[1:, 1:] - np.outer(gram[1:, 0], gram[0, 1:])
+    var, rounding = cov.diagonal(), 2.0**-40 * gram.diagonal()[1:]
+    if not (var > rounding).all() or (
+        np.linalg.eigvalsh(cov / np.sqrt(np.outer(var, var)))[0] <= (rounding / var).max()
+    ):
         raise SingularDesignError(
             f"collinear parents {tuple(parents)} for node {child}: design matrix is rank deficient"
         )

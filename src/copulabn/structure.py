@@ -10,19 +10,19 @@ move, one ancestor bit set per node, from which every move's acyclicity is
 read (Giudici & Castelo 2003).  ``SearchConfig(max_parents=1)`` restricts
 the search to forests of trees.
 
-Two family scorers plug into the same engine:
+Two plain ``score(child, parents)`` functions of (moments, rows) plug into the same engine:
 
-* the copula-network scorer — each family's score is its maximized sum of
-  (expected) log ratio terms minus the penalty for its single correlation
-  parameter; marginal terms are structure-invariant and excluded;
-* the linear-Gaussian scorer — each family's maximized conditional
+* the copula-network score — each family's maximized sum of (expected) log
+  ratio terms, read from the score table's second-moment matrix, minus the
+  penalty for its one correlation; marginal terms are structure-invariant;
+* the linear-Gaussian score — each family's maximized conditional
   log-likelihood from (expected) moment matrices minus the penalty for its
   ``len(parents) + 2`` parameters.
 
-Missing data never requires posterior inference: the copula scorer consumes
-the same per-family expectations the likelihood bound uses, and the
-Gaussian scorer runs inside a structural-EM loop (search on expected
-moments, refit, repeat until the structure stops changing).
+Missing data never requires posterior inference: the copula moments hold
+the likelihood bound's expectations, and the Gaussian score runs inside a
+structural-EM loop (search on expected moments, refit, repeat until the
+structure stops changing).
 """
 
 from dataclasses import dataclass
@@ -95,35 +95,25 @@ def bic_penalty(num_params, num_instances):
     return 0.5 * np.log(num_instances) * num_params
 
 
-class _CopulaScorer:
-    """Penalized copula family scores from the dataset's score table, which
-    :func:`copulabn.cbn.fit_missing` reuses on the same ``data`` object."""
-
-    def __init__(self, data):
-        self.num_rows = data.num_rows
-        self.observed = data.observed
-        self.z = _score_table(data).z
-
-    def score(self, child, parents):
-        """Maximized family objective minus this family's penalty share."""
+def _copula_score(second, num_rows):
+    """Penalized copula family score: the maximized family objective minus
+    the penalty for its one correlation; 0 without parents."""
+    def score(child, parents):
         if not parents:
             return 0.0
-        cols = (child, *parents)
-        _, value = family_stats(self.z[:, cols], self.observed[:, cols]).fit()
-        return float(value) - bic_penalty(1, self.num_rows)
+        _, value = family_stats(second, num_rows, (child, *parents)).fit()
+        return float(value) - bic_penalty(1, num_rows)
+
+    return score
 
 
-class _GaussianScorer:
-    """Penalized linear-Gaussian family scores from moment matrices."""
+def _gaussian_score(mean, second, num_rows):
+    """Penalized linear-Gaussian family score from moment matrices."""
+    def score(child, parents):
+        ll = family_ll_from_moments(mean, second, child, parents, num_rows)
+        return float(ll) - bic_penalty(len(parents) + 2, num_rows)
 
-    def __init__(self, mean, second, num_rows):
-        self.mean = mean
-        self.second = second
-        self.num_rows = num_rows
-
-    def score(self, child, parents):
-        ll = family_ll_from_moments(self.mean, self.second, child, parents, self.num_rows)
-        return float(ll) - bic_penalty(len(parents) + 2, self.num_rows)
+    return score
 
 
 def _ancestor_sets(parents):
@@ -173,11 +163,10 @@ def _moves(parents, ancestors, max_parents):
                 yield "reverse", child, parent
 
 
-def _search(data, scorer, config):
+def _search(num_vars, score, config):
     """Best-ascent engine: applies the best strictly improving move (first
-    maximum in scan order) until none improves, and returns the penalized
-    family scores it maximized."""
-    num_vars = data.num_cols
+    maximum in scan order) until none improves, and returns the family
+    scores ``score(child, parents)`` it maximized."""
     parents = [set() for _ in range(num_vars)]
     ancestors = [0] * num_vars
     cache = {}
@@ -185,7 +174,7 @@ def _search(data, scorer, config):
     def fscore(child, parent_set):
         key = (child, tuple(sorted(parent_set)))
         if key not in cache:
-            cache[key] = scorer.score(child, key[1])
+            cache[key] = score(child, key[1])
         return cache[key]
 
     current = [fscore(i, ()) for i in range(num_vars)]
@@ -244,7 +233,8 @@ def greedy_search(data, config, model_kind="cbn"):
         its returned parents; ``score`` is their sum.
     """
     if model_kind == "cbn":
-        return _search(data, _CopulaScorer(data), config)
+        score = _copula_score(_score_table(data).second, data.num_rows)
+        return _search(data.num_cols, score, config)
     if model_kind == "lgbn":
         return _greedy_search_lg(data, config)
     raise InvalidInputError(f"unknown model_kind {model_kind!r}")
@@ -252,8 +242,8 @@ def greedy_search(data, config, model_kind="cbn"):
 
 def _greedy_search_lg(data, config):
     if data.fully_observed:
-        scorer = _GaussianScorer(*_moments_from_complete(data.values), data.num_rows)
-        return _search(data, scorer, config)
+        score = _gaussian_score(*_moments_from_complete(data.values), data.num_rows)
+        return _search(data.num_cols, score, config)
 
     # Structural EM: score on expected moments under the current model,
     # refit with EM on the found structure, repeat until the structure
@@ -263,7 +253,7 @@ def _greedy_search_lg(data, config):
     result = None
     for _ in range(_STRUCTURE_ROUNDS):
         s1, s2, m = expected_moments(model, data)
-        result = _search(data, _GaussianScorer(s1 / m, s2 / m, m), config)
+        result = _search(data.num_cols, _gaussian_score(s1 / m, s2 / m, m), config)
         if previous is not None and result.dag.parents == previous:
             break
         previous = result.dag.parents

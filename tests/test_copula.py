@@ -1,5 +1,7 @@
 """Uniform-correlation Gaussian copula against dense linear-algebra oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from copulabn.copula import (
     FamilyStats,
     RHO_MARGIN,
     UniformGaussianCopula,
+    _second_moments,
     conditional_z_params,
     copula_log_density,
     copula_log_density_rows,
@@ -230,16 +233,45 @@ def test_conditional_density_identity():
 
 
 def _complete_stats(z_rows):
-    return family_stats(z_rows, np.ones(z_rows.shape, dtype=bool))
+    return family_stats(z_rows.T @ z_rows, z_rows.shape[0], range(z_rows.shape[1]))
 
 
-def test_family_stats_objective_matches_row_sum():
-    rng = np.random.default_rng(19)
-    z_rows = rng.standard_normal((40, 3))
-    stats = _complete_stats(z_rows)
-    for rho in (-0.3, 0.0, 0.2, 0.7):
-        direct = float(ratio_log_from_z(3, rho, z_rows).sum())
-        np.testing.assert_allclose(stats.objective(rho), direct, rtol=0, atol=1e-9)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    num_cols=st.integers(2, 6),
+    dim=st.integers(2, 5),
+    num_rows=st.integers(1, 60),
+    hidden_share=st.floats(0.0, 0.7),
+    all_hidden_rows=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_family_stats_objective_matches_row_sum(
+    num_cols, dim, num_rows, hidden_share, all_hidden_rows, seed
+):
+    # Statistics read from the table's second-moment matrix against the
+    # per-row bound terms, on a masked table with some rows wholly hidden.
+    rng = np.random.default_rng(seed)
+    dim = min(dim, num_cols)
+    z = equicorrelated_scores(0.4, num_cols, num_rows, rng)
+    observed = rng.random(z.shape) >= hidden_share
+    observed[rng.integers(0, num_rows, all_hidden_rows)] = False
+    z[~observed] = np.nan
+    cols = tuple(int(c) for c in rng.permutation(num_cols)[:dim])
+    second = _second_moments(z, observed)
+    stats = family_stats(second, num_rows, cols)
+    lo, hi = rho_bounds(dim)
+    for rho in (lo, -0.3 / (dim - 1), 0.0, 0.2, 0.7, hi):
+        rows = ratio_log_from_z(dim, rho, z[:, cols], observed[:, cols])
+        np.testing.assert_allclose(stats.objective(rho), rows.sum(), rtol=1e-12)
+    # Reading over sorted indices makes the statistics bitwise independent
+    # of the parents' order, and a one-parent family's family block
+    # independent of which member is the child.
+    for perm in itertools.permutations(cols[1:]):
+        assert family_stats(second, num_rows, (cols[0], *perm)) == stats
+    if dim == 2:
+        reverse = family_stats(second, num_rows, cols[::-1])
+        assert (reverse.fam_q, reverse.fam_s_sq) == (stats.fam_q, stats.fam_s_sq)
+        assert reverse.fit() == stats.fit()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -257,7 +289,7 @@ def test_fit_is_the_exact_maximum(dim, num_rows, hidden_share, end, gap, seed):
     true_rho = lo + gap if end == "lo" else hi - gap
     z = equicorrelated_scores(true_rho, dim, num_rows, rng)
     observed = rng.random(z.shape) >= hidden_share
-    stats = family_stats(np.where(observed, z, np.nan), observed)
+    stats = family_stats(_second_moments(z, observed), num_rows, range(dim))
     rho, value = stats.fit()
     assert lo <= rho <= hi
     assert value == stats.objective(rho)

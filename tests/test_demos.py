@@ -1,6 +1,9 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script, and the README quick start, runs to completion
+against the package in ``src``."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,17 +14,30 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def _run(argv, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     ))
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    done = _run([str(demo)], tmp_path)
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == [], "demos write no files"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    done = _run(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    edges = ast.literal_eval(done.stdout.splitlines()[0])
+    assert {frozenset(e) for e in edges} == {frozenset((0, 1)), frozenset((1, 2))}
 
 
 def test_demos_are_found():

@@ -108,6 +108,28 @@ def test_fit_raises_on_collinear_parents():
         fit_complete_lg(data, dag)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_does_not_depend_on_the_data_scale(seed):
+    # Rank is tested on the parents' correlations, so a full-rank table
+    # still fits at 1e6 (an outlier makes its raw moments span 1e18) and
+    # its coefficients match the unscaled fit.
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((10, 3))
+    values[rng.integers(10), rng.integers(3)] *= 1e3
+    dag = Dag.from_edges(3, [(0, 2), (1, 2)])
+    base = fit_complete_lg(MaskedDataset.from_values(values), dag)
+    scaled = fit_complete_lg(MaskedDataset.from_values(values * 1e6), dag)
+    np.testing.assert_allclose(scaled.coefficients[2], base.coefficients[2], rtol=1e-12)
+    # Exactly collinear parents and a constant parent raise at every scale.
+    collinear, constant = values.copy(), values.copy()
+    collinear[:, 1] = 3.0 * values[:, 0] - 2.0
+    constant[:, 0] = 0.1
+    for table in (collinear, constant):
+        for scale in (1e-6, 1.0, 1e6):
+            with pytest.raises(SingularDesignError):
+                fit_complete_lg(MaskedDataset.from_values(table * scale), dag)
+
+
 def test_model_validation():
     dag = Dag.chain(2)
     with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Greedy structure search: penalties, family scores, and recovery."""
 
 import contextlib
+import pickle
 
 import numpy as np
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from copulabn import structure
+from copulabn.benchmark import fit_model
+from copulabn.cbn import _score_table
 from copulabn.copula import family_stats, ratio_log_from_z
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import InvalidInputError, OutOfRangeError, ValidationError
 from copulabn.marginals import KdeMarginal, fit_kde
+from copulabn.model_io import serialize
 from copulabn.structure import (
     ScoredStructure,
     SearchConfig,
-    _CopulaScorer,
     _ancestor_sets,
+    _copula_score,
     _moves,
     bic_penalty,
     greedy_search,
@@ -32,6 +36,10 @@ def _chain_dataset(rho=0.5, num_vars=5, num_rows=2000, seed=0, warp=True):
     z = chain_scores(rho, num_vars, num_rows, rng)
     x = warp_columns(z, cycle_warps(num_vars)) if warp else z
     return MaskedDataset.from_values(x)
+
+
+def _cbn_score(data):
+    return _copula_score(_score_table(data).second, data.num_rows)
 
 
 def _independent_dataset(num_vars=4, num_rows=1500, seed=1):
@@ -76,9 +84,9 @@ def test_family_score_matches_independent_computation():
     z = np.column_stack(
         [ndtri(marginals[j].cdf(data.values[:, j])) for j in range(3)]
     )
-    got = _CopulaScorer(data).score(1, (0,))
+    got = _cbn_score(data)(1, (0,))
 
-    rho, value = family_stats(z[:, [1, 0]], np.ones((400, 2), dtype=bool)).fit()
+    rho, value = family_stats(z.T @ z, 400, (1, 0)).fit()
     np.testing.assert_allclose(got, value - bic_penalty(1, 400), rtol=0, atol=1e-9)
     # the fitted objective is literally the summed log ratio terms
     np.testing.assert_allclose(
@@ -87,17 +95,16 @@ def test_family_score_matches_independent_computation():
 
 
 def test_family_score_is_zero_without_parents():
-    scorer = _CopulaScorer(_chain_dataset(num_rows=100, num_vars=3, seed=3))
-    assert scorer.score(0, ()) == 0.0
+    score = _cbn_score(_chain_dataset(num_rows=100, num_vars=3, seed=3))
+    assert score(0, ()) == 0.0
 
 
 def test_family_score_is_order_symmetric_in_parents():
     # the uniform-correlation family is exchangeable, so parent order
-    # cannot matter
-    scorer = _CopulaScorer(_chain_dataset(num_rows=300, num_vars=4, seed=4))
-    a = scorer.score(3, (0, 1))
-    b = scorer.score(3, (1, 0))
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    # cannot matter, and a one-parent family ties with its reversal
+    score = _cbn_score(_chain_dataset(num_rows=300, num_vars=4, seed=4))
+    assert score(3, (0, 1)) == score(3, (1, 0))
+    assert score(2, (0,)) == score(0, (2,))
 
 
 # ---------------------------------------------------- score invariants
@@ -105,13 +112,13 @@ def test_family_score_is_order_symmetric_in_parents():
 
 @contextlib.contextmanager
 def _recorded_searches():
-    """Every engine run inside the block as (scorer, result), in call order."""
+    """Every engine run inside the block as (score, result), in call order."""
     runs = []
     search = structure._search
 
-    def recorded(data, scorer, config):
-        result = search(data, scorer, config)
-        runs.append((scorer, result))
+    def recorded(num_vars, score, config):
+        result = search(num_vars, score, config)
+        runs.append((score, result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -121,12 +128,12 @@ def _recorded_searches():
 
 def _check_scores(result, runs):
     """The result is the last engine run's, and its scores are the penalized
-    family scores that run's scorer gives the returned parents."""
-    scorer, last = runs[-1]
+    family scores that run's score function gives the returned parents."""
+    score, last = runs[-1]
     assert last is result
     assert result.score == sum(result.per_family_scores)
     assert result.per_family_scores == tuple(
-        scorer.score(i, ps) for i, ps in enumerate(result.dag.parents)
+        score(i, ps) for i, ps in enumerate(result.dag.parents)
     )
 
 
@@ -158,8 +165,8 @@ def test_search_never_scores_below_the_empty_graph(kind, num_vars, num_rows, rho
     _check_scores(result, runs)
     # Every run of the engine, structural-EM rounds included, starts from
     # the empty graph and accepts only improving moves.
-    for scorer, run in runs:
-        empty = sum(scorer.score(i, ()) for i in range(num_vars))
+    for score, run in runs:
+        empty = sum(score(i, ()) for i in range(num_vars))
         assert run.score >= empty - 1e-9 * max(1.0, abs(empty))
     if kind == "cbn":
         assert result.score >= -1e-9
@@ -313,6 +320,28 @@ def test_unknown_model_kind_raises():
 
 
 # --------------------------------------------------------- determinism
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["cbn", "lgbn"]),
+    num_vars=st.integers(2, 5),
+    num_rows=st.integers(20, 120),
+    missing=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reruns_on_fresh_datasets_are_identical(kind, num_vars, num_rows, missing, seed):
+    # Each dataset object caches its own score table and second moments, so
+    # two datasets built from the same arrays must give the same bytes.
+    rng = np.random.default_rng(seed)
+    x = warp_columns(chain_scores(0.5, num_vars, num_rows, rng), cycle_warps(num_vars))
+    runs = []
+    for _ in range(2):
+        data = apply_missing_mask(MaskedDataset.from_values(x), missing, seed=seed)
+        result = greedy_search(data, SearchConfig(max_parents=2), model_kind=kind)
+        model = fit_model(data, kind, SearchConfig(max_parents=2))
+        runs.append((pickle.dumps(result), pickle.dumps(model), serialize(model)))
+    assert runs[0] == runs[1]
 
 
 def test_search_is_deterministic():
