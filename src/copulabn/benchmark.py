@@ -158,13 +158,41 @@ def _masked_split(data, protocol, split_index, missing_fraction):
 
 
 def _run_cell(data, protocol, model_kind, max_parents, missing_fraction, split_index):
+    started = time.time()
     train, test, seed_train, seed_test = _masked_split(
         data, protocol, split_index, missing_fraction
     )
     model = fit_model(train, model_kind, SearchConfig(max_parents=max_parents))
-    train_score = float(score_rows(model, train).mean())
-    test_score = float(score_rows(model, test).mean())
-    return train_score, test_score, seed_train, seed_test
+    return BenchmarkRow(
+        model_kind=model_kind,
+        max_parents=max_parents,
+        missing_fraction=missing_fraction,
+        split_index=split_index,
+        train_score=float(score_rows(model, train).mean()),
+        test_score=float(score_rows(model, test).mean()),
+        base_seed=protocol.base_seed,
+        mask_seed_train=seed_train,
+        mask_seed_test=seed_test,
+        wall_seconds=time.time() - started,
+    )
+
+
+def _aggregate(cell_rows):
+    """Across-split aggregate of one configuration's rows."""
+    first = cell_rows[0]
+    train = np.array([r.train_score for r in cell_rows])
+    test = np.array([r.test_score for r in cell_rows])
+    return BenchmarkAggregate(
+        model_kind=first.model_kind,
+        max_parents=first.max_parents,
+        missing_fraction=first.missing_fraction,
+        train_mean=float(train.mean()),
+        train_p10=float(np.percentile(train, 10)),
+        train_p90=float(np.percentile(train, 90)),
+        test_mean=float(test.mean()),
+        test_p10=float(np.percentile(test, 10)),
+        test_p90=float(np.percentile(test, 90)),
+    )
 
 
 def run_benchmark(
@@ -179,10 +207,11 @@ def run_benchmark(
 
     Rows are produced in canonical order (model kind, parent cap, missing
     fraction, split); the CSV is byte-identical across reruns with the same
-    inputs and seed.  On a failing cell, everything finished so far is
-    flushed to ``output_path`` before the error propagates.  A package,
-    arithmetic or value error is re-raised as the same type with the cell
-    named in its message.
+    inputs and seed.  A value repeated in any of the three grid lists is an
+    ``InvalidInputError``, raised before any cell runs.  On a failing cell,
+    the split rows finished so far are flushed to ``output_path`` before the
+    error propagates.  A package, arithmetic or value error is re-raised as
+    the same type with the cell named in its message.
     """
     model_kinds = tuple(model_kinds)
     max_parents_list = tuple(int(k) for k in max_parents_list)
@@ -192,20 +221,28 @@ def run_benchmark(
     for kind in model_kinds:
         if kind not in MODEL_KINDS:
             raise InvalidInputError(f"unknown model kind {kind!r}")
+    for name, values in (
+        ("model kinds", model_kinds),
+        ("max_parents", max_parents_list),
+        ("missing fractions", missing_fractions),
+    ):
+        if len(set(values)) != len(values):
+            raise InvalidInputError(
+                f"benchmark grid repeats a value in its {name}: {list(values)}"
+            )
 
     data = load_csv(dataset_path)
     rows = []
-    timings = []
+    aggregates = []
     started = time.time()
     try:
         for model_kind in model_kinds:
             for max_parents in max_parents_list:
                 for p in missing_fractions:
                     for split_index in range(protocol.num_splits):
-                        t0 = time.time()
                         try:
-                            train_score, test_score, seed_train, seed_test = _run_cell(
-                                data, protocol, model_kind, max_parents, p, split_index
+                            rows.append(
+                                _run_cell(data, protocol, model_kind, max_parents, p, split_index)
                             )
                         except (CopulaBnError, ArithmeticError, ValueError) as e:
                             raise type(e)(
@@ -213,22 +250,7 @@ def run_benchmark(
                                 f"max_parents={max_parents}, missing_fraction={p}, "
                                 f"split={split_index}): {e}"
                             ) from e
-                        wall = time.time() - t0
-                        rows.append(
-                            BenchmarkRow(
-                                model_kind=model_kind,
-                                max_parents=max_parents,
-                                missing_fraction=p,
-                                split_index=split_index,
-                                train_score=train_score,
-                                test_score=test_score,
-                                base_seed=protocol.base_seed,
-                                mask_seed_train=seed_train,
-                                mask_seed_test=seed_test,
-                                wall_seconds=wall,
-                            )
-                        )
-                        timings.append(wall)
+                    aggregates.append(_aggregate(rows[-protocol.num_splits:]))
     except Exception:
         if output_path is not None and rows:
             partial = BenchmarkResult(rows=tuple(rows), aggregates=())
@@ -236,32 +258,6 @@ def run_benchmark(
                 fh.write(partial.csv_text())
         raise
 
-    aggregates = []
-    for model_kind in model_kinds:
-        for max_parents in max_parents_list:
-            for p in missing_fractions:
-                cell_rows = [
-                    r
-                    for r in rows
-                    if r.model_kind == model_kind
-                    and r.max_parents == max_parents
-                    and r.missing_fraction == p
-                ]
-                train = np.array([r.train_score for r in cell_rows])
-                test = np.array([r.test_score for r in cell_rows])
-                aggregates.append(
-                    BenchmarkAggregate(
-                        model_kind=model_kind,
-                        max_parents=max_parents,
-                        missing_fraction=p,
-                        train_mean=float(train.mean()),
-                        train_p10=float(np.percentile(train, 10)),
-                        train_p90=float(np.percentile(train, 90)),
-                        test_mean=float(test.mean()),
-                        test_p10=float(np.percentile(test, 10)),
-                        test_p90=float(np.percentile(test, 90)),
-                    )
-                )
     result = BenchmarkResult(rows=tuple(rows), aggregates=tuple(aggregates))
 
     if output_path is not None:
@@ -284,7 +280,7 @@ def run_benchmark(
                 "missing_fractions": list(missing_fractions),
             },
             "note": "timings are wall-clock and vary between runs; the CSV is deterministic",
-            "cell_wall_seconds": timings,
+            "cell_wall_seconds": [r.wall_seconds for r in rows],
             "total_wall_seconds": time.time() - started,
         }
         with open(str(output_path) + ".manifest.json", "w", encoding="utf-8") as fh:

@@ -32,10 +32,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .copula import (
     UniformGaussianCopula,
+    _scores,
     _second_moments,
     conditional_z_params,
     family_stats,
@@ -227,11 +228,11 @@ def fit_missing(data, dag):
 
 
 def _normal_scores_from_marginals(marginals, values, observed):
-    """Per-cell normal scores ndtri(cdf(x)); NaN at hidden cells."""
+    """Per-cell normal scores of the clamped cdf(x); NaN at hidden cells."""
     z = np.full(values.shape, np.nan)
     for j, marginal in enumerate(marginals):
         idx = observed[:, j]
-        z[idx, j] = ndtri(marginal.cdf(values[idx, j]))
+        z[idx, j] = _scores(marginal.cdf(values[idx, j]))
     return z
 
 
@@ -360,7 +361,7 @@ def forward_sample(model, count, seed):
         if not parents:
             u_node = np.clip(rng.random(count), 1e-12, 1.0 - 1e-12)
             u[:, node] = u_node
-            z[:, node] = ndtri(u_node)
+            z[:, node] = _scores(u_node)
             continue
         mean, variance = conditional_z_params(model.copulas[node], z[:, parents])
         z_node = mean + np.sqrt(variance) * rng.standard_normal(count)

@@ -130,6 +130,8 @@ def _ratio_from_stats(n, rho, fam_q, fam_s_sq, par_q, par_s_sq, rows=1.0):
 
 
 def _scores(u):
+    """Normal scores ndtri(u) of points strictly inside (0, 1): the one
+    normal-score transform of the package."""
     u = np.asarray(u, dtype=float)
     if u.size and (not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0)):
         raise OutOfRangeError("u values must lie strictly inside (0, 1)")

@@ -1,10 +1,11 @@
 """Directed acyclic graphs over variable indices.
 
 A :class:`Dag` stores one ordered parent tuple per node.  Instances are
-immutable; structure search manipulates plain parent-set lists and builds a
-``Dag`` from the result.
+immutable and cache their topological order and ancestor bit sets;
+structure search steps from one ``Dag`` to the next.
 """
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,26 +72,34 @@ class Dag:
     @cached_property
     def topological_order(self):
         """Node order with every parent before its children (Kahn's algorithm,
-        smallest index first for determinism)."""
-        remaining = {i: set(ps) for i, ps in enumerate(self.parents)}
+        smallest ready index first for determinism)."""
+        waiting = [len(ps) for ps in self.parents]
         children = [[] for _ in range(self.num_vars)]
         for i, ps in enumerate(self.parents):
             for p in ps:
                 children[p].append(i)
-        ready = sorted(i for i, ps in remaining.items() if not ps)
+        ready = [i for i, count in enumerate(waiting) if not count]
         order = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
-            newly = []
             for ch in children[node]:
-                remaining[ch].discard(node)
-                if not remaining[ch] and ch not in order and ch not in ready and ch not in newly:
-                    newly.append(ch)
-            ready = sorted(ready + newly)
+                waiting[ch] -= 1
+                if not waiting[ch]:
+                    heapq.heappush(ready, ch)
         if len(order) != self.num_vars:
             raise ValidationError("graph contains a directed cycle")
         return tuple(order)
+
+    @cached_property
+    def ancestors(self):
+        """Bit set of each node's strict ancestors: bit p of ``ancestors[v]``
+        is set when p ~> v."""
+        sets = [0] * self.num_vars
+        for node in self.topological_order:
+            for p in self.parents[node]:
+                sets[node] |= sets[p] | 1 << p
+        return tuple(sets)
 
     def edges(self):
         """All (parent, child) pairs, sorted."""

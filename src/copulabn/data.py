@@ -164,8 +164,8 @@ def load_csv(path):
     Raises
     ------
     ParseError
-        Malformed header, ragged rows, or a non-numeric or infinite cell
-        (the message names the 1-based row and column).
+        Malformed header, ragged rows, or a non-numeric, infinite or
+        ``nan`` cell (the message names the 1-based row and column).
     DegenerateColumnError
         A constant or nearly-empty column (the message names it).
     """
@@ -200,7 +200,7 @@ def load_csv(path):
                     raise ParseError(
                         f"{path}: row {r}, column {c + 1} ({names[c]}): cannot parse {cell!r} as a number"
                     ) from None
-                if math.isinf(value):
+                if not math.isfinite(value):
                     raise ParseError(
                         f"{path}: row {r}, column {c + 1} ({names[c]}): {cell!r} is not a finite number"
                     )

@@ -5,10 +5,10 @@ the empty graph: every legal move is scored, the best strictly improving
 one is applied, and the search stops when none improves.  Scores decompose
 per family, so a move re-scores only the touched families; results are
 deterministic (moves are enumerated in (child, parent) order and the first
-maximum wins).  The engine keeps only parent sets and, after each accepted
-move, one ancestor bit set per node, from which every move's acyclicity is
-read (Giudici & Castelo 2003).  ``SearchConfig(max_parents=1)`` restricts
-the search to forests of trees.
+maximum wins).  The engine steps from one :class:`Dag` to the next: each
+move is the list of families it changes, and its acyclicity is read from
+the current graph's ``Dag.ancestors`` bit sets (Giudici & Castelo 2003).
+``SearchConfig(max_parents=1)`` restricts the search to forests of trees.
 
 Two plain ``score(child, parents)`` functions of (moments, rows) plug into the same engine:
 
@@ -116,101 +116,79 @@ def _gaussian_score(mean, second, num_rows):
     return score
 
 
-def _ancestor_sets(parents):
-    """Bit set of each node's strict ancestors (bit p of ``sets[v]`` is set
-    when p ~> v), each built from its parents' sets by an explicit-stack
-    depth-first pass."""
-    sets = [None] * len(parents)
-    for root in range(len(parents)):
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            todo = [p for p in parents[node] if sets[p] is None]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            bits = 0
-            for p in parents[node]:
-                bits |= sets[p] | 1 << p
-            sets[node] = bits
-    return sets
+def _with(ps, p):
+    return tuple(sorted((*ps, p)))
 
 
-def _moves(parents, ancestors, max_parents):
-    """Every legal move as (kind, child, parent) in scan order: additions,
-    deletions, then reversals, each (child, parent)-ordered.
+def _without(ps, p):
+    return tuple(q for q in ps if q != p)
+
+
+def _moves(dag, max_parents):
+    """Every legal move as the tuple of ``(node, new sorted parents)``
+    changes it makes, in scan order: additions, deletions, then reversals,
+    each (child, parent)-ordered.  ``dag``'s parent tuples are sorted, as the
+    search keeps them.
 
     Adding parent->child closes a cycle iff child is an ancestor of parent.
     Reversing parent->child closes one iff another parent of child has
     parent as an ancestor.
     """
-    num_vars = len(parents)
-    for child in range(num_vars):
+    parents, ancestors = dag.parents, dag.ancestors
+    nodes = range(dag.num_vars)
+    for child in nodes:
         if len(parents[child]) >= max_parents:
             continue
-        for parent in range(num_vars):
+        for parent in nodes:
             if parent != child and parent not in parents[child] and not ancestors[parent] >> child & 1:
-                yield "add", child, parent
-    for child in range(num_vars):
-        for parent in sorted(parents[child]):
-            yield "delete", child, parent
-    for child in range(num_vars):
-        for parent in sorted(parents[child]):
+                yield ((child, _with(parents[child], parent)),)
+    for child in nodes:
+        for parent in parents[child]:
+            yield ((child, _without(parents[child], parent)),)
+    for child in nodes:
+        for parent in parents[child]:
             if len(parents[parent]) < max_parents and not any(
                 ancestors[q] >> parent & 1 for q in parents[child]
             ):
-                yield "reverse", child, parent
+                yield (
+                    (child, _without(parents[child], parent)),
+                    (parent, _with(parents[parent], child)),
+                )
 
 
 def _search(num_vars, score, config):
     """Best-ascent engine: applies the best strictly improving move (first
     maximum in scan order) until none improves, and returns the family
     scores ``score(child, parents)`` it maximized."""
-    parents = [set() for _ in range(num_vars)]
-    ancestors = [0] * num_vars
+    dag = Dag.empty(num_vars)
     cache = {}
 
-    def fscore(child, parent_set):
-        key = (child, tuple(sorted(parent_set)))
-        if key not in cache:
-            cache[key] = score(child, key[1])
-        return cache[key]
+    def fscore(node, ps):
+        if (node, ps) not in cache:
+            cache[node, ps] = score(node, ps)
+        return cache[node, ps]
 
     current = [fscore(i, ()) for i in range(num_vars)]
 
     for _ in range(_MAX_MOVES):
         best_gain = 0.0
         best_move = None
-        for kind, child, parent in _moves(parents, ancestors, config.max_parents):
-            if kind == "add":
-                gain = fscore(child, parents[child] | {parent}) - current[child]
-            elif kind == "delete":
-                gain = fscore(child, parents[child] - {parent}) - current[child]
-            else:
-                gain = (
-                    fscore(child, parents[child] - {parent})
-                    - current[child]
-                    + fscore(parent, parents[parent] | {child})
-                    - current[parent]
-                )
+        for move in _moves(dag, config.max_parents):
+            # Left to right: a reversal gains ((new_c - cur_c) + new_p) - cur_p.
+            gain = 0.0
+            for node, ps in move:
+                gain = gain + fscore(node, ps) - current[node]
             if gain > best_gain:
                 best_gain = gain
-                best_move = (kind, child, parent)
+                best_move = move
         if best_move is None:
             break
-        kind, child, parent = best_move
-        if kind == "add":
-            parents[child].add(parent)
-        else:
-            parents[child].remove(parent)
-        if kind == "reverse":
-            parents[parent].add(child)
-            current[parent] = fscore(parent, parents[parent])
-        current[child] = fscore(child, parents[child])
-        ancestors = _ancestor_sets(parents)
+        parents = list(dag.parents)
+        for node, ps in best_move:
+            parents[node] = ps
+            current[node] = fscore(node, ps)
+        dag = Dag(num_vars, tuple(parents))
 
-    dag = Dag(num_vars, tuple(tuple(sorted(ps)) for ps in parents))
     return ScoredStructure(dag, float(sum(current)), tuple(current))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from copulabn import benchmark
 from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark
 from copulabn.cli import main
 from copulabn.data import ExperimentProtocol, save_csv
@@ -78,13 +79,33 @@ def test_benchmark_rows_and_aggregates_are_consistent(small_csv, tmp_path):
 
 def test_benchmark_manifest_sidecar(small_csv, tmp_path):
     out = tmp_path / "bench.csv"
-    run_benchmark(small_csv, _tiny_protocol(), ["cbn"], [1], [0.0], out)
+    result = run_benchmark(small_csv, _tiny_protocol(), ["cbn"], [1], [0.0], out)
     manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
     assert manifest["dataset"] == str(small_csv)
     assert manifest["protocol"]["num_splits"] == 2
     assert manifest["protocol"]["base_seed"] == 7
     assert manifest["grid"]["model_kinds"] == ["cbn"]
-    assert "cell_wall_seconds" in manifest
+    assert manifest["cell_wall_seconds"] == [r.wall_seconds for r in result.rows]
+
+
+@pytest.mark.parametrize(
+    "flag, grid",
+    [("--model", "cbn,cbn"), ("--max-parents", "2,2"), ("--missing-fraction", "0,0.0")],
+)
+def test_repeated_grid_values_are_usage_errors(
+    small_csv, tmp_path, capsys, monkeypatch, flag, grid
+):
+    # A repeat would run every split of its configuration twice and take
+    # both aggregates over the doubled rows; it is refused before any cell.
+    def refuse(*args):
+        raise AssertionError("a benchmark cell ran")
+
+    monkeypatch.setattr(benchmark, "_run_cell", refuse)
+    out = tmp_path / "bench.csv"
+    argv = ["benchmark", "--data", str(small_csv), "--splits", "2", "--out", str(out)]
+    assert main(argv + [flag, grid]) == 1
+    assert "repeats a value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mask_seeds_differ_by_role_and_fraction():
@@ -255,7 +276,7 @@ def test_cli_exit_codes(small_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("cell", ["inf", "-inf"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
 def test_cli_infinite_cell_is_a_data_error(tmp_path, capsys, cell):
     bad = tmp_path / "inf.csv"
     bad.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n0.5,\n2.5,1.5\n")

@@ -55,6 +55,29 @@ def test_dag_topological_order_puts_parents_first():
                 assert position[parent] < position[child]
 
 
+def test_dag_topological_order_places_the_smallest_ready_node_first():
+    # forward_sample draws nodes in this order, so it is part of the output.
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        perm = rng.permutation(n)
+        density = rng.random()
+        edges = [
+            (int(perm[i]), int(perm[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        dag = Dag.from_edges(n, [edges[k] for k in rng.permutation(len(edges))])
+        placed = []
+        while len(placed) < n:
+            placed.append(min(
+                v for v in range(n)
+                if v not in placed and all(p in placed for p in dag.parents[v])
+            ))
+        assert dag.topological_order == tuple(placed)
+
+
 def test_dag_rejects_cycles_self_loops_and_bad_indices():
     with pytest.raises(ValidationError):
         Dag.from_edges(3, [(0, 1), (1, 2), (2, 0)])

@@ -1,6 +1,7 @@
 """Greedy structure search: penalties, family scores, and recovery."""
 
 import contextlib
+import itertools
 import pickle
 
 import numpy as np
@@ -21,9 +22,9 @@ from copulabn.model_io import serialize
 from copulabn.structure import (
     ScoredStructure,
     SearchConfig,
-    _ancestor_sets,
     _copula_score,
     _moves,
+    _search,
     bic_penalty,
     greedy_search,
 )
@@ -214,7 +215,7 @@ def test_move_legality_matches_dag_validation(num_vars, density, max_parents, se
                 parents[order[j]].add(order[i])
 
     # Ancestor sets against brute-force reachability over parent lists.
-    ancestors = _ancestor_sets(parents)
+    dag = Dag(num_vars, tuple(tuple(sorted(ps)) for ps in parents))
     for node in range(num_vars):
         reached, stack = set(), list(parents[node])
         while stack:
@@ -222,11 +223,12 @@ def test_move_legality_matches_dag_validation(num_vars, density, max_parents, se
             if p not in reached:
                 reached.add(p)
                 stack.extend(parents[p])
-        assert ancestors[node] == sum(1 << p for p in reached)
+        assert dag.ancestors[node] == sum(1 << p for p in reached)
 
     # The engine offers an add or a reversal exactly when the resulting
-    # graph is a DAG and the touched family stays within the cap.
-    moves = list(_moves(parents, ancestors, max_parents))
+    # graph is a DAG and the touched family stays within the cap; each move
+    # is the (node, new sorted parents) changes it makes.
+    moves = list(_moves(dag, max_parents))
     expected = {"add": [], "delete": [], "reverse": []}
     for child in range(num_vars):
         for parent in range(num_vars):
@@ -234,16 +236,123 @@ def test_move_legality_matches_dag_validation(num_vars, density, max_parents, se
                 continue
             changed = [set(ps) for ps in parents]
             if parent in parents[child]:
-                expected["delete"].append(("delete", child, parent))
                 changed[child].remove(parent)
+                expected["delete"].append(((child, tuple(sorted(changed[child]))),))
                 changed[parent].add(child)
                 if len(parents[parent]) < max_parents and _builds_a_dag(changed):
-                    expected["reverse"].append(("reverse", child, parent))
+                    expected["reverse"].append(
+                        (
+                            (child, tuple(sorted(changed[child]))),
+                            (parent, tuple(sorted(changed[parent]))),
+                        )
+                    )
             else:
                 changed[child].add(parent)
                 if len(parents[child]) < max_parents and _builds_a_dag(changed):
-                    expected["add"].append(("add", child, parent))
+                    expected["add"].append(((child, tuple(sorted(changed[child]))),))
     assert moves == expected["add"] + expected["delete"] + expected["reverse"]
+
+
+def _reference_search(num_vars, score, max_parents):
+    """Textbook best ascent: enumerate every addition, deletion and reversal
+    in scan order, keep those whose result is a DAG within the cap, and
+    apply the first strict maximum of the gains.  Like the engine, it stops
+    after ``_MAX_MOVES`` accepted moves: a gain of rounding size can flip a
+    reversal back and forth."""
+    parents = [set() for _ in range(num_vars)]
+
+    def family(node, ps):
+        return score(node, tuple(sorted(ps)))
+
+    current = [family(i, ()) for i in range(num_vars)]
+    for _ in range(structure._MAX_MOVES):
+        adds, deletes, reversals = [], [], []
+        for child in range(num_vars):
+            for parent in range(num_vars):
+                if parent == child:
+                    continue
+                changed = [set(ps) for ps in parents]
+                if parent in parents[child]:
+                    changed[child].remove(parent)
+                    gain = family(child, changed[child]) - current[child]
+                    deletes.append((gain, changed))
+                    changed = [set(ps) for ps in changed]
+                    changed[parent].add(child)
+                    if len(changed[parent]) <= max_parents and _builds_a_dag(changed):
+                        gain = (
+                            family(child, changed[child])
+                            - current[child]
+                            + family(parent, changed[parent])
+                            - current[parent]
+                        )
+                        reversals.append((gain, changed))
+                else:
+                    changed[child].add(parent)
+                    if len(changed[child]) <= max_parents and _builds_a_dag(changed):
+                        adds.append((family(child, changed[child]) - current[child], changed))
+        best_gain, best = 0.0, None
+        for gain, changed in adds + deletes + reversals:
+            if gain > best_gain:
+                best_gain, best = gain, changed
+        if best is None:
+            break
+        parents = best
+        current = [family(i, ps) for i, ps in enumerate(parents)]
+    return tuple(tuple(sorted(ps)) for ps in parents), current
+
+
+def _reference_table(rng, num_vars, max_parents):
+    """A random score table shaped like a likelihood-equivalent score: a
+    family scores block(child + parents) - block(parents) - penalty * |parents|,
+    where a block sums nonnegative weights over its subsets of two or more
+    nodes.  A one-parent family then ties exactly with its reversal, and
+    higher-order weights make reversals pay.  Weights span 1e-3 to 1e3, and
+    some repeat exactly."""
+    tie_share = rng.random() * 0.5
+    pool = np.abs(rng.standard_normal(3)) * 10.0 ** rng.integers(-3, 4, size=3)
+    weights = {}
+
+    def block(nodes):
+        total = 0.0
+        for size in range(2, len(nodes) + 1):
+            for subset in itertools.combinations(nodes, size):
+                if subset not in weights:
+                    u = rng.random()
+                    if u < tie_share:
+                        weights[subset] = float(rng.choice(pool))
+                    elif u < 0.5 + tie_share / 2:
+                        weights[subset] = 0.0
+                    else:
+                        weights[subset] = abs(rng.standard_normal()) * 10.0 ** rng.integers(-3, 4)
+                total += weights[subset]
+        return total
+
+    penalty = 10.0 ** rng.integers(-3, 3)
+    table = {}
+    for child in range(num_vars):
+        others = [v for v in range(num_vars) if v != child]
+        for size in range(min(max_parents, len(others)) + 1):
+            for ps in itertools.combinations(others, size):
+                family = tuple(sorted((child, *ps)))
+                table[child, ps] = float(block(family) - block(ps) - penalty * size)
+    return table
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_search_matches_a_reference_hill_climber(seed):
+    rng = np.random.default_rng(seed)
+    num_vars, max_parents = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+    table = _reference_table(rng, num_vars, max_parents)
+
+    def score(child, parents):
+        return table[child, parents]
+
+    result = _search(num_vars, score, SearchConfig(max_parents=max_parents))
+    parents, current = _reference_search(num_vars, score, max_parents)
+    assert result.dag.parents == parents
+    assert np.array(result.per_family_scores).tobytes() == np.array(current).tobytes()
+    assert np.float64(result.score).tobytes() == np.float64(sum(current)).tobytes()
 
 
 # ------------------------------------------------------------ recovery
