@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cbn import CbnModel, fit_missing, lower_bound_rows
+from .cbn import CbnModel, lower_bound_rows
 from .data import (
     SEED_TAG_MASK_TEST,
     SEED_TAG_MASK_TRAIN,
@@ -31,8 +31,8 @@ from .data import (
     make_split,
 )
 from .errors import CopulaBnError, InvalidInputError
-from .gaussian_bn import em_fit_lg, log_marginal_lg_rows
-from .structure import SearchConfig, greedy_search
+from .gaussian_bn import log_marginal_lg_rows
+from .structure import SearchConfig, _learn
 
 __all__ = [
     "BenchmarkRow",
@@ -131,11 +131,8 @@ def mask_seed_for(base_seed, split_index, missing_fraction, role):
 
 
 def fit_model(train, model_kind, config):
-    """Learn structure on the (possibly masked) training half, then parameters."""
-    structure = greedy_search(train, config, model_kind=model_kind)
-    if model_kind == "cbn":
-        return fit_missing(train, structure.dag)
-    return em_fit_lg(train, structure.dag)
+    """The model greedy_search's structural-EM loop fits on the (masked) training half."""
+    return _learn(train, config, model_kind)[1]
 
 
 def score_rows(model, data):

@@ -19,20 +19,21 @@ Two plain ``score(child, parents)`` functions of (moments, rows) plug into the s
   log-likelihood from (expected) moment matrices minus the penalty for its
   ``len(parents) + 2`` parameters.
 
-Missing data never requires posterior inference: the copula moments hold
-the likelihood bound's expectations, and the Gaussian score runs inside a
-structural-EM loop (search on expected moments, refit, repeat until the
-structure stops changing).
+Both kinds learn in one structural-EM loop: search on the moments the
+current model gives, fit the graph found, and repeat while the moments read
+the model, as only the Gaussian E-step with hidden cells does; the copula
+moments hold the likelihood bound's expectations, read from the data alone.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cbn import _score_table
+from .cbn import _score_table, fit_missing
 from .copula import family_stats
 from .dag import Dag
-from .errors import InvalidInputError, OutOfRangeError, ValidationError
+from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import (
     _moments_from_complete,
     em_fit_lg,
@@ -47,9 +48,9 @@ __all__ = [
     "greedy_search",
 ]
 
-# Cap on structural-EM rounds (search, then EM refit) of the lgbn search.
+# Cap on the searches of one structural-EM loop (lgbn with hidden cells).
 _STRUCTURE_ROUNDS = 3
-# Cap on accepted moves of one greedy search.
+# Cap on accepted moves of one greedy search; an improving move left after it raises.
 _MAX_MOVES = 1000
 
 
@@ -158,19 +159,13 @@ def _moves(dag, max_parents):
 
 def _search(num_vars, score, config):
     """Best-ascent engine: applies the best strictly improving move (first
-    maximum in scan order) until none improves, and returns the family
-    scores ``score(child, parents)`` it maximized."""
+    maximum in scan order) until none improves, and returns the family scores
+    it maximized; ``ConvergenceError`` if one still improves after ``_MAX_MOVES``."""
     dag = Dag.empty(num_vars)
-    cache = {}
-
-    def fscore(node, ps):
-        if (node, ps) not in cache:
-            cache[node, ps] = score(node, ps)
-        return cache[node, ps]
-
+    fscore = functools.cache(score)
     current = [fscore(i, ()) for i in range(num_vars)]
 
-    for _ in range(_MAX_MOVES):
+    for accepted in range(_MAX_MOVES + 1):
         best_gain = 0.0
         best_move = None
         for move in _moves(dag, config.max_parents):
@@ -183,6 +178,8 @@ def _search(num_vars, score, config):
                 best_move = move
         if best_move is None:
             break
+        if accepted == _MAX_MOVES:
+            raise ConvergenceError(f"search still gains {best_gain!r} after {_MAX_MOVES} moves")
         parents = list(dag.parents)
         for node, ps in best_move:
             parents[node] = ps
@@ -201,39 +198,44 @@ def greedy_search(data, config, model_kind="cbn"):
     config : SearchConfig
     model_kind : str
         "cbn" scores families under the copula model; "lgbn" under the
-        linear-Gaussian baseline (with a structural-EM loop when cells are
-        missing: search on expected moments, refit, repeat until stable).
+        linear-Gaussian baseline, in structural-EM rounds when cells are hidden.
 
     Returns
     -------
     ScoredStructure
         ``per_family_scores`` holds each node's penalized family score for
-        its returned parents; ``score`` is their sum.
+        its returned parents; ``score`` is their sum.  Searching also fits
+        the model that :func:`copulabn.benchmark.fit_model` returns.
     """
+    return _learn(data, config, model_kind)[0]
+
+
+def _learn(data, config, model_kind):
+    """Structural EM (Friedman 1998): ``(ScoredStructure, model fitted to its dag)``.
+
+    Each kind gives ``score_for(model)`` and ``fit(data, dag)``.  Only an E-step that
+    reads the model (lgbn with hidden cells) repeats, up to ``_STRUCTURE_ROUNDS``
+    searches, until a search returns the model's own graph."""
+    model = None
     if model_kind == "cbn":
         score = _copula_score(_score_table(data).second, data.num_rows)
-        return _search(data.num_cols, score, config)
-    if model_kind == "lgbn":
-        return _greedy_search_lg(data, config)
-    raise InvalidInputError(f"unknown model_kind {model_kind!r}")
-
-
-def _greedy_search_lg(data, config):
-    if data.fully_observed:
+        score_for, fit = lambda _: score, fit_missing
+    elif model_kind == "lgbn" and data.fully_observed:
         score = _gaussian_score(*_moments_from_complete(data.values), data.num_rows)
-        return _search(data.num_cols, score, config)
+        score_for, fit = lambda _: score, em_fit_lg
+    elif model_kind == "lgbn":
+        def score_for(model):
+            s1, s2, m = expected_moments(model, data)
+            return _gaussian_score(s1 / m, s2 / m, m)
 
-    # Structural EM: score on expected moments under the current model,
-    # refit with EM on the found structure, repeat until the structure
-    # stops changing.
-    model = em_fit_lg(data, Dag.empty(data.num_cols))
-    previous = None
-    result = None
-    for _ in range(_STRUCTURE_ROUNDS):
-        s1, s2, m = expected_moments(model, data)
-        result = _search(data.num_cols, _gaussian_score(s1 / m, s2 / m, m), config)
-        if previous is not None and result.dag.parents == previous:
+        fit = em_fit_lg
+        model = fit(data, Dag.empty(data.num_cols))
+    else:
+        raise InvalidInputError(f"unknown model_kind {model_kind!r}")
+
+    for _ in range(_STRUCTURE_ROUNDS if model is not None else 1):
+        result = _search(data.num_cols, score_for(model), config)
+        if model is not None and result.dag.parents == model.dag.parents:
             break
-        previous = result.dag.parents
-        model = em_fit_lg(data, result.dag)
-    return result
+        model = fit(data, result.dag)
+    return result, model
