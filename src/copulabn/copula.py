@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyroots
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, InvalidRhoError, OutOfRangeError, TooFewRowsError
@@ -66,7 +65,11 @@ def _check_rho(n, rho):
             raise InvalidRhoError("a 1-dimensional copula must have rho = 0")
         return
     lo, hi = rho_bounds(n)
-    if not np.isfinite(rho) or not (lo <= rho <= hi):
+    if isinstance(rho, np.ndarray):
+        valid = bool(np.all(np.isfinite(rho) & (lo <= rho) & (rho <= hi)))
+    else:
+        valid = np.isfinite(rho) and lo <= rho <= hi
+    if not valid:
         raise InvalidRhoError(f"rho={rho!r} outside [{lo:.6g}, {hi:.6g}] for dimension {n}")
 
 
@@ -288,22 +291,65 @@ class FamilyStats:
         the interval or at an end.  Every root's real part inside the interval
         is scored (a real root may come back with a tiny imaginary part), as
         are both ends and rho = 0, and the best candidate wins, rho = 0 on a
-        tie; the result never scores below independence.
+        tie; the result never scores below independence.  This is the
+        one-family case of :func:`_fit_families`, which fits many at once.
         """
-        n = self.dim
-        lo, hi = rho_bounds(n)
-        k = n - 1
-        N, A, B = self.num_rows, self.fam_q, self.fam_s_sq
-        C, D = (self.par_q, self.par_s_sq) if k >= 2 else (0.0, 0.0)
-        weights = [
-            N, -N * (n - 1), N * (k - 1),
-            (C - D / k) - (A - B / n), B * (n - 1) / n, -D * (k - 1) / k,
-        ]
-        roots = polyroots(np.dot(weights, _stationarity_basis(n))).real
-        candidates = [0.0, lo, hi, *roots[(lo < roots) & (roots < hi)]]
-        values = [self.objective(r) for r in candidates]
-        best = int(np.argmax(values))
-        return float(candidates[best]), float(values[best])
+        stats = np.array(
+            [[self.fam_q], [self.fam_s_sq], [self.par_q], [self.par_s_sq]], dtype=float
+        )
+        rho, value = _fit_families(self.dim, self.num_rows, *stats)
+        return float(rho[0]), float(value[0])
+
+
+def _fit_families(n, num_rows, fam_q, fam_s_sq, par_q, par_s_sq):
+    """:meth:`FamilyStats.fit` of F families of dimension ``n`` at once, from
+    (F,) arrays of their statistics: ``(rho, value)`` arrays.
+
+    Each family's stationarity polynomial is its weight row times
+    ``_stationarity_basis(n)``, multiplied row by row as a stacked
+    vector-matrix product.  Trailing zero coefficients are trimmed, and the
+    families are grouped by the degree left: degree 1 has the root
+    ``-c0 / c1``, higher degrees the sorted eigenvalues of their companion
+    matrices, stacked into one ``eigvals`` call.  Candidates outside the
+    interval are masked, and the first best candidate wins, in the order
+    0, lo, hi, then the roots in ascending order.
+    """
+    lo, hi = rho_bounds(n)
+    k = n - 1
+    N, A, B = num_rows, fam_q, fam_s_sq
+    C, D = (par_q, par_s_sq) if k >= 2 else (0.0, 0.0)
+    weights = np.empty((A.size, 6))
+    weights[:, :3] = N, -N * (n - 1), N * (k - 1)
+    weights[:, 3] = (C - D / k) - (A - B / n)
+    weights[:, 4] = B * (n - 1) / n
+    weights[:, 5] = -D * (k - 1) / k
+    coef = np.matmul(weights[:, None, :], _stationarity_basis(n))[:, 0, :]
+    nonzero = coef != 0
+    degree = np.where(nonzero.any(axis=1), 5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    # Candidates per family: 0, lo, hi, then up to five roots (a view).
+    candidates = np.zeros((A.size, 8))
+    candidates[:, 1:3] = lo, hi
+    roots = candidates[:, 3:]
+    for d in set(degree.tolist()) - {0}:
+        rows = np.nonzero(degree == d)[0]
+        c = coef[rows, : d + 1]
+        if d == 1:
+            roots[rows, 0] = -c[:, 0] / c[:, 1]
+            continue
+        # Companion matrices as numpy's polycompanion builds them.
+        companion = np.zeros((rows.size, d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots[rows, :d] = np.sort(np.linalg.eigvals(companion), axis=1).real
+    outside = ~((lo < roots) & (roots < hi)) | (np.arange(5) >= degree[:, None])
+    roots[outside] = 0.0
+    values = _ratio_from_stats(
+        n, candidates, A[:, None], B[:, None], par_q[:, None], par_s_sq[:, None], N
+    )
+    values[:, 3:][outside] = -np.inf
+    best = np.argmax(values, axis=1)
+    pick = np.arange(A.size)
+    return candidates[pick, best], values[pick, best]
 
 
 @lru_cache(maxsize=None)
@@ -350,15 +396,24 @@ def family_stats(second, num_rows, cols):
     parents' order changes no bit, and a one-parent family and its reversal
     share their family block."""
     cols = tuple(cols)
-    fam, par = (second[np.ix_(idx, idx)] for idx in (sorted(cols), sorted(cols[1:])))
+    fam_q, fam_s_sq = _block_stats(second, np.array([sorted(cols)], dtype=np.intp))
+    par_q, par_s_sq = _block_stats(second, np.array([sorted(cols[1:])], dtype=np.intp))
     return FamilyStats(
         num_rows=float(num_rows),
         dim=len(cols),
-        fam_q=float(np.trace(fam)),
-        fam_s_sq=float(fam.sum()),
-        par_q=float(np.trace(par)),
-        par_s_sq=float(par.sum()),
+        fam_q=float(fam_q[0]),
+        fam_s_sq=float(fam_s_sq[0]),
+        par_q=float(par_q[0]),
+        par_s_sq=float(par_s_sq[0]),
     )
+
+
+def _block_stats(second, idx):
+    """Summed q and s^2 of F blocks of ``second`` in one gather: the trace and
+    the total of ``second[i, j]`` over i, j in each (sorted) row of the (F, m)
+    index array ``idx``."""
+    blocks = second[idx[:, :, None], idx[:, None, :]]
+    return np.trace(blocks, axis1=1, axis2=2), blocks.sum(axis=(1, 2))
 
 
 def fit_rho(family_u_rows):

@@ -1,13 +1,16 @@
 """Directed acyclic graphs over variable indices.
 
 A :class:`Dag` stores one ordered parent tuple per node.  Instances are
-immutable and cache their topological order and ancestor bit sets;
-structure search steps from one ``Dag`` to the next.
+immutable and cache their topological order and ancestor bit sets, which
+:meth:`Dag.ancestor_matrix` unpacks for array code; structure search steps
+from one ``Dag`` to the next.
 """
 
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -100,6 +103,13 @@ class Dag:
             for p in self.parents[node]:
                 sets[node] |= sets[p] | 1 << p
         return tuple(sets)
+
+    def ancestor_matrix(self):
+        """``ancestors`` as a boolean matrix: entry [v, p] is True when p ~> v."""
+        width = (self.num_vars + 7) // 8
+        packed = b"".join(a.to_bytes(width, "little") for a in self.ancestors)
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(self.num_vars, width)
+        return np.unpackbits(bits, axis=1, count=self.num_vars, bitorder="little").astype(bool)
 
     def edges(self):
         """All (parent, child) pairs, sorted."""

@@ -33,6 +33,10 @@ __all__ = [
     "prepare_communities_csv",
 ]
 
+# Rows that load_csv parses in one pass; a block's cell strings are all held
+# at once, so the block bounds that memory.
+_PARSE_ROWS = 256
+
 # Purpose tags mixed into derived seeds so different uses of the same base
 # seed get independent streams.
 SEED_TAG_SPLIT = 1
@@ -180,34 +184,31 @@ def load_csv(path):
             raise ParseError(f"{path}: header has an empty column name")
         if len(set(names)) != len(names):
             raise ParseError(f"{path}: header has duplicate column names")
-        rows = []
-        for r, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ParseError(
-                    f"{path}: row {r} has {len(row)} cells, expected {len(names)}"
-                )
-            parsed = np.empty(len(names))
-            for c, cell in enumerate(row):
-                cell = cell.strip()
-                if not cell:
-                    parsed[c] = np.nan
+        blocks, rows, line_numbers, failure = [], [], [], None
+        try:
+            for r, row in enumerate(reader, start=2):
+                if not row:
                     continue
-                try:
-                    parsed[c] = value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {r}, column {c + 1} ({names[c]}): cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {r}, column {c + 1} ({names[c]}): {cell!r} is not a finite number"
+                if len(row) != len(names):
+                    failure = ParseError(
+                        f"{path}: row {r} has {len(row)} cells, expected {len(names)}"
                     )
-            rows.append(parsed)
-    if not rows:
+                    break
+                rows.append(row)
+                line_numbers.append(r)
+                if len(rows) == _PARSE_ROWS:
+                    blocks.append(_parse_cells(path, names, rows, line_numbers))
+                    rows, line_numbers = [], []
+        except csv.Error as err:
+            failure = err
+        # Parsed before the failure is raised: a bad cell in an earlier row
+        # is reported first.
+        blocks.append(_parse_cells(path, names, rows, line_numbers))
+    if failure is not None:
+        raise failure
+    values = np.concatenate(blocks)
+    if not values.shape[0]:
         raise EmptyInputError(f"{path}: no data rows")
-    values = np.vstack(rows)
     data = MaskedDataset.from_values(values, tuple(names))
     for j, name in enumerate(data.column_names):
         col = data.values[data.observed[:, j], j]
@@ -218,6 +219,36 @@ def load_csv(path):
         if float(col.max()) == float(col.min()):
             raise DegenerateColumnError(f"column '{name}' is constant; it cannot be modeled")
     return data
+
+
+def _parse_cells(path, names, rows, line_numbers):
+    """The (rows, columns) values of CSV rows: Python ``float`` of each cell,
+    NaN for an empty one.  All cells are parsed in one pass; only when one
+    fails does a cell-by-cell pass find the first bad cell for the message
+    (1-based row and column)."""
+    cells = [cell.strip() for row in rows for cell in row]
+    try:
+        values = np.fromiter(map(float, [cell or "nan" for cell in cells]), float, len(cells))
+        clean = not any(cells[i] for i in np.flatnonzero(~np.isfinite(values)).tolist())
+    except ValueError:
+        clean = False
+    if not clean:
+        for r, row in zip(line_numbers, rows):
+            for c, cell in enumerate(row):
+                cell = cell.strip()
+                if not cell:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {r}, column {c + 1} ({names[c]}): cannot parse {cell!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {r}, column {c + 1} ({names[c]}): {cell!r} is not a finite number"
+                    )
+    return values.reshape(len(rows), len(names))
 
 
 def _format_cell(x):

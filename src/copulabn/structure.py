@@ -2,19 +2,25 @@
 
 Best-ascent hill climbing over add/delete/reverse edge moves, starting from
 the empty graph: every legal move is scored, the best strictly improving
-one is applied, and the search stops when none improves.  Scores decompose
-per family, so a move re-scores only the touched families; results are
-deterministic (moves are enumerated in (child, parent) order and the first
-maximum wins).  The engine steps from one :class:`Dag` to the next: each
-move is the list of families it changes, and its acyclicity is read from
-the current graph's ``Dag.ancestors`` bit sets (Giudici & Castelo 2003).
+one is applied, and the search stops when none improves.  Results are
+deterministic: moves are scanned as additions, deletions, then reversals,
+each in (child, parent) order, and the first maximum wins.  The engine
+steps from one :class:`Dag` to the next and keeps two gain arrays, each
+child's family score with each node added to or deleted from its parents
+(Chickering 2002 caches such deltas); scores decompose per family, so after
+a move only the rows of the one or two children whose parents changed are
+refilled.  Legality comes as boolean masks from the graph's ancestor matrix
+(Giudici & Castelo 2003), and one masked argmax picks the move.
 ``SearchConfig(max_parents=1)`` restricts the search to forests of trees.
 
-Two plain ``score(child, parents)`` functions of (moments, rows) plug into the same engine:
+Two plain ``score(child, parent_sets)`` functions of (moments, rows), each
+returning one child's family scores as an array, plug into the same engine:
 
 * the copula-network score — each family's maximized sum of (expected) log
   ratio terms, read from the score table's second-moment matrix, minus the
-  penalty for its one correlation; marginal terms are structure-invariant;
+  penalty for its one correlation; marginal terms are structure-invariant.
+  A child's candidate families are read from the matrix in one gather and
+  their correlations fitted in one batch;
 * the linear-Gaussian score — each family's maximized conditional
   log-likelihood from (expected) moment matrices minus the penalty for its
   ``len(parents) + 2`` parameters.
@@ -25,13 +31,12 @@ the model, as only the Gaussian E-step with hidden cells does; the copula
 moments hold the likelihood bound's expectations, read from the data alone.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cbn import _score_table, fit_missing
-from .copula import family_stats
+from .copula import _block_stats, _fit_families
 from .dag import Dag
 from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import (
@@ -97,22 +102,36 @@ def bic_penalty(num_params, num_instances):
 
 
 def _copula_score(second, num_rows):
-    """Penalized copula family score: the maximized family objective minus
-    the penalty for its one correlation; 0 without parents."""
-    def score(child, parents):
-        if not parents:
-            return 0.0
-        _, value = family_stats(second, num_rows, (child, *parents)).fit()
-        return float(value) - bic_penalty(1, num_rows)
+    """Penalized copula family scores of one child's parent sets: each
+    family's maximized objective minus the penalty for its one correlation,
+    0 without parents.  Families of one size are read from ``second`` in one
+    gather and fitted together."""
+    penalty = bic_penalty(1, num_rows)
+
+    def score(child, parent_sets):
+        values = np.zeros(len(parent_sets))
+        sizes = np.array([len(ps) for ps in parent_sets])
+        for size in np.unique(sizes[sizes > 0]):
+            rows = np.nonzero(sizes == size)[0]
+            fam = np.array([sorted((child, *parent_sets[i])) for i in rows], dtype=np.intp)
+            par = np.array([sorted(parent_sets[i]) for i in rows], dtype=np.intp)
+            stats = (*_block_stats(second, fam), *_block_stats(second, par))
+            _, value = _fit_families(int(size) + 1, float(num_rows), *stats)
+            values[rows] = value - penalty
+        return values
 
     return score
 
 
 def _gaussian_score(mean, second, num_rows):
-    """Penalized linear-Gaussian family score from moment matrices."""
-    def score(child, parents):
-        ll = family_ll_from_moments(mean, second, child, parents, num_rows)
-        return float(ll) - bic_penalty(len(parents) + 2, num_rows)
+    """Penalized linear-Gaussian family scores of one child's parent sets,
+    from moment matrices."""
+    def score(child, parent_sets):
+        return np.array([
+            float(family_ll_from_moments(mean, second, child, ps, num_rows))
+            - bic_penalty(len(ps) + 2, num_rows)
+            for ps in parent_sets
+        ])
 
     return score
 
@@ -125,65 +144,87 @@ def _without(ps, p):
     return tuple(q for q in ps if q != p)
 
 
-def _moves(dag, max_parents):
-    """Every legal move as the tuple of ``(node, new sorted parents)``
-    changes it makes, in scan order: additions, deletions, then reversals,
-    each (child, parent)-ordered.  ``dag``'s parent tuples are sorted, as the
-    search keeps them.
+def _legal_moves(dag, max_parents):
+    """Boolean (child, parent) masks of ``dag``'s legal additions, deletions
+    and reversals of the edge parent->child.
 
     Adding parent->child closes a cycle iff child is an ancestor of parent.
     Reversing parent->child closes one iff another parent of child has
     parent as an ancestor.
     """
-    parents, ancestors = dag.parents, dag.ancestors
-    nodes = range(dag.num_vars)
-    for child in nodes:
-        if len(parents[child]) >= max_parents:
-            continue
-        for parent in nodes:
-            if parent != child and parent not in parents[child] and not ancestors[parent] >> child & 1:
-                yield ((child, _with(parents[child], parent)),)
-    for child in nodes:
-        for parent in parents[child]:
-            yield ((child, _without(parents[child], parent)),)
-    for child in nodes:
-        for parent in parents[child]:
-            if len(parents[parent]) < max_parents and not any(
-                ancestors[q] >> parent & 1 for q in parents[child]
-            ):
-                yield (
-                    (child, _without(parents[child], parent)),
-                    (parent, _with(parents[parent], child)),
-                )
+    n = dag.num_vars
+    ancestors = dag.ancestor_matrix()
+    sizes = np.array([len(ps) for ps in dag.parents])
+    edges = np.zeros((n, n), dtype=bool)
+    edges[np.repeat(np.arange(n), sizes), [p for ps in dag.parents for p in ps]] = True
+    room = sizes < max_parents
+    add = ~edges & ~ancestors.T & room[:, None]
+    np.fill_diagonal(add, False)
+    reached = edges.astype(float) @ ancestors.astype(float) > 0
+    return add, edges, edges & room[None, :] & ~reached
 
 
 def _search(num_vars, score, config):
     """Best-ascent engine: applies the best strictly improving move (first
     maximum in scan order) until none improves, and returns the family scores
-    it maximized; ``ConvergenceError`` if one still improves after ``_MAX_MOVES``."""
+    it maximized; ``ConvergenceError`` if one still improves after ``_MAX_MOVES``.
+
+    ``added[c, p]`` holds the score of c's family with p added and
+    ``deleted[c, p]`` with p deleted; a reversal gains
+    ``((deleted[c, p] - current[c]) + added[p, c]) - current[p]``.  An entry
+    is filled when a legal move first needs it, with each child's missing
+    entries scored in one call, and a child's rows are emptied (set to NaN)
+    when its parents change.  No family is scored twice: a family seen
+    before, NaN-scored ones included, is read from the cache."""
+    scored = {}
+
+    def family_scores(child, parent_sets):
+        todo = [ps for ps in parent_sets if (child, ps) not in scored]
+        if todo:
+            scored.update(zip([(child, ps) for ps in todo], score(child, todo)))
+        return [scored[child, ps] for ps in parent_sets]
+
     dag = Dag.empty(num_vars)
-    fscore = functools.cache(score)
-    current = [fscore(i, ()) for i in range(num_vars)]
+    current = np.array([family_scores(i, [()])[0] for i in range(num_vars)])
+    added, deleted = np.full((2, num_vars, num_vars), np.nan)
 
     for accepted in range(_MAX_MOVES + 1):
-        best_gain = 0.0
-        best_move = None
-        for move in _moves(dag, config.max_parents):
-            # Left to right: a reversal gains ((new_c - cur_c) + new_p) - cur_p.
-            gain = 0.0
-            for node, ps in move:
-                gain = gain + fscore(node, ps) - current[node]
-            if gain > best_gain:
-                best_gain = gain
-                best_move = move
-        if best_move is None:
+        # legal[kind] for the additions, deletions and reversals.
+        legal = np.stack(_legal_moves(dag, config.max_parents))
+        need_added = (legal[0] | legal[2].T) & np.isnan(added)
+        need_deleted = legal[1] & np.isnan(deleted)
+        for child in np.nonzero(need_added.any(axis=1) | need_deleted.any(axis=1))[0].tolist():
+            ps = dag.parents[child]
+            adds = np.nonzero(need_added[child])[0].tolist()
+            dels = np.nonzero(need_deleted[child])[0].tolist()
+            values = family_scores(child, [_with(ps, p) for p in adds] + [_without(ps, p) for p in dels])
+            added[child, adds] = values[: len(adds)]
+            deleted[child, dels] = values[len(adds):]
+
+        add_gain = added - current[:, None]
+        delete_gain = deleted - current[:, None]
+        gains = np.stack([add_gain, delete_gain, (delete_gain + added.T) - current[None, :]])
+        gains[~legal | np.isnan(gains)] = -np.inf
+        # Scan order is the flat order: additions, deletions, then reversals,
+        # each (child, parent)-ordered; argmax keeps the first maximum.
+        best = int(np.argmax(gains))
+        best_gain = float(gains.flat[best])
+        if not best_gain > 0.0:
             break
         if accepted == _MAX_MOVES:
             raise ConvergenceError(f"search still gains {best_gain!r} after {_MAX_MOVES} moves")
+        kind, child, parent = (int(i) for i in np.unravel_index(best, gains.shape))
         parents = list(dag.parents)
-        for node, ps in best_move:
+        if kind == 0:
+            move = [(child, _with(parents[child], parent))]
+        else:
+            move = [(child, _without(parents[child], parent))]
+        if kind == 2:
+            move.append((parent, _with(parents[parent], child)))
+        for node, ps in move:
             parents[node] = ps
-            current[node] = fscore(node, ps)
+            current[node] = scored[node, ps]
+            added[node] = deleted[node] = np.nan
         dag = Dag(num_vars, tuple(parents))
 
     return ScoredStructure(dag, float(sum(current)), tuple(current))

@@ -1,6 +1,7 @@
-"""Shared fixtures, synthetic-data generators and the quadrature and
-Gaussian-conditioning oracles for the test suite."""
+"""Shared fixtures, synthetic-data generators and the quadrature,
+Gaussian-conditioning and structure-search oracles for the test suite."""
 
+import functools
 from functools import lru_cache
 from pathlib import Path
 
@@ -9,7 +10,9 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import roots_hermitenorm, roots_legendre
 
-from copulabn.errors import OutOfRangeError
+from copulabn.dag import Dag
+from copulabn.errors import ConvergenceError, OutOfRangeError
+from copulabn.structure import _MAX_MOVES, ScoredStructure
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WINE_CSV = DATA_DIR / "wine_quality_red.csv"
@@ -219,3 +222,78 @@ def condition_by_pattern(mean, cov, values, observed, moments):
         s1 += completed.sum(axis=0)
         s2 += completed.T @ completed + rows.size * cond_cov
     return log_rows, s1, s2
+
+
+# ------------------------------------------------- structure-search oracle
+
+
+def _with(ps, p):
+    return tuple(sorted((*ps, p)))
+
+
+def _without(ps, p):
+    return tuple(q for q in ps if q != p)
+
+
+def _rescan_moves(dag, max_parents):
+    """Every legal move as the tuple of ``(node, new sorted parents)``
+    changes it makes, in scan order: additions, deletions, then reversals,
+    each (child, parent)-ordered.  ``dag``'s parent tuples are sorted, as the
+    search keeps them.
+
+    Adding parent->child closes a cycle iff child is an ancestor of parent.
+    Reversing parent->child closes one iff another parent of child has
+    parent as an ancestor.
+    """
+    parents, ancestors = dag.parents, dag.ancestors
+    nodes = range(dag.num_vars)
+    for child in nodes:
+        if len(parents[child]) >= max_parents:
+            continue
+        for parent in nodes:
+            if parent != child and parent not in parents[child] and not ancestors[parent] >> child & 1:
+                yield ((child, _with(parents[child], parent)),)
+    for child in nodes:
+        for parent in parents[child]:
+            yield ((child, _without(parents[child], parent)),)
+    for child in nodes:
+        for parent in parents[child]:
+            if len(parents[parent]) < max_parents and not any(
+                ancestors[q] >> parent & 1 for q in parents[child]
+            ):
+                yield (
+                    (child, _without(parents[child], parent)),
+                    (parent, _with(parents[parent], child)),
+                )
+
+
+def rescan_search(num_vars, score, config):
+    """The best-ascent engine that rescans every legal move at every step,
+    kept as the oracle of ``structure._search``: ``score(child, parents)``
+    gives one family's score."""
+    dag = Dag.empty(num_vars)
+    fscore = functools.cache(score)
+    current = [fscore(i, ()) for i in range(num_vars)]
+
+    for accepted in range(_MAX_MOVES + 1):
+        best_gain = 0.0
+        best_move = None
+        for move in _rescan_moves(dag, config.max_parents):
+            # Left to right: a reversal gains ((new_c - cur_c) + new_p) - cur_p.
+            gain = 0.0
+            for node, ps in move:
+                gain = gain + fscore(node, ps) - current[node]
+            if gain > best_gain:
+                best_gain = gain
+                best_move = move
+        if best_move is None:
+            break
+        if accepted == _MAX_MOVES:
+            raise ConvergenceError(f"search still gains {best_gain!r} after {_MAX_MOVES} moves")
+        parents = list(dag.parents)
+        for node, ps in best_move:
+            parents[node] = ps
+            current[node] = fscore(node, ps)
+        dag = Dag(num_vars, tuple(parents))
+
+    return ScoredStructure(dag, float(sum(current)), tuple(current))

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyroots
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm
 
@@ -13,7 +14,10 @@ from copulabn.copula import (
     FamilyStats,
     RHO_MARGIN,
     UniformGaussianCopula,
+    _block_stats,
+    _fit_families,
     _second_moments,
+    _stationarity_basis,
     conditional_z_params,
     copula_log_density,
     copula_log_density_rows,
@@ -303,6 +307,76 @@ def test_fit_is_the_exact_maximum(dim, num_rows, hidden_share, end, gap, seed):
         h = 1e-4 * reach
         slope = (stats.objective(rho + h) - stats.objective(rho - h)) / (2.0 * h)
         assert abs(slope) * reach <= 1e-6 * (num_rows + abs(value))
+
+
+def _polyroots_fit(stats):
+    """One family's fit with numpy's ``polyroots`` on its stationarity
+    polynomial: the scalar oracle of the batched companion-matrix roots."""
+    n = stats.dim
+    lo, hi = rho_bounds(n)
+    k = n - 1
+    N, A, B = stats.num_rows, stats.fam_q, stats.fam_s_sq
+    C, D = (stats.par_q, stats.par_s_sq) if k >= 2 else (0.0, 0.0)
+    weights = [
+        N, -N * (n - 1), N * (k - 1),
+        (C - D / k) - (A - B / n), B * (n - 1) / n, -D * (k - 1) / k,
+    ]
+    roots = polyroots(np.dot(weights, _stationarity_basis(n))).real
+    candidates = [0.0, lo, hi, *roots[(lo < roots) & (roots < hi)]]
+    values = [stats.objective(r) for r in candidates]
+    best = int(np.argmax(values))
+    return float(candidates[best]), float(values[best])
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    num_cols=st.integers(2, 4),
+    dim=st.integers(2, 4),
+    num_rows=st.integers(2, 10_000),
+    hidden_share=st.floats(0.0, 0.6),
+    duplicate=st.sampled_from([None, 1.0, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# n = 2: the stationarity polynomial's degree drops from 5 to 3.
+@example(num_cols=2, dim=2, num_rows=2, hidden_share=0.0, duplicate=None, seed=0)
+# A duplicated column puts rho at hi; a negated one at lo.
+@example(num_cols=3, dim=2, num_rows=500, hidden_share=0.0, duplicate=1.0, seed=1)
+@example(num_cols=2, dim=2, num_rows=500, hidden_share=0.0, duplicate=-1.0, seed=2)
+def test_batched_fit_equals_the_single_family_fit(
+    num_cols, dim, num_rows, hidden_share, duplicate, seed
+):
+    # Every family of a random second-moment matrix, read in one gather and
+    # fitted in one batch, against family_stats(...).fit() one at a time
+    # and against polyroots, bitwise.
+    rng = np.random.default_rng(seed)
+    dim = min(dim, num_cols)
+    z = rng.standard_normal((num_rows, num_cols)) @ rng.standard_normal((num_cols, num_cols))
+    if duplicate is not None:
+        z[:, 1] = duplicate * z[:, 0]
+    observed = rng.random(z.shape) >= hidden_share
+    second = _second_moments(z, observed)
+    families = list(itertools.permutations(range(num_cols), dim))
+    fam = _block_stats(second, np.array([sorted(f) for f in families]))
+    par = _block_stats(second, np.array([sorted(f[1:]) for f in families]))
+    rho, value = _fit_families(dim, float(num_rows), *fam, *par)
+    for i, cols in enumerate(families):
+        stats = family_stats(second, num_rows, cols)
+        assert _bits(stats.fam_q, stats.fam_s_sq, stats.par_q, stats.par_s_sq) == _bits(
+            fam[0][i], fam[1][i], par[0][i], par[1][i]
+        )
+        assert _bits(*stats.fit()) == _bits(rho[i], value[i]) == _bits(*_polyroots_fit(stats))
+    if dim == 2:
+        # A one-parent family and its reversal tie exactly.
+        for i, (child, parent) in enumerate(families):
+            j = families.index((parent, child))
+            assert _bits(rho[i], value[i]) == _bits(rho[j], value[j])
+    if duplicate is not None and dim == 2 and observed.all():
+        lo, hi = rho_bounds(2)
+        assert rho[families.index((1, 0))] == (hi if duplicate > 0 else lo)
 
 
 def test_fit_rho_recovers_generating_correlation():

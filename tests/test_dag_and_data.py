@@ -163,6 +163,31 @@ def test_load_csv_reports_cell_position_on_bad_token(tmp_path):
     assert "row 3" in message and "oops" in message
 
 
+def test_load_csv_parses_cells_as_python_floats_and_pins_its_messages(tmp_path):
+    # Cells parse as Python float() does: surrounding blanks and underscores
+    # are accepted; an empty or blank cell is hidden.
+    path = _write(tmp_path, "cells.csv", "a,b,c\n 1.5 ,1_000,1e-3\n,2,  \n4,5,6\n\n7,8,9\n")
+    data = load_csv(path)
+    np.testing.assert_array_equal(
+        data.values, [[1.5, 1000.0, 1e-3], [np.nan, 2.0, np.nan], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    )
+    assert data.observed.tolist() == [[True] * 3, [False, True, False], [True] * 3, [True] * 3]
+    # A cell that is not a finite number is rejected with its 1-based row
+    # (blank lines count) and column; the first bad cell is reported, even
+    # ahead of a ragged row after it.
+    for text, problem in (
+        ("a,b\n1,2\n\n3, nan \n", "row 4, column 2 (b): 'nan' is not a finite number"),
+        ("a,b\n1,2\n-inf,4\n", "row 3, column 1 (a): '-inf' is not a finite number"),
+        ("a,b\n1,abc\n3,inf\n", "row 2, column 2 (b): cannot parse 'abc' as a number"),
+        ("a,b\n1,2\n3,x\n5\n", "row 3, column 2 (b): cannot parse 'x' as a number"),
+        ("a,b\n1,2\n5\n3,x\n", "row 3 has 1 cells, expected 2"),
+    ):
+        path = _write(tmp_path, "bad.csv", text)
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {problem}"
+
+
 def test_load_csv_rejects_structural_problems(tmp_path):
     with pytest.raises(ParseError):
         load_csv(_write(tmp_path, "dup.csv", "x,x\n1,2\n3,4\n"))

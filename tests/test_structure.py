@@ -25,13 +25,13 @@ from copulabn.structure import (
     ScoredStructure,
     SearchConfig,
     _copula_score,
-    _moves,
+    _legal_moves,
     _search,
     bic_penalty,
     greedy_search,
 )
 
-from conftest import chain_scores, cycle_warps, warp_columns
+from conftest import chain_scores, cycle_warps, rescan_search, warp_columns
 
 
 def _chain_dataset(rho=0.5, num_vars=5, num_rows=2000, seed=0, warp=True):
@@ -87,7 +87,7 @@ def test_family_score_matches_independent_computation():
     z = np.column_stack(
         [ndtri(marginals[j].cdf(data.values[:, j])) for j in range(3)]
     )
-    got = _cbn_score(data)(1, (0,))
+    got = _cbn_score(data)(1, [(0,)])[0]
 
     rho, value = family_stats(z.T @ z, 400, (1, 0)).fit()
     np.testing.assert_allclose(got, value - bic_penalty(1, 400), rtol=0, atol=1e-9)
@@ -99,15 +99,15 @@ def test_family_score_matches_independent_computation():
 
 def test_family_score_is_zero_without_parents():
     score = _cbn_score(_chain_dataset(num_rows=100, num_vars=3, seed=3))
-    assert score(0, ()) == 0.0
+    assert score(0, [()])[0] == 0.0
 
 
 def test_family_score_is_order_symmetric_in_parents():
     # the uniform-correlation family is exchangeable, so parent order
     # cannot matter, and a one-parent family ties with its reversal
     score = _cbn_score(_chain_dataset(num_rows=300, num_vars=4, seed=4))
-    assert score(3, (0, 1)) == score(3, (1, 0))
-    assert score(2, (0,)) == score(0, (2,))
+    assert score(3, [(0, 1)])[0] == score(3, [(1, 0)])[0]
+    assert score(2, [(0,)])[0] == score(0, [(2,)])[0]
 
 
 # ---------------------------------------------------- score invariants
@@ -136,7 +136,7 @@ def _check_scores(result, runs):
     assert last is result
     assert result.score == sum(result.per_family_scores)
     assert result.per_family_scores == tuple(
-        score(i, ps) for i, ps in enumerate(result.dag.parents)
+        score(i, [ps])[0] for i, ps in enumerate(result.dag.parents)
     )
 
 
@@ -169,7 +169,7 @@ def test_search_never_scores_below_the_empty_graph(kind, num_vars, num_rows, rho
     # Every run of the engine, structural-EM rounds included, starts from
     # the empty graph and accepts only improving moves.
     for score, run in runs:
-        empty = sum(score(i, ()) for i in range(num_vars))
+        empty = sum(score(i, [()])[0] for i in range(num_vars))
         assert run.score >= empty - 1e-9 * max(1.0, abs(empty))
     if kind == "cbn":
         assert result.score >= -1e-9
@@ -228,9 +228,17 @@ def test_move_legality_matches_dag_validation(num_vars, density, max_parents, se
         assert dag.ancestors[node] == sum(1 << p for p in reached)
 
     # The engine offers an add or a reversal exactly when the resulting
-    # graph is a DAG and the touched family stays within the cap; each move
-    # is the (node, new sorted parents) changes it makes.
-    moves = list(_moves(dag, max_parents))
+    # graph is a DAG and the touched family stays within the cap.  Written
+    # as the (node, new sorted parents) changes each move makes, in scan
+    # order: each mask's (child, parent) entries, row-major.
+    add, delete, reverse = _legal_moves(dag, max_parents)
+    ordered = [[int(p) for p in ps] for ps in dag.parents]
+    moves = [((c, tuple(sorted([*ordered[c], p]))),) for c, p in np.argwhere(add).tolist()]
+    moves += [((c, tuple(q for q in ordered[c] if q != p)),) for c, p in np.argwhere(delete).tolist()]
+    moves += [
+        ((c, tuple(q for q in ordered[c] if q != p)), (p, tuple(sorted([*ordered[p], c]))))
+        for c, p in np.argwhere(reverse).tolist()
+    ]
     expected = {"add": [], "delete": [], "reverse": []}
     for child in range(num_vars):
         for parent in range(num_vars):
@@ -350,11 +358,13 @@ def test_search_matches_a_reference_hill_climber(seed):
     num_vars, max_parents = int(rng.integers(1, 8)), int(rng.integers(0, 4))
     table = _reference_table(rng, num_vars, max_parents)
 
-    def score(child, parents):
-        return table[child, parents]
+    def score(child, parent_sets):
+        return np.array([table[child, ps] for ps in parent_sets])
 
     config = SearchConfig(max_parents=max_parents)
-    parents, current, capped = _reference_search(num_vars, score, max_parents)
+    parents, current, capped = _reference_search(
+        num_vars, lambda child, ps: table[child, ps], max_parents
+    )
     if capped:
         # An unconverged search is an error, never a result.
         with pytest.raises(ConvergenceError):
@@ -364,6 +374,110 @@ def test_search_matches_a_reference_hill_climber(seed):
     assert result.dag.parents == parents
     assert np.array(result.per_family_scores).tobytes() == np.array(current).tobytes()
     assert np.float64(result.score).tobytes() == np.float64(sum(current)).tobytes()
+
+
+def _table_search(seed, nan_share=0.0):
+    """A random score table (see ``_reference_table``), with a share of its
+    families with parents scored NaN, and its size and cap."""
+    rng = np.random.default_rng(seed)
+    num_vars, max_parents = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+    table = _reference_table(rng, num_vars, max_parents)
+    for (child, ps) in sorted(table):
+        if ps and rng.random() < nan_share:
+            table[child, ps] = float("nan")
+    return table, num_vars, SearchConfig(max_parents=max_parents)
+
+
+def _outcome(search, num_vars, score, config):
+    """A search's pickled result, or ``ConvergenceError`` when it raises one."""
+    try:
+        return pickle.dumps(search(num_vars, score, config))
+    except ConvergenceError:
+        return ConvergenceError
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=98)  # the search that hits the move cap
+def test_search_scores_each_family_once_and_only_those_the_rescan_scores(seed):
+    # The engine scores no family twice, and exactly the families the
+    # rescanning engine scores: those of the moves legal at some step.
+    table, num_vars, config = _table_search(seed)
+    batched, scalar = [], []
+
+    def score(child, parent_sets):
+        batched.extend((child, ps) for ps in parent_sets)
+        return np.array([table[child, ps] for ps in parent_sets])
+
+    def one(child, ps):
+        scalar.append((child, ps))
+        return score(child, [ps])[0]
+
+    assert _outcome(_search, num_vars, score, config) == (
+        _outcome(rescan_search, num_vars, one, config)
+    )
+    engine = batched[: len(batched) - len(scalar)]
+    assert len(set(engine)) == len(engine)
+    assert set(engine) == set(scalar)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nan_share=st.floats(0.1, 0.9))
+def test_nan_family_scores_are_never_chosen(seed, nan_share):
+    table, num_vars, config = _table_search(seed, nan_share)
+
+    def score(child, parent_sets):
+        return np.array([table[child, ps] for ps in parent_sets])
+
+    outcome = _outcome(_search, num_vars, score, config)
+    assert outcome == _outcome(rescan_search, num_vars, lambda c, ps: score(c, [ps])[0], config)
+    if isinstance(outcome, bytes):
+        assert not np.isnan(pickle.loads(outcome).per_family_scores).any()
+
+
+@pytest.mark.parametrize(
+    "kind, missing, width",
+    [
+        (kind, missing, width)
+        for kind in ("cbn", "lgbn")
+        for missing in (0.0, 0.25)
+        for width in (5, 10, 40)
+    ]
+    + [("cbn", 0.25, 100)],
+)
+def test_search_is_pickle_identical_to_the_rescan_oracle(kind, missing, width):
+    # Every engine run of a learning loop, replayed on the engine that
+    # rescans every move; the oracle reads each family's score from the
+    # engine's own scorer calls (a family it needs and the engine never
+    # scored is scored afresh).
+    rng = np.random.default_rng(width)
+    num_rows = 200
+    x = warp_columns(chain_scores(0.6, width, num_rows, rng), cycle_warps(width))
+    data = apply_missing_mask(MaskedDataset.from_values(x), missing, seed=width + 1)
+    runs = []
+    search = structure._search
+
+    def recorded(num_vars, score, config):
+        scored = {}
+
+        def recording(child, parent_sets):
+            values = score(child, parent_sets)
+            scored.update(zip([(child, ps) for ps in parent_sets], values))
+            return values
+
+        result = search(num_vars, recording, config)
+        runs.append((score, scored, config, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_search", recorded)
+        greedy_search(data, SearchConfig(max_parents=2), model_kind=kind)
+    for score, scored, config, result in runs:
+        def one(child, ps):
+            return scored[child, ps] if (child, ps) in scored else score(child, [ps])[0]
+
+        assert result.dag.num_edges() > 0
+        assert pickle.dumps(result) == pickle.dumps(rescan_search(width, one, config))
 
 
 # ------------------------------------------------------------ recovery
