@@ -65,11 +65,7 @@ def _check_rho(n, rho):
             raise InvalidRhoError("a 1-dimensional copula must have rho = 0")
         return
     lo, hi = rho_bounds(n)
-    if isinstance(rho, np.ndarray):
-        valid = bool(np.all(np.isfinite(rho) & (lo <= rho) & (rho <= hi)))
-    else:
-        valid = np.isfinite(rho) and lo <= rho <= hi
-    if not valid:
+    if not np.all(np.isfinite(rho) & (lo <= rho) & (rho <= hi)):
         raise InvalidRhoError(f"rho={rho!r} outside [{lo:.6g}, {hi:.6g}] for dimension {n}")
 
 
@@ -336,7 +332,10 @@ def _fit_families(n, num_rows, fam_q, fam_s_sq, par_q, par_s_sq):
         if d == 1:
             roots[rows, 0] = -c[:, 0] / c[:, 1]
             continue
-        # Companion matrices as numpy's polycompanion builds them.
+        # Companion matrices as numpy's polycompanion builds them, unrotated:
+        # the matrix polyroots solves in numpy >= 2.4, the floor in
+        # pyproject.toml.  numpy 1.x's polyroots solved it rotated, which
+        # moves roots by ulps.
         companion = np.zeros((rows.size, d, d))
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
@@ -391,13 +390,10 @@ def _second_moments(z, observed):
 def family_stats(second, num_rows, cols):
     """:class:`FamilyStats` of the family ``cols`` (child first) over
     ``num_rows`` rows from a second-moment matrix (``Z'Z`` of complete scores,
-    or :func:`_second_moments`): a block's summed q is its trace and its
-    summed s^2 its total.  Blocks are read over sorted indices, so the
-    parents' order changes no bit, and a one-parent family and its reversal
-    share their family block."""
+    or :func:`_second_moments`): the one-family case of
+    :func:`_parent_set_stats`."""
     cols = tuple(cols)
-    fam_q, fam_s_sq = _block_stats(second, np.array([sorted(cols)], dtype=np.intp))
-    par_q, par_s_sq = _block_stats(second, np.array([sorted(cols[1:])], dtype=np.intp))
+    fam_q, fam_s_sq, par_q, par_s_sq = _parent_set_stats(second, cols[0], [cols[1:]])
     return FamilyStats(
         num_rows=float(num_rows),
         dim=len(cols),
@@ -408,12 +404,35 @@ def family_stats(second, num_rows, cols):
     )
 
 
-def _block_stats(second, idx):
-    """Summed q and s^2 of F blocks of ``second`` in one gather: the trace and
-    the total of ``second[i, j]`` over i, j in each (sorted) row of the (F, m)
-    index array ``idx``."""
-    blocks = second[idx[:, :, None], idx[:, None, :]]
-    return np.trace(blocks, axis1=1, axis2=2), blocks.sum(axis=(1, 2))
+def _parent_set_stats(second, child, parent_sets):
+    """(F,) arrays ``fam_q, fam_s_sq, par_q, par_s_sq`` of the families of
+    ``child`` with each of F parent sets of one size, read from ``second``
+    in one gather per block: a block's summed q is its trace and its summed
+    s^2 its total.  Blocks are read over sorted indices, so the parents'
+    order changes no bit, and a one-parent family and its reversal share
+    their family block."""
+    fam = np.array([sorted((child, *ps)) for ps in parent_sets], dtype=np.intp)
+    par = np.array([sorted(ps) for ps in parent_sets], dtype=np.intp)
+    stats = []
+    for idx in (fam, par):
+        blocks = second[idx[:, :, None], idx[:, None, :]]
+        stats += [np.trace(blocks, axis1=1, axis2=2), blocks.sum(axis=(1, 2))]
+    return stats
+
+
+def _fit_parent_sets(second, num_rows, child, parent_sets):
+    """``(rho, value)`` arrays of :meth:`FamilyStats.fit` for the families of
+    ``child`` with each of ``parent_sets``: the sets of one size are read in
+    one :func:`_parent_set_stats` gather and fitted in one
+    :func:`_fit_families` call.  A family without parents has rho = 0 and
+    value 0."""
+    rho, value = np.zeros(len(parent_sets)), np.zeros(len(parent_sets))
+    sizes = np.array([len(ps) for ps in parent_sets], dtype=int)
+    for size in np.unique(sizes[sizes > 0]):
+        rows = np.nonzero(sizes == size)[0]
+        stats = _parent_set_stats(second, child, [parent_sets[i] for i in rows])
+        rho[rows], value[rows] = _fit_families(int(size) + 1, float(num_rows), *stats)
+    return rho, value
 
 
 def fit_rho(family_u_rows):

@@ -35,7 +35,7 @@ __all__ = [
 
 # Rows that load_csv parses in one pass; a block's cell strings are all held
 # at once, so the block bounds that memory.
-_PARSE_ROWS = 256
+_PARSE_ROWS = 64
 
 # Purpose tags mixed into derived seeds so different uses of the same base
 # seed get independent streams.

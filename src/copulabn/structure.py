@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cbn import _score_table, fit_missing
-from .copula import _block_stats, _fit_families
+from .copula import _fit_parent_sets
 from .dag import Dag
 from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import (
@@ -104,20 +104,13 @@ def bic_penalty(num_params, num_instances):
 def _copula_score(second, num_rows):
     """Penalized copula family scores of one child's parent sets: each
     family's maximized objective minus the penalty for its one correlation,
-    0 without parents.  Families of one size are read from ``second`` in one
-    gather and fitted together."""
+    0 without parents.  The parent sets are fitted in batches by
+    :func:`copula._fit_parent_sets`."""
     penalty = bic_penalty(1, num_rows)
 
     def score(child, parent_sets):
-        values = np.zeros(len(parent_sets))
-        sizes = np.array([len(ps) for ps in parent_sets])
-        for size in np.unique(sizes[sizes > 0]):
-            rows = np.nonzero(sizes == size)[0]
-            fam = np.array([sorted((child, *parent_sets[i])) for i in rows], dtype=np.intp)
-            par = np.array([sorted(parent_sets[i]) for i in rows], dtype=np.intp)
-            stats = (*_block_stats(second, fam), *_block_stats(second, par))
-            _, value = _fit_families(int(size) + 1, float(num_rows), *stats)
-            values[rows] = value - penalty
+        _, values = _fit_parent_sets(second, num_rows, child, parent_sets)
+        values[[len(ps) > 0 for ps in parent_sets]] -= penalty
         return values
 
     return score
@@ -160,7 +153,7 @@ def _legal_moves(dag, max_parents):
     room = sizes < max_parents
     add = ~edges & ~ancestors.T & room[:, None]
     np.fill_diagonal(add, False)
-    reached = edges.astype(float) @ ancestors.astype(float) > 0
+    reached = edges @ ancestors
     return add, edges, edges & room[None, :] & ~reached
 
 

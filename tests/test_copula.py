@@ -14,8 +14,8 @@ from copulabn.copula import (
     FamilyStats,
     RHO_MARGIN,
     UniformGaussianCopula,
-    _block_stats,
-    _fit_families,
+    _fit_parent_sets,
+    _parent_set_stats,
     _second_moments,
     _stationarity_basis,
     conditional_z_params,
@@ -349,9 +349,10 @@ def _bits(*values):
 def test_batched_fit_equals_the_single_family_fit(
     num_cols, dim, num_rows, hidden_share, duplicate, seed
 ):
-    # Every family of a random second-moment matrix, read in one gather and
-    # fitted in one batch, against family_stats(...).fit() one at a time
-    # and against polyroots, bitwise.
+    # Every family of a random second-moment matrix, each child's parent
+    # sets read in one gather and fitted in one batch, against
+    # family_stats(...).fit() one at a time and against polyroots, bitwise.
+    # The empty parent set rides along in each batch and fits to 0.
     rng = np.random.default_rng(seed)
     dim = min(dim, num_cols)
     z = rng.standard_normal((num_rows, num_cols)) @ rng.standard_normal((num_cols, num_cols))
@@ -360,23 +361,27 @@ def test_batched_fit_equals_the_single_family_fit(
     observed = rng.random(z.shape) >= hidden_share
     second = _second_moments(z, observed)
     families = list(itertools.permutations(range(num_cols), dim))
-    fam = _block_stats(second, np.array([sorted(f) for f in families]))
-    par = _block_stats(second, np.array([sorted(f[1:]) for f in families]))
-    rho, value = _fit_families(dim, float(num_rows), *fam, *par)
-    for i, cols in enumerate(families):
-        stats = family_stats(second, num_rows, cols)
-        assert _bits(stats.fam_q, stats.fam_s_sq, stats.par_q, stats.par_s_sq) == _bits(
-            fam[0][i], fam[1][i], par[0][i], par[1][i]
-        )
-        assert _bits(*stats.fit()) == _bits(rho[i], value[i]) == _bits(*_polyroots_fit(stats))
+    fitted = {}
+    for child in range(num_cols):
+        parent_sets = [f[1:] for f in families if f[0] == child]
+        batch = _parent_set_stats(second, child, parent_sets)
+        rho, value = _fit_parent_sets(second, num_rows, child, [(), *parent_sets])
+        assert _bits(rho[0], value[0]) == _bits(0.0, 0.0)
+        for i, ps in enumerate(parent_sets):
+            stats = family_stats(second, num_rows, (child, *ps))
+            assert _bits(stats.fam_q, stats.fam_s_sq, stats.par_q, stats.par_s_sq) == _bits(
+                *(column[i] for column in batch)
+            )
+            fit = (rho[i + 1], value[i + 1])
+            assert _bits(*stats.fit()) == _bits(*fit) == _bits(*_polyroots_fit(stats))
+            fitted[(child, *ps)] = fit
     if dim == 2:
         # A one-parent family and its reversal tie exactly.
-        for i, (child, parent) in enumerate(families):
-            j = families.index((parent, child))
-            assert _bits(rho[i], value[i]) == _bits(rho[j], value[j])
+        for child, parent in families:
+            assert _bits(*fitted[child, parent]) == _bits(*fitted[parent, child])
     if duplicate is not None and dim == 2 and observed.all():
         lo, hi = rho_bounds(2)
-        assert rho[families.index((1, 0))] == (hi if duplicate > 0 else lo)
+        assert fitted[1, 0][0] == (hi if duplicate > 0 else lo)
 
 
 def test_fit_rho_recovers_generating_correlation():
