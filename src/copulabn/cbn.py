@@ -304,7 +304,8 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     Parameters
     ----------
     instance : array_like, length num_vars
-        One row; NaN marks hidden coordinates.
+        One row; NaN marks hidden coordinates, and the others must be
+        finite.
     mc_samples : int
         Monte Carlo sample count.
     seed : int
@@ -318,6 +319,8 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     if x.ndim != 1:
         raise InvalidInputError(f"instance must be one row, got shape {x.shape}")
     _check_data_shape(model, x.size)
+    if np.isinf(x).any():
+        raise InvalidInputError("instance has an infinite coordinate")
     if mc_samples < 2:
         raise OutOfRangeError(f"mc_samples must be >= 2, got {mc_samples}")
     observed = ~np.isnan(x)

@@ -75,11 +75,14 @@ def _int_list(text):
     return values
 
 
-def _split_count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser():
@@ -98,7 +101,7 @@ def _build_parser():
     def common_split_flags(p):
         p.add_argument("--missing-fraction", default="0",
                        help="fraction of cells to hide (default: 0)")
-        p.add_argument("--splits", type=_split_count, default=10,
+        p.add_argument("--splits", type=_int_at_least(1), default=10,
                        help="number of train/test splits (default: 10)")
         p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
 
@@ -125,7 +128,7 @@ def _build_parser():
 
     p_sample = sub.add_parser("sample", help="draw rows from a fitted model")
     p_sample.add_argument("--model-file", required=True, help="fitted model path")
-    p_sample.add_argument("--count", type=int, required=True, help="number of rows")
+    p_sample.add_argument("--count", type=_int_at_least(1), required=True, help="number of rows")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True, help="output CSV path")
 
@@ -138,7 +141,7 @@ def _build_parser():
     p_bench.add_argument("--tree", action="store_true")
     p_bench.add_argument("--missing-fraction", default="0",
                          help="comma list of fractions (default: 0)")
-    p_bench.add_argument("--splits", type=_split_count, default=10)
+    p_bench.add_argument("--splits", type=_int_at_least(1), default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
                          default="train_only")
@@ -146,7 +149,7 @@ def _build_parser():
 
     p_marg = sub.add_parser("marginals", help="tabulate fitted marginals")
     p_marg.add_argument("--data", required=True, help="input CSV path")
-    p_marg.add_argument("--grid-points", type=int, default=257)
+    p_marg.add_argument("--grid-points", type=_int_at_least(2), default=257)
     p_marg.add_argument("--out", required=True, help="output CSV path")
 
     return parser
@@ -173,9 +176,8 @@ def _single_fraction(args):
     return values[0]
 
 
-def _eval_subset(data, args):
-    """Select and mask the rows named by the eval/fit split flags."""
-    p = _single_fraction(args)
+def _eval_subset(data, args, p):
+    """Select the rows named by the eval/fit split flags and hide a fraction p of their cells."""
     if args.split_index is None:
         if p > 0.0:
             data = apply_missing_mask(data, p, mask_seed_for(args.seed, 0, p, "train"))
@@ -190,11 +192,12 @@ def _eval_subset(data, args):
 
 
 def _cmd_fit(args):
-    data = _eval_subset(load_csv(args.data), args)
     caps = _max_parents_list(args)
     if len(caps) != 1:
         raise _UsageError("this command takes a single --max-parents value")
     config = SearchConfig(max_parents=caps[0])
+    p = _single_fraction(args)
+    data = _eval_subset(load_csv(args.data), args, p)
     model = fit_model(data, args.model, config)
     save_model(model, args.out)
     edges = model.dag.num_edges()
@@ -204,11 +207,12 @@ def _cmd_fit(args):
 
 
 def _cmd_eval(args):
+    p = _single_fraction(args)
     model = load_model(args.model_file)
     data = load_csv(args.data)
     if list(data.column_names) != list(model.column_names):
         raise DataError("dataset columns do not match the model's columns")
-    subset = _eval_subset(data, args)
+    subset = _eval_subset(data, args, p)
     scores = score_rows(model, subset)
     mean = float(np.mean(scores))
     if args.out is not None:
@@ -223,8 +227,6 @@ def _cmd_eval(args):
 
 def _cmd_sample(args):
     model = load_model(args.model_file)
-    if args.count <= 0:
-        raise _UsageError("--count must be positive")
     if not hasattr(model, "marginals"):
         raise InvalidInputError("sampling is only supported for cbn model files")
     values = forward_sample(model, args.count, args.seed)
@@ -261,8 +263,6 @@ def _cmd_benchmark(args):
 
 def _cmd_marginals(args):
     data = load_csv(args.data)
-    if args.grid_points < 2:
-        raise _UsageError("--grid-points must be at least 2")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["column", "x", "pdf", "cdf"])

@@ -8,7 +8,9 @@ One kernel, :func:`_condition`, does all the conditioning in information
 form: it reads the joint precision off the network and, per hidden-set
 size |H|, factors every row's |H| x |H| precision block in one batched
 call, which gives the rows' log marginals and, for EM, the expected
-moments.
+moments.  Every family (complete-data fit, EM start and M-step, search
+score) is least squares on one mean and one covariance C, centred in two
+passes over the (completed) rows.
 """
 
 from dataclasses import dataclass
@@ -84,52 +86,43 @@ class LinearGaussianBn:
         return self.dag.num_vars
 
 
-def _family_from_moments(mean, second, child, parents):
-    """Least-squares family parameters from first/second moment matrices.
+def _family_from_moments(mean, cov, child, parents):
+    """Least-squares family parameters from the mean and centred covariance C.
 
-    ``mean`` is E[x] and ``second`` is E[x x^T] (both divided by the row
-    count).  Returns (intercept, coefficients, ml_variance).  Solving the
-    normal equations on moments is exactly OLS when the moments come from
+    Returns (intercept, coefficients, ml_variance): beta = C_pp^-1 C_pc, the
+    intercept E x_c - beta . E x_p and the variance C_cc - beta . C_pc, a
+    Schur complement of C.  This is exactly OLS when the moments come from
     complete data, and the EM M-step when they are expected moments.
     """
-    k = len(parents)
-    if k == 0:
-        variance = second[child, child] - mean[child] ** 2
-        return float(mean[child]), (), max(float(variance), _VARIANCE_FLOOR)
     p = list(parents)
-    gram = np.empty((k + 1, k + 1))
-    gram[0, 0] = 1.0
-    gram[0, 1:] = mean[p]
-    gram[1:, 0] = mean[p]
-    gram[1:, 1:] = second[np.ix_(p, p)]
-    rhs = np.empty(k + 1)
-    rhs[0] = mean[child]
-    rhs[1:] = second[p, child]
+    cpp, cpc = cov[np.ix_(p, p)], cov[p, child]
     # Rank is read from the parents' correlations, which rescaling cannot move.  Centring leaves
     # rounding of ~eps E[x^2] in a variance, ~eps E[x^2] / var in a correlation (2^-40 = 4096 eps).
-    cov = gram[1:, 1:] - np.outer(gram[1:, 0], gram[0, 1:])
-    var, rounding = cov.diagonal(), 2.0**-40 * gram.diagonal()[1:]
-    if not (var > rounding).all() or (
-        np.linalg.eigvalsh(cov / np.sqrt(np.outer(var, var)))[0] <= (rounding / var).max()
-    ):
+    var, rounding = cpp.diagonal(), 2.0**-40 * (cpp.diagonal() + mean[p] ** 2)
+    if p and (not (var > rounding).all() or (
+        np.linalg.eigvalsh(cpp / np.sqrt(np.outer(var, var)))[0] <= (rounding / var).max()
+    )):
         raise SingularDesignError(
             f"collinear parents {tuple(parents)} for node {child}: design matrix is rank deficient"
         )
-    theta = np.linalg.solve(gram, rhs)
-    variance = second[child, child] - theta @ rhs
-    return float(theta[0]), tuple(float(b) for b in theta[1:]), max(float(variance), _VARIANCE_FLOOR)
+    beta = np.linalg.solve(cpp, cpc)
+    variance = cov[child, child] - beta @ cpc
+    intercept = mean[child] - beta @ mean[p]
+    return float(intercept), tuple(float(b) for b in beta), max(float(variance), _VARIANCE_FLOOR)
 
 
-def _moments_from_complete(values):
-    m = values.shape[0]
-    mean = values.mean(axis=0)
-    second = values.T @ values / m
-    return mean, second
+def _mean_cov(completed, hidden_cov=0.0):
+    """Mean and covariance of the rows of ``completed``, centred in two passes
+    (Chan, Golub & LeVeque 1983).  ``hidden_cov`` is the rows' summed
+    conditional covariance of their hidden cells, which the E-step adds."""
+    mean = completed.mean(axis=0)
+    centred = completed - mean
+    return mean, (centred.T @ centred + hidden_cov) / completed.shape[0]
 
 
-def _fit_from_moments(mean, second, dag, column_names):
+def _fit_from_moments(mean, cov, dag, column_names):
     """M-step: the network whose families are least squares on the moments."""
-    families = [_family_from_moments(mean, second, node, dag.parents[node])
+    families = [_family_from_moments(mean, cov, node, dag.parents[node])
                 for node in range(dag.num_vars)]
     intercepts, coefficients, variances = zip(*families)
     return LinearGaussianBn(dag, intercepts, coefficients, variances, column_names)
@@ -152,8 +145,7 @@ def fit_complete_lg(data, dag):
         raise InvalidInputError(
             f"need more than {max_family + 1} rows to fit families of size {max_family}"
         )
-    mean, second = _moments_from_complete(data.values)
-    return _fit_from_moments(mean, second, dag, data.column_names)
+    return _fit_from_moments(*_mean_cov(data.values), dag, data.column_names)
 
 
 def joint_gaussian(model):
@@ -199,10 +191,11 @@ def _condition(model, values, observed, moments):
 
     Rows are grouped by |H|, not by pattern: each group's Lambda_HH blocks
     are stacked and take one batched Cholesky factorization and one batched
-    solve.  Returns ``(log_rows, s1, s2)``: rows with nothing observed score
-    0; ``s1`` and ``s2`` are the summed conditional first and second moments
-    of x (hidden cells filled with their conditional means, plus each row's
-    conditional covariance), or None when ``moments`` is false.
+    solve.  Returns ``(log_rows, mean, cov)``: rows with nothing observed
+    score 0; ``mean`` and ``cov`` are the expected mean and centred
+    covariance of x (hidden cells filled with their conditional means, plus
+    each row's conditional covariance), from :func:`_mean_cov`, or None when
+    ``moments`` is false.
     """
     n = model.num_vars
     a = np.eye(n)
@@ -217,7 +210,7 @@ def _condition(model, values, observed, moments):
     num_hidden = n - observed.sum(axis=1)
     log_rows = -0.5 * ((n - num_hidden) * _LOG_2PI + np.log(variances).sum() + (u * d).sum(axis=1))
     completed = np.where(observed, values, mean) if moments else None
-    s2 = np.zeros((n, n)) if moments else None
+    hidden_cov = np.zeros((n, n)) if moments else None
     for h in np.unique(num_hidden[num_hidden > 0]):
         rows = np.nonzero(num_hidden == h)[0]
         hid = np.nonzero(~observed[rows])[1].reshape(rows.size, h)
@@ -231,11 +224,11 @@ def _condition(model, values, observed, moments):
         if moments:
             inverse = sol[:, :, 1:].transpose(0, 2, 1) @ sol  # Lambda_HH^-1 [u_H, I]
             completed[rows[:, None], hid] -= inverse[:, :, 0]
-            np.add.at(s2, (hid[:, :, None], hid[:, None, :]), inverse[:, :, 1:])
+            np.add.at(hidden_cov, (hid[:, :, None], hid[:, None, :]), inverse[:, :, 1:])
     log_rows[num_hidden == n] = 0.0
     if not moments:
         return log_rows, None, None
-    return log_rows, completed.sum(axis=0), s2 + completed.T @ completed
+    return log_rows, *_mean_cov(completed, hidden_cov)
 
 
 def log_marginal_lg_rows(model, data):
@@ -269,24 +262,25 @@ def log_marginal_lg(model, instance):
 
 
 def expected_moments(model, data):
-    """E-step: expected sums (S1, S2) of x and x x^T given observed cells.
+    """E-step: expected mean and centred covariance of x given observed cells.
 
-    Hidden blocks are filled with their conditional means; S2 additionally
-    receives each row's conditional covariance.  Returns
-    ``(s1, s2, num_rows)`` with sums not divided by the row count.
+    Hidden blocks are filled with their conditional means, and the
+    covariance additionally receives each row's conditional covariance.
+    Returns ``(mean, cov, num_rows)``.
     """
-    _, s1, s2 = _condition(model, data.values, data.observed, True)
-    return s1, s2, data.num_rows
+    _, mean, cov = _condition(model, data.values, data.observed, True)
+    return mean, cov, data.num_rows
 
 
-def family_ll_from_moments(mean, second, child, parents, num_rows):
-    """Family's maximized (expected) log-likelihood given moment matrices.
+def family_ll_from_moments(mean, cov, child, parents, num_rows):
+    """Family's maximized (expected) log-likelihood given the mean and centred covariance.
 
     For complete-data moments this is the exact maximized conditional
-    log-likelihood ``-M/2 (log(2 pi sigma^2) + 1)``; for expected moments
-    it is the EM surrogate used by structure search under missingness.
+    log-likelihood ``-M/2 (log(2 pi sigma^2) + 1)``, with sigma^2 the Schur
+    complement of the parents in ``cov``; for expected moments it is the EM
+    surrogate used by structure search under missingness.
     """
-    _, _, variance = _family_from_moments(mean, second, child, parents)
+    _, _, variance = _family_from_moments(mean, cov, child, parents)
     return -0.5 * num_rows * (_LOG_2PI + np.log(variance) + 1.0)
 
 
@@ -295,8 +289,10 @@ def em_fit_lg(data, dag, history=None):
 
     E-step: exact conditional first and second moments of each row's hidden
     coordinates given its observed ones (joint-normal conditioning, batched
-    by the number of hidden cells).  M-step: per-family least squares on the
-    expected moments.  Stops when the observed-data log-likelihood improves
+    by the number of hidden cells), as an expected mean and centred
+    covariance.  M-step: per-family least squares on those moments.  The
+    start is the independent Gaussian of the observed cells' means and
+    variances.  Stops when the observed-data log-likelihood improves
     by less than ``_EM_TOL`` or after ``_EM_MAX_ITERS`` iterations; the likelihood
     sequence is non-decreasing up to numerical slack.  One conditioning pass
     per model yields both its log-likelihood and the next E-step, so k
@@ -319,25 +315,16 @@ def em_fit_lg(data, dag, history=None):
             history.append(float(log_marginal_lg_rows(model, data).sum()))
         return model
 
-    # Independent-Gaussian start from observed cells (coefficients zero).
-    intercepts, variances = [], []
-    for j in range(data.num_cols):
-        col = data.values[data.observed[:, j], j]
-        intercepts.append(float(col.mean()))
-        variances.append(max(float(col.var()), _VARIANCE_FLOOR))
-    model = LinearGaussianBn(
-        dag=dag,
-        intercepts=tuple(intercepts),
-        coefficients=tuple(tuple(0.0 for _ in dag.parents[j]) for j in range(dag.num_vars)),
-        variances=tuple(variances),
-        column_names=data.column_names,
-    )
+    # Independent-Gaussian start: the observed cells' means and variances, no correlations.
+    cells = [data.values[data.observed[:, j], j] for j in range(data.num_cols)]
+    start = np.array([col.mean() for col in cells]), np.diag([col.var() for col in cells])
+    model = _fit_from_moments(*start, dag, data.column_names)
 
-    _, s1, s2 = _condition(model, data.values, data.observed, True)
+    _, mean, cov = _condition(model, data.values, data.observed, True)
     last_ll = -np.inf
     for _ in range(_EM_MAX_ITERS):
-        model = _fit_from_moments(s1 / data.num_rows, s2 / data.num_rows, dag, data.column_names)
-        log_rows, s1, s2 = _condition(model, data.values, data.observed, True)
+        model = _fit_from_moments(mean, cov, dag, data.column_names)
+        log_rows, mean, cov = _condition(model, data.values, data.observed, True)
         ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)

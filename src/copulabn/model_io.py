@@ -4,7 +4,8 @@ One JSON document per model, shared by both model kinds through a
 ``model_kind`` discriminator.  Floats are written with Python's shortest
 round-trip representation, so a serialize/deserialize cycle reproduces
 every parameter bit for bit.  Deserialization validates structure: cyclic
-graphs, mismatched dimensions, and out-of-range correlations are rejected.
+graphs, mismatched dimensions, out-of-range correlations, and strings or
+booleans where numbers belong are rejected.
 """
 
 import json
@@ -53,6 +54,13 @@ def serialize(model):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _numbers(values, field, kinds=(int, float)):
+    """``values`` if it is a list of JSON values whose types are in ``kinds``; booleans never are."""
+    if not isinstance(values, list) or not all(type(v) in kinds for v in values):
+        raise ValidationError(f"field {field!r} must be a list of numbers")
+    return values
+
+
 def _require(doc, key):
     if key not in doc:
         raise ValidationError(f"model document is missing field {key!r}")
@@ -81,12 +89,14 @@ def deserialize(text):
     names = tuple(str(c) for c in _require(doc, "column_names"))
     parents = _require(doc, "parents")
     try:
-        dag = Dag(len(names), tuple(tuple(ps) for ps in parents))
+        dag = Dag(len(names), tuple(tuple(_numbers(ps, "parents", (int,))) for ps in parents))
         if kind == "cbn":
-            rho = _require(doc, "rho")
+            rho = _numbers(_require(doc, "rho"), "rho", (int, float, type(None)))
             marg = _require(doc, "marginals")
             if len(rho) != len(names) or len(marg) != len(names):
                 raise ValidationError("per-node field lengths do not match column count")
+            for m in marg:
+                _numbers([m["bandwidth"], *m["samples"]], "marginals")
             marginals = tuple(
                 KdeMarginal.from_params(m["samples"], m["bandwidth"]) for m in marg
             )
@@ -100,9 +110,11 @@ def deserialize(text):
         if kind == "lgbn":
             return LinearGaussianBn(
                 dag=dag,
-                intercepts=tuple(_require(doc, "intercepts")),
-                coefficients=tuple(tuple(cs) for cs in _require(doc, "coefficients")),
-                variances=tuple(_require(doc, "variances")),
+                intercepts=tuple(_numbers(_require(doc, "intercepts"), "intercepts")),
+                coefficients=tuple(
+                    tuple(_numbers(cs, "coefficients")) for cs in _require(doc, "coefficients")
+                ),
+                variances=tuple(_numbers(_require(doc, "variances"), "variances")),
                 column_names=names,
             )
         raise ValidationError(f"unknown model_kind {kind!r}")

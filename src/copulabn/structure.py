@@ -22,8 +22,8 @@ returning one child's family scores as an array, plug into the same engine:
   A child's candidate families are read from the matrix in one gather and
   their correlations fitted in one batch;
 * the linear-Gaussian score — each family's maximized conditional
-  log-likelihood from (expected) moment matrices minus the penalty for its
-  ``len(parents) + 2`` parameters.
+  log-likelihood, a Schur complement of the (expected) mean-centred
+  covariance, minus the penalty for its ``len(parents) + 2`` parameters.
 
 Both kinds learn in one structural-EM loop: search on the moments the
 current model gives, fit the graph found, and repeat while the moments read
@@ -39,12 +39,7 @@ from .cbn import _score_table, fit_missing
 from .copula import _fit_parent_sets
 from .dag import Dag
 from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
-from .gaussian_bn import (
-    _moments_from_complete,
-    em_fit_lg,
-    expected_moments,
-    family_ll_from_moments,
-)
+from .gaussian_bn import _mean_cov, em_fit_lg, expected_moments, family_ll_from_moments
 
 __all__ = [
     "SearchConfig",
@@ -116,12 +111,12 @@ def _copula_score(second, num_rows):
     return score
 
 
-def _gaussian_score(mean, second, num_rows):
+def _gaussian_score(mean, cov, num_rows):
     """Penalized linear-Gaussian family scores of one child's parent sets,
-    from moment matrices."""
+    from the mean and centred covariance."""
     def score(child, parent_sets):
         return np.array([
-            float(family_ll_from_moments(mean, second, child, ps, num_rows))
+            float(family_ll_from_moments(mean, cov, child, ps, num_rows))
             - bic_penalty(len(ps) + 2, num_rows)
             for ps in parent_sets
         ])
@@ -255,12 +250,11 @@ def _learn(data, config, model_kind):
         score = _copula_score(_score_table(data).second, data.num_rows)
         score_for, fit = lambda _: score, fit_missing
     elif model_kind == "lgbn" and data.fully_observed:
-        score = _gaussian_score(*_moments_from_complete(data.values), data.num_rows)
+        score = _gaussian_score(*_mean_cov(data.values), data.num_rows)
         score_for, fit = lambda _: score, em_fit_lg
     elif model_kind == "lgbn":
         def score_for(model):
-            s1, s2, m = expected_moments(model, data)
-            return _gaussian_score(s1 / m, s2 / m, m)
+            return _gaussian_score(*expected_moments(model, data))
 
         fit = em_fit_lg
         model = fit(data, Dag.empty(data.num_cols))

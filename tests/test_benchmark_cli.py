@@ -10,8 +10,7 @@ import pytest
 from copulabn import benchmark
 from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark
 from copulabn.cli import main
-from copulabn.data import ExperimentProtocol, save_csv
-from copulabn.data import MaskedDataset
+from copulabn.data import ExperimentProtocol, MaskedDataset, make_split, save_csv
 from copulabn.errors import SingularDesignError
 
 from conftest import chain_scores, cycle_warps, warp_columns
@@ -300,16 +299,30 @@ def _collinear_csv(tmp_path):
     return path
 
 
+def _constant_in_split_one_csv(tmp_path):
+    """40 rows of a chain a -> b -> c, except that c is constant on the train
+    rows of split 1 of 2, so only that split's search meets a constant parent
+    candidate, which the linear-Gaussian fit rejects."""
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.normal(size=(40, 3)), axis=1)
+    rows = MaskedDataset.from_values(np.arange(40.0)[:, None])
+    train, _ = make_split(rows, ExperimentProtocol(num_splits=2), 1)
+    x[train.values[:, 0].astype(int), 2] = 2.5
+    path = tmp_path / "constant.csv"
+    save_csv(MaskedDataset.from_values(x, ("a", "b", "c")), path)
+    return path
+
+
 def test_benchmark_cell_failure_keeps_its_type_and_exit_code(tmp_path, capsys):
-    dup = _collinear_csv(tmp_path)
+    table = _constant_in_split_one_csv(tmp_path)
     out = tmp_path / "bench.csv"
     with pytest.raises(SingularDesignError, match=r"model=lgbn, max_parents=2, .*split=1"):
-        run_benchmark(dup, ExperimentProtocol(num_splits=2), ["lgbn"], [2], [0.0], out)
+        run_benchmark(table, ExperimentProtocol(num_splits=2), ["lgbn"], [2], [0.0], out)
     # split 0 finished, so its row was flushed before the error propagated
     assert len(out.read_text().strip().split("\n")) == 2
     out.unlink()
     assert main([
-        "benchmark", "--data", str(dup), "--model", "lgbn", "--max-parents", "2",
+        "benchmark", "--data", str(table), "--model", "lgbn", "--max-parents", "2",
         "--splits", "2", "--out", str(out),
     ]) == 3
     assert "split=1" in capsys.readouterr().err
@@ -325,6 +338,21 @@ def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, ca
         bench + ["--max-parents", "-1"],
         bench + ["--max-parents", "1,-2"],
         bench + ["--splits", "0"],
+    ):
+        assert main(argv) == 1, argv
+    # Usage is checked before any input file is read, so a missing one does
+    # not turn a usage error into a data error.
+    missing = str(tmp_path / "missing.csv")
+    fit = ["fit", "--data", missing, "--out", str(tmp_path / "m.json")]
+    for argv in (
+        fit + ["--max-parents", "-1"],
+        fit + ["--max-parents", "1,2"],
+        fit + ["--missing-fraction", "2"],
+        ["eval", "--model-file", str(tmp_path / "missing.json"), "--data", missing,
+         "--missing-fraction", "0.1,0.2"],
+        ["sample", "--model-file", str(tmp_path / "missing.json"), "--count", "0",
+         "--out", str(tmp_path / "s.csv")],
+        ["marginals", "--data", missing, "--grid-points", "1", "--out", str(tmp_path / "g.csv")],
     ):
         assert main(argv) == 1, argv
     assert not (tmp_path / "m.json").exists()

@@ -332,6 +332,16 @@ def test_energy_check_rejects_bad_input():
         energy_identity_check(model, data.values[0], mc_samples=0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_energy_check_rejects_infinite_coordinates(bad):
+    # As log_density_rows and log_marginal_lg do; NaN still marks a hidden cell.
+    model, data, _ = _chain_model()
+    for row in ([bad, 0.0, 0.0], [bad, 0.0, np.nan], [np.nan, bad, 0.0]):
+        with pytest.raises(InvalidInputError):
+            energy_identity_check(model, row, mc_samples=10)
+    assert np.isfinite(energy_identity_check(model, [0.1, 0.0, np.nan], mc_samples=10).energy_mc)
+
+
 # ----------------------------------------------------------- sampling
 
 

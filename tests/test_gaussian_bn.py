@@ -21,6 +21,7 @@ from copulabn.gaussian_bn import (
     log_marginal_lg,
     log_marginal_lg_rows,
 )
+from copulabn.model_io import serialize
 
 from conftest import condition_by_pattern
 
@@ -128,6 +129,31 @@ def test_fit_does_not_depend_on_the_data_scale(seed):
         for scale in (1e-6, 1.0, 1e6):
             with pytest.raises(SingularDesignError):
                 fit_complete_lg(MaskedDataset.from_values(table * scale), dag)
+
+
+@pytest.mark.parametrize("num_rows", [5_000, 100_000, 300_000])
+@pytest.mark.parametrize("constant", [0.1, -2.3, 1e-7, 3.0])
+def test_a_constant_parent_raises_in_tall_tables(num_rows, constant):
+    # Moments taken in one pass (E xx^T - E x E x^T) leave a constant column a
+    # variance of rounding that grows with the row count; centred in two passes
+    # it stays below the rank test's tolerance, complete or partly hidden.
+    rng = np.random.default_rng(20)
+    values = np.column_stack([np.full(num_rows, constant), rng.standard_normal((num_rows, 2))])
+    data = MaskedDataset.from_values(values)
+    dag = Dag.from_edges(3, [(0, 2), (1, 2)])
+    with pytest.raises(SingularDesignError):
+        fit_complete_lg(data, dag)
+    with pytest.raises(SingularDesignError):
+        em_fit_lg(apply_missing_mask(data, 0.1, seed=21), dag)
+
+
+@pytest.mark.parametrize("num_rows", [5_000, 100_000, 300_000])
+def test_a_duplicate_parent_raises_in_tall_tables(num_rows):
+    rng = np.random.default_rng(22)
+    values = 3.0 + rng.standard_normal((num_rows, 3))
+    values[:, 0] = values[:, 1]
+    with pytest.raises(SingularDesignError):
+        fit_complete_lg(MaskedDataset.from_values(values), Dag.from_edges(3, [(0, 2), (1, 2)]))
 
 
 def test_model_validation():
@@ -266,15 +292,22 @@ def test_log_marginal_rejects_infinite_coordinates(bad):
 # ------------------------------------------------------------- moments
 
 
+def _from_sums(s1, s2, num_rows):
+    """An oracle's summed moments of x and x x^T as (mean, centred covariance)."""
+    mean = s1 / num_rows
+    return mean, s2 / num_rows - np.outer(mean, mean)
+
+
 def test_expected_moments_equal_empirical_on_complete_data():
     rng = np.random.default_rng(7)
     truth = _collider_model()
     x = _sample_lg(truth, 64, rng)
     data = MaskedDataset.from_values(x, truth.column_names)
-    s1, s2, m = expected_moments(truth, data)
+    mean, cov, m = expected_moments(truth, data)
     assert m == 64
-    np.testing.assert_allclose(s1, x.sum(axis=0), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(s2, x.T @ x, rtol=0, atol=1e-10)
+    want_mean, want_cov = _from_sums(x.sum(axis=0), x.T @ x, m)
+    np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(cov, want_cov, rtol=0, atol=1e-10)
 
 
 def test_expected_moments_use_exact_conditioning():
@@ -284,17 +317,19 @@ def test_expected_moments_use_exact_conditioning():
     mean, cov = joint_gaussian(truth)
     x = np.array([[1.2, np.nan, -0.3]])
     data = MaskedDataset(x, ~np.isnan(x), truth.column_names)
-    s1, s2, _ = expected_moments(truth, data)
+    got_mean, got_cov, m = expected_moments(truth, data)
 
     obs, hid = [0, 2], 1
     k = cov[hid, obs] @ np.linalg.inv(cov[np.ix_(obs, obs)])
     cond_mean = mean[hid] + k @ (x[0, obs] - mean[obs])
     cond_var = cov[hid, hid] - k @ cov[obs, hid]
-    np.testing.assert_allclose(s1[1], cond_mean, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        s2[1, 1], cond_mean**2 + cond_var, rtol=0, atol=1e-12
-    )
-    np.testing.assert_allclose(s2[0, 1], x[0, 0] * cond_mean, rtol=0, atol=1e-12)
+    s1 = np.array([x[0, 0], cond_mean, x[0, 2]])
+    s2 = np.outer(s1, s1)
+    s2[1, 1] += cond_var
+    want_mean, want_cov = _from_sums(s1, s2, m)
+    np.testing.assert_allclose(got_mean[1], want_mean[1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_cov[1, 1], want_cov[1, 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_cov[0, 1], want_cov[0, 1], rtol=0, atol=1e-12)
 
 
 def _random_network(rng, n):
@@ -372,12 +407,13 @@ def test_conditioning_matches_dense_oracles(n, num_rows, seed):
         expected = multivariate_normal(mean[obs], cov[np.ix_(obs, obs)]).logpdf(x[i, obs])
         np.testing.assert_allclose(rows[i], expected, rtol=1e-10, atol=1e-10)
 
-    s1, s2, m = expected_moments(model, data)
+    got_mean, got_cov, m = expected_moments(model, data)
     d1, d2 = _dense_moments(mean, cov, x, observed)
     assert m == num_rows
     scale = 1.0 + np.abs(d2).max()
-    np.testing.assert_allclose(s1, d1, rtol=0, atol=1e-10 * scale)
-    np.testing.assert_allclose(s2, d2, rtol=0, atol=1e-10 * scale)
+    want_mean, want_cov = _from_sums(d1, d2, m)
+    np.testing.assert_allclose(got_mean, want_mean, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(got_cov, want_cov, rtol=0, atol=1e-10 * scale)
 
 
 def _varied_mask(rng, num_rows, n):
@@ -409,9 +445,10 @@ def test_batched_kernel_matches_per_pattern_oracle(n, num_rows, seed):
     rows = log_marginal_lg_rows(model, data)
     assert (rows[~observed.any(axis=1)] == 0.0).all()
     np.testing.assert_allclose(rows, want_rows, rtol=1e-10, atol=1e-10)
-    s1, s2, _ = expected_moments(model, data)
-    np.testing.assert_allclose(s1, want_s1, rtol=1e-10, atol=1e-10 * np.abs(want_s1).max())
-    np.testing.assert_allclose(s2, want_s2, rtol=1e-10, atol=1e-10 * np.abs(want_s2).max())
+    got_mean, got_cov, m = expected_moments(model, data)
+    want_mean, want_cov = _from_sums(want_s1, want_s2, m)
+    np.testing.assert_allclose(got_mean, want_mean, rtol=1e-10, atol=1e-10 * np.abs(want_mean).max())
+    np.testing.assert_allclose(got_cov, want_cov, rtol=1e-10, atol=1e-10 * np.abs(want_cov).max())
 
 
 def test_family_ll_matches_direct_gaussian_log_likelihood():
@@ -421,10 +458,10 @@ def test_family_ll_matches_direct_gaussian_log_likelihood():
     data = MaskedDataset.from_values(x, truth.column_names)
     model = fit_complete_lg(data, truth.dag)
     mean = x.mean(axis=0)
-    second = x.T @ x / x.shape[0]
+    cov = np.cov(x, rowvar=False, bias=True)
     for node in range(3):
         parents = truth.dag.parents[node]
-        got = family_ll_from_moments(mean, second, node, parents, x.shape[0])
+        got = family_ll_from_moments(mean, cov, node, parents, x.shape[0])
         loc = model.intercepts[node] + (
             x[:, list(parents)] @ np.asarray(model.coefficients[node])
             if parents
@@ -542,6 +579,35 @@ def test_em_conditions_once_per_iteration(monkeypatch, max_iters):
     assert 1 <= len(history) <= max_iters
     assert len(passes) == len(history) + 1
     assert history[-1] == float(log_marginal_lg_rows(model, data).sum())
+
+
+def test_em_starts_from_the_observed_cells_independent_gaussian(monkeypatch):
+    # The model the first E-step conditions on has the observed cells' means
+    # and (floored) variances and zero coefficients, bit for bit.
+    rng = np.random.default_rng(19)
+    truth = _collider_model()
+    x = _sample_lg(truth, 300, rng)
+    x[:, 1] = 0.25  # a constant root: its variance is floored
+    data = apply_missing_mask(MaskedDataset.from_values(x, truth.column_names), 0.3, seed=20)
+    conditioned = []
+    condition = gaussian_bn._condition
+
+    def recording(model, *args):
+        conditioned.append(model)
+        return condition(model, *args)
+
+    monkeypatch.setattr(gaussian_bn, "_condition", recording)
+    em_fit_lg(data, Dag.from_edges(3, [(0, 2)]))
+    cells = [data.values[data.observed[:, j], j] for j in range(3)]
+    start = LinearGaussianBn(
+        dag=Dag.from_edges(3, [(0, 2)]),
+        intercepts=tuple(float(col.mean()) for col in cells),
+        coefficients=((), (), (0.0,)),
+        variances=tuple(max(float(col.var()), gaussian_bn._VARIANCE_FLOOR) for col in cells),
+        column_names=truth.column_names,
+    )
+    assert start.variances[1] == gaussian_bn._VARIANCE_FLOOR
+    assert serialize(conditioned[0]) == serialize(start)
 
 
 def test_em_recovers_parameters_under_missingness():

@@ -214,6 +214,42 @@ def test_rejects_bad_cbn_documents():
         deserialize(json.dumps(empty_samples))
 
 
+@pytest.mark.parametrize(
+    "kind, field, bad",
+    [
+        ("cbn", "rho", "0.5"),
+        ("cbn", "rho", True),
+        ("cbn", "bandwidth", "0.1"),
+        ("cbn", "bandwidth", True),
+        ("cbn", "samples", "0.5"),
+        ("cbn", "samples", False),
+        ("cbn", "parents", 1.0),
+        ("cbn", "parents", "1"),
+        ("cbn", "parents", True),
+        ("lgbn", "intercepts", "0.5"),
+        ("lgbn", "intercepts", True),
+        ("lgbn", "coefficients", "0.8"),
+        ("lgbn", "coefficients", True),
+        ("lgbn", "variances", "2.0"),
+        ("lgbn", "variances", True),
+        ("lgbn", "parents", 0.0),
+    ],
+)
+def test_rejects_non_numeric_values(kind, field, bad):
+    # Each case replaces one value that a v1 file writes as a JSON number.
+    doc = json.loads(serialize(_cbn_model(seed=2)[0] if kind == "cbn" else _lg_model()))
+    if field == "bandwidth":
+        doc["marginals"][1]["bandwidth"] = bad
+    elif field == "samples":
+        doc["marginals"][1]["samples"][0] = bad
+    elif field in ("parents", "coefficients"):
+        doc[field][2][0] = bad  # node 2 has a parent in both models
+    else:
+        doc[field][1] = bad
+    with pytest.raises(ValidationError):
+        deserialize(json.dumps(doc))
+
+
 def test_serialize_rejects_foreign_objects():
     with pytest.raises(ValidationError):
         serialize({"not": "a model"})

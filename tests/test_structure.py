@@ -559,12 +559,13 @@ def test_unknown_model_kind_raises():
 
 
 @pytest.mark.parametrize(
-    "warp, fits",
-    # The Gaussian table's loop converges in its third search; the warped
-    # table's stops at the round cap, then fits the graph it found.
-    [(False, structure._STRUCTURE_ROUNDS), (True, structure._STRUCTURE_ROUNDS + 1)],
+    "num_vars, num_rows, fits",
+    # The 5-column table's loop converges in its third search; the loop on
+    # the 40x200 table (the wide-missing shape) stops at the round cap, then
+    # fits the graph it found.
+    [(5, 400, structure._STRUCTURE_ROUNDS), (40, 200, structure._STRUCTURE_ROUNDS + 1)],
 )
-def test_learning_never_fits_the_same_graph_twice_in_a_row(monkeypatch, warp, fits):
+def test_learning_never_fits_the_same_graph_twice_in_a_row(monkeypatch, num_vars, num_rows, fits):
     # Structural EM fits each graph its search finds; when a search returns
     # the graph it was scored under, that fit is the model.  Patch every
     # module that binds em_fit_lg.
@@ -578,11 +579,11 @@ def test_learning_never_fits_the_same_graph_twice_in_a_row(monkeypatch, warp, fi
         if module.__name__.startswith("copulabn") and getattr(module, "em_fit_lg", None) is em_fit_lg:
             monkeypatch.setattr(module, "em_fit_lg", recording_em_fit_lg)
     data = apply_missing_mask(
-        _chain_dataset(rho=0.6, num_vars=5, num_rows=400, seed=16, warp=warp), 0.25, seed=17
+        _chain_dataset(rho=0.6, num_vars=num_vars, num_rows=num_rows, seed=16), 0.25, seed=17
     )
     model = fit_model(data, "lgbn", SearchConfig(max_parents=2))
     assert len(fitted) == fits
-    assert fitted[0] == Dag.empty(5).parents
+    assert fitted[0] == Dag.empty(num_vars).parents
     assert fitted[-1] == model.dag.parents
     for before, after in zip(fitted, fitted[1:]):
         assert before != after
