@@ -169,10 +169,14 @@ def _max_parents_list(args):
     return caps
 
 
-def _single_fraction(args):
+def _split_flags(args):
+    """fit's and eval's single --missing-fraction; it and --split-index (in
+    [0, --splits)) are checked here, before any file is read."""
     values = _fraction_list(args.missing_fraction)
     if len(values) != 1:
         raise _UsageError("this command takes a single --missing-fraction value")
+    if args.split_index is not None and not 0 <= args.split_index < args.splits:
+        raise _UsageError(f"--split-index {args.split_index} outside [0, {args.splits})")
     return values[0]
 
 
@@ -196,7 +200,7 @@ def _cmd_fit(args):
     if len(caps) != 1:
         raise _UsageError("this command takes a single --max-parents value")
     config = SearchConfig(max_parents=caps[0])
-    p = _single_fraction(args)
+    p = _split_flags(args)
     data = _eval_subset(load_csv(args.data), args, p)
     model = fit_model(data, args.model, config)
     save_model(model, args.out)
@@ -207,7 +211,7 @@ def _cmd_fit(args):
 
 
 def _cmd_eval(args):
-    p = _single_fraction(args)
+    p = _split_flags(args)
     model = load_model(args.model_file)
     data = load_csv(args.data)
     if list(data.column_names) != list(model.column_names):

@@ -420,21 +420,6 @@ def _parent_set_stats(second, child, parent_sets):
     return stats
 
 
-def _fit_parent_sets(second, num_rows, child, parent_sets):
-    """``(rho, value)`` arrays of :meth:`FamilyStats.fit` for the families of
-    ``child`` with each of ``parent_sets``: the sets of one size are read in
-    one :func:`_parent_set_stats` gather and fitted in one
-    :func:`_fit_families` call.  A family without parents has rho = 0 and
-    value 0."""
-    rho, value = np.zeros(len(parent_sets)), np.zeros(len(parent_sets))
-    sizes = np.array([len(ps) for ps in parent_sets], dtype=int)
-    for size in np.unique(sizes[sizes > 0]):
-        rows = np.nonzero(sizes == size)[0]
-        stats = _parent_set_stats(second, child, [parent_sets[i] for i in rows])
-        rho[rows], value[rows] = _fit_families(int(size) + 1, float(num_rows), *stats)
-    return rho, value
-
-
 def fit_rho(family_u_rows):
     """Maximum-likelihood rho for one family from unit-cube rows.
 

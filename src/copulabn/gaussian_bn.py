@@ -10,7 +10,8 @@ size |H|, factors every row's |H| x |H| precision block in one batched
 call, which gives the rows' log marginals and, for EM, the expected
 moments.  Every family (complete-data fit, EM start and M-step, search
 score) is least squares on one mean and one covariance C, centred in two
-passes over the (completed) rows.
+passes over the (completed) rows; one child's parent sets of one size are
+solved as one batch, :func:`_family_from_moments`.
 """
 
 from dataclasses import dataclass
@@ -47,8 +48,8 @@ class LinearGaussianBn:
     Attributes
     ----------
     dag : Dag
-    intercepts : tuple of float
-    coefficients : tuple of tuples
+    intercepts : tuple of float, all finite
+    coefficients : tuple of tuples, all finite
         ``coefficients[i]`` aligns with ``dag.parents[i]``.
     variances : tuple of float, all > 0
     column_names : tuple of str
@@ -68,12 +69,13 @@ class LinearGaussianBn:
         names = tuple(str(c) for c in self.column_names)
         if not (len(intercepts) == len(coefficients) == len(variances) == len(names) == n):
             raise ValidationError("per-node parameter lists must all have num_vars entries")
-        for i, cs in enumerate(coefficients):
+        for i, (b, cs, v) in enumerate(zip(intercepts, coefficients, variances)):
             if len(cs) != len(self.dag.parents[i]):
                 raise ValidationError(
                     f"node {i}: {len(cs)} coefficients for {len(self.dag.parents[i])} parents"
                 )
-        for i, v in enumerate(variances):
+            if not np.isfinite([b, *cs]).all():
+                raise ValidationError(f"node {i}: intercept and coefficients must be finite")
             if not np.isfinite(v) or v <= 0.0:
                 raise ValidationError(f"node {i}: variance must be positive, got {v}")
         object.__setattr__(self, "intercepts", intercepts)
@@ -86,29 +88,37 @@ class LinearGaussianBn:
         return self.dag.num_vars
 
 
-def _family_from_moments(mean, cov, child, parents):
-    """Least-squares family parameters from the mean and centred covariance C.
+def _family_from_moments(mean, cov, child, parent_sets):
+    """Least-squares parameters of ``child``'s families with each of F parent
+    sets of one size k, from the mean and centred covariance C.
 
-    Returns (intercept, coefficients, ml_variance): beta = C_pp^-1 C_pc, the
-    intercept E x_c - beta . E x_p and the variance C_cc - beta . C_pc, a
-    Schur complement of C.  This is exactly OLS when the moments come from
-    complete data, and the EM M-step when they are expected moments.
+    Returns (F,) intercepts E x_c - beta . E x_p, (F, k) coefficients
+    beta = C_pp^-1 C_pc and (F,) ml variances C_cc - beta . C_pc, a Schur
+    complement of C; ``SingularDesignError`` names the first collinear set.
+    The blocks are read in one gather, rank-tested in one batched
+    ``eigvalsh`` and solved in one batched ``solve``: exactly OLS for
+    complete-data moments, and the EM M-step for expected moments.
     """
-    p = list(parents)
-    cpp, cpc = cov[np.ix_(p, p)], cov[p, child]
+    p = np.array(parent_sets, dtype=np.intp)
+    cpp, cpc = cov[p[:, :, None], p[:, None, :]], cov[p, child]
     # Rank is read from the parents' correlations, which rescaling cannot move.  Centring leaves
     # rounding of ~eps E[x^2] in a variance, ~eps E[x^2] / var in a correlation (2^-40 = 4096 eps).
-    var, rounding = cpp.diagonal(), 2.0**-40 * (cpp.diagonal() + mean[p] ** 2)
-    if p and (not (var > rounding).all() or (
-        np.linalg.eigvalsh(cpp / np.sqrt(np.outer(var, var)))[0] <= (rounding / var).max()
-    )):
+    var = np.diagonal(cpp, axis1=1, axis2=2)
+    rounding = 2.0**-40 * (var + mean[p] ** 2)
+    singular = ~(var > rounding).all(axis=1)
+    if p.shape[1]:
+        # Correlations only of the sets whose variances all passed, so none divides by 0.
+        ok, v = ~singular, var[~singular]
+        corr = cpp[ok] / np.sqrt(v[:, :, None] * v[:, None, :])
+        singular[ok] = np.linalg.eigvalsh(corr)[:, 0] <= (rounding[ok] / v).max(axis=1)
+    if singular.any():
         raise SingularDesignError(
-            f"collinear parents {tuple(parents)} for node {child}: design matrix is rank deficient"
+            f"collinear parents {tuple(parent_sets[int(np.argmax(singular))])} for node {child}: "
+            "design matrix is rank deficient"
         )
-    beta = np.linalg.solve(cpp, cpc)
-    variance = cov[child, child] - beta @ cpc
-    intercept = mean[child] - beta @ mean[p]
-    return float(intercept), tuple(float(b) for b in beta), max(float(variance), _VARIANCE_FLOOR)
+    beta = np.linalg.solve(cpp, cpc[:, :, None])[:, :, 0]
+    variance = cov[child, child] - np.vecdot(beta, cpc)
+    return mean[child] - np.vecdot(beta, mean[p]), beta, np.maximum(variance, _VARIANCE_FLOOR)
 
 
 def _mean_cov(completed, hidden_cov=0.0):
@@ -122,8 +132,8 @@ def _mean_cov(completed, hidden_cov=0.0):
 
 def _fit_from_moments(mean, cov, dag, column_names):
     """M-step: the network whose families are least squares on the moments."""
-    families = [_family_from_moments(mean, cov, node, dag.parents[node])
-                for node in range(dag.num_vars)]
+    families = [[column[0] for column in _family_from_moments(mean, cov, node, [ps])]
+                for node, ps in enumerate(dag.parents)]
     intercepts, coefficients, variances = zip(*families)
     return LinearGaussianBn(dag, intercepts, coefficients, variances, column_names)
 
@@ -272,15 +282,16 @@ def expected_moments(model, data):
     return mean, cov, data.num_rows
 
 
-def family_ll_from_moments(mean, cov, child, parents, num_rows):
-    """Family's maximized (expected) log-likelihood given the mean and centred covariance.
+def family_ll_from_moments(mean, cov, child, parent_sets, num_rows):
+    """(F,) maximized (expected) log-likelihoods of ``child``'s families with
+    each of F parent sets of one size, given the mean and centred covariance.
 
-    For complete-data moments this is the exact maximized conditional
+    For complete-data moments each is the exact maximized conditional
     log-likelihood ``-M/2 (log(2 pi sigma^2) + 1)``, with sigma^2 the Schur
     complement of the parents in ``cov``; for expected moments it is the EM
     surrogate used by structure search under missingness.
     """
-    _, _, variance = _family_from_moments(mean, cov, child, parents)
+    variance = _family_from_moments(mean, cov, child, parent_sets)[2]
     return -0.5 * num_rows * (_LOG_2PI + np.log(variance) + 1.0)
 
 

@@ -13,14 +13,15 @@ refilled.  Legality comes as boolean masks from the graph's ancestor matrix
 (Giudici & Castelo 2003), and one masked argmax picks the move.
 ``SearchConfig(max_parents=1)`` restricts the search to forests of trees.
 
-Two plain ``score(child, parent_sets)`` functions of (moments, rows), each
-returning one child's family scores as an array, plug into the same engine:
+Two plain ``score(child, parent_sets)`` functions of (moments, rows) plug
+into the same engine.  Each call passes one child and a non-empty list of
+parent sets of one size, and gets the families' scores back as an array;
+each scorer reads the list from its moment matrix in one gather and fits it
+in one batch:
 
 * the copula-network score — each family's maximized sum of (expected) log
   ratio terms, read from the score table's second-moment matrix, minus the
-  penalty for its one correlation; marginal terms are structure-invariant.
-  A child's candidate families are read from the matrix in one gather and
-  their correlations fitted in one batch;
+  penalty for its one correlation; marginal terms are structure-invariant;
 * the linear-Gaussian score — each family's maximized conditional
   log-likelihood, a Schur complement of the (expected) mean-centred
   covariance, minus the penalty for its ``len(parents) + 2`` parameters.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cbn import _score_table, fit_missing
-from .copula import _fit_parent_sets
+from .copula import _fit_families, _parent_set_stats
 from .dag import Dag
 from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import _mean_cov, em_fit_lg, expected_moments, family_ll_from_moments
@@ -97,29 +98,26 @@ def bic_penalty(num_params, num_instances):
 
 
 def _copula_score(second, num_rows):
-    """Penalized copula family scores of one child's parent sets: each
-    family's maximized objective minus the penalty for its one correlation,
-    0 without parents.  The parent sets are fitted in batches by
-    :func:`copula._fit_parent_sets`."""
+    """Penalized copula family scores of one child's parent sets of one size:
+    each family's maximized objective minus the penalty for its one
+    correlation, 0 without parents."""
     penalty = bic_penalty(1, num_rows)
 
     def score(child, parent_sets):
-        _, values = _fit_parent_sets(second, num_rows, child, parent_sets)
-        values[[len(ps) > 0 for ps in parent_sets]] -= penalty
-        return values
+        if not parent_sets[0]:
+            return np.zeros(len(parent_sets))
+        stats = _parent_set_stats(second, child, parent_sets)
+        return _fit_families(len(parent_sets[0]) + 1, float(num_rows), *stats)[1] - penalty
 
     return score
 
 
 def _gaussian_score(mean, cov, num_rows):
-    """Penalized linear-Gaussian family scores of one child's parent sets,
-    from the mean and centred covariance."""
+    """Penalized linear-Gaussian family scores of one child's parent sets of
+    one size, from the mean and centred covariance."""
     def score(child, parent_sets):
-        return np.array([
-            float(family_ll_from_moments(mean, cov, child, ps, num_rows))
-            - bic_penalty(len(ps) + 2, num_rows)
-            for ps in parent_sets
-        ])
+        penalty = bic_penalty(len(parent_sets[0]) + 2, num_rows)
+        return family_ll_from_moments(mean, cov, child, parent_sets, num_rows) - penalty
 
     return score
 
@@ -160,10 +158,13 @@ def _search(num_vars, score, config):
     ``added[c, p]`` holds the score of c's family with p added and
     ``deleted[c, p]`` with p deleted; a reversal gains
     ``((deleted[c, p] - current[c]) + added[p, c]) - current[p]``.  An entry
-    is filled when a legal move first needs it, with each child's missing
-    entries scored in one call, and a child's rows are emptied (set to NaN)
-    when its parents change.  No family is scored twice: a family seen
-    before, NaN-scored ones included, is read from the cache."""
+    is filled when a legal move first needs it, and a child's rows are
+    emptied (set to NaN) when its parents change.  A child's missing
+    additions are scored in one ``score`` call and its missing deletions in
+    another, so every call gets a non-empty list of parent sets of one size,
+    |ps| + 1 or |ps| - 1.  No family is scored twice: a family seen before,
+    NaN-scored ones included, is read from the cache, and a list with
+    nothing left to score makes no call."""
     scored = {}
 
     def family_scores(child, parent_sets):
@@ -179,15 +180,13 @@ def _search(num_vars, score, config):
     for accepted in range(_MAX_MOVES + 1):
         # legal[kind] for the additions, deletions and reversals.
         legal = np.stack(_legal_moves(dag, config.max_parents))
-        need_added = (legal[0] | legal[2].T) & np.isnan(added)
-        need_deleted = legal[1] & np.isnan(deleted)
-        for child in np.nonzero(need_added.any(axis=1) | need_deleted.any(axis=1))[0].tolist():
+        # need[0] and need[1]: the empty entries of added and deleted that a legal move reads.
+        need = np.stack([(legal[0] | legal[2].T) & np.isnan(added), legal[1] & np.isnan(deleted)])
+        for child in np.nonzero(need.any(axis=(0, 2)))[0].tolist():
             ps = dag.parents[child]
-            adds = np.nonzero(need_added[child])[0].tolist()
-            dels = np.nonzero(need_deleted[child])[0].tolist()
-            values = family_scores(child, [_with(ps, p) for p in adds] + [_without(ps, p) for p in dels])
-            added[child, adds] = values[: len(adds)]
-            deleted[child, dels] = values[len(adds):]
+            for table, mask, edit in zip((added, deleted), need[:, child], (_with, _without)):
+                cols = np.nonzero(mask)[0].tolist()
+                table[child, cols] = family_scores(child, [edit(ps, p) for p in cols])
 
         add_gain = added - current[:, None]
         delete_gain = deleted - current[:, None]

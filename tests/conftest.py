@@ -11,7 +11,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import roots_hermitenorm, roots_legendre
 
 from copulabn.dag import Dag
-from copulabn.errors import ConvergenceError, OutOfRangeError
+from copulabn.errors import ConvergenceError, OutOfRangeError, SingularDesignError
+from copulabn.gaussian_bn import _VARIANCE_FLOOR
 from copulabn.structure import _MAX_MOVES, ScoredStructure
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -222,6 +223,31 @@ def condition_by_pattern(mean, cov, values, observed, moments):
         s1 += completed.sum(axis=0)
         s2 += completed.T @ completed + rows.size * cond_cov
     return log_rows, s1, s2
+
+
+def family_from_moments(mean, cov, child, parents):
+    """One family's least-squares parameters from the mean and centred
+    covariance C, one ``solve`` per family: the oracle of the batched
+    ``gaussian_bn._family_from_moments``.
+
+    Returns (intercept, coefficients, ml_variance): beta = C_pp^-1 C_pc, the
+    intercept E x_c - beta . E x_p and the variance C_cc - beta . C_pc.
+    Raises ``SingularDesignError`` when the parents' correlation matrix has
+    an eigenvalue no larger than its rounding.
+    """
+    p = list(parents)
+    cpp, cpc = cov[np.ix_(p, p)], cov[p, child]
+    var, rounding = cpp.diagonal(), 2.0**-40 * (cpp.diagonal() + mean[p] ** 2)
+    if p and (not (var > rounding).all() or (
+        np.linalg.eigvalsh(cpp / np.sqrt(np.outer(var, var)))[0] <= (rounding / var).max()
+    )):
+        raise SingularDesignError(
+            f"collinear parents {tuple(parents)} for node {child}: design matrix is rank deficient"
+        )
+    beta = np.linalg.solve(cpp, cpc)
+    variance = cov[child, child] - beta @ cpc
+    intercept = mean[child] - beta @ mean[p]
+    return float(intercept), tuple(float(b) for b in beta), max(float(variance), _VARIANCE_FLOOR)
 
 
 # ------------------------------------------------- structure-search oracle

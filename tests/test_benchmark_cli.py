@@ -267,6 +267,20 @@ def test_cli_exit_codes(small_csv, tmp_path, capsys):
     assert main([
         "eval", "--model-file", str(model_out), "--data", str(other),
     ]) == 2
+    # data: a model file with a non-finite coefficient
+    lgbn_out = tmp_path / "lgbn.json"
+    assert main([
+        "fit", "--data", str(small_csv), "--model", "lgbn", "--max-parents", "1",
+        "--out", str(lgbn_out),
+    ]) == 0
+    doc = json.loads(lgbn_out.read_text())
+    node = next(i for i, ps in enumerate(doc["parents"]) if ps)
+    for field, bad in (("intercepts", float("nan")), ("coefficients", float("inf"))):
+        broken = json.loads(json.dumps(doc))
+        broken[field][node] = [bad] if field == "coefficients" else bad
+        lgbn_out.write_text(json.dumps(broken))
+        assert main(["eval", "--model-file", str(lgbn_out), "--data", str(small_csv)]) == 2
+        assert "finite" in capsys.readouterr().err
     # numerical: collinear parent candidates break the linear-Gaussian fit
     assert main([
         "fit", "--data", str(_collinear_csv(tmp_path)), "--model", "lgbn",
@@ -353,6 +367,10 @@ def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, ca
         ["sample", "--model-file", str(tmp_path / "missing.json"), "--count", "0",
          "--out", str(tmp_path / "s.csv")],
         ["marginals", "--data", missing, "--grid-points", "1", "--out", str(tmp_path / "g.csv")],
+        fit + ["--splits", "2", "--split-index", "2"],
+        fit + ["--split-index", "-1"],
+        ["eval", "--model-file", str(tmp_path / "missing.json"), "--data", missing,
+         "--splits", "3", "--split-index", "3"],
     ):
         assert main(argv) == 1, argv
     assert not (tmp_path / "m.json").exists()

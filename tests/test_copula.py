@@ -14,7 +14,7 @@ from copulabn.copula import (
     FamilyStats,
     RHO_MARGIN,
     UniformGaussianCopula,
-    _fit_parent_sets,
+    _fit_families,
     _parent_set_stats,
     _second_moments,
     _stationarity_basis,
@@ -349,10 +349,10 @@ def _bits(*values):
 def test_batched_fit_equals_the_single_family_fit(
     num_cols, dim, num_rows, hidden_share, duplicate, seed
 ):
-    # Every family of a random second-moment matrix, each child's parent
-    # sets read in one gather and fitted in one batch, against
-    # family_stats(...).fit() one at a time and against polyroots, bitwise.
-    # The empty parent set rides along in each batch and fits to 0.
+    # Every family of up to dim columns of a random second-moment matrix:
+    # each child's parent sets of one size read in one gather and fitted in
+    # one batch, as the search scores them, against family_stats(...).fit()
+    # one at a time and against polyroots, bitwise.
     rng = np.random.default_rng(seed)
     dim = min(dim, num_cols)
     z = rng.standard_normal((num_rows, num_cols)) @ rng.standard_normal((num_cols, num_cols))
@@ -360,26 +360,24 @@ def test_batched_fit_equals_the_single_family_fit(
         z[:, 1] = duplicate * z[:, 0]
     observed = rng.random(z.shape) >= hidden_share
     second = _second_moments(z, observed)
-    families = list(itertools.permutations(range(num_cols), dim))
     fitted = {}
-    for child in range(num_cols):
+    for child, size in itertools.product(range(num_cols), range(1, dim)):
+        families = itertools.permutations(range(num_cols), size + 1)
         parent_sets = [f[1:] for f in families if f[0] == child]
         batch = _parent_set_stats(second, child, parent_sets)
-        rho, value = _fit_parent_sets(second, num_rows, child, [(), *parent_sets])
-        assert _bits(rho[0], value[0]) == _bits(0.0, 0.0)
+        rho, value = _fit_families(size + 1, float(num_rows), *batch)
         for i, ps in enumerate(parent_sets):
             stats = family_stats(second, num_rows, (child, *ps))
             assert _bits(stats.fam_q, stats.fam_s_sq, stats.par_q, stats.par_s_sq) == _bits(
                 *(column[i] for column in batch)
             )
-            fit = (rho[i + 1], value[i + 1])
+            fit = (rho[i], value[i])
             assert _bits(*stats.fit()) == _bits(*fit) == _bits(*_polyroots_fit(stats))
             fitted[(child, *ps)] = fit
-    if dim == 2:
-        # A one-parent family and its reversal tie exactly.
-        for child, parent in families:
-            assert _bits(*fitted[child, parent]) == _bits(*fitted[parent, child])
-    if duplicate is not None and dim == 2 and observed.all():
+    # A one-parent family and its reversal tie exactly.
+    for child, parent in itertools.permutations(range(num_cols), 2):
+        assert _bits(*fitted[child, parent]) == _bits(*fitted[parent, child])
+    if duplicate is not None and observed.all():
         lo, hi = rho_bounds(2)
         assert fitted[1, 0][0] == (hi if duplicate > 0 else lo)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
@@ -23,7 +23,7 @@ from copulabn.gaussian_bn import (
 )
 from copulabn.model_io import serialize
 
-from conftest import condition_by_pattern
+from conftest import condition_by_pattern, family_from_moments
 
 
 def _sample_lg(model, count, rng):
@@ -156,6 +156,52 @@ def test_a_duplicate_parent_raises_in_tall_tables(num_rows):
         fit_complete_lg(MaskedDataset.from_values(values), Dag.from_edges(3, [(0, 2), (1, 2)]))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    num_cols=st.integers(4, 6),
+    num_rows=st.integers(6, 300),
+    size=st.integers(0, 3),
+    num_sets=st.integers(1, 20),
+    degenerate=st.sampled_from([None, "duplicate", "constant"]),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_cols=4, num_rows=50, size=1, num_sets=12, degenerate="constant", scale=1.0, seed=0)
+@example(num_cols=5, num_rows=50, size=3, num_sets=20, degenerate="duplicate", scale=1e6, seed=1)
+@example(num_cols=6, num_rows=8, size=3, num_sets=20, degenerate=None, scale=1e-6, seed=2)
+def test_batched_family_fit_equals_the_one_family_oracle(
+    num_cols, num_rows, size, num_sets, degenerate, scale, seed
+):
+    # F parent sets of one size fitted in one batch give each family the
+    # oracle's bits, and the batch raises exactly when the oracle rejects a
+    # member, naming the first such set.
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.standard_normal((num_rows, num_cols)) @ rng.standard_normal((num_cols,) * 2))
+    if degenerate == "duplicate":
+        x[:, 2] = x[:, 1]
+    elif degenerate == "constant":
+        x[:, 2] = 3.0 * scale
+    mean, cov = gaussian_bn._mean_cov(x)
+    child = int(rng.integers(num_cols))
+    others = [j for j in range(num_cols) if j != child]
+    parent_sets = [tuple(int(p) for p in rng.permutation(others)[:size]) for _ in range(num_sets)]
+    want, rejected = [], []
+    for ps in parent_sets:
+        try:
+            want.append(family_from_moments(mean, cov, child, ps))
+        except SingularDesignError as e:
+            rejected.append(str(e))
+    if rejected:
+        with pytest.raises(SingularDesignError) as info:
+            gaussian_bn._family_from_moments(mean, cov, child, parent_sets)
+        assert str(info.value) == rejected[0]
+        return
+    intercepts, betas, variances = gaussian_bn._family_from_moments(mean, cov, child, parent_sets)
+    assert betas.shape == (num_sets, size)
+    got = np.column_stack([intercepts, betas, variances])
+    assert got.tobytes() == np.array([(b, *beta, v) for b, beta, v in want]).tobytes()
+
+
 def test_model_validation():
     dag = Dag.chain(2)
     with pytest.raises(ValidationError):
@@ -164,6 +210,9 @@ def test_model_validation():
         LinearGaussianBn(dag, (0.0, 0.0), ((), ()), (1.0, 1.0), ("a", "b"))
     with pytest.raises(ValidationError):
         LinearGaussianBn(dag, (0.0, 0.0), ((), (1.0,)), (1.0, -1.0), ("a", "b"))
+    for intercepts, coefficients in (((np.nan, 0.0), ((), (1.0,))), ((0.0, 0.0), ((), (np.inf,)))):
+        with pytest.raises(ValidationError):
+            LinearGaussianBn(dag, intercepts, coefficients, (1.0, 1.0), ("a", "b"))
 
 
 # ---------------------------------------------------- joint compilation
@@ -461,7 +510,8 @@ def test_family_ll_matches_direct_gaussian_log_likelihood():
     cov = np.cov(x, rowvar=False, bias=True)
     for node in range(3):
         parents = truth.dag.parents[node]
-        got = family_ll_from_moments(mean, cov, node, parents, x.shape[0])
+        got = family_ll_from_moments(mean, cov, node, [parents], x.shape[0])
+        assert got.shape == (1,)
         loc = model.intercepts[node] + (
             x[:, list(parents)] @ np.asarray(model.coefficients[node])
             if parents

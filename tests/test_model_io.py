@@ -250,6 +250,20 @@ def test_rejects_non_numeric_values(kind, field, bad):
         deserialize(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field", ["intercepts", "coefficients"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_non_finite_lgbn_parameters(field, bad):
+    # Python's json reads NaN and Infinity; a model holding one would score
+    # NaN or fail to factor its precision.
+    doc = json.loads(serialize(_lg_model()))
+    if field == "coefficients":
+        doc[field][2][0] = bad
+    else:
+        doc[field][1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        deserialize(json.dumps(doc))
+
+
 def test_serialize_rejects_foreign_objects():
     with pytest.raises(ValidationError):
         serialize({"not": "a model"})

@@ -1,8 +1,9 @@
 """The perfbench tracer installs over the package as it is: every callable
 it wraps resolves and is wrapped under every name that binds it, a traced
-fit records the layers it runs through, and uninstalling restores every
-binding.  A refactor that drops or renames a traced callable fails here
-rather than in a ``--trace 1`` run."""
+fit of either model kind records the layers it runs through, and
+uninstalling restores every binding.  A refactor that drops or renames a
+traced callable, or stops calling it, fails here rather than in a
+``--trace 1`` run."""
 
 import importlib
 import importlib.util
@@ -59,9 +60,14 @@ def test_tracer_wraps_every_target_and_restores_the_package():
         x = warp_columns(chain_scores(0.6, 4, 200, rng), cycle_warps(4))
         data = apply_missing_mask(MaskedDataset.from_values(x), 0.2, seed=1)
         copulabn.benchmark.fit_model(data, "cbn", SearchConfig(max_parents=2))
+        copulabn.benchmark.fit_model(data, "lgbn", SearchConfig(max_parents=2))
     finally:
         tracer.uninstall()
     after = _bindings()
     assert all(after[key] is value for key, value in before.items())
     recorded = {tracer.names[i] for i in tracer.arrays()["name_id"]}
-    assert {"benchmark.fit_model", "cbn.fit_missing", "copula.rho_fit"} <= recorded
+    assert {
+        "benchmark.fit_model", "cbn.fit_missing", "copula.rho_fit",
+        "gaussian_bn.family_ll_from_moments", "gaussian_bn.expected_moments",
+        "gaussian_bn.em_fit_lg",
+    } <= recorded

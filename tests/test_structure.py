@@ -401,11 +401,13 @@ def _outcome(search, num_vars, score, config):
 @example(seed=98)  # the search that hits the move cap
 def test_search_scores_each_family_once_and_only_those_the_rescan_scores(seed):
     # The engine scores no family twice, and exactly the families the
-    # rescanning engine scores: those of the moves legal at some step.
+    # rescanning engine scores: those of the moves legal at some step.  Every
+    # scorer call gets a non-empty list of parent sets of one size.
     table, num_vars, config = _table_search(seed)
     batched, scalar = [], []
 
     def score(child, parent_sets):
+        assert parent_sets and len({len(ps) for ps in parent_sets}) == 1, parent_sets
         batched.extend((child, ps) for ps in parent_sets)
         return np.array([table[child, ps] for ps in parent_sets])
 
@@ -419,6 +421,24 @@ def test_search_scores_each_family_once_and_only_those_the_rescan_scores(seed):
     engine = batched[: len(batched) - len(scalar)]
     assert len(set(engine)) == len(engine)
     assert set(engine) == set(scalar)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_each_scorer_call_gets_parent_sets_of_one_size_at_a_cap_of_four(seed):
+    # Below a cap of 4 a child's deletions are all cached by the time its
+    # additions are scored; at 4 they are not, so an engine that scored both
+    # in one call would hand the scorer two sizes.
+    rng = np.random.default_rng(seed)
+    num_vars = int(rng.integers(5, 8))
+    table = _reference_table(rng, num_vars, 4)
+    sizes = []
+
+    def score(child, parent_sets):
+        sizes.append({len(ps) for ps in parent_sets})
+        return np.array([table[child, ps] for ps in parent_sets])
+
+    _outcome(_search, num_vars, score, SearchConfig(max_parents=4))
+    assert sizes and all(len(s) == 1 for s in sizes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
