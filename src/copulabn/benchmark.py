@@ -204,14 +204,14 @@ def run_benchmark(
 
     Rows are produced in canonical order (model kind, parent cap, missing
     fraction, split); the CSV is byte-identical across reruns with the same
-    inputs and seed.  A value repeated in any of the three grid lists is an
-    ``InvalidInputError``, raised before any cell runs.  On a failing cell,
-    the split rows finished so far are flushed to ``output_path`` before the
-    error propagates.  A package, arithmetic or value error is re-raised as
-    the same type with the cell named in its message.
+    inputs and seed.  A value repeated in a grid list (``InvalidInputError``)
+    or a cap ``SearchConfig`` rejects (``ValidationError``) raises before any
+    cell runs.  On a failing cell, the split rows finished so far are flushed
+    to ``output_path`` before the error propagates.  A package, arithmetic or
+    value error is re-raised as the same type with the cell named in its message.
     """
     model_kinds = tuple(model_kinds)
-    max_parents_list = tuple(int(k) for k in max_parents_list)
+    max_parents_list = tuple(SearchConfig(max_parents=k).max_parents for k in max_parents_list)
     missing_fractions = tuple(float(p) for p in missing_fractions)
     if not model_kinds or not max_parents_list or not missing_fractions:
         raise InvalidInputError("benchmark grids must be non-empty")

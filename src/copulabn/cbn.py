@@ -200,7 +200,8 @@ def fit_missing(data, dag):
     the family's summed expected ratio terms over all rows — its share of
     the likelihood bound — so the fit is total either way.  Either way the
     rho is exact: :meth:`copulabn.copula.FamilyStats.fit` solves for it in
-    closed form.
+    closed form, for all families of one size in one call, each with its own
+    row count and second moments.
 
     Marginals and normal scores come from :func:`_score_table`, so after a
     structure search on the same ``data`` object neither is computed again.
@@ -211,17 +212,23 @@ def fit_missing(data, dag):
         )
     table = _score_table(data)
     copulas = [None] * dag.num_vars
-    for node, parents in enumerate(dag.parents):
-        if not parents:
+    for size, families in dag.families_by_size().items():
+        if not size:
             continue
-        cols = (node, *parents)
-        complete = data.observed[:, cols].all(axis=1)
-        if int(complete.sum()) >= 2:
-            z_cc = table.z[np.ix_(complete, cols)]
-            stats = family_stats(z_cc.T @ z_cc, z_cc.shape[0], range(len(cols)))
-        else:
-            stats = family_stats(table.second, data.num_rows, cols)
-        copulas[node] = UniformGaussianCopula(n=len(cols), rho=stats.fit()[0])
+        complete = data.observed[:, families].all(axis=2)
+        counts = complete.sum(axis=0)
+        # Each family's own second moments: S over its sorted columns, read at
+        # each column's rank, or the Z'Z of its complete rows, child first.
+        cols = np.sort(families, axis=1)
+        second = table.second[cols[:, :, None], cols[:, None, :]]
+        index = np.argsort(np.argsort(families, axis=1), axis=1)
+        for i in np.nonzero(counts >= 2)[0]:
+            z = table.z[np.ix_(complete[:, i], families[i])]
+            second[i], index[i] = z.T @ z, np.arange(size + 1)
+        num_rows = np.where(counts >= 2, counts, data.num_rows).astype(float)
+        rho, _ = family_stats(second, num_rows, index).fit()
+        for node, r in zip(families[:, 0].tolist(), rho.tolist()):
+            copulas[node] = UniformGaussianCopula(n=size + 1, rho=r)
     return CbnModel(
         dag=dag, marginals=table.marginals, copulas=tuple(copulas), column_names=data.column_names
     )

@@ -16,7 +16,8 @@ That structure gives closed forms for everything the package needs:
   cheap (see :class:`FamilyStats`);
 * the maximum-likelihood rho of a family is a root of a polynomial of degree
   at most 5 or an end of the valid interval, so it is found exactly, with no
-  search and no tolerance (:meth:`FamilyStats.fit`).
+  search and no tolerance, for a batch of families of one size in one call
+  (:meth:`FamilyStats.fit`), as the search and ``fit_missing`` both make it.
 
 ``rho`` is valid iff Sigma is positive definite, i.e. ``rho`` in
 ``(-1/(n-1), 1)``; we shrink that interval by a small margin at both ends so
@@ -233,44 +234,45 @@ def conditional_z_params(c, z_parents):
     return (mean if block else float(mean[0])), float(variance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyStats:
-    """Sufficient statistics of one family's rho objective.
+    """Sufficient statistics of the rho objectives of F families of one dimension.
 
-    The family log-density ratio summed over rows is affine in
+    A family's log-density ratio summed over rows is affine in
     ``A = sum_rows q`` and ``B = sum_rows s^2`` and in their parent-block
     analogues ``C`` and ``D`` (:func:`family_stats` reads all four from a
-    second-moment matrix), so ``objective(rho)`` costs O(1) and its
-    maximizer is a root of a polynomial of degree at most 5 (see :meth:`fit`).
+    second-moment matrix), so ``objective(rho)`` costs O(1) per family and
+    each maximizer is a root of a polynomial of degree at most 5 (see
+    :meth:`fit`).
 
     Attributes
     ----------
-    num_rows : float
-        Total weight (plain row count when nothing is hidden).
+    num_rows : float or (F,) array
+        Total row weight (plain row count when nothing is hidden).
     dim : int
         Family dimension (child + parents).
-    fam_q, fam_s_sq : float
+    fam_q, fam_s_sq : (F,) arrays
         Sums over rows of (expected) q and s^2 for the full family block.
-    par_q, par_s_sq : float
+    par_q, par_s_sq : (F,) arrays
         Same for the parent block.
     """
 
-    num_rows: float
+    num_rows: object
     dim: int
-    fam_q: float
-    fam_s_sq: float
-    par_q: float
-    par_s_sq: float
+    fam_q: np.ndarray
+    fam_s_sq: np.ndarray
+    par_q: np.ndarray
+    par_s_sq: np.ndarray
 
     def objective(self, rho):
-        """Sum over rows of (expected) family log ratio terms at ``rho``."""
+        """(F,) sums over rows of (expected) family log ratio terms at ``rho``."""
         return _ratio_from_stats(
             self.dim, rho, self.fam_q, self.fam_s_sq, self.par_q, self.par_s_sq, self.num_rows
         )
 
     def fit(self):
-        """The rho maximizing :meth:`objective` on :func:`rho_bounds`, and
-        the objective value there.
+        """(F,) arrays: each family's rho maximizing :meth:`objective` on
+        :func:`rho_bounds`, and the objective value there.
 
         With ``n = dim``, ``k = n - 1`` parents, ``N = num_rows`` and
         ``A, B, C, D = fam_q, fam_s_sq, par_q, par_s_sq``, the derivative is
@@ -283,72 +285,59 @@ class FamilyStats:
 
         without the C and D terms when ``k == 1``, as in :meth:`objective`.
         Times ``(1-rho)^2 (1+(n-1) rho)^2 (1+(k-1) rho)^2`` it is a polynomial
-        of degree at most 5, so the maximum is at one of its real roots inside
-        the interval or at an end.  Every root's real part inside the interval
-        is scored (a real root may come back with a tiny imaginary part), as
-        are both ends and rho = 0, and the best candidate wins, rho = 0 on a
-        tie; the result never scores below independence.  This is the
-        one-family case of :func:`_fit_families`, which fits many at once.
+        of degree at most 5: each family's weight row times
+        ``_stationarity_basis(n)``, multiplied row by row as a stacked
+        vector-matrix product.  Trailing zero coefficients are trimmed, and
+        the families are grouped by the degree left: degree 1 has the root
+        ``-c0 / c1``, higher degrees the sorted eigenvalues of their companion
+        matrices, stacked into one ``eigvals`` call.  The real part of every
+        root inside the interval is scored (a real root may come back with a
+        tiny imaginary part), as are both ends and rho = 0, and the first best
+        candidate wins, in the order 0, lo, hi, then the roots in ascending
+        order; so a fit never scores below independence.
         """
-        stats = np.array(
-            [[self.fam_q], [self.fam_s_sq], [self.par_q], [self.par_s_sq]], dtype=float
+        n = self.dim
+        lo, hi = rho_bounds(n)
+        k = n - 1
+        A, B = self.fam_q, self.fam_s_sq
+        N = np.asarray(self.num_rows, dtype=float)
+        C, D = (self.par_q, self.par_s_sq) if k >= 2 else (0.0, 0.0)
+        weights = np.empty((A.size, 6))
+        weights[:, 0], weights[:, 1], weights[:, 2] = N, -N * (n - 1), N * (k - 1)
+        weights[:, 3] = (C - D / k) - (A - B / n)
+        weights[:, 4] = B * (n - 1) / n
+        weights[:, 5] = -D * (k - 1) / k
+        coef = np.matmul(weights[:, None, :], _stationarity_basis(n))[:, 0, :]
+        nonzero = coef != 0
+        degree = np.where(nonzero.any(axis=1), 5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        # Candidates per family: 0, lo, hi, then up to five roots (a view).
+        candidates = np.zeros((A.size, 8))
+        candidates[:, 1:3] = lo, hi
+        roots = candidates[:, 3:]
+        for d in set(degree.tolist()) - {0}:
+            rows = np.nonzero(degree == d)[0]
+            c = coef[rows, : d + 1]
+            if d == 1:
+                roots[rows, 0] = -c[:, 0] / c[:, 1]
+                continue
+            # Companion matrices as numpy's polycompanion builds them, unrotated:
+            # the matrix polyroots solves in numpy >= 2.4, the floor in
+            # pyproject.toml.  numpy 1.x's polyroots solved it rotated, which
+            # moves roots by ulps.
+            companion = np.zeros((rows.size, d, d))
+            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            roots[rows, :d] = np.sort(np.linalg.eigvals(companion), axis=1).real
+        outside = ~((lo < roots) & (roots < hi)) | (np.arange(5) >= degree[:, None])
+        roots[outside] = 0.0
+        values = _ratio_from_stats(
+            n, candidates, A[:, None], B[:, None], self.par_q[:, None], self.par_s_sq[:, None],
+            N[..., None],
         )
-        rho, value = _fit_families(self.dim, self.num_rows, *stats)
-        return float(rho[0]), float(value[0])
-
-
-def _fit_families(n, num_rows, fam_q, fam_s_sq, par_q, par_s_sq):
-    """:meth:`FamilyStats.fit` of F families of dimension ``n`` at once, from
-    (F,) arrays of their statistics: ``(rho, value)`` arrays.
-
-    Each family's stationarity polynomial is its weight row times
-    ``_stationarity_basis(n)``, multiplied row by row as a stacked
-    vector-matrix product.  Trailing zero coefficients are trimmed, and the
-    families are grouped by the degree left: degree 1 has the root
-    ``-c0 / c1``, higher degrees the sorted eigenvalues of their companion
-    matrices, stacked into one ``eigvals`` call.  Candidates outside the
-    interval are masked, and the first best candidate wins, in the order
-    0, lo, hi, then the roots in ascending order.
-    """
-    lo, hi = rho_bounds(n)
-    k = n - 1
-    N, A, B = num_rows, fam_q, fam_s_sq
-    C, D = (par_q, par_s_sq) if k >= 2 else (0.0, 0.0)
-    weights = np.empty((A.size, 6))
-    weights[:, :3] = N, -N * (n - 1), N * (k - 1)
-    weights[:, 3] = (C - D / k) - (A - B / n)
-    weights[:, 4] = B * (n - 1) / n
-    weights[:, 5] = -D * (k - 1) / k
-    coef = np.matmul(weights[:, None, :], _stationarity_basis(n))[:, 0, :]
-    nonzero = coef != 0
-    degree = np.where(nonzero.any(axis=1), 5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    # Candidates per family: 0, lo, hi, then up to five roots (a view).
-    candidates = np.zeros((A.size, 8))
-    candidates[:, 1:3] = lo, hi
-    roots = candidates[:, 3:]
-    for d in set(degree.tolist()) - {0}:
-        rows = np.nonzero(degree == d)[0]
-        c = coef[rows, : d + 1]
-        if d == 1:
-            roots[rows, 0] = -c[:, 0] / c[:, 1]
-            continue
-        # Companion matrices as numpy's polycompanion builds them, unrotated:
-        # the matrix polyroots solves in numpy >= 2.4, the floor in
-        # pyproject.toml.  numpy 1.x's polyroots solved it rotated, which
-        # moves roots by ulps.
-        companion = np.zeros((rows.size, d, d))
-        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        roots[rows, :d] = np.sort(np.linalg.eigvals(companion), axis=1).real
-    outside = ~((lo < roots) & (roots < hi)) | (np.arange(5) >= degree[:, None])
-    roots[outside] = 0.0
-    values = _ratio_from_stats(
-        n, candidates, A[:, None], B[:, None], par_q[:, None], par_s_sq[:, None], N
-    )
-    values[:, 3:][outside] = -np.inf
-    best = np.argmax(values, axis=1)
-    pick = np.arange(A.size)
-    return candidates[pick, best], values[pick, best]
+        values[:, 3:][outside] = -np.inf
+        best = np.argmax(values, axis=1)
+        pick = np.arange(A.size)
+        return candidates[pick, best], values[pick, best]
 
 
 @lru_cache(maxsize=None)
@@ -387,37 +376,26 @@ def _second_moments(z, observed):
     return z0.T @ z0 + np.diag((~observed).sum(axis=0).astype(float))
 
 
-def family_stats(second, num_rows, cols):
-    """:class:`FamilyStats` of the family ``cols`` (child first) over
-    ``num_rows`` rows from a second-moment matrix (``Z'Z`` of complete scores,
-    or :func:`_second_moments`): the one-family case of
-    :func:`_parent_set_stats`."""
-    cols = tuple(cols)
-    fam_q, fam_s_sq, par_q, par_s_sq = _parent_set_stats(second, cols[0], [cols[1:]])
-    return FamilyStats(
-        num_rows=float(num_rows),
-        dim=len(cols),
-        fam_q=float(fam_q[0]),
-        fam_s_sq=float(fam_s_sq[0]),
-        par_q=float(par_q[0]),
-        par_s_sq=float(par_s_sq[0]),
-    )
+def family_stats(second, num_rows, families):
+    """:class:`FamilyStats` of F families of one dimension over ``num_rows``
+    rows (a scalar, or one count per family), read from a second-moment
+    matrix (``Z'Z`` of complete scores, or :func:`_second_moments`) shared by
+    all, or from an (F, m, m) stack of them, one per family.
 
-
-def _parent_set_stats(second, child, parent_sets):
-    """(F,) arrays ``fam_q, fam_s_sq, par_q, par_s_sq`` of the families of
-    ``child`` with each of F parent sets of one size, read from ``second``
-    in one gather per block: a block's summed q is its trace and its summed
-    s^2 its total.  Blocks are read over sorted indices, so the parents'
-    order changes no bit, and a one-parent family and its reversal share
-    their family block."""
-    fam = np.array([sorted((child, *ps)) for ps in parent_sets], dtype=np.intp)
-    par = np.array([sorted(ps) for ps in parent_sets], dtype=np.intp)
+    ``families`` is an (F, k+1) array-like of column indices of ``second``,
+    each row child first.  Each block is read in one gather: its summed q is
+    its trace and its summed s^2 its total.  Blocks are read over sorted
+    indices, so the parents' order changes no bit, and a one-parent family
+    and its reversal share their family block.
+    """
+    families = np.asarray(families, dtype=np.intp)
+    second = np.broadcast_to(second, (len(families), *second.shape[-2:]))
+    which = np.arange(len(families))[:, None, None]
     stats = []
-    for idx in (fam, par):
-        blocks = second[idx[:, :, None], idx[:, None, :]]
+    for idx in (np.sort(families, axis=1), np.sort(families[:, 1:], axis=1)):
+        blocks = second[which, idx[:, :, None], idx[:, None, :]]
         stats += [np.trace(blocks, axis1=1, axis2=2), blocks.sum(axis=(1, 2))]
-    return stats
+    return FamilyStats(num_rows, families.shape[1], *stats)
 
 
 def fit_rho(family_u_rows):
@@ -448,5 +426,5 @@ def fit_rho(family_u_rows):
     if u.shape[1] < 2:
         raise InvalidInputError("a family needs at least one parent to have a rho")
     z = _scores(u)
-    rho, _ = family_stats(z.T @ z, u.shape[0], range(u.shape[1])).fit()
-    return rho
+    rho, _ = family_stats(z.T @ z, float(u.shape[0]), [range(u.shape[1])]).fit()
+    return float(rho[0])

@@ -111,6 +111,14 @@ class Dag:
         bits = np.frombuffer(packed, dtype=np.uint8).reshape(self.num_vars, width)
         return np.unpackbits(bits, axis=1, count=self.num_vars, bitorder="little").astype(bool)
 
+    def families_by_size(self):
+        """Every node's family as a row, child first and then its parents, grouped by
+        parent count: ``{k: (F, k + 1) intp array}``, sizes ascending, rows in node order."""
+        groups = {}
+        for node, ps in enumerate(self.parents):
+            groups.setdefault(len(ps), []).append((node, *ps))
+        return {k: np.array(groups[k], dtype=np.intp) for k in sorted(groups)}
+
     def edges(self):
         """All (parent, child) pairs, sorted."""
         return sorted((p, c) for c, ps in enumerate(self.parents) for p in ps)

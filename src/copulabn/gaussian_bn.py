@@ -10,8 +10,8 @@ size |H|, factors every row's |H| x |H| precision block in one batched
 call, which gives the rows' log marginals and, for EM, the expected
 moments.  Every family (complete-data fit, EM start and M-step, search
 score) is least squares on one mean and one covariance C, centred in two
-passes over the (completed) rows; one child's parent sets of one size are
-solved as one batch, :func:`_family_from_moments`.
+passes over the (completed) rows; families of one size (a search's candidates,
+a fit's families) are solved as one batch, :func:`_family_from_moments`.
 """
 
 from dataclasses import dataclass
@@ -88,19 +88,20 @@ class LinearGaussianBn:
         return self.dag.num_vars
 
 
-def _family_from_moments(mean, cov, child, parent_sets):
-    """Least-squares parameters of ``child``'s families with each of F parent
-    sets of one size k, from the mean and centred covariance C.
+def _family_from_moments(mean, cov, families):
+    """Least-squares parameters of F families of one size k, each a row of
+    ``families`` (child first), from the mean and centred covariance C.
 
     Returns (F,) intercepts E x_c - beta . E x_p, (F, k) coefficients
     beta = C_pp^-1 C_pc and (F,) ml variances C_cc - beta . C_pc, a Schur
-    complement of C; ``SingularDesignError`` names the first collinear set.
+    complement of C; ``SingularDesignError`` names the first collinear family.
     The blocks are read in one gather, rank-tested in one batched
     ``eigvalsh`` and solved in one batched ``solve``: exactly OLS for
     complete-data moments, and the EM M-step for expected moments.
     """
-    p = np.array(parent_sets, dtype=np.intp)
-    cpp, cpc = cov[p[:, :, None], p[:, None, :]], cov[p, child]
+    families = np.asarray(families, dtype=np.intp)
+    c, p = families[:, 0], families[:, 1:]
+    cpp, cpc = cov[p[:, :, None], p[:, None, :]], cov[p, c[:, None]]
     # Rank is read from the parents' correlations, which rescaling cannot move.  Centring leaves
     # rounding of ~eps E[x^2] in a variance, ~eps E[x^2] / var in a correlation (2^-40 = 4096 eps).
     var = np.diagonal(cpp, axis1=1, axis2=2)
@@ -112,13 +113,13 @@ def _family_from_moments(mean, cov, child, parent_sets):
         corr = cpp[ok] / np.sqrt(v[:, :, None] * v[:, None, :])
         singular[ok] = np.linalg.eigvalsh(corr)[:, 0] <= (rounding[ok] / v).max(axis=1)
     if singular.any():
+        child, *parents = families[int(np.argmax(singular))].tolist()
         raise SingularDesignError(
-            f"collinear parents {tuple(parent_sets[int(np.argmax(singular))])} for node {child}: "
-            "design matrix is rank deficient"
+            f"collinear parents {tuple(parents)} for node {child}: design matrix is rank deficient"
         )
     beta = np.linalg.solve(cpp, cpc[:, :, None])[:, :, 0]
-    variance = cov[child, child] - np.vecdot(beta, cpc)
-    return mean[child] - np.vecdot(beta, mean[p]), beta, np.maximum(variance, _VARIANCE_FLOOR)
+    variance = cov[c, c] - np.vecdot(beta, cpc)
+    return mean[c] - np.vecdot(beta, mean[p]), beta, np.maximum(variance, _VARIANCE_FLOOR)
 
 
 def _mean_cov(completed, hidden_cov=0.0):
@@ -131,10 +132,12 @@ def _mean_cov(completed, hidden_cov=0.0):
 
 
 def _fit_from_moments(mean, cov, dag, column_names):
-    """M-step: the network whose families are least squares on the moments."""
-    families = [[column[0] for column in _family_from_moments(mean, cov, node, [ps])]
-                for node, ps in enumerate(dag.parents)]
-    intercepts, coefficients, variances = zip(*families)
+    """M-step: the network whose families are least squares on the moments,
+    one :func:`_family_from_moments` batch per parent count."""
+    fits = {}  # node: (intercept, coefficients, variance)
+    for families in dag.families_by_size().values():
+        fits.update(zip(families[:, 0].tolist(), zip(*_family_from_moments(mean, cov, families))))
+    intercepts, coefficients, variances = zip(*(fits[node] for node in range(dag.num_vars)))
     return LinearGaussianBn(dag, intercepts, coefficients, variances, column_names)
 
 
@@ -291,7 +294,7 @@ def family_ll_from_moments(mean, cov, child, parent_sets, num_rows):
     complement of the parents in ``cov``; for expected moments it is the EM
     surrogate used by structure search under missingness.
     """
-    variance = _family_from_moments(mean, cov, child, parent_sets)[2]
+    variance = _family_from_moments(mean, cov, [(child, *ps) for ps in parent_sets])[2]
     return -0.5 * num_rows * (_LOG_2PI + np.log(variance) + 1.0)
 
 

@@ -17,7 +17,7 @@ Two plain ``score(child, parent_sets)`` functions of (moments, rows) plug
 into the same engine.  Each call passes one child and a non-empty list of
 parent sets of one size, and gets the families' scores back as an array;
 each scorer reads the list from its moment matrix in one gather and fits it
-in one batch:
+in one batch, with the fitter that fits a model's families of one size:
 
 * the copula-network score — each family's maximized sum of (expected) log
   ratio terms, read from the score table's second-moment matrix, minus the
@@ -32,12 +32,13 @@ the model, as only the Gaussian E-step with hidden cells does; the copula
 moments hold the likelihood bound's expectations, read from the data alone.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cbn import _score_table, fit_missing
-from .copula import _fit_families, _parent_set_stats
+from .copula import family_stats
 from .dag import Dag
 from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
 from .gaussian_bn import _mean_cov, em_fit_lg, expected_moments, family_ll_from_moments
@@ -62,15 +63,17 @@ class SearchConfig:
     Attributes
     ----------
     max_parents : int
-        Parent-set size cap (default 3); 1 restricts the search to forests
-        of trees.
+        Parent-set size cap, a non-negative integer (default 3); 1 restricts
+        the search to forests of trees.
     """
 
     max_parents: int = 3
 
     def __post_init__(self):
-        if self.max_parents < 0:
-            raise ValidationError(f"max_parents must be >= 0, got {self.max_parents}")
+        cap = self.max_parents
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 0:
+            raise ValidationError(f"max_parents must be a non-negative integer, got {cap!r}")
+        object.__setattr__(self, "max_parents", int(cap))
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,8 @@ def _copula_score(second, num_rows):
     def score(child, parent_sets):
         if not parent_sets[0]:
             return np.zeros(len(parent_sets))
-        stats = _parent_set_stats(second, child, parent_sets)
-        return _fit_families(len(parent_sets[0]) + 1, float(num_rows), *stats)[1] - penalty
+        families = [(child, *ps) for ps in parent_sets]
+        return family_stats(second, float(num_rows), families).fit()[1] - penalty
 
     return score
 

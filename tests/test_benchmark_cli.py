@@ -11,7 +11,7 @@ from copulabn import benchmark
 from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark
 from copulabn.cli import main
 from copulabn.data import ExperimentProtocol, MaskedDataset, make_split, save_csv
-from copulabn.errors import SingularDesignError
+from copulabn.errors import SingularDesignError, ValidationError
 
 from conftest import chain_scores, cycle_warps, warp_columns
 
@@ -104,6 +104,21 @@ def test_repeated_grid_values_are_usage_errors(
     argv = ["benchmark", "--data", str(small_csv), "--splits", "2", "--out", str(out)]
     assert main(argv + [flag, grid]) == 1
     assert "repeats a value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", [1.5, float("nan"), True])
+def test_a_non_integer_parent_cap_is_refused_before_any_cell(
+    small_csv, tmp_path, monkeypatch, cap
+):
+    # int(1.5) would run and label the grid as a cap of 1.
+    def refuse(*args):
+        raise AssertionError("a benchmark cell ran")
+
+    monkeypatch.setattr(benchmark, "_run_cell", refuse)
+    out = tmp_path / "bench.csv"
+    with pytest.raises(ValidationError, match="max_parents must be a non-negative integer"):
+        run_benchmark(small_csv, _tiny_protocol(), ["cbn"], [2, cap], [0.0], out)
     assert not out.exists()
 
 

@@ -26,7 +26,13 @@ from copulabn.cbn import (
     lower_bound,
     lower_bound_rows,
 )
-from copulabn.copula import UniformGaussianCopula, ratio_log, ratio_log_from_z, rho_bounds
+from copulabn.copula import (
+    UniformGaussianCopula,
+    family_stats,
+    ratio_log,
+    ratio_log_from_z,
+    rho_bounds,
+)
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import CopulaBnError, InvalidInputError, OutOfRangeError, ValidationError
@@ -268,6 +274,49 @@ def test_fit_missing_falls_back_to_the_bound_without_complete_rows():
         lo, hi = rho_bounds(num_cols)
         grid_best = max(objective(rho) for rho in np.linspace(lo, hi, 2001))
         assert objective(model.copulas[child].rho) >= grid_best - 1e-9
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    num_cols=st.integers(7, 9),
+    num_rows=st.integers(8, 150),
+    hidden_share=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_missing_fits_each_family_from_its_own_statistics(num_cols, num_rows, hidden_share, seed):
+    # fit_missing fits each size's families in one batch.  Columns 0 and 1
+    # are never observed together, so the families of nodes 1-3 (sizes 1-3)
+    # have no complete row and fall back to the bound's S over all rows.
+    # Nodes 4 on draw 1-3 parents among columns 2 and up, which rows 4 and 5
+    # observe in full and row 6 hides, so each has its own complete-case Z'Z
+    # and a row count between 2 and num_rows, in the same size batches.
+    # Every rho equals, bitwise, the one-family fit of its own statistics.
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((num_rows, num_cols)) @ rng.standard_normal((num_cols,) * 2)
+    observed = rng.random(values.shape) >= hidden_share
+    both = np.nonzero(observed[:, 0] & observed[:, 1])[0]
+    observed[both, rng.integers(0, 2, both.size)] = False
+    observed[:4, :2] = [[True, False], [True, False], [False, True], [False, True]]
+    observed[4:6, 2:] = True
+    observed[6, 2:] = False
+    parents = [(), (0,), (0, 1), (0, 1, 2)]
+    for node in range(4, num_cols):
+        size = node - 3 if node < 7 else int(rng.integers(1, 4))
+        parents.append(tuple(int(p) for p in rng.choice(np.arange(2, node), size, replace=False)))
+    data = MaskedDataset.from_values(np.where(observed, values, np.nan))
+    model = fit_missing(data, Dag(num_cols, tuple(parents)))
+    table = _score_table(data)
+    for node, ps in enumerate(parents[1:], start=1):
+        cols = (node, *ps)
+        complete = observed[:, cols].all(axis=1)
+        assert (complete.sum() >= 2) == (node >= 4)
+        if node >= 4:
+            z = table.z[np.ix_(complete, cols)]
+            stats = family_stats(z.T @ z, float(complete.sum()), [range(len(cols))])
+        else:
+            stats = family_stats(table.second, float(num_rows), [cols])
+        (rho,), _ = stats.fit()
+        assert np.float64(model.copulas[node].rho).tobytes() == rho.tobytes(), cols
 
 
 def test_bound_never_exceeds_mc_log_evidence():

@@ -14,8 +14,6 @@ from copulabn.copula import (
     FamilyStats,
     RHO_MARGIN,
     UniformGaussianCopula,
-    _fit_families,
-    _parent_set_stats,
     _second_moments,
     _stationarity_basis,
     conditional_z_params,
@@ -237,7 +235,15 @@ def test_conditional_density_identity():
 
 
 def _complete_stats(z_rows):
-    return family_stats(z_rows.T @ z_rows, z_rows.shape[0], range(z_rows.shape[1]))
+    return family_stats(z_rows.T @ z_rows, z_rows.shape[0], [range(z_rows.shape[1])])
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _stat_bits(stats):
+    return _bits(stats.fam_q, stats.fam_s_sq, stats.par_q, stats.par_s_sq)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -262,7 +268,7 @@ def test_family_stats_objective_matches_row_sum(
     z[~observed] = np.nan
     cols = tuple(int(c) for c in rng.permutation(num_cols)[:dim])
     second = _second_moments(z, observed)
-    stats = family_stats(second, num_rows, cols)
+    stats = family_stats(second, num_rows, [cols])
     lo, hi = rho_bounds(dim)
     for rho in (lo, -0.3 / (dim - 1), 0.0, 0.2, 0.7, hi):
         rows = ratio_log_from_z(dim, rho, z[:, cols], observed[:, cols])
@@ -271,11 +277,11 @@ def test_family_stats_objective_matches_row_sum(
     # of the parents' order, and a one-parent family's family block
     # independent of which member is the child.
     for perm in itertools.permutations(cols[1:]):
-        assert family_stats(second, num_rows, (cols[0], *perm)) == stats
+        assert _stat_bits(family_stats(second, num_rows, [(cols[0], *perm)])) == _stat_bits(stats)
     if dim == 2:
-        reverse = family_stats(second, num_rows, cols[::-1])
-        assert (reverse.fam_q, reverse.fam_s_sq) == (stats.fam_q, stats.fam_s_sq)
-        assert reverse.fit() == stats.fit()
+        reverse = family_stats(second, num_rows, [cols[::-1]])
+        assert _bits(reverse.fam_q, reverse.fam_s_sq) == _bits(stats.fam_q, stats.fam_s_sq)
+        assert _bits(*reverse.fit()) == _bits(*stats.fit())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -293,43 +299,42 @@ def test_fit_is_the_exact_maximum(dim, num_rows, hidden_share, end, gap, seed):
     true_rho = lo + gap if end == "lo" else hi - gap
     z = equicorrelated_scores(true_rho, dim, num_rows, rng)
     observed = rng.random(z.shape) >= hidden_share
-    stats = family_stats(_second_moments(z, observed), num_rows, range(dim))
-    rho, value = stats.fit()
+    stats = family_stats(_second_moments(z, observed), num_rows, [range(dim)])
+    (rho,), (value,) = stats.fit()
     assert lo <= rho <= hi
-    assert value == stats.objective(rho)
+    assert value == stats.objective(rho)[0]
     probes = np.concatenate([np.linspace(lo, hi, 2001), [0.0]])
-    best_probe = max(stats.objective(r) for r in probes)
+    best_probe = stats.objective(probes).max()
     assert value >= best_probe - 1e-9 * (1.0 + abs(value))
     # An interior maximum is stationary.  The slope, times the distance to
     # the nearer end, is on the scale of num_rows wherever it is not zero.
     reach = min(rho - lo, hi - rho)
     if reach > 1e-3:
         h = 1e-4 * reach
-        slope = (stats.objective(rho + h) - stats.objective(rho - h)) / (2.0 * h)
+        slope = (stats.objective(rho + h) - stats.objective(rho - h))[0] / (2.0 * h)
         assert abs(slope) * reach <= 1e-6 * (num_rows + abs(value))
 
 
 def _polyroots_fit(stats):
-    """One family's fit with numpy's ``polyroots`` on its stationarity
-    polynomial: the scalar oracle of the batched companion-matrix roots."""
+    """The fit of a one-family ``FamilyStats`` with numpy's ``polyroots`` on
+    its stationarity polynomial: the scalar oracle of the batched
+    companion-matrix roots."""
     n = stats.dim
     lo, hi = rho_bounds(n)
     k = n - 1
-    N, A, B = stats.num_rows, stats.fam_q, stats.fam_s_sq
-    C, D = (stats.par_q, stats.par_s_sq) if k >= 2 else (0.0, 0.0)
+    N, A, B, C, D = (float(np.ravel(x)[0]) for x in (
+        stats.num_rows, stats.fam_q, stats.fam_s_sq, stats.par_q, stats.par_s_sq
+    ))
+    C, D = (C, D) if k >= 2 else (0.0, 0.0)
     weights = [
         N, -N * (n - 1), N * (k - 1),
         (C - D / k) - (A - B / n), B * (n - 1) / n, -D * (k - 1) / k,
     ]
     roots = polyroots(np.dot(weights, _stationarity_basis(n))).real
     candidates = [0.0, lo, hi, *roots[(lo < roots) & (roots < hi)]]
-    values = [stats.objective(r) for r in candidates]
+    values = [stats.objective(r)[0] for r in candidates]
     best = int(np.argmax(values))
     return float(candidates[best]), float(values[best])
-
-
-def _bits(*values):
-    return np.array(values, dtype=float).tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -350,9 +355,10 @@ def test_batched_fit_equals_the_single_family_fit(
     num_cols, dim, num_rows, hidden_share, duplicate, seed
 ):
     # Every family of up to dim columns of a random second-moment matrix:
-    # each child's parent sets of one size read in one gather and fitted in
-    # one batch, as the search scores them, against family_stats(...).fit()
-    # one at a time and against polyroots, bitwise.
+    # the families of one size, children mixed as fit_missing batches them
+    # (the search's one-child batches are a slice of these), read in one
+    # gather and fitted in one batch, against each family's own one-family
+    # family_stats(...).fit() and against polyroots, bitwise.
     rng = np.random.default_rng(seed)
     dim = min(dim, num_cols)
     z = rng.standard_normal((num_rows, num_cols)) @ rng.standard_normal((num_cols, num_cols))
@@ -361,19 +367,17 @@ def test_batched_fit_equals_the_single_family_fit(
     observed = rng.random(z.shape) >= hidden_share
     second = _second_moments(z, observed)
     fitted = {}
-    for child, size in itertools.product(range(num_cols), range(1, dim)):
-        families = itertools.permutations(range(num_cols), size + 1)
-        parent_sets = [f[1:] for f in families if f[0] == child]
-        batch = _parent_set_stats(second, child, parent_sets)
-        rho, value = _fit_families(size + 1, float(num_rows), *batch)
-        for i, ps in enumerate(parent_sets):
-            stats = family_stats(second, num_rows, (child, *ps))
-            assert _bits(stats.fam_q, stats.fam_s_sq, stats.par_q, stats.par_s_sq) == _bits(
-                *(column[i] for column in batch)
-            )
+    for size in range(1, dim):
+        families = list(itertools.permutations(range(num_cols), size + 1))
+        batch = family_stats(second, float(num_rows), families)
+        rho, value = batch.fit()
+        columns = (batch.fam_q, batch.fam_s_sq, batch.par_q, batch.par_s_sq)
+        for i, family in enumerate(families):
+            stats = family_stats(second, float(num_rows), [family])
+            assert _stat_bits(stats) == _bits(*(column[i] for column in columns))
             fit = (rho[i], value[i])
             assert _bits(*stats.fit()) == _bits(*fit) == _bits(*_polyroots_fit(stats))
-            fitted[(child, *ps)] = fit
+            fitted[family] = fit
     # A one-parent family and its reversal tie exactly.
     for child, parent in itertools.permutations(range(num_cols), 2):
         assert _bits(*fitted[child, parent]) == _bits(*fitted[parent, child])
@@ -401,10 +405,13 @@ def test_family_stats_fit_agrees_with_fit_rho():
     z = equicorrelated_scores(0.35, 3, 500, rng)
     u = ndtr(z)
     via_u = fit_rho(u)
-    via_stats, _ = _complete_stats(ndtri(u)).fit()
+    (via_stats,), _ = _complete_stats(ndtri(u)).fit()
     np.testing.assert_allclose(via_u, via_stats, rtol=0, atol=1e-12)
 
 
 def test_family_stats_validates_construction():
-    stats = FamilyStats(num_rows=10, dim=3, fam_q=30.0, fam_s_sq=5.0, par_q=20.0, par_s_sq=3.0)
-    assert np.isfinite(stats.objective(0.3))
+    stats = FamilyStats(
+        num_rows=10, dim=3, fam_q=np.array([30.0]), fam_s_sq=np.array([5.0]),
+        par_q=np.array([20.0]), par_s_sq=np.array([3.0]),
+    )
+    assert np.isfinite(stats.objective(0.3)).all()

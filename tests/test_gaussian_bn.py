@@ -162,19 +162,31 @@ def test_a_duplicate_parent_raises_in_tall_tables(num_rows):
     num_rows=st.integers(6, 300),
     size=st.integers(0, 3),
     num_sets=st.integers(1, 20),
+    mixed=st.booleans(),
     degenerate=st.sampled_from([None, "duplicate", "constant"]),
     scale=st.sampled_from([1e-6, 1.0, 1e6]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(num_cols=4, num_rows=50, size=1, num_sets=12, degenerate="constant", scale=1.0, seed=0)
-@example(num_cols=5, num_rows=50, size=3, num_sets=20, degenerate="duplicate", scale=1e6, seed=1)
-@example(num_cols=6, num_rows=8, size=3, num_sets=20, degenerate=None, scale=1e-6, seed=2)
+@example(num_cols=4, num_rows=50, size=1, num_sets=12, mixed=False, degenerate="constant",
+         scale=1.0, seed=0)
+@example(num_cols=5, num_rows=50, size=3, num_sets=20, mixed=False, degenerate="duplicate",
+         scale=1e6, seed=1)
+@example(num_cols=6, num_rows=8, size=3, num_sets=20, mixed=False, degenerate=None,
+         scale=1e-6, seed=2)
+# Children mixed as the M-step batches them, with collinear families among them.
+@example(num_cols=6, num_rows=40, size=2, num_sets=20, mixed=True, degenerate="duplicate",
+         scale=1.0, seed=3)
+@example(num_cols=5, num_rows=300, size=1, num_sets=15, mixed=True, degenerate="constant",
+         scale=1e-6, seed=4)
+@example(num_cols=6, num_rows=30, size=3, num_sets=20, mixed=True, degenerate=None,
+         scale=1e6, seed=5)
 def test_batched_family_fit_equals_the_one_family_oracle(
-    num_cols, num_rows, size, num_sets, degenerate, scale, seed
+    num_cols, num_rows, size, num_sets, mixed, degenerate, scale, seed
 ):
-    # F parent sets of one size fitted in one batch give each family the
-    # oracle's bits, and the batch raises exactly when the oracle rejects a
-    # member, naming the first such set.
+    # F families of one size fitted in one batch, of one child as the search
+    # scores them or of mixed children as the M-step fits them, give each
+    # family the oracle's bits, and the batch raises exactly when the oracle
+    # rejects a member, naming the first such (child, parents).
     rng = np.random.default_rng(seed)
     x = scale * (rng.standard_normal((num_rows, num_cols)) @ rng.standard_normal((num_cols,) * 2))
     if degenerate == "duplicate":
@@ -182,21 +194,24 @@ def test_batched_family_fit_equals_the_one_family_oracle(
     elif degenerate == "constant":
         x[:, 2] = 3.0 * scale
     mean, cov = gaussian_bn._mean_cov(x)
-    child = int(rng.integers(num_cols))
-    others = [j for j in range(num_cols) if j != child]
-    parent_sets = [tuple(int(p) for p in rng.permutation(others)[:size]) for _ in range(num_sets)]
+    children = rng.integers(num_cols, size=num_sets if mixed else 1)
+    families = []
+    for i in range(num_sets):
+        child = int(children[i % children.size])
+        others = [j for j in range(num_cols) if j != child]
+        families.append((child, *(int(p) for p in rng.permutation(others)[:size])))
     want, rejected = [], []
-    for ps in parent_sets:
+    for child, *parents in families:
         try:
-            want.append(family_from_moments(mean, cov, child, ps))
+            want.append(family_from_moments(mean, cov, child, tuple(parents)))
         except SingularDesignError as e:
             rejected.append(str(e))
     if rejected:
         with pytest.raises(SingularDesignError) as info:
-            gaussian_bn._family_from_moments(mean, cov, child, parent_sets)
+            gaussian_bn._family_from_moments(mean, cov, families)
         assert str(info.value) == rejected[0]
         return
-    intercepts, betas, variances = gaussian_bn._family_from_moments(mean, cov, child, parent_sets)
+    intercepts, betas, variances = gaussian_bn._family_from_moments(mean, cov, families)
     assert betas.shape == (num_sets, size)
     got = np.column_stack([intercepts, betas, variances])
     assert got.tobytes() == np.array([(b, *beta, v) for b, beta, v in want]).tobytes()

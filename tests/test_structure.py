@@ -74,8 +74,14 @@ def test_bic_penalty_rejects_bad_counts():
 def test_config_defaults_and_validation():
     assert SearchConfig().max_parents == 3
     assert SearchConfig(max_parents=2).max_parents == 2
-    with pytest.raises(ValidationError):
-        SearchConfig(max_parents=-1)
+    # A numpy integer is stored as an int, which the benchmark manifest's JSON takes.
+    assert type(SearchConfig(max_parents=np.int64(2)).max_parents) is int
+    assert SearchConfig(max_parents=np.uint8(2)).max_parents == 2
+    # A fractional cap would search as its ceiling, nan as no cap at all, and a
+    # boolean is not a count: the cap must be a non-negative integer.
+    for cap in (-1, 1.5, 2.0, float("nan"), float("inf"), True, False, np.True_, "2", None):
+        with pytest.raises(ValidationError, match="max_parents must be a non-negative integer"):
+            SearchConfig(max_parents=cap)
 
 
 # -------------------------------------------------------- family score
@@ -89,7 +95,7 @@ def test_family_score_matches_independent_computation():
     )
     got = _cbn_score(data)(1, [(0,)])[0]
 
-    rho, value = family_stats(z.T @ z, 400, (1, 0)).fit()
+    (rho,), (value,) = family_stats(z.T @ z, 400, [(1, 0)]).fit()
     np.testing.assert_allclose(got, value - bic_penalty(1, 400), rtol=0, atol=1e-9)
     # the fitted objective is literally the summed log ratio terms
     np.testing.assert_allclose(
