@@ -36,7 +36,7 @@ print("fitted chain a -> b -> c -> d")
 for child, parents in model.families():
     name = model.column_names[child]
     pname = model.column_names[parents[0]]
-    print(f"  family {pname} -> {name}: rho = {model.copulas[child].rho:+.4f} (truth +0.6)")
+    print(f"  family {pname} -> {name}: rho = {model.rho[child]:+.4f} (truth +0.6)")
 print()
 
 print("joint log density at a few held points")
@@ -53,6 +53,6 @@ for j, name in enumerate(model.column_names):
 # For a Gaussian copula with correlation rho the population Spearman
 # correlation is (6/pi) asin(rho/2) — rank correlations survive the
 # marginal warps untouched.
-want = 6.0 / np.pi * np.arcsin(model.copulas[1].rho / 2.0)
+want = 6.0 / np.pi * np.arcsin(model.rho[1] / 2.0)
 got = spearmanr(samples[:, 0], samples[:, 1]).statistic
 print(f"\nSpearman a~b in the samples: {got:.4f} (closed form {want:.4f})")

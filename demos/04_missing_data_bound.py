@@ -37,11 +37,11 @@ dag = Dag.chain(3)
 print("parameter recovery as cells disappear (truth rho = 0.6)")
 print(f"  {'missing':>8} {'rho(a->b)':>10} {'rho(b->c)':>10}")
 reference = fit_complete(complete, dag)
-print(f"  {'0%':>8} {reference.copulas[1].rho:10.4f} {reference.copulas[2].rho:10.4f}")
+print(f"  {'0%':>8} {reference.rho[1]:10.4f} {reference.rho[2]:10.4f}")
 for p in (0.1, 0.3, 0.5):
     masked = apply_missing_mask(complete, p, seed=int(p * 100))
     model = fit_missing(masked, dag)
-    print(f"  {f'{p:.0%}':>8} {model.copulas[1].rho:10.4f} {model.copulas[2].rho:10.4f}")
+    print(f"  {f'{p:.0%}':>8} {model.rho[1]:10.4f} {model.rho[2]:10.4f}")
 print()
 
 # With nothing hidden the bound IS the log-likelihood, bit for bit.

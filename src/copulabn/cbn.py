@@ -1,8 +1,9 @@
 """The copula-network joint density model.
 
 A :class:`CbnModel` combines a DAG, one kernel marginal per variable, and
-one uniform-correlation Gaussian copula per family (node with parents).
-The joint log density of a complete instance is
+one uniform-correlation Gaussian copula per family (node with parents),
+held as its single correlation ``rho``, as in the v1 model file.  The joint
+log density of a complete instance is
 
     sum_i [ log pdf_i(x_i) + log R_i(u_family) ]
 
@@ -36,6 +37,7 @@ from scipy.special import ndtr
 
 from .copula import (
     UniformGaussianCopula,
+    _check_rho,
     _scores,
     _second_moments,
     conditional_z_params,
@@ -44,7 +46,7 @@ from .copula import (
 )
 from .dag import Dag
 from .data import SEED_TAG_SAMPLE
-from .errors import InvalidInputError, OutOfRangeError, ValidationError
+from .errors import InvalidInputError, OutOfRangeError, ValidationError, _integer
 from .marginals import fit_kde
 
 __all__ = [
@@ -63,44 +65,39 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CbnModel:
-    """Immutable fitted model: graph, marginals, and per-family copulas.
+    """Immutable fitted model: graph, marginals and one rho per family, the
+    fields of the v1 model file.
 
     Attributes
     ----------
     dag : Dag
     marginals : tuple of KdeMarginal, one per variable.
-    copulas : tuple of UniformGaussianCopula or None, one per node;
-        None exactly at the roots, dimension ``1 + len(parents)`` elsewhere.
+    rho : tuple of float or None, one per node: None exactly at the roots,
+        elsewhere the correlation of the family's uniform-correlation copula,
+        inside ``rho_bounds(1 + len(parents))``.
     column_names : tuple of str
     """
 
     dag: Dag
     marginals: tuple
-    copulas: tuple
+    rho: tuple
     column_names: tuple
 
     def __post_init__(self):
         n = self.dag.num_vars
         if len(self.marginals) != n:
             raise ValidationError(f"{len(self.marginals)} marginals for {n} variables")
-        if len(self.copulas) != n:
-            raise ValidationError(f"{len(self.copulas)} copula slots for {n} variables")
+        if len(self.rho) != n:
+            raise ValidationError(f"{len(self.rho)} rho values for {n} variables")
         if len(self.column_names) != n:
             raise ValidationError(f"{len(self.column_names)} names for {n} variables")
-        for i, parents in enumerate(self.dag.parents):
-            cop = self.copulas[i]
-            if not parents:
-                if cop is not None:
-                    raise ValidationError(f"root node {i} must not carry a copula")
-            else:
-                if cop is None:
-                    raise ValidationError(f"node {i} has parents but no copula")
-                if cop.n != 1 + len(parents):
-                    raise ValidationError(
-                        f"node {i}: copula dimension {cop.n} != 1 + {len(parents)} parents"
-                    )
+        for i, (parents, r) in enumerate(zip(self.dag.parents, self.rho)):
+            if (r is None) == bool(parents):
+                raise ValidationError(f"node {i} has {len(parents)} parents but rho {r!r}")
+            if parents:
+                _check_rho(1 + len(parents), r)
         object.__setattr__(self, "marginals", tuple(self.marginals))
-        object.__setattr__(self, "copulas", tuple(self.copulas))
+        object.__setattr__(self, "rho", tuple(None if r is None else float(r) for r in self.rho))
         object.__setattr__(self, "column_names", tuple(str(c) for c in self.column_names))
 
     @property
@@ -128,23 +125,20 @@ def _log_pdf_matrix(model, values, observed):
     return out
 
 
-def _family_term_columns(model, z, observed):
-    """Per-family vectors of (expected) log ratio terms, one entry per row."""
-    columns = []
+def _add_family_terms(model, totals, z, observed):
+    """``totals`` plus each family's per-row (expected) log ratio term, added
+    one family at a time in node order."""
     for child, parents in model.families():
-        cop = model.copulas[child]
         cols = (child, *parents)
-        columns.append(ratio_log_from_z(cop.n, cop.rho, z[:, cols], observed[:, cols]))
-    return columns
+        term = ratio_log_from_z(len(cols), model.rho[child], z[:, cols], observed[:, cols])
+        totals = totals + term
+    return totals
 
 
 def _row_totals(model, values, observed):
     logpdf = _log_pdf_matrix(model, values, observed)
     z = _normal_scores_from_marginals(model.marginals, values, observed)
-    totals = logpdf.sum(axis=1)
-    for term in _family_term_columns(model, z, observed):
-        totals = totals + term
-    return totals
+    return _add_family_terms(model, logpdf.sum(axis=1), z, observed)
 
 
 def log_density_rows(model, values):
@@ -201,7 +195,8 @@ def fit_missing(data, dag):
     the likelihood bound — so the fit is total either way.  Either way the
     rho is exact: :meth:`copulabn.copula.FamilyStats.fit` solves for it in
     closed form, for all families of one size in one call, each with its own
-    row count and second moments.
+    row count and second moments, and each fitted rho goes straight into the
+    model's ``rho`` tuple.
 
     Marginals and normal scores come from :func:`_score_table`, so after a
     structure search on the same ``data`` object neither is computed again.
@@ -211,7 +206,7 @@ def fit_missing(data, dag):
             f"data has {data.num_cols} columns but the graph has {dag.num_vars} nodes"
         )
     table = _score_table(data)
-    copulas = [None] * dag.num_vars
+    rho = [None] * dag.num_vars
     for size, families in dag.families_by_size().items():
         if not size:
             continue
@@ -226,12 +221,10 @@ def fit_missing(data, dag):
             z = table.z[np.ix_(complete[:, i], families[i])]
             second[i], index[i] = z.T @ z, np.arange(size + 1)
         num_rows = np.where(counts >= 2, counts, data.num_rows).astype(float)
-        rho, _ = family_stats(second, num_rows, index).fit()
-        for node, r in zip(families[:, 0].tolist(), rho.tolist()):
-            copulas[node] = UniformGaussianCopula(n=size + 1, rho=r)
-    return CbnModel(
-        dag=dag, marginals=table.marginals, copulas=tuple(copulas), column_names=data.column_names
-    )
+        fitted, _ = family_stats(second, num_rows, index).fit()
+        for node, r in zip(families[:, 0].tolist(), fitted.tolist()):
+            rho[node] = r
+    return CbnModel(dag=dag, marginals=table.marginals, rho=rho, column_names=data.column_names)
 
 
 def _normal_scores_from_marginals(marginals, values, observed):
@@ -328,17 +321,17 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     _check_data_shape(model, x.size)
     if np.isinf(x).any():
         raise InvalidInputError("instance has an infinite coordinate")
-    if mc_samples < 2:
-        raise OutOfRangeError(f"mc_samples must be >= 2, got {mc_samples}")
+    mc_samples = _integer(mc_samples, "mc_samples", 2, OutOfRangeError)
+    seed = _integer(seed, "seed", 0, OutOfRangeError)
     observed = ~np.isnan(x)
     obs = observed[None, :]
     z = _normal_scores_from_marginals(model.marginals, x[None, :], obs)
-    bound_term = sum((float(t[0]) for t in _family_term_columns(model, z, obs)), 0.0)
+    bound_term = float(_add_family_terms(model, np.zeros(1), z, obs)[0])
 
     if observed.all():
         return EnergyCheckResult(bound_term, bound_term, 0.0)
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), SEED_TAG_SAMPLE]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, SEED_TAG_SAMPLE]))
     draws = np.full((mc_samples, x.size), np.nan)
     for j in np.flatnonzero(~observed):
         marginal = model.marginals[j]
@@ -346,7 +339,7 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
         draws[:, j] = centers + marginal.bandwidth * rng.standard_normal(mc_samples)
     drawn = np.broadcast_to(~observed, draws.shape)
     z_samples = np.where(drawn, _normal_scores_from_marginals(model.marginals, draws, drawn), z)
-    total = sum(_family_term_columns(model, z_samples, np.ones_like(drawn)), np.zeros(mc_samples))
+    total = _add_family_terms(model, np.zeros(mc_samples), z_samples, np.ones_like(drawn))
     energy_mc = float(total.mean())
     se = float(total.std(ddof=1) / np.sqrt(mc_samples))
     return EnergyCheckResult(bound_term, energy_mc, se)
@@ -360,9 +353,9 @@ def forward_sample(model, count, seed):
     map back through ndtr and each marginal's quantile.  Deterministic
     given ``seed``.
     """
-    if count < 1:
-        raise OutOfRangeError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), SEED_TAG_SAMPLE]))
+    count = _integer(count, "count", 1, OutOfRangeError)
+    seed = _integer(seed, "seed", 0, OutOfRangeError)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, SEED_TAG_SAMPLE]))
     n = model.num_vars
     z = np.empty((count, n))
     u = np.empty((count, n))
@@ -373,7 +366,8 @@ def forward_sample(model, count, seed):
             u[:, node] = u_node
             z[:, node] = _scores(u_node)
             continue
-        mean, variance = conditional_z_params(model.copulas[node], z[:, parents])
+        copula = UniformGaussianCopula(len(parents) + 1, model.rho[node])
+        mean, variance = conditional_z_params(copula, z[:, parents])
         z_node = mean + np.sqrt(variance) * rng.standard_normal(count)
         z[:, node] = z_node
         u[:, node] = np.clip(ndtr(z_node), 1e-12, 1.0 - 1e-12)

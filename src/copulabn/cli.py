@@ -103,7 +103,7 @@ def _build_parser():
                        help="fraction of cells to hide (default: 0)")
         p.add_argument("--splits", type=_int_at_least(1), default=10,
                        help="number of train/test splits (default: 10)")
-        p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed (default: 0)")
 
     p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
     p_fit.add_argument("--data", required=True, help="input CSV path")
@@ -129,7 +129,7 @@ def _build_parser():
     p_sample = sub.add_parser("sample", help="draw rows from a fitted model")
     p_sample.add_argument("--model-file", required=True, help="fitted model path")
     p_sample.add_argument("--count", type=_int_at_least(1), required=True, help="number of rows")
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sample.add_argument("--out", required=True, help="output CSV path")
 
     p_bench = sub.add_parser("benchmark", help="run the split/mask/fit/score grid")
@@ -142,7 +142,7 @@ def _build_parser():
     p_bench.add_argument("--missing-fraction", default="0",
                          help="comma list of fractions (default: 0)")
     p_bench.add_argument("--splits", type=_int_at_least(1), default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
                          default="train_only")
     p_bench.add_argument("--out", required=True, help="output CSV path")

@@ -15,9 +15,10 @@ That structure gives closed forms for everything the package needs:
   both the missing-data expectations and the maximum-likelihood objective
   cheap (see :class:`FamilyStats`);
 * the maximum-likelihood rho of a family is a root of a polynomial of degree
-  at most 5 or an end of the valid interval, so it is found exactly, with no
-  search and no tolerance, for a batch of families of one size in one call
-  (:meth:`FamilyStats.fit`), as the search and ``fit_missing`` both make it.
+  3 (two members) or 5 (more), or an end of the valid interval, so it is
+  found exactly, with no search and no tolerance, for a batch of families of
+  one size in one call (:meth:`FamilyStats.fit`), as the search and
+  ``fit_missing`` both make it.
 
 ``rho`` is valid iff Sigma is positive definite, i.e. ``rho`` in
 ``(-1/(n-1), 1)``; we shrink that interval by a small margin at both ends so
@@ -242,8 +243,8 @@ class FamilyStats:
     ``A = sum_rows q`` and ``B = sum_rows s^2`` and in their parent-block
     analogues ``C`` and ``D`` (:func:`family_stats` reads all four from a
     second-moment matrix), so ``objective(rho)`` costs O(1) per family and
-    each maximizer is a root of a polynomial of degree at most 5 (see
-    :meth:`fit`).
+    each maximizer is a root of a polynomial whose degree the dimension fixes
+    (see :meth:`fit`).
 
     Attributes
     ----------
@@ -284,17 +285,18 @@ class FamilyStats:
                         - D (k-1) / (k (1 + (k-1) rho)^2),
 
         without the C and D terms when ``k == 1``, as in :meth:`objective`.
-        Times ``(1-rho)^2 (1+(n-1) rho)^2 (1+(k-1) rho)^2`` it is a polynomial
-        of degree at most 5: each family's weight row times
-        ``_stationarity_basis(n)``, multiplied row by row as a stacked
-        vector-matrix product.  Trailing zero coefficients are trimmed, and
-        the families are grouped by the degree left: degree 1 has the root
-        ``-c0 / c1``, higher degrees the sorted eigenvalues of their companion
-        matrices, stacked into one ``eigvals`` call.  The real part of every
-        root inside the interval is scored (a real root may come back with a
-        tiny imaginary part), as are both ends and rho = 0, and the first best
-        candidate wins, in the order 0, lo, hi, then the roots in ascending
-        order; so a fit never scores below independence.
+        Times ``(1-rho)^2 (1+(n-1) rho)^2 (1+(k-1) rho)^2`` it is a polynomial:
+        each family's weight row times ``_stationarity_basis(n)``, multiplied
+        row by row as a stacked vector-matrix product.  The dimension alone
+        fixes its degree: 3 at ``n == 2``, where the ``k - 1`` terms vanish,
+        with leading coefficient ``-2 N``; and 5 for ``n >= 3``, with leading
+        coefficient ``-N (n-1)^2 (n-2)^2``.  Every caller has ``N >= 1``, so
+        neither is 0, and the roots are the sorted eigenvalues of one stack of
+        companion matrices of that degree, in one ``eigvals`` call.  The real
+        part of every root inside the interval is scored (a real root may come
+        back with a tiny imaginary part), as are both ends and rho = 0, and the
+        first best candidate wins, in the order 0, lo, hi, then the roots in
+        ascending order; so a fit never scores below independence.
         """
         n = self.dim
         lo, hi = rho_bounds(n)
@@ -307,34 +309,26 @@ class FamilyStats:
         weights[:, 3] = (C - D / k) - (A - B / n)
         weights[:, 4] = B * (n - 1) / n
         weights[:, 5] = -D * (k - 1) / k
-        coef = np.matmul(weights[:, None, :], _stationarity_basis(n))[:, 0, :]
-        nonzero = coef != 0
-        degree = np.where(nonzero.any(axis=1), 5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-        # Candidates per family: 0, lo, hi, then up to five roots (a view).
-        candidates = np.zeros((A.size, 8))
+        d = 3 if n == 2 else 5
+        coef = np.matmul(weights[:, None, :], _stationarity_basis(n))[:, 0, : d + 1]
+        # Companion matrices as numpy's polycompanion builds them, unrotated:
+        # the matrix polyroots solves in numpy >= 2.4, the floor in
+        # pyproject.toml.  numpy 1.x's polyroots solved it rotated, which
+        # moves roots by ulps.
+        companion = np.zeros((A.size, d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] -= coef[:, :-1] / coef[:, -1:]
+        roots = np.sort(np.linalg.eigvals(companion), axis=1).real
+        inside = (lo < roots) & (roots < hi)
+        # Candidates per family: 0, lo, hi, then the roots inside the interval.
+        candidates = np.zeros((A.size, 3 + d))
         candidates[:, 1:3] = lo, hi
-        roots = candidates[:, 3:]
-        for d in set(degree.tolist()) - {0}:
-            rows = np.nonzero(degree == d)[0]
-            c = coef[rows, : d + 1]
-            if d == 1:
-                roots[rows, 0] = -c[:, 0] / c[:, 1]
-                continue
-            # Companion matrices as numpy's polycompanion builds them, unrotated:
-            # the matrix polyroots solves in numpy >= 2.4, the floor in
-            # pyproject.toml.  numpy 1.x's polyroots solved it rotated, which
-            # moves roots by ulps.
-            companion = np.zeros((rows.size, d, d))
-            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-            roots[rows, :d] = np.sort(np.linalg.eigvals(companion), axis=1).real
-        outside = ~((lo < roots) & (roots < hi)) | (np.arange(5) >= degree[:, None])
-        roots[outside] = 0.0
+        candidates[:, 3:] = np.where(inside, roots, 0.0)
         values = _ratio_from_stats(
             n, candidates, A[:, None], B[:, None], self.par_q[:, None], self.par_s_sq[:, None],
             N[..., None],
         )
-        values[:, 3:][outside] = -np.inf
+        values[:, 3:][~inside] = -np.inf
         best = np.argmax(values, axis=1)
         pick = np.arange(A.size)
         return candidates[pick, best], values[pick, best]

@@ -20,6 +20,7 @@ from .errors import (
     OutOfRangeError,
     ParseError,
     ValidationError,
+    _integer,
 )
 
 __all__ = [
@@ -50,13 +51,14 @@ _CRIME_IDENTIFIER_COLUMNS = ("state", "county", "community", "communityname", "f
 
 
 def derive_seed(*components):
-    """Deterministic 32-bit seed from integer components.
+    """Deterministic 32-bit seed from non-negative integer components.
 
     Streams derived from distinct component tuples are statistically
     independent; the result is a plain int so it can be recorded in output
     rows and reused verbatim.
     """
-    seq = np.random.SeedSequence([int(c) for c in components])
+    seeds = [_integer(c, "seed component", 0, OutOfRangeError) for c in components]
+    seq = np.random.SeedSequence(seeds)
     return int(seq.generate_state(1, dtype=np.uint32)[0])
 
 
@@ -139,9 +141,9 @@ class ExperimentProtocol:
     Attributes
     ----------
     num_splits : int
-        Number of random equal train/test splits.
+        Number of random equal train/test splits, at least 1.
     base_seed : int
-        Root of all derived randomness.
+        Root of all derived randomness, non-negative.
     mask_scope : str
         "train_only" hides cells only in training halves; "train_and_test"
         hides in both (test scores then use the missing-data bound).
@@ -152,8 +154,9 @@ class ExperimentProtocol:
     mask_scope: str = "train_only"
 
     def __post_init__(self):
-        if self.num_splits < 1:
-            raise ValidationError(f"num_splits must be >= 1, got {self.num_splits}")
+        for name, floor in (("num_splits", 1), ("base_seed", 0)):
+            value = _integer(getattr(self, name), name, floor, ValidationError)
+            object.__setattr__(self, name, value)
         if self.mask_scope not in ("train_only", "train_and_test"):
             raise ValidationError(f"unknown mask_scope {self.mask_scope!r}")
 
@@ -270,7 +273,8 @@ def make_split(data, protocol, split_index):
     The row permutation is a pure function of ``(base_seed, split_index)``;
     halves are returned in ascending original-row order, train first.
     """
-    if not 0 <= split_index < protocol.num_splits:
+    split_index = _integer(split_index, "split_index", 0, OutOfRangeError)
+    if split_index >= protocol.num_splits:
         raise OutOfRangeError(
             f"split_index {split_index} outside [0, {protocol.num_splits})"
         )
@@ -294,9 +298,10 @@ def apply_missing_mask(data, p, seed):
     """
     if not 0.0 <= p < 1.0:
         raise OutOfRangeError(f"missing fraction must be in [0,1), got {p}")
+    seed = _integer(seed, "seed", 0, OutOfRangeError)
     if p == 0.0:
         return data
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     hide = rng.random(data.values.shape) < p
     observed = data.observed & ~hide
     for j in range(data.num_cols):

@@ -6,6 +6,8 @@ data problems, and numerical failures with a single ``except`` clause per
 category.
 """
 
+import numbers
+
 
 class CopulaBnError(Exception):
     """Base class for all errors raised by this package."""
@@ -61,3 +63,12 @@ class SingularDesignError(NumericalError):
 
 class ConvergenceError(NumericalError):
     """An iterative solver ran out of iterations before meeting its tolerance."""
+
+
+def _integer(value, name, floor, error):
+    """``value`` as an ``int`` if it is an integer (numpy's too, never a
+    boolean) of at least ``floor``; otherwise raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        need = "a non-negative integer" if floor == 0 else f"an integer >= {floor}"
+        raise error(f"{name} must be {need}, got {value!r}")
+    return int(value)

@@ -11,7 +11,6 @@ booleans where numbers belong are rejected.
 import json
 
 from .cbn import CbnModel
-from .copula import UniformGaussianCopula
 from .dag import Dag
 from .errors import CopulaBnError, ParseError, ValidationError
 from .gaussian_bn import LinearGaussianBn
@@ -32,7 +31,7 @@ def serialize(model):
             "model_kind": "cbn",
             "column_names": list(model.column_names),
             "parents": [list(ps) for ps in model.dag.parents],
-            "rho": [None if c is None else c.rho for c in model.copulas],
+            "rho": list(model.rho),
             "marginals": [
                 {"bandwidth": m.bandwidth, "samples": m.samples.tolist()}
                 for m in model.marginals
@@ -93,20 +92,12 @@ def deserialize(text):
         if kind == "cbn":
             rho = _numbers(_require(doc, "rho"), "rho", (int, float, type(None)))
             marg = _require(doc, "marginals")
-            if len(rho) != len(names) or len(marg) != len(names):
-                raise ValidationError("per-node field lengths do not match column count")
             for m in marg:
                 _numbers([m["bandwidth"], *m["samples"]], "marginals")
             marginals = tuple(
                 KdeMarginal.from_params(m["samples"], m["bandwidth"]) for m in marg
             )
-            copulas = tuple(
-                None
-                if r is None
-                else UniformGaussianCopula(n=len(dag.parents[i]) + 1, rho=float(r))
-                for i, r in enumerate(rho)
-            )
-            return CbnModel(dag=dag, marginals=marginals, copulas=copulas, column_names=names)
+            return CbnModel(dag=dag, marginals=marginals, rho=rho, column_names=names)
         if kind == "lgbn":
             return LinearGaussianBn(
                 dag=dag,

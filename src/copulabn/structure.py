@@ -32,7 +32,6 @@ the model, as only the Gaussian E-step with hidden cells does; the copula
 moments hold the likelihood bound's expectations, read from the data alone.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from .cbn import _score_table, fit_missing
 from .copula import family_stats
 from .dag import Dag
-from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
+from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError, _integer
 from .gaussian_bn import _mean_cov, em_fit_lg, expected_moments, family_ll_from_moments
 
 __all__ = [
@@ -70,10 +69,8 @@ class SearchConfig:
     max_parents: int = 3
 
     def __post_init__(self):
-        cap = self.max_parents
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 0:
-            raise ValidationError(f"max_parents must be a non-negative integer, got {cap!r}")
-        object.__setattr__(self, "max_parents", int(cap))
+        cap = _integer(self.max_parents, "max_parents", 0, ValidationError)
+        object.__setattr__(self, "max_parents", cap)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def test_criterion_01_missing_data_bound_never_exceeds_monte_carlo_evidence():
         model = CbnModel(
             dag=Dag.chain(3),
             marginals=marginals,
-            copulas=(None, UniformGaussianCopula(2, rho), UniformGaussianCopula(2, rho)),
+            rho=(None, rho, rho),
             column_names=names,
         )
 
@@ -277,7 +277,7 @@ def test_criterion_05_correlation_recovery_complete_and_missing():
     x = warp_columns(z, cycle_warps(2))
     data = apply_missing_mask(MaskedDataset.from_values(x), 0.1, seed=56)
     model = fit_missing(data, Dag.chain(2))
-    rho_missing = model.copulas[1].rho
+    rho_missing = model.rho[1]
     assert abs(rho_missing - rho_star) <= 0.1, f"missing-data estimate {rho_missing}"
 
     elapsed = time.perf_counter() - started
@@ -423,10 +423,10 @@ def _check_sampling(model, sample_seed):
         ks_worst = max(ks_worst, stat)
 
     strongest = max(
-        (i for i, c in enumerate(model.copulas) if c is not None),
-        key=lambda i: abs(model.copulas[i].rho),
+        (i for i, r in enumerate(model.rho) if r is not None),
+        key=lambda i: abs(model.rho[i]),
     )
-    rho = model.copulas[strongest].rho
+    rho = model.rho[strongest]
     parent = model.dag.parents[strongest][0]
     got = spearmanr(x[:, strongest], x[:, parent]).statistic
     want = 6.0 / np.pi * np.arcsin(rho / 2.0)

@@ -361,12 +361,21 @@ def test_benchmark_cell_failure_keeps_its_type_and_exit_code(tmp_path, capsys):
 def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, capsys):
     fit = ["fit", "--data", str(small_csv), "--out", str(tmp_path / "m.json")]
     bench = ["benchmark", "--data", str(small_csv), "--out", str(tmp_path / "b.csv")]
+    model = str(tmp_path / "good.json")
+    assert main(["fit", "--data", str(small_csv), "--max-parents", "1", "--out", model]) == 0
     for argv in (
         fit + ["--max-parents", "-1"],
         fit + ["--splits", "0", "--split-index", "0"],
         bench + ["--max-parents", "-1"],
         bench + ["--max-parents", "1,-2"],
         bench + ["--splits", "0"],
+        fit + ["--missing-fraction", "0.2", "--seed", "-1"],
+        fit + ["--split-index", "0", "--seed", "-1"],
+        ["eval", "--model-file", model, "--data", str(small_csv), "--split-index", "0",
+         "--seed", "-1"],
+        ["sample", "--model-file", model, "--count", "3", "--seed", "-1",
+         "--out", str(tmp_path / "s.csv")],
+        bench + ["--seed", "-1"],
     ):
         assert main(argv) == 1, argv
     # Usage is checked before any input file is read, so a missing one does
@@ -386,10 +395,18 @@ def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, ca
         fit + ["--split-index", "-1"],
         ["eval", "--model-file", str(tmp_path / "missing.json"), "--data", missing,
          "--splits", "3", "--split-index", "3"],
+        fit + ["--missing-fraction", "0.2", "--seed", "-1"],
+        fit + ["--split-index", "0", "--seed", "-1"],
+        ["eval", "--model-file", str(tmp_path / "missing.json"), "--data", missing,
+         "--split-index", "0", "--seed", "-1"],
+        ["sample", "--model-file", str(tmp_path / "missing.json"), "--count", "3",
+         "--seed", "-1", "--out", str(tmp_path / "s.csv")],
+        ["benchmark", "--data", missing, "--seed", "-1", "--out", str(tmp_path / "b.csv")],
     ):
         assert main(argv) == 1, argv
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "b.csv").exists()
+    assert not (tmp_path / "s.csv").exists()
     capsys.readouterr()
 
 

@@ -61,11 +61,8 @@ def _chain_model(rho=0.5, num_rows=300, num_vars=3, seed=40, warp=False):
 def _pinned_chain_model(data, rho):
     """Chain model with the marginals fitted from data but rho pinned."""
     fitted = fit_complete(data, Dag.chain(data.num_cols))
-    copulas = tuple(
-        None if not parents else UniformGaussianCopula(len(parents) + 1, rho)
-        for parents in fitted.dag.parents
-    )
-    return CbnModel(fitted.dag, fitted.marginals, copulas, fitted.column_names)
+    pinned = tuple(rho if parents else None for parents in fitted.dag.parents)
+    return CbnModel(fitted.dag, fitted.marginals, pinned, fitted.column_names)
 
 
 # ------------------------------------------------------- joint density
@@ -79,7 +76,7 @@ def test_log_density_matches_marginals_plus_ratio_terms():
         u = np.array([m.cdf(v) for m, v in zip(model.marginals, x)])
         expected = sum(float(np.log(m.pdf(v))) for m, v in zip(model.marginals, x))
         for child, parents in model.families():
-            c = model.copulas[child]
+            c = UniformGaussianCopula(len(parents) + 1, model.rho[child])
             expected += float(ratio_log(c, u[child], u[list(parents)]))
         np.testing.assert_allclose(got[r], expected, rtol=0, atol=1e-10)
 
@@ -110,7 +107,7 @@ def test_root_only_model_is_product_of_marginals():
 def test_fit_complete_recovers_chain_correlation():
     model, _, _ = _chain_model(rho=0.5, num_rows=2000, seed=42)
     for child, _ in model.families():
-        assert abs(model.copulas[child].rho - 0.5) < 0.08
+        assert abs(model.rho[child] - 0.5) < 0.08
 
 
 def test_fit_complete_requires_complete_data():
@@ -127,7 +124,7 @@ def test_fit_missing_recovers_correlation_under_mask():
     z = chain_scores(0.6, 2, 2000, rng)
     data = apply_missing_mask(MaskedDataset.from_values(z), 0.1, seed=5)
     model = fit_missing(data, Dag.chain(2))
-    assert abs(model.copulas[1].rho - 0.6) < 0.1
+    assert abs(model.rho[1] - 0.6) < 0.1
 
 
 def test_fit_handles_warped_marginals():
@@ -135,7 +132,7 @@ def test_fit_handles_warped_marginals():
     # The copula is invariant to monotone marginal transforms, so the fitted
     # correlations should still be near the generating value.
     for child, _ in model.families():
-        assert abs(model.copulas[child].rho - 0.5) < 0.1
+        assert abs(model.rho[child] - 0.5) < 0.1
 
 
 # ----------------------------------------------------- bound tightness
@@ -208,8 +205,8 @@ def test_bound_matches_explicit_tensor_quadrature():
     # Gauss-Hermite tensor grid of any size >= 2 is exact for the quadratic
     # integrand, so every rule must agree with it.
     model, data, _ = _chain_model(num_vars=3, warp=True)
-    rho1 = model.copulas[1].rho
-    rho2 = model.copulas[2].rho
+    rho1 = model.rho[1]
+    rho2 = model.rho[2]
     x = data.values[11]
     z2 = float(ndtri(model.marginals[2].cdf(x[2])))
     row = MaskedDataset(np.array([[np.nan, np.nan, x[2]]]), np.array([[False, False, True]]),
@@ -218,7 +215,7 @@ def test_bound_matches_explicit_tensor_quadrature():
 
     # A two-parent family, child observed and both parents hidden.
     vee = CbnModel(Dag(3, ((), (), (0, 1))), model.marginals,
-                   (None, None, UniformGaussianCopula(3, 0.4)), model.column_names)
+                   (None, None, 0.4), model.column_names)
     got_vee = lower_bound_rows(vee, row)[0]
 
     log_pdf2 = float(np.log(model.marginals[2].pdf(x[2])))
@@ -273,7 +270,7 @@ def test_fit_missing_falls_back_to_the_bound_without_complete_rows():
         objective = _oracle_family_objective(model, data, (child, *dag.parents[child]))
         lo, hi = rho_bounds(num_cols)
         grid_best = max(objective(rho) for rho in np.linspace(lo, hi, 2001))
-        assert objective(model.copulas[child].rho) >= grid_best - 1e-9
+        assert objective(model.rho[child]) >= grid_best - 1e-9
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -316,14 +313,14 @@ def test_fit_missing_fits_each_family_from_its_own_statistics(num_cols, num_rows
         else:
             stats = family_stats(table.second, float(num_rows), [cols])
         (rho,), _ = stats.fit()
-        assert np.float64(model.copulas[node].rho).tobytes() == rho.tobytes(), cols
+        assert np.float64(model.rho[node]).tobytes() == rho.tobytes(), cols
 
 
 def test_bound_never_exceeds_mc_log_evidence():
     model, data, _ = _chain_model(rho=0.5, num_rows=500, seed=46)
     rng = np.random.default_rng(47)
-    rho1 = model.copulas[1].rho
-    rho2 = model.copulas[2].rho
+    rho1 = model.rho[1]
+    rho2 = model.rho[2]
     for row_index in range(5):
         x = data.values[row_index].copy()
         x[1] = np.nan  # hide the middle variable
@@ -379,6 +376,16 @@ def test_energy_check_rejects_bad_input():
         energy_identity_check(model, data.values[:2], mc_samples=10)
     with pytest.raises(OutOfRangeError):
         energy_identity_check(model, data.values[0], mc_samples=0)
+    row = [data.values[0, 0], np.nan, data.values[0, 2]]
+    for kwargs in (
+        dict(mc_samples=2.5), dict(mc_samples=True), dict(mc_samples=10.0),
+        dict(mc_samples=10, seed=-1), dict(mc_samples=10, seed=1.5), dict(mc_samples=10, seed=True),
+    ):
+        with pytest.raises(OutOfRangeError, match="must be"):
+            energy_identity_check(model, row, **kwargs)
+    assert energy_identity_check(model, row, np.int64(10), np.uint16(3)) == energy_identity_check(
+        model, row, 10, 3
+    )
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -404,6 +411,11 @@ def test_forward_sample_is_seeded_and_shaped():
     assert not np.array_equal(a, c)
     with pytest.raises(OutOfRangeError):
         forward_sample(model, 0, seed=1)
+    # A float count or seed is refused, not truncated.
+    for count, seed in ((2.5, 0), (True, 0), (3.0, 0), (3, 1.5), (3, -1), (3, True)):
+        with pytest.raises(OutOfRangeError, match="must be"):
+            forward_sample(model, count, seed)
+    np.testing.assert_array_equal(forward_sample(model, np.int64(40), np.uint8(3)), a)
 
 
 def test_forward_samples_follow_model_marginals():
@@ -418,7 +430,7 @@ def test_forward_samples_follow_model_marginals():
 def test_forward_samples_reproduce_pairwise_dependence():
     model, _, _ = _chain_model(rho=0.7, num_rows=800, seed=50)
     samples = forward_sample(model, 6000, seed=6)
-    rho = model.copulas[1].rho
+    rho = model.rho[1]
     z0 = ndtri(model.marginals[0].cdf(samples[:, 0]))
     z1 = ndtri(model.marginals[1].cdf(samples[:, 1]))
     observed = float(np.corrcoef(z0, z1)[0, 1])
@@ -493,6 +505,5 @@ def test_shared_score_table_fits_the_same_model(monkeypatch, tmp_path):
     bypassed = fit_model(train, "cbn", config)
     save_model(bypassed, tmp_path / "bypassed.json")
     assert shared.dag.parents == bypassed.dag.parents
-    for a, b in zip(shared.copulas, bypassed.copulas):
-        assert (a is None and b is None) or a.rho == b.rho
+    assert shared.rho == bypassed.rho
     assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "bypassed.json").read_bytes()

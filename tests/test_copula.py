@@ -286,7 +286,7 @@ def test_family_stats_objective_matches_row_sum(
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    dim=st.integers(2, 5),
+    dim=st.integers(2, 8),
     num_rows=st.integers(2, 200),
     hidden_share=st.floats(0.0, 0.6),
     end=st.sampled_from(["lo", "hi"]),

@@ -259,8 +259,12 @@ def test_make_split_validates_index():
     protocol = ExperimentProtocol(num_splits=5)
     with pytest.raises(OutOfRangeError):
         make_split(data, protocol, 5)
-    with pytest.raises(OutOfRangeError):
-        make_split(data, protocol, -1)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(OutOfRangeError):
+            make_split(data, protocol, bad)
+    assert make_split(data, protocol, np.int64(2))[0].values.tobytes() == make_split(
+        data, protocol, 2
+    )[0].values.tobytes()
 
 
 def test_protocol_validation():
@@ -268,6 +272,27 @@ def test_protocol_validation():
         ExperimentProtocol(num_splits=0)
     with pytest.raises(ValidationError):
         ExperimentProtocol(mask_scope="everything")
+    # Counts and seeds are integers: no float, boolean, NaN or negative seed
+    # slips through to fail later as a bare TypeError or ValueError.
+    for kwargs in (
+        dict(num_splits=1.5), dict(num_splits=True), dict(num_splits=float("nan")),
+        dict(num_splits=2.0), dict(base_seed=1.5), dict(base_seed=-3), dict(base_seed=True),
+    ):
+        with pytest.raises(ValidationError, match="must be"):
+            ExperimentProtocol(**kwargs)
+    protocol = ExperimentProtocol(num_splits=np.int64(3), base_seed=np.uint32(7))
+    assert (type(protocol.num_splits), type(protocol.base_seed)) == (int, int)
+    assert protocol == ExperimentProtocol(num_splits=3, base_seed=7)
+    data = _toy_data(10, 2, seed=1)
+    for bad in (-1, 1.5, True, None):
+        with pytest.raises(OutOfRangeError):
+            derive_seed(3, bad)
+        with pytest.raises(OutOfRangeError):
+            apply_missing_mask(data, 0.2, bad)
+    assert derive_seed(np.int64(3), 4) == derive_seed(3, np.uint8(4))
+    np.testing.assert_array_equal(
+        apply_missing_mask(data, 0.2, np.int64(5)).observed, apply_missing_mask(data, 0.2, 5).observed
+    )
 
 
 # ------------------------------------------------------------ masking

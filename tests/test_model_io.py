@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulabn.cbn import CbnModel, fit_complete, log_density_rows, lower_bound_rows
-from copulabn.copula import UniformGaussianCopula, rho_bounds
+from copulabn.copula import rho_bounds
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset
 from copulabn.errors import ParseError, ValidationError
@@ -47,10 +47,8 @@ def test_cbn_round_trip_reproduces_predictions_exactly():
     )
     assert restored.column_names == model.column_names
     assert restored.dag == model.dag
-    for got, want in zip(restored.copulas, model.copulas):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.rho == want.rho and got.n == want.n
+    assert restored.rho == model.rho
+    assert [type(r) for r in restored.rho] == [type(None), float, float]
     for got, want in zip(restored.marginals, model.marginals):
         assert got.bandwidth == want.bandwidth
         np.testing.assert_array_equal(got.samples, want.samples)
@@ -96,13 +94,8 @@ def test_serialize_then_deserialize_is_the_identity(kind, n, seed):
             KdeMarginal.from_params(scaled(int(rng.integers(2, 30))), abs(scaled(1)[0]) + 1e-9)
             for _ in range(n)
         )
-        copulas = tuple(
-            UniformGaussianCopula(len(ps) + 1, float(rng.uniform(*rho_bounds(len(ps) + 1))))
-            if ps
-            else None
-            for ps in parents
-        )
-        model = CbnModel(dag, marginals, copulas, names)
+        rho = tuple(float(rng.uniform(*rho_bounds(len(ps) + 1))) if ps else None for ps in parents)
+        model = CbnModel(dag, marginals, rho, names)
     else:
         model = LinearGaussianBn(
             dag=dag,
@@ -116,10 +109,10 @@ def test_serialize_then_deserialize_is_the_identity(kind, n, seed):
     assert serialize(restored) == text
     assert restored.dag == model.dag and restored.column_names == model.column_names
     if kind == "cbn":
-        for got, want in zip(restored.copulas, model.copulas):
+        for got, want in zip(restored.rho, model.rho):
             assert (got is None) == (want is None)
             if got is not None:
-                assert got.n == want.n and _bits(got.rho) == _bits(want.rho)
+                assert _bits(got) == _bits(want)
         for got, want in zip(restored.marginals, model.marginals):
             assert _bits(got.bandwidth) == _bits(want.bandwidth)
             np.testing.assert_array_equal(_bits(got.samples), _bits(want.samples))
@@ -198,9 +191,12 @@ def test_rejects_bad_cbn_documents():
     model, _ = _cbn_model(seed=2)
     doc = json.loads(serialize(model))
 
-    bad_rho = dict(doc, rho=[None, 1.5, doc["rho"][2]])
-    with pytest.raises(ValidationError):
-        deserialize(json.dumps(bad_rho))
+    r1, r2 = doc["rho"][1:]
+    # Out of range, a rho at the root (node 0), a null at a node with a
+    # parent, and a list one entry short.
+    for rho in ([None, 1.5, r2], [0.0, r1, r2], [0.3, r1, r2], [None, None, r2], [None, r1]):
+        with pytest.raises(ValidationError):
+            deserialize(json.dumps(dict(doc, rho=rho)))
 
     short_marginals = dict(doc, marginals=doc["marginals"][:2])
     with pytest.raises(ValidationError):
