@@ -25,6 +25,7 @@ That structure gives closed forms for everything the package needs:
 Sigma stays numerically positive definite at every rho the fit scores.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,6 +63,9 @@ def rho_bounds(n):
 
 
 def _check_rho(n, rho):
+    # A boolean is a numbers.Real, but its dtype kind is "b".
+    if not isinstance(rho, (numbers.Real, np.ndarray)) or np.asarray(rho).dtype.kind not in "iuf":
+        raise InvalidRhoError(f"rho must be a real number, got {rho!r}")
     if n == 1:
         if rho != 0.0:
             raise InvalidRhoError("a 1-dimensional copula must have rho = 0")

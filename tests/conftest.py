@@ -1,5 +1,6 @@
-"""Shared fixtures, synthetic-data generators and the quadrature,
-Gaussian-conditioning and structure-search oracles for the test suite."""
+"""Shared fixtures, synthetic-data generators and the dense-kernel,
+quadrature, Gaussian-conditioning and structure-search oracles for the test
+suite."""
 
 import functools
 from functools import lru_cache
@@ -8,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import roots_hermitenorm, roots_legendre
+from scipy.special import logsumexp, ndtr, roots_hermitenorm, roots_legendre
 
 from copulabn.dag import Dag
 from copulabn.errors import ConvergenceError, OutOfRangeError, SingularDesignError
 from copulabn.gaussian_bn import _VARIANCE_FLOOR
+from copulabn.marginals import CDF_CEIL, CDF_FLOOR
 from copulabn.structure import _MAX_MOVES, ScoredStructure
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -38,6 +40,27 @@ def wine_path():
 @pytest.fixture
 def crime_path():
     return require_dataset(CRIME_CSV)
+
+
+def dense_kde(marginal, x):
+    """Dense-kernel oracle of a ``KdeMarginal``: (pdf, cdf, log_pdf) at the
+    1-d points ``x``, each summed over every kernel centre.
+
+    This was the package's own kernel before the fast Gauss transform: one
+    exp and one ndtr per (point, centre) pair, the cdf clamped to
+    ``[CDF_FLOOR, CDF_CEIL]``, and ``logsumexp`` for the log density where
+    the pdf is below the normal floating-point range.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    h = marginal.bandwidth
+    t = (x[:, None] - marginal.samples[None, :]) / h
+    pdf = np.exp(-0.5 * t * t).mean(axis=1) * (1.0 / np.sqrt(2.0 * np.pi) / h)
+    cdf = np.clip(ndtr(t).mean(axis=1), CDF_FLOOR, CDF_CEIL)
+    log_norm = np.log(marginal.samples.size * h * np.sqrt(2.0 * np.pi))
+    normal = pdf >= np.finfo(float).tiny
+    log_pdf = logsumexp(-0.5 * t * t, axis=1) - log_norm
+    log_pdf[normal] = np.log(pdf[normal])
+    return pdf, cdf, log_pdf
 
 
 def chain_scores(rho, num_vars, num_rows, rng):

@@ -35,7 +35,13 @@ from copulabn.copula import (
 )
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
-from copulabn.errors import CopulaBnError, InvalidInputError, OutOfRangeError, ValidationError
+from copulabn.errors import (
+    CopulaBnError,
+    InvalidInputError,
+    InvalidRhoError,
+    OutOfRangeError,
+    ValidationError,
+)
 from copulabn.marginals import fit_kde
 from copulabn.model_io import save_model
 from copulabn.structure import SearchConfig, greedy_search
@@ -368,6 +374,13 @@ def test_energy_identity_is_exact_without_hidden_cells():
     np.testing.assert_allclose(
         result.bound_term, log_density(model, x) - marginal_part, rtol=0, atol=1e-9
     )
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, [0.5]])
+def test_model_rejects_a_rho_that_is_not_a_real_number(bad):
+    model, _, _ = _chain_model(num_vars=2)
+    with pytest.raises(InvalidRhoError):
+        CbnModel(model.dag, model.marginals, (None, bad), model.column_names)
 
 
 def test_energy_check_rejects_bad_input():

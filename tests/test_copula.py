@@ -140,6 +140,16 @@ def test_rho_validity_bounds():
         UniformGaussianCopula(2, 1.5)
 
 
+@pytest.mark.parametrize("bad", ["0.5", None, True, False, np.bool_(True), 0.5j, [0.1]])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_rho_that_is_not_a_real_number_is_a_typed_error(bad, dim):
+    with pytest.raises(InvalidRhoError):
+        UniformGaussianCopula(dim, bad)
+    if dim > 1:
+        with pytest.raises(InvalidRhoError):
+            uniform_sigma_logdet(dim, bad)
+
+
 def test_unit_cube_interior_is_required():
     c = UniformGaussianCopula(2, 0.3)
     for bad in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan], [-0.1, 0.5]):

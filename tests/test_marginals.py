@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
@@ -17,6 +17,10 @@ from copulabn.errors import (
 )
 from copulabn import marginals as marginals_module
 from copulabn.marginals import CDF_CEIL, CDF_FLOOR, KdeMarginal, fit_kde
+from conftest import dense_kde
+
+# A column this long takes the fast Gauss transform, not the dense kernel.
+TALL = 4000
 
 
 def _reference_pdf(marginal, x):
@@ -73,14 +77,16 @@ def test_pdf_integrates_to_one_over_support():
 
 
 def test_cdf_is_monotone_and_support_covers_mass():
-    rng = np.random.default_rng(4)
-    values = rng.standard_t(df=3, size=300)
-    marginal = fit_kde(values)
-    grid = np.linspace(marginal.support_lo, marginal.support_hi, 4001)
-    cdf = marginal.cdf(grid)
-    assert np.all(np.diff(cdf) >= 0.0)
-    assert cdf[0] <= 1e-5
-    assert cdf[-1] >= 1.0 - 1e-5
+    # 300 centres and TALL centres: the expansion's cdf is monotone too.
+    for size in (300, TALL):
+        rng = np.random.default_rng(4)
+        values = rng.standard_t(df=3, size=size)
+        marginal = fit_kde(values)
+        grid = np.linspace(marginal.support_lo, marginal.support_hi, 4001)
+        cdf = marginal.cdf(grid)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[0] <= 1e-5
+        assert cdf[-1] >= 1.0 - 1e-5
 
 
 def test_quantile_inverts_cdf():
@@ -119,11 +125,13 @@ def _column(kind, size, rng):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
-    size=st.integers(20, 300),
+    size=st.one_of(st.integers(20, 300), st.integers(TALL - 500, TALL)),
     seed=st.integers(0, 2**32 - 1),
     narrow=st.booleans(),
     levels=st.lists(st.floats(1e-12, 1.0 - 1e-12), max_size=20),
 )
+@example(kind="gapped", size=TALL, seed=3, narrow=True, levels=[0.5])
+@example(kind="tied", size=TALL, seed=4, narrow=False, levels=[0.25])
 def test_quantile_properties(kind, size, seed, narrow, levels):
     rng = np.random.default_rng(seed)
     # A narrow kernel leaves flat cdf stretches between clusters and ties.
@@ -230,17 +238,36 @@ def test_log_pdf_matches_log_of_pdf_where_positive():
 
 
 def test_log_pdf_is_finite_where_pdf_underflows():
-    rng = np.random.default_rng(10)
-    marginal = fit_kde(rng.normal(size=300))
-    x = np.array([-55.0, 0.0, 40.0, 1e4])
-    assert marginal.pdf(40.0) == 0.0
-    got = marginal.log_pdf(x)
-    assert np.all(np.isfinite(got))
-    m, h = marginal.samples.size, marginal.bandwidth
-    for value, xi in zip(got, x):
-        t = (xi - marginal.samples) / h
-        expected = logsumexp(-0.5 * t * t) - np.log(m * h * np.sqrt(2.0 * np.pi))
-        np.testing.assert_allclose(value, expected, rtol=1e-12)
+    # Also where the pdf is subnormal: its few significant bits would put
+    # errors of up to 0.75 nats into np.log(pdf), so logsumexp takes over.
+    for size in (150, 300):  # the dense kernel, then the expansion
+        rng = np.random.default_rng(10)
+        marginal = fit_kde(rng.normal(size=size))
+        m, h = marginal.samples.size, marginal.bandwidth
+        tail = marginal.samples.max() + h * np.linspace(37.0, 39.0, 2001)
+        dens = marginal.pdf(tail)
+        subnormal = tail[(dens > 0.0) & (dens < 1e-318)]
+        assert subnormal.size
+        x = np.concatenate([[-55.0, 0.0, 40.0, 1e4], subnormal])
+        assert marginal.pdf(40.0) == 0.0
+        got = marginal.log_pdf(x)
+        assert np.all(np.isfinite(got))
+        for value, xi in zip(got, x):
+            t = (xi - marginal.samples) / h
+            expected = logsumexp(-0.5 * t * t) - np.log(m * h * np.sqrt(2.0 * np.pi))
+            np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+
+def test_non_finite_points():
+    # NaN stays NaN; an infinite point has no kernel mass and clamped cdf.
+    rng = np.random.default_rng(13)
+    for size in (150, TALL):  # the dense kernel, then the expansion
+        marginal = fit_kde(rng.normal(size=size))
+        x = np.array([np.nan, -np.inf, np.inf])
+        assert np.all(np.isnan([f(x)[0] for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)]))
+        np.testing.assert_array_equal(marginal.pdf(x[1:]), [0.0, 0.0])
+        np.testing.assert_array_equal(marginal.cdf(x[1:]), [CDF_FLOOR, CDF_CEIL])
+        np.testing.assert_array_equal(marginal.log_pdf(x[1:]), [-np.inf, -np.inf])
 
 
 @pytest.mark.parametrize(
@@ -251,18 +278,101 @@ def test_log_pdf_is_finite_where_pdf_underflows():
 def test_kernel_blocks_do_not_change_results(monkeypatch, query):
     # Blocks split only along the query points, so every block size must
     # give bitwise the same pdf, cdf and log_pdf: one point per block (a
-    # budget of 1 or 7 elements), 7 points per block (a ragged last block
-    # for 23 or 5 points), and one block for all.
-    rng = np.random.default_rng(11)
-    marginal = fit_kde(rng.gamma(2.0, 1.5, size=301))
-    assert marginal.pdf(45.0) == 0.0  # "far" takes the logsumexp branch
-    results = []
-    for chunk in (1, 7, 7 * 301, 10**9):
-        monkeypatch.setattr(marginals_module, "_CHUNK_ELEMENTS", chunk)
-        results.append([np.asarray(f(query)) for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)])
-    for other in results[1:]:
-        for got, want in zip(other, results[0]):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-    if np.ndim(query):
-        assert np.all(np.isfinite(results[0][2]))
+    # budget of 1 or 7 elements), a few points per block (a ragged last
+    # block), and one block for all.  The 150-centre column takes the dense
+    # kernel, the 301- and TALL-centre columns the fast Gauss transform.
+    for size in (150, 301, TALL):
+        assert (size < marginals_module._FGT_MIN_CENTRES) == (size == 150)
+        rng = np.random.default_rng(11)
+        marginal = fit_kde(rng.gamma(2.0, 1.5, size=size))
+        assert marginal.pdf(45.0) == 0.0  # "far" takes the logsumexp branch
+        results = []
+        for chunk in (1, 7, 7 * 301, 10**9):
+            monkeypatch.setattr(marginals_module, "_CHUNK_ELEMENTS", chunk)
+            results.append([np.asarray(f(query)) for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)])
+        monkeypatch.undo()
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        if np.ndim(query):
+            assert np.all(np.isfinite(results[0][2]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
+    size=st.integers(marginals_module._FGT_MIN_CENTRES // 2, TALL),
+    seed=st.integers(0, 2**32 - 1),
+    narrow=st.booleans(),
+)
+@example(kind="warped", size=TALL, seed=0, narrow=False)
+@example(kind="tied", size=TALL, seed=1, narrow=True)
+@example(kind="gapped", size=TALL, seed=2, narrow=True)
+@example(kind="cauchy", size=TALL, seed=3, narrow=False)
+def test_kernel_matches_the_dense_oracle(kind, size, seed, narrow):
+    # Points in the bulk, in both tails 6-40 bandwidths out, and far outliers.
+    # The log density is compared relative to max(1, |log pdf|): near
+    # log pdf = 0 a relative bound on the log would ask for more than the
+    # pdf's own rounding.
+    rng = np.random.default_rng(seed)
+    column = _column(kind, size, rng)
+    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    h, lo, hi = marginal.bandwidth, column.min(), column.max()
+    x = np.concatenate([
+        rng.choice(column, 200) + h * rng.normal(0.0, 2.0, 200),
+        lo - h * rng.uniform(6.0, 40.0, 40),
+        hi + h * rng.uniform(6.0, 40.0, 40),
+        [lo - 1e4 * h, hi + 1e4 * h, -1e6, 1e6],
+    ])
+    pdf, cdf, log_pdf = dense_kde(marginal, x)
+    got_pdf, got_cdf, got_log = marginal.pdf(x), marginal.cdf(x), marginal.log_pdf(x)
+    assert np.all(np.abs(got_cdf - cdf) <= 1e-14)
+    assert np.all(np.abs(got_pdf - pdf) <= 1e-14)
+    finite = np.isfinite(log_pdf)
+    assert np.array_equal(np.isfinite(got_log), finite)
+    assert np.all(np.abs(got_log - log_pdf)[finite] <= 1e-13 * np.maximum(np.abs(log_pdf[finite]), 1.0))
+    assert np.all(got_pdf >= 0.0)
+    assert np.all((CDF_FLOOR <= got_cdf) & (got_cdf <= CDF_CEIL))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    size=st.sampled_from([150, TALL]),
+    seed=st.integers(0, 2**32 - 1),
+    others=st.integers(0, 3000),
+    reach=st.sampled_from([0.0, 3.0, 12.0, 60.0]),
+)
+def test_a_point_gets_the_same_bits_alone_or_in_any_batch(size, seed, others, reach):
+    # The point lies in the bulk (reach 0), where the expansion holds, a few
+    # bandwidths past the data, where the exact window takes over, or so far
+    # out that the pdf underflows and log_pdf takes logsumexp.
+    rng = np.random.default_rng(seed)
+    column = _column("warped", size, rng)
+    marginal = fit_kde(column)
+    point = float(rng.choice(column) + reach * marginal.bandwidth * rng.choice([-1.0, 1.0]))
+    if reach:
+        point += np.sign(point - np.median(column)) * np.ptp(column)
+    batch = rng.choice(column, others) + marginal.bandwidth * rng.normal(0.0, 10.0, others)
+    at = int(rng.integers(0, others + 1))
+    batch = np.insert(batch, at, point)
+    for f in (marginal.pdf, marginal.cdf, marginal.log_pdf):
+        assert np.float64(f(point)).tobytes() == f(batch)[at].tobytes()
+
+
+def test_the_dense_kernel_is_not_used_above_the_crossover(monkeypatch):
+    rng = np.random.default_rng(12)
+    tall = fit_kde(_column("warped", TALL, rng))
+    small = fit_kde(_column("warped", marginals_module._FGT_MIN_CENTRES - 1, rng))
+
+    def refuse(self, x):
+        raise AssertionError("dense kernel")
+
+    monkeypatch.setattr(KdeMarginal, "_kernel_columns", refuse)
+    x = np.concatenate([np.linspace(tall.support_lo, tall.support_hi, 500), [-1e4, 1e4]])
+    assert tall.pdf(1e4) == 0.0  # log_pdf takes its logsumexp branch there
+    assert np.all(np.isfinite(tall.log_pdf(x)))
+    tall.cdf(x)
+    tall.quantile(rng.random(200))
+    with pytest.raises(AssertionError, match="dense kernel"):
+        small.cdf(0.0)
