@@ -13,8 +13,9 @@ package:
 The cdf is clamped away from 0 and 1 so its normal score is always finite;
 the clamp bounds double as the reachable range of ``quantile``.  The
 quantile inverts the cdf with safeguarded Newton steps (the pdf is the cdf's
-derivative) inside a bracket read off a cached cdf table.  ``log_pdf`` stays
-finite beyond the support, where the summed density underflows to 0.
+derivative) inside a bracket read off a cdf table of n + 1 points for n
+targets.  ``log_pdf`` stays finite beyond the support, where the summed
+density underflows to 0, down to a log density of -``np.finfo(float).max``.
 
 Kernel sums
 -----------
@@ -55,6 +56,13 @@ per (point, centre) pair.  Above it they come from a fast Gauss transform
   the dense kernel won on calls of 20 points.  ``_FGT_MIN_CENTRES`` = 200
   leaves a margin, so tables of a few hundred rows keep the dense kernel and
   its bits.
+
+Huge points.  A finite point some 1e154 bandwidths or more from a centre
+overflows t, or -t**2 / 2, to infinity.  The sums read that as an infinitely
+far centre: its kernel adds 0 to the pdf and 0 or 1 to the cdf, without a
+warning.  Where every term of a point's log-density sum overflows, its log
+density lies below -``np.finfo(float).max`` and ``log_pdf`` raises
+``OutOfRangeError``.
 
 Every sum runs in a fixed order per point: for the expansion over a within a
 box and then over the point's boxes from left to right.  So a point's pdf,
@@ -310,7 +318,8 @@ class KdeMarginal:
         module docstring.
         """
         x = np.asarray(x, dtype=float)
-        out = self._kernel_sums(x.reshape(-1))
+        with np.errstate(over="ignore"):  # huge points; see the module docstring
+            out = self._kernel_sums(x.reshape(-1))
         out /= self.samples.size
         out *= _INV_SQRT_2PI / self.bandwidth
         return out.reshape(x.shape) if x.shape else float(out[0])
@@ -324,18 +333,29 @@ class KdeMarginal:
         is taken inside the kernel sum: ``logsumexp(-t**2 / 2) - log(m h sqrt(2 pi))``,
         over every centre below ``_FGT_MIN_CENTRES`` centres and over the
         point's exact window (all but 2**-53 of the sum) above it.
+
+        Raises
+        ------
+        OutOfRangeError
+            A finite point's log density lies below -``np.finfo(float).max``.
         """
         x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
         dens = np.asarray(self.pdf(x), dtype=float).reshape(-1)
         out = np.empty(dens.size, dtype=float)
         normal = dens >= _TINY
         out[normal] = np.log(dens[normal])
         under = np.nonzero(~normal)[0]
         if under.size:
-            far = x.reshape(-1)[under]
             log_norm = np.log(self.samples.size * self.bandwidth * np.sqrt(2.0 * np.pi))
-            for idx, e in self._exact_terms(far):
-                out[under[idx]] = logsumexp(e, axis=-1) - log_norm
+            with np.errstate(over="ignore"):  # huge points; see the module docstring
+                for idx, e in self._exact_terms(flat[under]):
+                    out[under[idx]] = logsumexp(e, axis=-1) - log_norm
+            lost = np.isneginf(out) & np.isfinite(flat)
+            if lost.any():
+                raise OutOfRangeError(
+                    f"log density at x={float(flat[lost][0])!r} lies below -{float(np.finfo(float).max)!r}"
+                )
         return out.reshape(x.shape) if x.shape else float(out[0])
 
     def cdf(self, x):
@@ -349,32 +369,26 @@ class KdeMarginal:
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
-        if self.samples.size < _FGT_MIN_CENTRES:
-            out = np.empty(flat.size, dtype=float)
-            for sl, t in self._kernel_columns(flat):
-                out[sl] = ndtr(t).mean(axis=1)
-        else:
-            out = self._expanded(flat, cdf=True) / self.samples.size
+        with np.errstate(over="ignore"):  # huge points; see the module docstring
+            if self.samples.size < _FGT_MIN_CENTRES:
+                out = np.empty(flat.size, dtype=float)
+                for sl, t in self._kernel_columns(flat):
+                    out[sl] = ndtr(t).mean(axis=1)
+            else:
+                out = self._expanded(flat, cdf=True) / self.samples.size
         np.clip(out, CDF_FLOOR, CDF_CEIL, out=out)
         return out.reshape(x.shape) if x.shape else float(out[0])
-
-    @cached_property
-    def _bracket_grid(self):
-        # Monotone cdf table that gives each quantile target a narrow starting
-        # bracket and a linear-interpolation first guess.  The 5-bandwidth pad
-        # puts the support ends in the clamp, so the table runs from exactly
-        # CDF_FLOOR to exactly CDF_CEIL and brackets every clipped target.
-        xs = np.linspace(self.support_lo, self.support_hi, 1025)
-        return xs, self.cdf(xs)
 
     def quantile(self, u):
         """Inverse of :meth:`cdf` by safeguarded Newton iteration.
 
-        Each target starts at the linear interpolation inside its bracket of
-        the cached cdf table.  Every iteration evaluates the cdf on the
-        targets not yet converged, shrinks each bracket by the sign of the
-        error, and takes the Newton step ``x - err / pdf(x)``, or the bracket
-        midpoint when that step is not finite or leaves the bracket.
+        Each of n targets starts at the linear interpolation inside its
+        bracket of a cdf table of n + 1 evenly spaced points over the
+        support, so a target's bits depend on n (within ``_QUANTILE_TOL``).
+        Every iteration evaluates the cdf on the targets not yet converged,
+        shrinks each bracket by the sign of the error, and takes the Newton
+        step ``x - err / pdf(x)``, or the bracket midpoint when that step is
+        not finite or leaves the bracket.
 
         Parameters
         ----------
@@ -400,14 +414,16 @@ class KdeMarginal:
             raise OutOfRangeError("quantile targets must lie strictly inside (0, 1)")
         target = np.clip(flat, CDF_FLOOR, CDF_CEIL)
 
-        xs, cs = self._bracket_grid
+        # The support ends lie in the clamp, so the table brackets every target.
+        xs = np.linspace(self.support_lo, self.support_hi, target.size + 1)
+        cs = self.cdf(xs)
         hi_idx = np.clip(np.searchsorted(cs, target, side="left"), 1, xs.size - 1)
         lo = xs[hi_idx - 1].copy()
         hi = xs[hi_idx].copy()
         c_lo = cs[hi_idx - 1]
         rise = cs[hi_idx] - c_lo
         frac = np.divide(target - c_lo, rise, out=np.full(target.size, 0.5), where=rise > 0.0)
-        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        x = np.minimum(lo + np.clip(frac, 0.0, 1.0) * (hi - lo), hi)  # rounding can pass hi
 
         active = np.arange(target.size)
         for _ in range(_QUANTILE_MAX_ITER):

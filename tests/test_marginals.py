@@ -1,5 +1,7 @@
 """Kernel marginals against brute-force normal-mixture oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -151,18 +153,64 @@ def test_quantile_properties(kind, size, seed, narrow, levels):
 
 
 def test_quantile_needs_few_cdf_sweeps(monkeypatch):
+    # n targets pay for a cdf table of at most n + 1 points and then at most
+    # 8 Newton sweeps.  20 targets on a 150-centre column evaluate fewer cdf
+    # points in all than a fixed 1,025-point table alone would.
     rng = np.random.default_rng(7)
     z = rng.standard_normal(1000)
-    marginal = fit_kde(np.exp(z / 2.0) + 0.3 * z)
-    marginal._bracket_grid  # the one-off cdf table is not an iteration
-    calls = []
+    column = np.exp(z / 2.0) + 0.3 * z
+    sizes = []
     cdf = KdeMarginal.cdf
-    monkeypatch.setattr(KdeMarginal, "cdf", lambda self, x: calls.append(1) or cdf(self, x))
-    u = rng.random(1000)
-    x = marginal.quantile(u)
-    assert len(calls) <= 8
+    monkeypatch.setattr(KdeMarginal, "cdf", lambda self, x: sizes.append(np.size(x)) or cdf(self, x))
+    draws = []
+    for centres, n in ((1000, 1000), (150, 20)):
+        marginal = fit_kde(column[:centres])
+        u = rng.random(n)
+        sizes.clear()
+        draws.append((marginal, u, marginal.quantile(u)))
+        assert sizes[0] <= n + 1
+        assert 1 <= len(sizes) - 1 <= 8
+        assert max(sizes[1:]) <= n
+    assert sum(sizes) < 1025
     monkeypatch.undo()
-    assert np.all(np.abs(marginal.cdf(x) - np.clip(u, CDF_FLOOR, CDF_CEIL)) < 1e-10)
+    for marginal, u, x in draws:
+        assert np.all(np.abs(marginal.cdf(x) - np.clip(u, CDF_FLOOR, CDF_CEIL)) < 1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["tied", "gapped", "cauchy"]),
+    size=st.one_of(
+        st.integers(20, marginals_module._FGT_MIN_CENTRES - 1),
+        st.integers(marginals_module._FGT_MIN_CENTRES, TALL),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(
+        st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), st.floats(1e-12, 1.0 - 1e-12)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(kind="cauchy", size=20, seed=82, levels=[1.0 - 1e-12])  # a first guess past support_hi
+@example(kind="gapped", size=150, seed=5, levels=[1e-12, 0.5, 1.0 - 1e-12])
+@example(kind="gapped", size=TALL, seed=6, levels=[0.5])
+@example(kind="cauchy", size=TALL, seed=7, levels=[1.0 - 1e-12, 1e-12])
+@example(kind="tied", size=marginals_module._FGT_MIN_CENTRES, seed=8, levels=[0.3, 0.7])
+def test_quantile_of_a_small_draw(kind, size, seed, levels):
+    # One to three targets get a table of two to four points, so on a
+    # narrow kernel most of a gapped, tied or Cauchy column lies in one
+    # bracket.  The safeguarded steps must still reach the tolerance.
+    rng = np.random.default_rng(seed)
+    marginal = KdeMarginal.from_params(_column(kind, size, rng), 0.05)
+    tol = marginals_module._QUANTILE_TOL
+    u = np.array(levels)
+    x = marginal.quantile(u)
+    clipped = np.clip(u, CDF_FLOOR, CDF_CEIL)
+    assert np.all(np.abs(marginal.cdf(x) - clipped) < tol)
+    assert np.all((marginal.support_lo <= x) & (x <= marginal.support_hi))
+    order = np.argsort(clipped, kind="stable")
+    apart = np.diff(clipped[order]) > 2.0 * tol
+    assert np.all(np.diff(x[order])[apart] >= 0.0)
 
 
 def test_quantile_raises_when_out_of_iterations(monkeypatch):
@@ -268,6 +316,22 @@ def test_non_finite_points():
         np.testing.assert_array_equal(marginal.pdf(x[1:]), [0.0, 0.0])
         np.testing.assert_array_equal(marginal.cdf(x[1:]), [CDF_FLOOR, CDF_CEIL])
         np.testing.assert_array_equal(marginal.log_pdf(x[1:]), [-np.inf, -np.inf])
+
+
+def test_huge_finite_points():
+    # Far enough out, t = (x - s) / h or -t**2 / 2 overflows: the pdf is 0,
+    # the cdf the clamp, with no warning, and a log density below
+    # -finfo.max is an error that names the point.
+    rng = np.random.default_rng(14)
+    huge = np.array([1e155, 1e300, -1e308, 1e308, 1.7e308, -1.7e308])
+    for size in (150, TALL):  # the dense kernel, then the expansion
+        marginal = fit_kde(rng.normal(size=size))
+        np.testing.assert_array_equal(marginal.pdf(huge), 0.0)
+        np.testing.assert_array_equal(marginal.cdf(huge), np.where(huge > 0.0, CDF_CEIL, CDF_FLOOR))
+        for point in huge:
+            with pytest.raises(OutOfRangeError, match=re.escape(f"x={float(point)!r} ")):
+                marginal.log_pdf(np.array([0.0, point]))
+        assert -np.finfo(float).max < marginal.log_pdf(1e150) < -1e300
 
 
 @pytest.mark.parametrize(
