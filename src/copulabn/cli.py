@@ -25,7 +25,6 @@ from .errors import (
     CopulaBnError,
     DataError,
     InvalidInputError,
-    NumericalError,
     OutOfRangeError,
 )
 from .marginals import fit_kde
@@ -309,10 +308,7 @@ def main(argv=None):
     except (DataError, OSError) as e:
         print(f"copulabn: data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as e:
-        print(f"copulabn: numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CopulaBnError as e:
+    except (CopulaBnError, np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"copulabn: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -42,14 +42,15 @@ per (point, centre) pair.  Above it they come from a fast Gauss transform
   2**-53 of its peak.  It is not expanded: it adds its count to the cdf sum
   if it lies left of x, and nothing else.  At most ``_SLOTS`` = 14 boxes are
   in reach of a point.
-* Exact window.  The expansion's error is small against the peak, not
+* Hand-over.  The expansion's error is small against the peak, not
   against a small pdf: in a far tail its relative error reaches 1.  So
   where the expanded kernel sum falls below ``_EXACT_BELOW`` = 1e-3 of the
-  largest box count (0.36 to 1.3 times the sum's peak), the sum is taken
-  exactly over the point's window of sorted centres, which holds all but
-  2**-53 of it.  Against the dense kernel on warped, tied, gapped and Cauchy
-  columns of 200 to 4,000 centres, the expansion's relative error measured at
-  most 7e-15 above that fraction and up to 6e-14 just below it.
+  largest box count (0.36 to 1.3 times the sum's peak), the pdf is summed
+  again over every centre, as below ``_FGT_MIN_CENTRES``.  Against the dense
+  kernel on warped, tied, gapped and Cauchy columns of 200 to 4,000 centres,
+  the expansion's relative error measured at most 7e-15 above that fraction
+  and up to 6e-14 just below it.  The cdf keeps its expansion everywhere:
+  its error is small against ``CDF_FLOOR``.
 * Crossover.  The expansion costs a fixed 25 terms in 14 slots per point
   against the dense kernel's m per point.  With 200 to 5,000 points per call
   the two broke even at 100 to 150 centres for the cdf and pdf together, and
@@ -198,17 +199,13 @@ class KdeMarginal:
             yield slice(start, start + chunk.size), (chunk[:, None] - self.samples[None, :]) / self.bandwidth
 
     @cached_property
-    def _sorted(self):
-        return np.sort(self.samples)
-
-    @cached_property
     def _boxes(self):
         # Sorted centres in boxes h*sqrt(2) wide.  Per box: its centre c, the
         # number of centres in earlier boxes, and the moments
         # A_a = sum d**a / a! of the offsets d = (s - c) / (h sqrt 2), one row
         # per a.  A last, empty box pads the slots of a point with fewer than
         # _SLOTS boxes in reach.
-        s = self._sorted
+        s = np.sort(self.samples)
         width = self.bandwidth * _SQRT2
         key = np.floor((s - s[0]) / width)
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -257,53 +254,24 @@ class KdeMarginal:
         out[np.isnan(x)] = np.nan
         return out
 
-    def _window(self, x):
-        """Index ranges of the sorted centres holding all but a 2**-53 share
-        of each point's kernel sum, and always the point's nearest centre.
+    def _kernel_sums(self, x, cdf):
+        """Sum over the centres of exp(-t**2 / 2), or of ndtr(t) if ``cdf``, at
+        1-d ``x``.
 
-        A centre r from ``x`` adds exp(-r**2 / 2h**2); every centre beyond
-        sqrt(g**2 + 2h**2 L) of a point whose nearest centre is g away adds
-        less than exp(-L) times the nearest one, so with
-        L = log(m) + 53 log(2) the m - 1 others together add less than 2**-53
-        of the sum.
-        """
-        s = self._sorted
-        i = np.searchsorted(s, x)
-        near_lo, near_hi = np.maximum(i - 1, 0), np.minimum(i + 1, s.size)
-        gap = np.minimum(np.abs(x - s[near_lo]), np.abs(s[near_hi - 1] - x))
-        spread = 2.0 * (np.log(s.size) - np.log(_UNIT_ROUNDOFF))
-        reach = np.hypot(gap, self.bandwidth * np.sqrt(spread))
-        with np.errstate(invalid="ignore"):  # an infinite point's reach is infinite
-            lo = np.searchsorted(s, x - reach, side="left")
-            hi = np.searchsorted(s, x + reach, side="right")
-        return np.minimum(lo, near_lo), np.maximum(hi, near_hi)
-
-    def _exact_terms(self, x):
-        """Yield (index into ``x``, -t**2 / 2) for 1-d ``x``, t = (x - s) / h.
-
-        Below _FGT_MIN_CENTRES the rows run over every centre, a block of
-        points at a time; above it, over one point's :meth:`_window`.
+        Below _FGT_MIN_CENTRES every sum runs over every centre with
+        :meth:`_kernel_columns`.  Above it the sums are expanded, and a pdf
+        sum that falls below _EXACT_BELOW of the largest box count is summed
+        again over every centre the same way.
         """
         if self.samples.size < _FGT_MIN_CENTRES:
-            for sl, t in self._kernel_columns(x):
-                yield sl, -0.5 * t * t
-            return
-        lo, hi = self._window(x)
-        for i, (xi, a, b) in enumerate(zip(x.tolist(), lo.tolist(), hi.tolist())):
-            t = (xi - self._sorted[a:b]) / self.bandwidth
-            yield i, -0.5 * t * t
-
-    def _kernel_sums(self, x):
-        """Sum over the centres of exp(-t**2 / 2) at 1-d ``x``: exact below
-        _FGT_MIN_CENTRES; above it expanded, and exact over the window where
-        the expansion falls below _EXACT_BELOW of the peak."""
-        if self.samples.size < _FGT_MIN_CENTRES:
-            out, exact = np.empty(x.size), np.arange(x.size)
+            out, dense = np.empty(x.size), np.arange(x.size)
         else:
-            out = self._expanded(x, cdf=False)
-            exact = np.nonzero(out < _EXACT_BELOW * self._boxes[3])[0]
-        for idx, e in self._exact_terms(x[exact]):
-            out[exact[idx]] = np.exp(e).sum(axis=-1)
+            out = self._expanded(x, cdf)
+            if cdf:
+                return out
+            dense = np.nonzero(out < _EXACT_BELOW * self._boxes[3])[0]
+        for sl, t in self._kernel_columns(x[dense]):
+            out[dense[sl]] = ndtr(t).sum(axis=1) if cdf else np.exp(-0.5 * t * t).sum(axis=1)
         return out
 
     def pdf(self, x):
@@ -313,13 +281,12 @@ class KdeMarginal:
         ``_FGT_MIN_CENTRES`` centres, and above it from the fast Gauss
         transform's ``_HERMITE_TERMS``-term expansion (truncation at most
         2**-53 of a kernel's peak by Cramer's inequality), except where that
-        falls below ``_EXACT_BELOW`` of the peak: there it is summed exactly
-        over the window of centres that holds all but 2**-53 of it.  See the
-        module docstring.
+        falls below ``_EXACT_BELOW`` of the peak: there it is summed over
+        every centre too.  See the module docstring.
         """
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # huge points; see the module docstring
-            out = self._kernel_sums(x.reshape(-1))
+            out = self._kernel_sums(x.reshape(-1), cdf=False)
         out /= self.samples.size
         out *= _INV_SQRT_2PI / self.bandwidth
         return out.reshape(x.shape) if x.shape else float(out[0])
@@ -330,9 +297,8 @@ class KdeMarginal:
         Equals ``np.log(pdf(x))`` wherever ``pdf(x)`` is a normal float, at
         least ``np.finfo(float).tiny``.  Further beyond the support the pdf
         loses its significant bits and then underflows to 0, so there the log
-        is taken inside the kernel sum: ``logsumexp(-t**2 / 2) - log(m h sqrt(2 pi))``,
-        over every centre below ``_FGT_MIN_CENTRES`` centres and over the
-        point's exact window (all but 2**-53 of the sum) above it.
+        is taken inside the kernel sum over every centre:
+        ``logsumexp(-t**2 / 2) - log(m h sqrt(2 pi))``.
 
         Raises
         ------
@@ -349,8 +315,8 @@ class KdeMarginal:
         if under.size:
             log_norm = np.log(self.samples.size * self.bandwidth * np.sqrt(2.0 * np.pi))
             with np.errstate(over="ignore"):  # huge points; see the module docstring
-                for idx, e in self._exact_terms(flat[under]):
-                    out[under[idx]] = logsumexp(e, axis=-1) - log_norm
+                for sl, t in self._kernel_columns(flat[under]):
+                    out[under[sl]] = logsumexp(-0.5 * t * t, axis=1) - log_norm
             lost = np.isneginf(out) & np.isfinite(flat)
             if lost.any():
                 raise OutOfRangeError(
@@ -370,12 +336,8 @@ class KdeMarginal:
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
         with np.errstate(over="ignore"):  # huge points; see the module docstring
-            if self.samples.size < _FGT_MIN_CENTRES:
-                out = np.empty(flat.size, dtype=float)
-                for sl, t in self._kernel_columns(flat):
-                    out[sl] = ndtr(t).mean(axis=1)
-            else:
-                out = self._expanded(flat, cdf=True) / self.samples.size
+            out = self._kernel_sums(flat, cdf=True)
+        out /= self.samples.size
         np.clip(out, CDF_FLOOR, CDF_CEIL, out=out)
         return out.reshape(x.shape) if x.shape else float(out[0])
 

@@ -409,7 +409,7 @@ def test_kernel_matches_the_dense_oracle(kind, size, seed, narrow):
 )
 def test_a_point_gets_the_same_bits_alone_or_in_any_batch(size, seed, others, reach):
     # The point lies in the bulk (reach 0), where the expansion holds, a few
-    # bandwidths past the data, where the exact window takes over, or so far
+    # bandwidths past the data, where the dense kernel takes over, or so far
     # out that the pdf underflows and log_pdf takes logsumexp.
     rng = np.random.default_rng(seed)
     column = _column("warped", size, rng)
@@ -425,18 +425,73 @@ def test_a_point_gets_the_same_bits_alone_or_in_any_batch(size, seed, others, re
 
 
 def test_the_dense_kernel_is_not_used_above_the_crossover(monkeypatch):
+    # Above the crossover the cdf never takes the dense kernel, and the pdf
+    # and log_pdf take it only where the expansion hands over.
     rng = np.random.default_rng(12)
     tall = fit_kde(_column("warped", TALL, rng))
     small = fit_kde(_column("warped", marginals_module._FGT_MIN_CENTRES - 1, rng))
+    seen = []
+    dense = KdeMarginal._kernel_columns
+    cdf = KdeMarginal.cdf
 
-    def refuse(self, x):
-        raise AssertionError("dense kernel")
+    def record(self, x):
+        seen.append(x.copy())
+        return dense(self, x)
 
-    monkeypatch.setattr(KdeMarginal, "_kernel_columns", refuse)
+    def cdf_without_dense(self, x):
+        before = len(seen)
+        out = cdf(self, x)
+        assert self is small or len(seen) == before
+        return out
+
+    def handed_over(x):
+        return tall._expanded(x, cdf=False) < marginals_module._EXACT_BELOW * tall._boxes[3]
+
+    monkeypatch.setattr(KdeMarginal, "_kernel_columns", record)
+    monkeypatch.setattr(KdeMarginal, "cdf", cdf_without_dense)
     x = np.concatenate([np.linspace(tall.support_lo, tall.support_hi, 500), [-1e4, 1e4]])
-    assert tall.pdf(1e4) == 0.0  # log_pdf takes its logsumexp branch there
-    assert np.all(np.isfinite(tall.log_pdf(x)))
     tall.cdf(x)
     tall.quantile(rng.random(200))
-    with pytest.raises(AssertionError, match="dense kernel"):
-        small.cdf(0.0)
+    assert all(np.all(handed_over(points)) for points in seen)  # the quantile's Newton steps
+    seen.clear()
+    tall.pdf(x)
+    assert np.array_equal(np.concatenate(seen), x[handed_over(x)])
+    assert 0 < seen[0].size < x.size / 2  # the grid's tails hand over, its bulk does not
+    seen.clear()
+    assert tall.pdf(1e4) == 0.0  # log_pdf takes its logsumexp branch there
+    assert np.all(np.isfinite(tall.log_pdf(x)))
+    assert all(np.all(handed_over(points)) for points in seen)
+    seen.clear()
+    small.cdf(0.0)
+    assert len(seen) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
+    size=st.integers(marginals_module._FGT_MIN_CENTRES, TALL),
+    seed=st.integers(0, 2**32 - 1),
+    narrow=st.booleans(),
+)
+@example(kind="warped", size=TALL, seed=0, narrow=False)
+@example(kind="cauchy", size=TALL, seed=3, narrow=True)
+def test_the_hand_over_is_the_dense_kernel_bit_for_bit(kind, size, seed, narrow):
+    # Where the expansion hands over, pdf and log_pdf equal bitwise what the
+    # same marginal gives with every point on the dense kernel.
+    rng = np.random.default_rng(seed)
+    column = _column(kind, size, rng)
+    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    h, lo, hi = marginal.bandwidth, column.min(), column.max()
+    x = np.concatenate([
+        lo - h * rng.uniform(6.0, 40.0, 40),
+        hi + h * rng.uniform(6.0, 40.0, 40),
+        [lo - 1e4 * h, hi + 1e4 * h, -1e6, 1e6],
+    ])
+    x = x[marginal._expanded(x, cdf=False) < marginals_module._EXACT_BELOW * marginal._boxes[3]]
+    assert x.size
+    got = [marginal.pdf(x), marginal.log_pdf(x)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(marginals_module, "_FGT_MIN_CENTRES", size + 1)
+        want = [marginal.pdf(x), marginal.log_pdf(x)]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
