@@ -13,14 +13,13 @@ input files), 3 numerical failure.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from . import __version__
 from .benchmark import _masked_split, fit_model, mask_seed_for, run_benchmark, score_rows
-from .data import ExperimentProtocol, apply_missing_mask, load_csv
+from .data import ExperimentProtocol, _write_csv, apply_missing_mask, load_csv
 from .errors import (
     CopulaBnError,
     DataError,
@@ -90,22 +89,28 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def common_model_flags(p):
-        p.add_argument("--model", choices=["cbn", "lgbn"], default="cbn",
-                       help="model kind (default: cbn)")
         p.add_argument("--max-parents", default=None,
-                       help="parent cap for structure search")
+                       help="parent cap for structure search; benchmark takes a comma list "
+                            "(default: 3, or 1 with --tree)")
         p.add_argument("--tree", action="store_true",
                        help="restrict structures to at most one parent per variable")
 
     def common_split_flags(p):
         p.add_argument("--missing-fraction", default="0",
-                       help="fraction of cells to hide (default: 0)")
+                       help="fraction of cells to hide; benchmark takes a comma list (default: 0)")
         p.add_argument("--splits", type=_int_at_least(1), default=10,
                        help="number of train/test splits (default: 10)")
         p.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed (default: 0)")
 
+    def mask_scope_flag(p):
+        p.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
+                       default="train_only",
+                       help="which halves receive hidden cells (default: train_only)")
+
     p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
     p_fit.add_argument("--data", required=True, help="input CSV path")
+    p_fit.add_argument("--model", choices=["cbn", "lgbn"], default="cbn",
+                       help="model kind (default: cbn)")
     common_model_flags(p_fit)
     common_split_flags(p_fit)
     p_fit.add_argument("--split-index", type=int, default=None,
@@ -120,9 +125,7 @@ def _build_parser():
                         help="score one half of this split instead of the full file")
     p_eval.add_argument("--role", choices=["train", "test"], default="test",
                         help="which half of the split to score (default: test)")
-    p_eval.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
-                        default="train_only",
-                        help="which halves receive hidden cells (default: train_only)")
+    mask_scope_flag(p_eval)
     p_eval.add_argument("--out", default=None, help="optional per-instance score CSV")
 
     p_sample = sub.add_parser("sample", help="draw rows from a fitted model")
@@ -135,15 +138,9 @@ def _build_parser():
     p_bench.add_argument("--data", required=True, help="input CSV path")
     p_bench.add_argument("--model", default="cbn,lgbn",
                          help="comma list of model kinds (default: cbn,lgbn)")
-    p_bench.add_argument("--max-parents", default=None,
-                         help="comma list of parent caps (default: 3, or 1 with --tree)")
-    p_bench.add_argument("--tree", action="store_true")
-    p_bench.add_argument("--missing-fraction", default="0",
-                         help="comma list of fractions (default: 0)")
-    p_bench.add_argument("--splits", type=_int_at_least(1), default=10)
-    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_bench.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
-                         default="train_only")
+    common_model_flags(p_bench)
+    common_split_flags(p_bench)
+    mask_scope_flag(p_bench)
     p_bench.add_argument("--out", required=True, help="output CSV path")
 
     p_marg = sub.add_parser("marginals", help="tabulate fitted marginals")
@@ -219,11 +216,7 @@ def _cmd_eval(args):
     scores = score_rows(model, subset)
     mean = float(np.mean(scores))
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_index", "log_score"])
-            for i, s in enumerate(scores):
-                writer.writerow([i, repr(float(s))])
+        _write_csv(args.out, ["row_index", "log_score"], enumerate(scores.tolist()))
     print(f"eval: {subset.num_rows} rows, mean log-score {mean!r}")
     return EXIT_OK
 
@@ -233,11 +226,7 @@ def _cmd_sample(args):
     if not hasattr(model, "marginals"):
         raise InvalidInputError("sampling is only supported for cbn model files")
     values = forward_sample(model, args.count, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(model.column_names))
-        for row in values:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(args.out, model.column_names, values.tolist())
     print(f"sample: wrote {args.count} rows -> {args.out}")
     return EXIT_OK
 
@@ -266,17 +255,13 @@ def _cmd_benchmark(args):
 
 def _cmd_marginals(args):
     data = load_csv(args.data)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["column", "x", "pdf", "cdf"])
-        for j, name in enumerate(data.column_names):
-            column = data.values[:, j][data.observed[:, j]]
-            marginal = fit_kde(column)
-            grid = np.linspace(marginal.support_lo, marginal.support_hi, args.grid_points)
-            pdf = marginal.pdf(grid)
-            cdf = marginal.cdf(grid)
-            for x, d, c in zip(grid, pdf, cdf):
-                writer.writerow([name, repr(float(x)), repr(float(d)), repr(float(c))])
+    rows = []
+    for j, name in enumerate(data.column_names):
+        marginal = fit_kde(data.values[data.observed[:, j], j])
+        grid = np.linspace(marginal.support_lo, marginal.support_hi, args.grid_points)
+        rows += [[name, *cells] for cells in zip(grid.tolist(), marginal.pdf(grid).tolist(),
+                                                 marginal.cdf(grid).tolist())]
+    _write_csv(args.out, ["column", "x", "pdf", "cdf"], rows)
     print(f"marginals: wrote {data.num_cols} columns x {args.grid_points} points -> {args.out}")
     return EXIT_OK
 

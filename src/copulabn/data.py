@@ -5,6 +5,10 @@ observed mask; hidden cells hold NaN so accidental use is loud.  The module
 also implements the benchmark's experimental protocol: deterministic equal
 train/test splits and per-cell Bernoulli hiding, both driven by integer
 seeds derived from a single base seed.
+
+Every CSV the package writes gives floats as their shortest round-trip ``repr``.
+All but the benchmark grid's (LF line ends) go through :func:`_write_csv`:
+UTF-8, CRLF line ends, hidden cells empty.
 """
 
 import csv
@@ -182,6 +186,8 @@ def load_csv(path):
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: file is empty") from None
+        except (csv.Error, UnicodeDecodeError) as err:
+            raise _unreadable(path, reader, err) from None
         names = [h.strip() for h in header]
         if any(not n for n in names):
             raise ParseError(f"{path}: header has an empty column name")
@@ -202,10 +208,11 @@ def load_csv(path):
                 if len(rows) == _PARSE_ROWS:
                     blocks.append(_parse_cells(path, names, rows, line_numbers))
                     rows, line_numbers = [], []
-        except csv.Error as err:
-            failure = err
-        # Parsed before the failure is raised: a bad cell in an earlier row
-        # is reported first.
+        except (csv.Error, UnicodeDecodeError) as err:
+            failure = _unreadable(path, reader, err)
+        # Parsed before the failure is raised: a bad cell in a row read before
+        # it is reported first.  Bytes that are not UTF-8 fail the whole chunk
+        # the decoder reads them in (8 KB), so no row of that chunk is read.
         blocks.append(_parse_cells(path, names, rows, line_numbers))
     if failure is not None:
         raise failure
@@ -222,6 +229,14 @@ def load_csv(path):
         if float(col.max()) == float(col.min()):
             raise DegenerateColumnError(f"column '{name}' is constant; it cannot be modeled")
     return data
+
+
+def _unreadable(path, reader, err):
+    """The ``ParseError`` for bytes that are not UTF-8 or a line the csv reader
+    rejects.  A decode error's position counts from its chunk, so it is left out."""
+    if isinstance(err, UnicodeDecodeError):
+        return ParseError(f"{path}: not UTF-8 text ({err.reason})")
+    return ParseError(f"{path}: line {reader.line_num}: {err}")
 
 
 def _parse_cells(path, names, rows, line_numbers):
@@ -254,17 +269,19 @@ def _parse_cells(path, names, rows, line_numbers):
     return values.reshape(len(rows), len(names))
 
 
-def _format_cell(x):
-    return "" if np.isnan(x) else format(float(x), ".17g")
+def _write_csv(path, header, rows):
+    """Write a header row and then ``rows`` as UTF-8 CSV; floats come out as
+    their shortest round-trip ``repr`` and ``None`` as an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_csv(data, path):
-    """Write a dataset back to CSV (hidden cells become empty)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.column_names)
-        for row in data.values:
-            writer.writerow([_format_cell(x) for x in row])
+    """Write a dataset as CSV that :func:`load_csv` reads back bit for bit:
+    observed cells as their shortest round-trip ``repr``, hidden cells empty."""
+    _write_csv(path, data.column_names, np.where(data.observed, data.values, None).tolist())
 
 
 def make_split(data, protocol, split_index):
@@ -324,6 +341,14 @@ def _parse_names_file(text):
     return names
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def prepare_communities_csv(data_path, names_path, out_path):
     """Convert the raw communities table to this package's CSV contract.
 
@@ -341,7 +366,7 @@ def prepare_communities_csv(data_path, names_path, out_path):
     Returns the list of kept column names.
     """
     with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        raw_rows = [row for row in csv.reader(fh) if row]
+        raw_rows = [[cell.strip() for cell in row] for row in csv.reader(fh) if row]
     if not raw_rows:
         raise ParseError(f"{data_path}: no rows")
     width = len(raw_rows[0])
@@ -357,27 +382,11 @@ def prepare_communities_csv(data_path, names_path, out_path):
 
     keep = []
     for j in range(width):
-        if names[j] in _CRIME_IDENTIFIER_COLUMNS:
-            continue
-        column = [row[j].strip() for row in raw_rows]
-        missing = sum(1 for cell in column if cell in ("?", ""))
-        if 2 * missing > len(column):
-            continue
-        numeric = True
-        for cell in column:
-            if cell in ("?", ""):
-                continue
-            try:
-                float(cell)
-            except ValueError:
-                numeric = False
-                break
-        if numeric:
+        column = [row[j] for row in raw_rows if row[j] not in ("?", "")]
+        if (names[j] not in _CRIME_IDENTIFIER_COLUMNS and 2 * len(column) >= len(raw_rows)
+                and all(map(_is_number, column))):
             keep.append(j)
-
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([names[j] for j in keep])
-        for row in raw_rows:
-            writer.writerow(["" if row[j].strip() in ("?", "") else row[j].strip() for j in keep])
-    return [names[j] for j in keep]
+    kept = [names[j] for j in keep]
+    _write_csv(out_path, kept, [[None if row[j] == "?" else row[j] for j in keep]
+                                for row in raw_rows])
+    return kept

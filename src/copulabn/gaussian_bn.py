@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularDesignError, ValidationError
+from .errors import ConvergenceError, InvalidInputError, SingularDesignError, ValidationError
 
 __all__ = [
     "LinearGaussianBn",
@@ -36,7 +36,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # Noise variances below this are clamped so log densities stay finite.
 _VARIANCE_FLOOR = 1e-9
 # EM stops once the observed-data log-likelihood gains less than _EM_TOL
-# nats in one iteration, or after _EM_MAX_ITERS iterations.
+# nats in one iteration; still gaining after _EM_MAX_ITERS iterations is a
+# ConvergenceError.
 _EM_TOL = 1e-4
 _EM_MAX_ITERS = 200
 
@@ -307,7 +308,8 @@ def em_fit_lg(data, dag, history=None):
     covariance.  M-step: per-family least squares on those moments.  The
     start is the independent Gaussian of the observed cells' means and
     variances.  Stops when the observed-data log-likelihood improves
-    by less than ``_EM_TOL`` or after ``_EM_MAX_ITERS`` iterations; the likelihood
+    by less than ``_EM_TOL``, and raises ``ConvergenceError`` if it still
+    improves after ``_EM_MAX_ITERS`` iterations; the likelihood
     sequence is non-decreasing up to numerical slack.  One conditioning pass
     per model yields both its log-likelihood and the next E-step, so k
     iterations take k + 1 passes.
@@ -342,7 +344,9 @@ def em_fit_lg(data, dag, history=None):
         ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)
-        if ll - last_ll < _EM_TOL:
-            break
-        last_ll = ll
-    return model
+        gain, last_ll = ll - last_ll, ll
+        if gain < _EM_TOL:
+            return model
+    raise ConvergenceError(
+        f"EM still gains {gain!r} nats per iteration after {_EM_MAX_ITERS} iterations"
+    )

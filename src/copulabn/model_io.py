@@ -126,4 +126,8 @@ def save_model(model, path):
 
 def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+    return deserialize(text)

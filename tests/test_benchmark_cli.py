@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from copulabn import benchmark
-from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark
+from copulabn import benchmark, gaussian_bn
+from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark, score_rows
+from copulabn.cbn import forward_sample
 from copulabn.cli import main
-from copulabn.data import ExperimentProtocol, MaskedDataset, make_split, save_csv
+from copulabn.data import ExperimentProtocol, MaskedDataset, load_csv, make_split, save_csv
+from copulabn.marginals import fit_kde
+from copulabn.model_io import load_model
 from copulabn.errors import SingularDesignError, ValidationError
 
 from conftest import chain_scores, cycle_warps, warp_columns
@@ -302,6 +305,75 @@ def test_cli_exit_codes(small_csv, tmp_path, capsys):
         "--max-parents", "2", "--out", str(tmp_path / "m.json"),
     ]) == 3
     capsys.readouterr()
+
+
+def test_cli_csv_outputs_pin_their_bytes(small_csv, tmp_path, capsys):
+    # eval --out, sample and marginals: one header, then every float as its
+    # shortest round-trip repr, with \r\n line ends.
+    model_out = str(tmp_path / "model.json")
+    assert main(["fit", "--data", str(small_csv), "--max-parents", "1", "--out", model_out]) == 0
+    outs = {name: tmp_path / f"{name}.csv" for name in ("scores", "sample", "marginals")}
+    assert main(["eval", "--model-file", model_out, "--data", str(small_csv),
+                 "--out", str(outs["scores"])]) == 0
+    assert main(["sample", "--model-file", model_out, "--count", "4", "--seed", "2",
+                 "--out", str(outs["sample"])]) == 0
+    assert main(["marginals", "--data", str(small_csv), "--grid-points", "3",
+                 "--out", str(outs["marginals"])]) == 0
+    capsys.readouterr()
+    model, data = load_model(model_out), load_csv(small_csv)
+
+    def lines(header, rows):
+        return "".join(",".join(map(str, r)) + "\r\n" for r in [header, *rows]).encode()
+
+    scores = score_rows(model, data)
+    assert outs["scores"].read_bytes() == lines(
+        ["row_index", "log_score"], [[i, repr(float(s))] for i, s in enumerate(scores)])
+    drawn = forward_sample(model, 4, 2)
+    assert outs["sample"].read_bytes() == lines(
+        ["u", "v", "w"], [[repr(float(v)) for v in row] for row in drawn])
+    rows = []
+    for j, name in enumerate(data.column_names):
+        kde = fit_kde(data.values[:, j])
+        grid = np.linspace(kde.support_lo, kde.support_hi, 3)
+        rows += [[name, *(repr(float(v)) for v in cells)]
+                 for cells in zip(grid, kde.pdf(grid), kde.cdf(grid))]
+    assert outs["marginals"].read_bytes() == lines(["column", "x", "pdf", "cdf"], rows)
+
+
+def test_cli_unreadable_input_files_are_data_errors(small_csv, tmp_path, capsys):
+    # A field over the csv module's size limit, and a data file and a model
+    # file that are not UTF-8, each exit 2 rather than with a traceback.
+    big = tmp_path / "big.csv"
+    big.write_text("a,b\n1.0,2.0\n3.0," + "1" * 131_073 + "\n")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"caf\xe9,b\n1.0,2.0\n3.0,4.0\n")
+    model_out = tmp_path / "model.json"
+    assert main(["fit", "--data", str(small_csv), "--max-parents", "1",
+                 "--out", str(model_out)]) == 0
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + model_out.read_bytes())
+    capsys.readouterr()
+    for argv, problem in (
+        (["fit", "--data", str(big), "--out", str(tmp_path / "m.json")], "line 3"),
+        (["fit", "--data", str(latin), "--out", str(tmp_path / "m.json")], "not UTF-8"),
+        (["eval", "--model-file", str(utf16), "--data", str(small_csv)], "not UTF-8"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "data error" in err and problem in err, err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_cli_em_that_hits_its_cap_exits_3(small_csv, tmp_path, capsys, monkeypatch):
+    # One EM iteration cannot meet the stopping rule (its gain is measured
+    # from -inf), so a cap of 1 fails every fit with hidden cells.
+    monkeypatch.setattr(gaussian_bn, "_EM_MAX_ITERS", 1)
+    out = tmp_path / "lg.json"
+    assert main(["fit", "--data", str(small_csv), "--model", "lgbn", "--max-parents", "1",
+                 "--missing-fraction", "0.2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: EM still gains inf nats per iteration after 1 iterations" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from copulabn.dag import Dag
 from copulabn.data import (
@@ -217,6 +219,61 @@ def test_csv_round_trip_preserves_values_and_mask(tmp_path):
     np.testing.assert_array_equal(
         back.values[back.observed], data.values[data.observed]
     )
+
+
+def test_load_csv_reports_unreadable_lines_after_earlier_bad_cells(tmp_path):
+    # A field over the csv module's size limit is a ParseError naming its line;
+    # a bad cell on an earlier row is still reported first.  Bytes that are not
+    # UTF-8 fail the whole chunk (8 KB) the decoder reads them in, so a bad cell
+    # reads first only when a chunk boundary lies between it and the bad byte.
+    big = "1" * 131_073
+    path = _write(tmp_path, "big.csv", f"a,b\n1,2\n3,{big}\n")
+    with pytest.raises(ParseError, match=r"big\.csv: line 3: field larger than field limit"):
+        load_csv(path)
+    path = _write(tmp_path, "big.csv", f"a,b\n1,x\n3,{big}\n")
+    with pytest.raises(ParseError, match=r"row 2, column 2 \(b\): cannot parse 'x'"):
+        load_csv(path)
+    path.write_bytes(b"a\xe9,b\n1,2\n3,4\n")
+    with pytest.raises(ParseError, match=r"big\.csv: not UTF-8 text \(invalid continuation"):
+        load_csv(path)
+    path.write_bytes(b"a,b\n1,x\n3,\xe9\n")
+    with pytest.raises(ParseError, match=r"big\.csv: not UTF-8 text") as err:
+        load_csv(path)
+    assert "position" not in str(err.value)
+    path.write_bytes(b"a,b\n1,x\n" + b"3,4\n" * 25_000 + b"3,\xe9\n")
+    with pytest.raises(ParseError, match=r"row 2, column 2 \(b\): cannot parse 'x'"):
+        load_csv(path)
+    path.write_bytes(b"a,b\n1,2\n" + b"3,4\n" * 25_000 + b"3,\xe9\n")
+    with pytest.raises(ParseError, match=r"big\.csv: not UTF-8 text"):
+        load_csv(path)
+
+
+# Signed zero, subnormals, the largest magnitudes, and values whose shortest
+# decimal lies on or near a rounding tie.
+_EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7e308, -1.7e308,
+                0.5, 2.5, -1.5, 0.1, 0.1 + 0.2, 1e23, 9007199254740993.0, 2.675)
+_CELLS = st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_CELLS, min_size=n, max_size=n), min_size=2, max_size=8)))
+def test_save_csv_round_trips_every_value_bitwise(tmp_path_factory, rows):
+    # Hidden cells stay hidden, observed ones keep their bits, and header
+    # names that need quoting (a comma, a quote) survive.
+    values = np.array([[np.nan if v is None else v for v in row] for row in rows], float)
+    for col in values.T:
+        assume(len(set(col[~np.isnan(col)].tolist())) >= 2)  # load_csv's column contract
+    names = ("a,b", 'say "hi"', "plain", "x y")[: values.shape[1]]
+    data = MaskedDataset.from_values(values, names)
+    path = tmp_path_factory.mktemp("round") / "round.csv"
+    save_csv(data, path)
+    back = load_csv(path)
+    assert back.column_names == names
+    np.testing.assert_array_equal(back.observed, data.observed)
+    assert back.values.view(np.uint64)[back.observed].tolist() == (
+        data.values.view(np.uint64)[data.observed].tolist())
 
 
 # ------------------------------------------------------------- splits

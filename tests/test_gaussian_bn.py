@@ -10,7 +10,12 @@ from scipy.stats import multivariate_normal, norm
 from copulabn import gaussian_bn
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
-from copulabn.errors import InvalidInputError, SingularDesignError, ValidationError
+from copulabn.errors import (
+    ConvergenceError,
+    InvalidInputError,
+    SingularDesignError,
+    ValidationError,
+)
 from copulabn.gaussian_bn import (
     LinearGaussianBn,
     em_fit_lg,
@@ -591,6 +596,19 @@ def test_em_history_is_non_decreasing_when_every_row_has_its_own_pattern():
         assert (diffs >= -1e-8).all(), f"EM decreased by {diffs.min()}"
 
 
+def _skewed_table_and_graph(n, num_rows, missing, log_scale, decimals, seed):
+    """Skewed columns at any scale, with an outlier and, when rounded, ties,
+    with a fraction ``missing`` of cells hidden; and a random graph on them."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((num_rows, n))
+    values = np.where(rng.random(n) < 0.5, np.exp(z), z) * 10.0**log_scale
+    values[rng.integers(num_rows), rng.integers(n)] *= 1e3
+    if decimals is not None:
+        values = np.round(values, decimals - log_scale)
+    data = apply_missing_mask(MaskedDataset.from_values(values), missing, seed=seed)
+    return data, _random_network(rng, n).dag
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 6),
@@ -603,25 +621,33 @@ def test_em_history_is_non_decreasing_when_every_row_has_its_own_pattern():
 def test_finite_masked_tables_give_finite_em_scores(
     n, num_rows, missing, log_scale, decimals, seed
 ):
-    # Skewed columns at any scale, with an outlier and, when rounded, ties.
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((num_rows, n))
-    values = np.where(rng.random(n) < 0.5, np.exp(z), z) * 10.0**log_scale
-    values[rng.integers(num_rows), rng.integers(n)] *= 1e3
-    if decimals is not None:
-        values = np.round(values, decimals - log_scale)
-    data = apply_missing_mask(MaskedDataset.from_values(values), missing, seed=seed)
+    data, dag = _skewed_table_and_graph(n, num_rows, missing, log_scale, decimals, seed)
     try:
-        model = em_fit_lg(data, _random_network(rng, n).dag)
-    except SingularDesignError:
+        model = em_fit_lg(data, dag)
+    except (SingularDesignError, ConvergenceError):
         return  # a loud, typed failure; a fit that returns must score finitely
     assert np.isfinite(log_marginal_lg_rows(model, data)).all()
+
+
+def test_em_that_still_gains_at_its_cap_raises():
+    # Column x1 keeps 2 observed cells, and x2's coefficient on it runs off
+    # (past -100, with a vanishing variance): EM still gains about 0.05 nats
+    # per iteration after _EM_MAX_ITERS, and must not return that model.
+    data, dag = _skewed_table_and_graph(3, 10, 0.5, 0, None, 3)
+    assert data.observed.sum(axis=0).tolist() == [6, 2, 6]
+    history = []
+    with pytest.raises(ConvergenceError, match=r"still gains 0\.05\d* nats .* after 200 iter"):
+        em_fit_lg(data, dag, history=history)
+    assert len(history) == gaussian_bn._EM_MAX_ITERS
+    assert history[-1] - history[-2] > gaussian_bn._EM_TOL
 
 
 @pytest.mark.parametrize("max_iters", [1, 3, 200])
 def test_em_conditions_once_per_iteration(monkeypatch, max_iters):
     # The pass at model_t scores model_t and gives the moments of the next
-    # M-step, so a history of length k takes k + 1 passes, not 2k.
+    # M-step, so a history of length k takes k + 1 passes, not 2k.  EM needs
+    # more than 3 iterations on this table, so caps of 1 and 3 raise, after
+    # exactly that many iterations.
     rng = np.random.default_rng(15)
     truth = _collider_model()
     data = apply_missing_mask(
@@ -639,11 +665,17 @@ def test_em_conditions_once_per_iteration(monkeypatch, max_iters):
     monkeypatch.setattr(gaussian_bn, "_condition", counted)
     monkeypatch.setattr(gaussian_bn, "_EM_MAX_ITERS", max_iters)
     history = []
-    model = em_fit_lg(data, truth.dag, history=history)
+    try:
+        model = em_fit_lg(data, truth.dag, history=history)
+    except ConvergenceError:
+        model = None
     monkeypatch.undo()
-    assert 1 <= len(history) <= max_iters
     assert len(passes) == len(history) + 1
-    assert history[-1] == float(log_marginal_lg_rows(model, data).sum())
+    if max_iters < 200:
+        assert model is None and len(history) == max_iters
+    else:
+        assert 3 < len(history) < max_iters
+        assert history[-1] == float(log_marginal_lg_rows(model, data).sum())
 
 
 def test_em_starts_from_the_observed_cells_independent_gaussian(monkeypatch):
