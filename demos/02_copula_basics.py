@@ -4,7 +4,8 @@ A copula is a density on the unit cube with uniform one-dimensional
 marginals; it carries the dependence of a joint distribution with the
 marginals divided out. This package uses the Gaussian copula whose
 correlation matrix has a single parameter rho shared by every pair, so
-each family of the network costs one number.
+each family of the network costs one number. That number is the whole
+copula: every function takes rho and reads the dimension from the points.
 
 The network's building block is not the copula density itself but the
 ratio R = c(child, parents) / c(parents): multiplying one ratio per family
@@ -14,13 +15,7 @@ over the graph (times the marginals) yields a valid joint density.
 import numpy as np
 from scipy.special import ndtr
 
-from copulabn.copula import (
-    UniformGaussianCopula,
-    copula_log_density,
-    fit_rho,
-    ratio_log,
-    rho_bounds,
-)
+from copulabn.copula import copula_log_density, fit_rho, ratio_log, rho_bounds
 
 rng = np.random.default_rng(2)
 
@@ -30,21 +25,19 @@ for n in (2, 3, 5):
     print(f"  n={n}: ({lo:+.4f}, {hi:+.4f})")
 print()
 
-c2 = UniformGaussianCopula(n=2, rho=0.7)
 print("bivariate copula density at rho=0.7")
 print(f"  {'u':>6} {'v':>6} {'c(u,v)':>10}")
 for u, v in ((0.5, 0.5), (0.9, 0.9), (0.9, 0.1), (0.99, 0.01)):
-    value = float(np.exp(copula_log_density(c2, [u, v])))
+    value = float(np.exp(copula_log_density(0.7, [u, v])))
     print(f"  {u:6.2f} {v:6.2f} {value:10.4f}")
 print("  (mass concentrates on the diagonal for positive rho)")
 print()
 
 # Ratio terms: the conditional correction a child contributes given its
 # parents. With no dependence the ratio is identically 1.
-c3 = UniformGaussianCopula(n=3, rho=0.4)
 print("log ratio terms at rho=0.4 (child with two parents)")
 for u_child, u_parents in ((0.5, (0.5, 0.5)), (0.9, (0.85, 0.8)), (0.9, (0.1, 0.2))):
-    r = float(ratio_log(c3, u_child, np.asarray(u_parents)))
+    r = float(ratio_log(0.4, u_child, np.asarray(u_parents)))
     print(f"  child {u_child:4.2f} parents {u_parents}: log R = {r:+.4f}")
 print()
 

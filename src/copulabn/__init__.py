@@ -19,7 +19,6 @@ from .cbn import (
     lower_bound_rows,
 )
 from .copula import (
-    UniformGaussianCopula,
     conditional_z_params,
     copula_log_density,
     copula_log_density_rows,
@@ -97,7 +96,6 @@ __all__ = [
     "SearchConfig",
     "SingularDesignError",
     "TooFewRowsError",
-    "UniformGaussianCopula",
     "ValidationError",
     "apply_missing_mask",
     "bic_penalty",

@@ -36,7 +36,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .copula import (
-    UniformGaussianCopula,
     _check_rho,
     _scores,
     _second_moments,
@@ -130,7 +129,7 @@ def _add_family_terms(model, totals, z, observed):
     one family at a time in node order."""
     for child, parents in model.families():
         cols = (child, *parents)
-        term = ratio_log_from_z(len(cols), model.rho[child], z[:, cols], observed[:, cols])
+        term = ratio_log_from_z(model.rho[child], z[:, cols], observed[:, cols])
         totals = totals + term
     return totals
 
@@ -366,8 +365,7 @@ def forward_sample(model, count, seed):
             u[:, node] = u_node
             z[:, node] = _scores(u_node)
             continue
-        copula = UniformGaussianCopula(len(parents) + 1, model.rho[node])
-        mean, variance = conditional_z_params(copula, z[:, parents])
+        mean, variance = conditional_z_params(model.rho[node], z[:, parents])
         z_node = mean + np.sqrt(variance) * rng.standard_normal(count)
         z[:, node] = z_node
         u[:, node] = np.clip(ndtr(z_node), 1e-12, 1.0 - 1e-12)

@@ -89,11 +89,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def common_model_flags(p):
-        p.add_argument("--max-parents", default=None,
-                       help="parent cap for structure search; benchmark takes a comma list "
-                            "(default: 3, or 1 with --tree)")
-        p.add_argument("--tree", action="store_true",
-                       help="restrict structures to at most one parent per variable")
+        p.add_argument("--max-parents", default="3",
+                       help="parent cap for structure search (1: tree-shaped networks "
+                            "only); benchmark takes a comma list (default: 3)")
 
     def common_split_flags(p):
         p.add_argument("--missing-fraction", default="0",
@@ -152,13 +150,7 @@ def _build_parser():
 
 
 def _max_parents_list(args):
-    """Parent caps from --tree/--max-parents: [1] under --tree, [3] when unset."""
-    if args.tree:
-        if args.max_parents is not None and _int_list(args.max_parents) != [1]:
-            raise _UsageError("--tree is incompatible with --max-parents > 1")
-        return [1]
-    if args.max_parents is None:
-        return [3]
+    """Parent caps from --max-parents."""
     caps = _int_list(args.max_parents)
     if min(caps) < 0:
         raise _UsageError(f"--max-parents must be >= 0, got {min(caps)}")

@@ -23,6 +23,10 @@ That structure gives closed forms for everything the package needs:
 ``rho`` is valid iff Sigma is positive definite, i.e. ``rho`` in
 ``(-1/(n-1), 1)``; we shrink that interval by a small margin at both ends so
 Sigma stays numerically positive definite at every rho the fit scores.
+
+A copula is its ``rho``: each function handed points reads ``n`` from them
+and checks ``rho`` against it; only :func:`rho_bounds` and
+:func:`uniform_sigma_logdet`, which see no points, take ``n``.
 """
 
 import numbers
@@ -37,7 +41,6 @@ from .errors import InvalidInputError, InvalidRhoError, OutOfRangeError, TooFewR
 
 __all__ = [
     "RHO_MARGIN",
-    "UniformGaussianCopula",
     "rho_bounds",
     "uniform_sigma_logdet",
     "copula_log_density",
@@ -73,28 +76,6 @@ def _check_rho(n, rho):
     lo, hi = rho_bounds(n)
     if not np.all(np.isfinite(rho) & (lo <= rho) & (rho <= hi)):
         raise InvalidRhoError(f"rho={rho!r} outside [{lo:.6g}, {hi:.6g}] for dimension {n}")
-
-
-@dataclass(frozen=True)
-class UniformGaussianCopula:
-    """Gaussian copula with a single shared correlation.
-
-    Attributes
-    ----------
-    n : int
-        Dimension (>= 1).  ``n == 1`` forces ``rho == 0`` and a log density
-        that is identically zero.
-    rho : float
-        Shared off-diagonal correlation.
-    """
-
-    n: int
-    rho: float
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InvalidInputError(f"copula dimension must be a positive integer, got {self.n!r}")
-        _check_rho(self.n, self.rho)
 
 
 def uniform_sigma_logdet(n, rho):
@@ -143,35 +124,35 @@ def _scores(u):
     return ndtri(u)
 
 
-def copula_log_density(c, u):
+def copula_log_density(rho, u):
     """Log copula density at one point of the open unit cube.
 
     Parameters
     ----------
-    c : UniformGaussianCopula
-    u : sequence of ``c.n`` reals, each strictly inside (0, 1).
+    rho : float inside ``rho_bounds(len(u))`` (0 for a single variable).
+    u : sequence of reals, one per dimension, each strictly inside (0, 1).
     """
-    return float(copula_log_density_rows(c, np.asarray(u, dtype=float).reshape(1, -1))[0])
+    return float(copula_log_density_rows(rho, np.asarray(u, dtype=float).reshape(1, -1))[0])
 
 
-def copula_log_density_rows(c, u_rows):
-    """Vectorized :func:`copula_log_density` over rows of points."""
+def copula_log_density_rows(rho, u_rows):
+    """Vectorized :func:`copula_log_density` over the rows of an (m, n) array."""
     u = np.asarray(u_rows, dtype=float)
-    if u.ndim != 2 or u.shape[1] != c.n:
-        raise InvalidInputError(f"expected an (m, {c.n}) array of points, got shape {u.shape}")
+    n = u.shape[1]
+    _check_rho(n, rho)
     z = _scores(u)
     q = np.einsum("ij,ij->i", z, z)
     s = z.sum(axis=1)
-    return _log_density_from_stats(c.n, c.rho, q, s * s)
+    return _log_density_from_stats(n, rho, q, s * s)
 
 
-def ratio_log_from_z(n, rho, z_block, obs_block=None):
+def ratio_log_from_z(rho, z_block, obs_block=None):
     """Log ratio terms from normal scores, child column first.
 
     ``z_block`` has shape ``(m, n)`` with the child's score in column 0 and
-    parents after it.  Returns the per-row log of (family copula density /
-    parent-block copula density), both with the same ``rho``.  Zero when
-    there are no parents.
+    parents after it, and ``rho`` lies inside ``rho_bounds(n)``.  Returns the
+    per-row log of (family copula density / parent-block copula density),
+    both with the same ``rho``.  Zero when there are no parents.
 
     ``obs_block`` marks the observed cells (None: every cell is observed).
     Each hidden cell's score is integrated out as an independent standard
@@ -182,8 +163,8 @@ def ratio_log_from_z(n, rho, z_block, obs_block=None):
     z = np.asarray(z_block, dtype=float)
     if z.ndim == 1:
         z = z[None, :]
-    if z.shape[1] != n:
-        raise InvalidInputError(f"expected {n} columns, got {z.shape[1]}")
+    n = z.shape[1]
+    _check_rho(n, rho)
     if obs_block is None:
         obs_block = np.ones(z.shape, dtype=bool)
     obs = np.asarray(obs_block, dtype=bool).reshape(z.shape)
@@ -191,7 +172,7 @@ def ratio_log_from_z(n, rho, z_block, obs_block=None):
     return _ratio_from_stats(n, rho, *fam, *par)
 
 
-def ratio_log(c_family, u_child, u_parents):
+def ratio_log(rho, u_child, u_parents):
     """Log of the family's density ratio term at one point.
 
     The term is the family copula density over (child, parents) divided by
@@ -201,22 +182,16 @@ def ratio_log(c_family, u_child, u_parents):
 
     Parameters
     ----------
-    c_family : UniformGaussianCopula
-        Copula of dimension ``1 + len(u_parents)``.
+    rho : float
+        The family's correlation, inside ``rho_bounds(1 + len(u_parents))``.
     u_child : real in (0, 1)
     u_parents : sequence of reals in (0, 1)
     """
-    parents = np.asarray(u_parents, dtype=float).reshape(-1)
-    if c_family.n != 1 + parents.size:
-        raise InvalidInputError(
-            f"family copula has dimension {c_family.n} but got {parents.size} parents"
-        )
-    row = np.concatenate(([float(u_child)], parents))
-    z = _scores(row)
-    return float(ratio_log_from_z(c_family.n, c_family.rho, z[None, :])[0])
+    row = np.concatenate(([float(u_child)], np.asarray(u_parents, dtype=float).reshape(-1)))
+    return float(ratio_log_from_z(rho, _scores(row))[0])
 
 
-def conditional_z_params(c, z_parents):
+def conditional_z_params(rho, z_parents):
     """Mean and variance of the child's normal score given parents' scores.
 
     Standard Gaussian conditioning under the uniform-correlation matrix:
@@ -224,15 +199,13 @@ def conditional_z_params(c, z_parents):
     ``variance = 1 - k * rho**2 / (1 + (k-1) rho)`` for ``k`` parents.
     ``z_parents`` is one row of k scores, giving a float mean, or a
     (rows, k) block, giving one mean per row; the variance is a float.
+    ``rho`` must lie inside ``rho_bounds(k + 1)``.
     """
     z = np.asarray(z_parents, dtype=float)
     block = z.ndim == 2
     z = z if block else z.reshape(1, -1)
     k = z.shape[1]
-    if c.n != k + 1:
-        raise InvalidInputError(f"copula dimension {c.n} does not match {k} parents")
-    _check_rho(c.n, c.rho)
-    rho = c.rho
+    _check_rho(k + 1, rho)
     denom = 1.0 + (k - 1) * rho
     mean = rho * z.sum(axis=1) / denom
     variance = 1.0 - k * rho * rho / denom

@@ -168,7 +168,8 @@ class ExperimentProtocol:
 def load_csv(path):
     """Read a comma-separated table with a header row into a dataset.
 
-    Empty cells become masked entries.  Columns must parse as decimal
+    The file is UTF-8, with or without a byte-order mark.  Empty cells
+    become masked entries.  Columns must parse as decimal
     numbers everywhere they are non-empty; constant columns and columns
     with fewer than two observed values are rejected.
 
@@ -180,7 +181,7 @@ def load_csv(path):
     DegenerateColumnError
         A constant or nearly-empty column (the message names it).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -366,7 +367,11 @@ def prepare_communities_csv(data_path, names_path, out_path):
     Returns the list of kept column names.
     """
     with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        raw_rows = [[cell.strip() for cell in row] for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        try:
+            raw_rows = [[cell.strip() for cell in row] for row in reader if row]
+        except (csv.Error, UnicodeDecodeError) as err:
+            raise _unreadable(data_path, reader, err) from None
     if not raw_rows:
         raise ParseError(f"{data_path}: no rows")
     width = len(raw_rows[0])

@@ -364,6 +364,23 @@ def test_cli_unreadable_input_files_are_data_errors(small_csv, tmp_path, capsys)
     assert not (tmp_path / "m.json").exists()
 
 
+def test_cli_reads_a_csv_with_or_without_a_byte_order_mark(small_csv, tmp_path):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + small_csv.read_bytes())
+    model = tmp_path / "model.json"
+    for fit_data, eval_data in ((small_csv, marked), (marked, small_csv)):
+        assert main(["fit", "--data", str(fit_data), "--max-parents", "1",
+                     "--out", str(model)]) == 0
+        assert main(["eval", "--model-file", str(model), "--data", str(eval_data)]) == 0
+
+
+def test_cli_fit_parent_cap_defaults_to_3(small_csv, tmp_path):
+    default, three = tmp_path / "default.json", tmp_path / "three.json"
+    assert main(["fit", "--data", str(small_csv), "--out", str(default)]) == 0
+    assert main(["fit", "--data", str(small_csv), "--max-parents", "3", "--out", str(three)]) == 0
+    assert default.read_bytes() == three.read_bytes()
+
+
 def test_cli_em_that_hits_its_cap_exits_3(small_csv, tmp_path, capsys, monkeypatch):
     # One EM iteration cannot meet the stopping rule (its gain is measured
     # from -inf), so a cap of 1 fails every fit with hidden cells.
@@ -457,6 +474,7 @@ def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, ca
     for argv in (
         fit + ["--max-parents", "-1"],
         fit + ["--max-parents", "1,2"],
+        fit + ["--tree"],
         fit + ["--missing-fraction", "2"],
         ["eval", "--model-file", str(tmp_path / "missing.json"), "--data", missing,
          "--missing-fraction", "0.1,0.2"],

@@ -27,7 +27,6 @@ from copulabn.cbn import (
     lower_bound_rows,
 )
 from copulabn.copula import (
-    UniformGaussianCopula,
     family_stats,
     ratio_log,
     ratio_log_from_z,
@@ -82,8 +81,7 @@ def test_log_density_matches_marginals_plus_ratio_terms():
         u = np.array([m.cdf(v) for m, v in zip(model.marginals, x)])
         expected = sum(float(np.log(m.pdf(v))) for m, v in zip(model.marginals, x))
         for child, parents in model.families():
-            c = UniformGaussianCopula(len(parents) + 1, model.rho[child])
-            expected += float(ratio_log(c, u[child], u[list(parents)]))
+            expected += float(ratio_log(model.rho[child], u[child], u[list(parents)]))
         np.testing.assert_allclose(got[r], expected, rtol=0, atol=1e-10)
 
 
@@ -229,14 +227,14 @@ def test_bound_matches_explicit_tensor_quadrature():
         nodes, weights = normal_hermite_rule(num_nodes)
         grid, tensor_weights = tensor_rule(nodes, weights, 2)
         # family at node 1: child and parent both hidden -> 2-d expectation
-        fam1 = float(tensor_weights @ ratio_log_from_z(2, rho1, grid))
+        fam1 = float(tensor_weights @ ratio_log_from_z(rho1, grid))
         # family at node 2: child observed, parent hidden -> 1-d expectation
         pairs = np.column_stack([np.full(nodes.size, z2), nodes])
-        fam2 = float(weights @ ratio_log_from_z(2, rho2, pairs))
+        fam2 = float(weights @ ratio_log_from_z(rho2, pairs))
         np.testing.assert_allclose(got, log_pdf2 + fam1 + fam2, rtol=0, atol=1e-12)
         # two-parent family: 2-d expectation over the parents
         triples = np.column_stack([np.full(grid.shape[0], z2), grid])
-        fam_vee = float(tensor_weights @ ratio_log_from_z(3, 0.4, triples))
+        fam_vee = float(tensor_weights @ ratio_log_from_z(0.4, triples))
         np.testing.assert_allclose(got_vee, log_pdf2 + fam_vee, rtol=0, atol=1e-12)
 
 
@@ -257,7 +255,7 @@ def _oracle_family_objective(model, data, cols, num_nodes=8):
         points.append(block)
         point_weights.append(grid_weights)
     points, point_weights = np.vstack(points), np.concatenate(point_weights)
-    return lambda rho: float(point_weights @ ratio_log_from_z(len(cols), rho, points))
+    return lambda rho: float(point_weights @ ratio_log_from_z(rho, points))
 
 
 def test_fit_missing_falls_back_to_the_bound_without_complete_rows():
@@ -338,8 +336,8 @@ def test_bound_never_exceeds_mc_log_evidence():
         z2 = float(ndtri(model.marginals[2].cdf(x[2])))
         draws = rng.standard_normal(20000)
         log_r = ratio_log_from_z(
-            2, rho1, np.column_stack([draws, np.full(draws.size, z0)])
-        ) + ratio_log_from_z(2, rho2, np.column_stack([np.full(draws.size, z2), draws]))
+            rho1, np.column_stack([draws, np.full(draws.size, z0)])
+        ) + ratio_log_from_z(rho2, np.column_stack([np.full(draws.size, z2), draws]))
         ratios = np.exp(log_r)
         estimate = float(ratios.mean())
         se_log = float(ratios.std(ddof=1) / (np.sqrt(draws.size) * estimate))

@@ -13,7 +13,6 @@ from scipy.stats import multivariate_normal, norm
 from copulabn.copula import (
     FamilyStats,
     RHO_MARGIN,
-    UniformGaussianCopula,
     _second_moments,
     _stationarity_basis,
     conditional_z_params,
@@ -27,7 +26,6 @@ from copulabn.copula import (
     uniform_sigma_logdet,
 )
 from copulabn.errors import (
-    InvalidInputError,
     InvalidRhoError,
     OutOfRangeError,
     TooFewRowsError,
@@ -78,8 +76,7 @@ def test_quadratic_form_matches_dense_solve_oracle():
         ]:
             u = rng.uniform(0.05, 0.95, size=n)
             z = ndtri(u)
-            c = UniformGaussianCopula(n, rho)
-            got = copula_log_density(c, u)
+            got = copula_log_density(rho, u)
             quad = z @ np.linalg.solve(_sigma(n, rho), z)
             expected = -0.5 * uniform_sigma_logdet(n, rho) - 0.5 * (quad - z @ z)
             np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
@@ -93,25 +90,23 @@ def test_density_matches_multivariate_normal_oracle():
             z = ndtri(u)
             mvn = multivariate_normal(mean=np.zeros(n), cov=_sigma(n, rho))
             expected = mvn.logpdf(z) - norm.logpdf(z).sum()
-            c = UniformGaussianCopula(n, rho)
             np.testing.assert_allclose(
-                copula_log_density(c, u), expected, rtol=0, atol=1e-10
+                copula_log_density(rho, u), expected, rtol=0, atol=1e-10
             )
 
 
 def test_independence_and_single_variable_are_exactly_flat():
     rng = np.random.default_rng(12)
     u = rng.uniform(0.01, 0.99, size=4)
-    assert copula_log_density(UniformGaussianCopula(4, 0.0), u) == 0.0
-    assert copula_log_density(UniformGaussianCopula(1, 0.0), u[:1]) == 0.0
+    assert copula_log_density(0.0, u) == 0.0
+    assert copula_log_density(0.0, u[:1]) == 0.0
 
 
 def test_density_normalizes_over_unit_square():
     nodes, weights = unit_legendre_rule(64)
     grid, tensor_weights = tensor_rule(nodes, weights, 2)
     for rho in (-0.5, 0.0, 0.5, 0.9):
-        c = UniformGaussianCopula(2, rho)
-        values = np.exp(copula_log_density_rows(c, grid))
+        values = np.exp(copula_log_density_rows(rho, grid))
         np.testing.assert_allclose(
             float(tensor_weights @ values), 1.0, rtol=0, atol=1e-3
         )
@@ -119,44 +114,52 @@ def test_density_normalizes_over_unit_square():
 
 def test_rows_variant_matches_scalar_calls():
     rng = np.random.default_rng(13)
-    c = UniformGaussianCopula(3, 0.45)
     u_rows = rng.uniform(0.02, 0.98, size=(20, 3))
-    rows = copula_log_density_rows(c, u_rows)
-    expected = [copula_log_density(c, u) for u in u_rows]
+    rows = copula_log_density_rows(0.45, u_rows)
+    expected = [copula_log_density(0.45, u) for u in u_rows]
     np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
+
+
+# Every public entry point that checks rho, each called on points of a given
+# dimension (uniform_sigma_logdet, which sees no points, is given it).
+_RHO_ENTRY_POINTS = {
+    "copula_log_density_rows":
+        lambda dim, rho: copula_log_density_rows(rho, np.full((2, dim), 0.3)),
+    "ratio_log": lambda dim, rho: ratio_log(rho, 0.3, np.full(dim - 1, 0.6)),
+    "conditional_z_params": lambda dim, rho: conditional_z_params(rho, np.zeros(dim - 1)),
+    "uniform_sigma_logdet": uniform_sigma_logdet,
+}
 
 
 def test_rho_validity_bounds():
     lo, hi = rho_bounds(3)
     assert lo == -0.5 + RHO_MARGIN
     assert hi == 1.0 - RHO_MARGIN
-    UniformGaussianCopula(3, lo)
-    UniformGaussianCopula(3, hi)
-    with pytest.raises(InvalidRhoError):
-        UniformGaussianCopula(3, hi + 1e-9)
-    with pytest.raises(InvalidRhoError):
-        UniformGaussianCopula(3, lo - 1e-9)
-    with pytest.raises(InvalidRhoError):
-        UniformGaussianCopula(2, 1.5)
+    for name, call in _RHO_ENTRY_POINTS.items():
+        call(3, lo)
+        call(3, hi)
+        call(2, -0.6)
+        for dim, rho in ((3, hi + 1e-9), (3, lo - 1e-9), (3, -0.6), (2, 1.5)):
+            with pytest.raises(InvalidRhoError):
+                call(dim, rho)
+                pytest.fail(f"{name} accepted rho={rho} on {dim} columns")
 
 
 @pytest.mark.parametrize("bad", ["0.5", None, True, False, np.bool_(True), 0.5j, [0.1]])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_a_rho_that_is_not_a_real_number_is_a_typed_error(bad, dim):
-    with pytest.raises(InvalidRhoError):
-        UniformGaussianCopula(dim, bad)
-    if dim > 1:
+    for name, call in _RHO_ENTRY_POINTS.items():
+        if dim == 1 and name == "uniform_sigma_logdet":
+            continue  # a 1x1 correlation matrix ignores rho
         with pytest.raises(InvalidRhoError):
-            uniform_sigma_logdet(dim, bad)
+            call(dim, bad)
+            pytest.fail(f"{name} accepted rho={bad!r} on {dim} columns")
 
 
 def test_unit_cube_interior_is_required():
-    c = UniformGaussianCopula(2, 0.3)
     for bad in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan], [-0.1, 0.5]):
         with pytest.raises(OutOfRangeError):
-            copula_log_density(c, np.array(bad))
-    with pytest.raises(InvalidInputError):
-        copula_log_density(c, np.array([0.2, 0.3, 0.4]))
+            copula_log_density(0.3, np.array(bad))
 
 
 def test_ratio_log_matches_density_quotient():
@@ -164,23 +167,18 @@ def test_ratio_log_matches_density_quotient():
     for k in (2, 3, 4):  # number of parents
         n = k + 1
         rho = 0.35
-        family = UniformGaussianCopula(n, rho)
-        parents_copula = UniformGaussianCopula(k, rho)
         u = rng.uniform(0.05, 0.95, size=n)
-        expected = copula_log_density(family, u) - copula_log_density(
-            parents_copula, u[1:]
-        )
-        got = ratio_log(family, u[0], u[1:])
+        expected = copula_log_density(rho, u) - copula_log_density(rho, u[1:])
+        got = ratio_log(rho, u[0], u[1:])
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_ratio_log_single_parent_is_full_density():
     rng = np.random.default_rng(15)
-    family = UniformGaussianCopula(2, -0.4)
     u = rng.uniform(0.1, 0.9, size=2)
     np.testing.assert_allclose(
-        ratio_log(family, u[0], u[1:]),
-        copula_log_density(family, u),
+        ratio_log(-0.4, u[0], u[1:]),
+        copula_log_density(-0.4, u),
         rtol=0,
         atol=0,
     )
@@ -190,9 +188,8 @@ def test_ratio_log_from_z_matches_u_space_entry_point():
     rng = np.random.default_rng(16)
     u_rows = rng.uniform(0.05, 0.95, size=(30, 3))
     z_rows = ndtri(u_rows)
-    family = UniformGaussianCopula(3, 0.52)
-    via_z = ratio_log_from_z(3, 0.52, z_rows)
-    via_u = np.array([ratio_log(family, u[0], u[1:]) for u in u_rows])
+    via_z = ratio_log_from_z(0.52, z_rows)
+    via_u = np.array([ratio_log(0.52, u[0], u[1:]) for u in u_rows])
     np.testing.assert_allclose(via_z, via_u, rtol=0, atol=1e-12)
 
 
@@ -204,9 +201,8 @@ def test_conditional_params_match_schur_complement():
             lo, _ = rho_bounds(n)
             if rho <= lo:
                 continue
-            c = UniformGaussianCopula(n, rho)
             z_parents = rng.standard_normal(k)
-            mean, var = conditional_z_params(c, z_parents)
+            mean, var = conditional_z_params(rho, z_parents)
             cov = _sigma(n, rho)
             solve = np.linalg.solve(cov[1:, 1:], z_parents)
             expected_mean = cov[0, 1:] @ solve
@@ -220,12 +216,12 @@ def test_conditional_params_match_schur_complement():
 def test_conditional_params_of_a_block_match_each_row():
     rng = np.random.default_rng(19)
     for k in (0, 1, 3):
-        c = UniformGaussianCopula(k + 1, 0.3 if k else 0.0)
+        rho = 0.3 if k else 0.0
         block = rng.standard_normal((5, k))
-        means, var = conditional_z_params(c, block)
+        means, var = conditional_z_params(rho, block)
         assert means.shape == (5,)
         for row, mean in zip(block, means):
-            assert conditional_z_params(c, row) == (mean, var)
+            assert conditional_z_params(rho, row) == (mean, var)
 
 
 def test_conditional_density_identity():
@@ -234,13 +230,12 @@ def test_conditional_density_identity():
     rho = 0.55
     for k in (1, 2, 3):
         n = k + 1
-        c = UniformGaussianCopula(n, rho)
         u = rng.uniform(0.05, 0.95, size=n)
         z = ndtri(u)
-        mean, var = conditional_z_params(c, z[1:])
+        mean, var = conditional_z_params(rho, z[1:])
         expected = norm.logpdf(z[0], loc=mean, scale=np.sqrt(var)) - norm.logpdf(z[0])
         np.testing.assert_allclose(
-            ratio_log(c, u[0], u[1:]), expected, rtol=0, atol=1e-12
+            ratio_log(rho, u[0], u[1:]), expected, rtol=0, atol=1e-12
         )
 
 
@@ -281,7 +276,7 @@ def test_family_stats_objective_matches_row_sum(
     stats = family_stats(second, num_rows, [cols])
     lo, hi = rho_bounds(dim)
     for rho in (lo, -0.3 / (dim - 1), 0.0, 0.2, 0.7, hi):
-        rows = ratio_log_from_z(dim, rho, z[:, cols], observed[:, cols])
+        rows = ratio_log_from_z(rho, z[:, cols], observed[:, cols])
         np.testing.assert_allclose(stats.objective(rho), rows.sum(), rtol=1e-12)
     # Reading over sorted indices makes the statistics bitwise independent
     # of the parents' order, and a one-parent family's family block

@@ -1,5 +1,7 @@
 """Graph container, dataset container, CSV loading, splits, and masking."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -155,6 +157,18 @@ def test_load_csv_happy_path(tmp_path):
     assert data.num_rows == 3
     assert not data.observed[1, 0]
     np.testing.assert_array_equal(data.values[:, 1], [2.0, 3.0, 4.0])
+
+
+def test_load_csv_reads_utf8_with_or_without_a_byte_order_mark(tmp_path):
+    text = "a,b\n1.5,2\n,3\n2.5,4\n"
+    plain = _write(tmp_path, "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    a, b = load_csv(plain), load_csv(marked)
+    assert a.column_names == b.column_names == ("a", "b")
+    assert a.values.tobytes() == b.values.tobytes()
+    np.testing.assert_array_equal(a.observed, b.observed)
 
 
 def test_load_csv_reports_cell_position_on_bad_token(tmp_path):
@@ -432,3 +446,16 @@ def test_prepare_communities_csv_drops_identifiers_and_sparse_columns(tmp_path):
     assert data.column_names == ("popDens", "medIncome", "target")
     assert kept == ["popDens", "medIncome", "target"]
     assert data.num_rows == 12
+
+
+def test_prepare_communities_csv_reports_unreadable_files(tmp_path):
+    data_path = tmp_path / "communities.data"
+    out_path = tmp_path / "crime.csv"
+    for raw, problem in (
+        (b"1,caf\xe9,3\n4,5,6\n", "not UTF-8 text"),
+        (b"1,2,3\n4," + b"5" * 131_073 + b",6\n", "line 2: field larger than field limit"),
+    ):
+        data_path.write_bytes(raw)
+        with pytest.raises(ParseError, match=re.escape(f"{data_path}: {problem}")):
+            prepare_communities_csv(data_path, None, out_path)
+    assert not out_path.exists()

@@ -4,11 +4,14 @@ against the package in ``src``."""
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from copulabn.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -42,3 +45,15 @@ def test_readme_quick_start_runs(tmp_path):
 
 def test_demos_are_found():
     assert DEMOS
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("copulabn ")]
+    assert len(lines) == 7
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -99,7 +99,7 @@ def test_family_score_matches_independent_computation():
     np.testing.assert_allclose(got, value - bic_penalty(1, 400), rtol=0, atol=1e-9)
     # the fitted objective is literally the summed log ratio terms
     np.testing.assert_allclose(
-        value, ratio_log_from_z(2, rho, z[:, [1, 0]]).sum(), rtol=0, atol=1e-9
+        value, ratio_log_from_z(rho, z[:, [1, 0]]).sum(), rtol=0, atol=1e-9
     )
 
 
