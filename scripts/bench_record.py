@@ -4,18 +4,19 @@
 Each run of ``perfbench/run.py`` writes a record JSON to ``.perfbench_out/``;
 copy it aside after every run.  Give this script the parent's records and the
 change's records in pair order (the i-th parent record is paired with the
-i-th change record; both must be of the same workload and seed):
+i-th change record; both must be of the same workload, seed and trace setting):
 
     python3 scripts/bench_record.py --pr 21 --title "..." \\
         --parent p1.json p2.json ... --change c1.json c2.json ... \\
         --out BENCH_21.json
 
-Per workload and seed it writes each end-to-end metric's median and
-quartiles (numpy linear percentiles) per side, the pairs the change won
-(ties count for neither), whether every run of both sides was correct, the
-commands that failed on both sides, and which output digests equal the
-parent's.  Metric names and their better direction are read from
-``BENCHMARK.json``.
+Per workload, seed and trace setting it writes each end-to-end metric's
+median and quartiles (numpy linear percentiles) per side, the pairs the
+change won (ties count for neither), whether every run of both sides was
+correct, the commands that failed on both sides, and which output digests
+equal the parent's.  Pairs of traced runs (``--trace 1``) form groups of
+their own, which also hold each side's median of every per-layer metric.
+Metric names and their better direction are read from ``BENCHMARK.json``.
 """
 
 import argparse
@@ -28,11 +29,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 METHOD = (
-    "Alternating pairs of untraced runs of the parent and the change, each on its own "
-    "checkout with identical perfbench files; the side that runs first alternates by pair. "
-    "Per workload and seed: each end-to-end metric's median and quartiles (numpy linear "
+    "Alternating pairs of runs of the parent and the change, each on its own checkout with "
+    "identical perfbench files; the side that runs first alternates by pair. Per workload, "
+    "seed and trace setting: each end-to-end metric's median and quartiles (numpy linear "
     "percentiles) over the runs of each side, and the pairs the change won (ties count "
-    "for neither)."
+    "for neither); traced groups add each per-layer metric's median per side."
 )
 
 
@@ -50,24 +51,24 @@ def _commit(records):
     return commits[0] if len(commits) == 1 else commits
 
 
-def summarise(parent, change, metrics, pr, title):
+def summarise(parent, change, metrics, pr, title, layers=()):
     """The ``BENCH_<PR>.json`` document of paired records.
 
     ``metrics`` maps each end-to-end metric name to ``"higher"`` or
-    ``"lower"``, the direction in which it is better.
+    ``"lower"``, the direction in which it is better.  ``layers`` names the
+    per-layer metrics whose medians a traced group reports.
     """
     if not parent or len(parent) != len(change):
         raise ValueError(f"{len(parent)} parent records for {len(change)} change records")
     groups = {}
     for p, c in zip(parent, change):
-        key = (p["workload"], p["seed"])
-        if (c["workload"], c["seed"]) != key or p["seconds"] != c["seconds"] \
-                or p["trace"] != c["trace"]:
-            raise ValueError(f"a pair mixes runs: {key} against {(c['workload'], c['seed'])}")
+        key = (p["workload"], p["seed"], p["trace"])
+        if (c["workload"], c["seed"], c["trace"]) != key or p["seconds"] != c["seconds"]:
+            raise ValueError(f"a pair mixes runs: {key} against {(c['workload'], c['seed'], c['trace'])}")
         groups.setdefault(key, []).append((p, c))
     env = parent[0]["environment"]
     workloads = []
-    for (workload, seed), pairs in groups.items():
+    for (workload, seed, trace), pairs in groups.items():
         sides = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
         value = {side: {m: [r["end_to_end"][m]["value"] for r in runs] for m in metrics}
                  for side, runs in sides.items()}
@@ -76,9 +77,10 @@ def summarise(parent, change, metrics, pr, title):
                 for m, better in metrics.items()}
         runs = sides["parent"] + sides["change"]
         names = sorted({n for r in runs for n in r["digests"]})
-        workloads.append({
+        entry = {
             "workload": workload,
             "seed": seed,
+            "trace": trace,
             "pairs": len(pairs),
             "sides": {side: {m: _spread(v) for m, v in vals.items()}
                       for side, vals in value.items()},
@@ -89,12 +91,20 @@ def summarise(parent, change, metrics, pr, title):
             "digests_equal_to_parent": {
                 n: len({r["digests"].get(n) for r in runs}) == 1 for n in names
             },
-        })
+        }
+        if trace:
+            entry["per_layer"] = {
+                side: {n: float(np.median([r["per_layer"][n]["value"] for r in rs])) for n in layers}
+                for side, rs in sides.items()
+            }
+        workloads.append(entry)
+    traces = {p["trace"] for p in parent}
+    trace = traces.pop() if len(traces) == 1 else "T"  # T: each group's own
     return {
         "pr": pr,
         "title": title,
         "benchmark": (f"perfbench/run.py --workload W --seed S --seconds {parent[0]['seconds']:g}"
-                      f" --trace {parent[0]['trace']}"),
+                      f" --trace {trace}"),
         "method": METHOD,
         "machine": {k: env.get(k) for k in ("python", "numpy", "scipy", "nproc", "blas_threads")},
         "commits": {"parent": _commit(parent), "change": _commit(change)},
@@ -112,7 +122,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    doc = summarise(_load(args.parent), _load(args.change), metrics, args.pr, args.title)
+    layers = [m["name"] for m in benchmark.get("per_layer", [])]
+    doc = summarise(_load(args.parent), _load(args.change), metrics, args.pr, args.title, layers)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -115,15 +115,6 @@ def _check_data_shape(model, num_cols):
         )
 
 
-def _log_pdf_matrix(model, values, observed):
-    """Per-cell marginal log density; exactly 0.0 at hidden cells."""
-    out = np.zeros_like(values)
-    for j, marginal in enumerate(model.marginals):
-        idx = observed[:, j]
-        out[idx, j] = marginal.log_pdf(values[idx, j])
-    return out
-
-
 def _add_family_terms(model, totals, z, observed):
     """``totals`` plus each family's per-row (expected) log ratio term, added
     one family at a time in node order."""
@@ -135,8 +126,15 @@ def _add_family_terms(model, totals, z, observed):
 
 
 def _row_totals(model, values, observed):
-    logpdf = _log_pdf_matrix(model, values, observed)
-    z = _normal_scores_from_marginals(model.marginals, values, observed)
+    """Each row's marginal log densities plus its family terms.  One kernel
+    pass per column gives both the cells' log densities and their normal
+    scores; hidden cells add exactly 0.0 and have NaN scores."""
+    logpdf = np.zeros_like(values)
+    z = np.full(values.shape, np.nan)
+    for j, marginal in enumerate(model.marginals):
+        idx = observed[:, j]
+        cdf, logpdf[idx, j] = marginal._cdf_and_log_pdf(values[idx, j])
+        z[idx, j] = _scores(cdf)
     return _add_family_terms(model, logpdf.sum(axis=1), z, observed)
 
 

@@ -136,8 +136,17 @@ def copula_log_density(rho, u):
 
 
 def copula_log_density_rows(rho, u_rows):
-    """Vectorized :func:`copula_log_density` over the rows of an (m, n) array."""
+    """Vectorized :func:`copula_log_density` over the rows of an (m, n) array.
+
+    Raises
+    ------
+    InvalidInputError
+        ``u_rows`` is not a 2-d array with at least one column; the message
+        names its shape.
+    """
     u = np.asarray(u_rows, dtype=float)
+    if u.ndim != 2 or u.shape[1] == 0:
+        raise InvalidInputError(f"expected an (m, n) array of points with n >= 1, got shape {u.shape}")
     n = u.shape[1]
     _check_rho(n, rho)
     z = _scores(u)

@@ -32,6 +32,12 @@ per (point, centre) pair.  Above it they come from a fast Gauss transform
   where h_a(u) = H_a(u) exp(-u**2) are the Hermite functions.  So a box is
   its count and its moments A_a = sum d**a / a!, computed once per marginal,
   and the pdf and the cdf at any point are linear in the same moments.
+* One pass.  The pdf sum multiplies A_a by h_a(u) and the cdf sum by
+  h_(a-1)(u), so one recurrence over a, with one gather of each moment row
+  and one exp per slot, feeds both sums.  Scoring a column (``cbn``) asks for
+  both at once; a call for one sum skips the other's products.  Below
+  ``_FGT_MIN_CENTRES`` one block of t per chunk of points feeds both sums the
+  same way.
 * Truncation.  By Cramer's inequality,
   ``|h_a(u)| <= K 2**(a/2) sqrt(a!) exp(-u**2 / 2)`` with K = 1.086435, so
   the terms a >= P of one centre add at most ``K sum_{a>=P} 2**(-a/2) / sqrt(a!)``
@@ -68,7 +74,8 @@ density lies below -``np.finfo(float).max`` and ``log_pdf`` raises
 Every sum runs in a fixed order per point: for the expansion over a within a
 box and then over the point's boxes from left to right.  So a point's pdf,
 cdf and log_pdf are bitwise the same whether it is evaluated alone or in any
-batch, and for any ``_CHUNK_ELEMENTS``.
+batch, for any ``_CHUNK_ELEMENTS``, and whether its cdf and log_pdf come from
+one pass or from two calls.
 """
 
 import math
@@ -137,19 +144,32 @@ _QUANTILE_TOL = 1e-10
 _QUANTILE_MAX_ITER = 200
 
 
-def _hermite_series(u, coefs, box):
-    """Sum over a of coefs[a][box] * h_a(u), in order of a.
+def _hermite_parts(u, moments, box, pdf, cdf):
+    """Each slot's expansion at offsets ``u`` from the boxes ``box``: the
+    kernel sum ``sum_a A_a h_a(u)`` if ``pdf``, and the kernel-cdf sum
+    ``A_0 erfc(-u) / 2 - pi**-0.5 sum_{a>=1} A_a h_(a-1)(u)`` if ``cdf``; None
+    where not asked for.
 
-    h_a(u) = H_a(u) exp(-u**2) by the recurrence
-    h_a = 2u h_(a-1) - 2(a-1) h_(a-2), starting from h_0 = exp(-u**2).
+    One recurrence h_a = 2u h_(a-1) - 2(a-1) h_(a-2), from h_0 = exp(-u**2),
+    serves both: each moment row A_a is taken once and multiplies h_a in the
+    kernel sum and h_(a-1) in the cdf sum.  Each sum runs in order of a.
     """
+    first = moments[0].take(box)
     two_u = 2.0 * u
     h_prev, h = 0.0, np.exp(-u * u)
-    total = coefs[0].take(box) * h
-    for a in range(1, len(coefs)):
-        h, h_prev = two_u * h - (2.0 * (a - 1)) * h_prev, h
-        total += coefs[a].take(box) * h
-    return total
+    dens = first * h if pdf else None
+    for a in range(1, len(moments)):
+        coef = moments[a].take(box)
+        if cdf and a == 1:
+            series = coef * h
+        elif cdf:
+            series += coef * h
+        if pdf or a + 1 < len(moments):
+            h, h_prev = two_u * h - (2.0 * (a - 1)) * h_prev, h
+        if pdf:
+            dens += coef * h
+    cum = 0.5 * first * erfc(-u) - _INV_SQRT_PI * series if cdf else None
+    return dens, cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,59 +240,111 @@ class KdeMarginal:
         left = np.r_[0.0, np.cumsum(counts, dtype=float)]
         return np.r_[centres, 0.0], left, moments, float(counts.max())
 
-    def _expanded(self, x, cdf):
-        """Kernel sums, or kernel-cdf sums if ``cdf``, over all centres at 1-d ``x``.
+    def _expanded(self, x, pdf, cdf):
+        """Kernel sums if ``pdf`` and kernel-cdf sums if ``cdf``, over all
+        centres at 1-d ``x``; None where not asked for.
 
         Every box within _REACH of a point is expanded; slot k of a point
         holds the k-th such box, and the sums run over a = 0, 1, ... within a
-        slot and then over the slots in order.  Boxes beyond _REACH add their
-        count to the cdf sum if they lie left of the point, and nothing else.
+        slot and then over the slots in order.  One Hermite recurrence per
+        slot feeds both sums.  Boxes beyond _REACH add their count to the cdf
+        sum if they lie left of the point, and nothing else.
         """
         centres, left, moments, _ = self._boxes
         width = self.bandwidth * _SQRT2
         slots = np.arange(_SLOTS)[:, None]
-        out = np.empty(x.size)
-        # About eight (slots, points) arrays are alive at once.
+        dens = np.empty(x.size) if pdf else None
+        cum = np.empty(x.size) if cdf else None
+        # Eight (slots, points) arrays fit the budget.  A pass for both sums
+        # holds about a dozen, and measured no faster in smaller chunks.
         step = max(1, _CHUNK_ELEMENTS // (8 * _SLOTS))
         for start in range(0, x.size, step):
-            xc = x[start : start + step]
+            chunk = slice(start, start + step)
+            xc = x[chunk]
             lo = np.searchsorted(centres[:-1], xc - _REACH * width, side="left")
             hi = np.searchsorted(centres[:-1], xc + _REACH * width, side="right")
             box = lo + slots
             inside = box < hi
             box = np.where(inside, box, centres.size - 1)
             u = np.where(inside, (xc - centres[box]) / width, 0.0)
-            if cdf:
-                part = 0.5 * moments[0].take(box) * erfc(-u) - _INV_SQRT_PI * _hermite_series(u, moments[1:], box)
-                total = left[lo]
-            else:
-                part = _hermite_series(u, moments, box)
+            dens_parts, cum_parts = _hermite_parts(u, moments, box, pdf, cdf)
+            if pdf:
                 total = np.zeros(xc.size)
-            for k in range(_SLOTS):
-                total += part[k]
-            out[start : start + xc.size] = total
-        out[np.isnan(x)] = np.nan
-        return out
+                for part in dens_parts:
+                    total += part
+                dens[chunk] = total
+            if cdf:
+                total = left[lo]
+                for part in cum_parts:
+                    total += part
+                cum[chunk] = total
+        for out in (dens, cum):
+            if out is not None:
+                out[np.isnan(x)] = np.nan
+        return dens, cum
 
-    def _kernel_sums(self, x, cdf):
-        """Sum over the centres of exp(-t**2 / 2), or of ndtr(t) if ``cdf``, at
-        1-d ``x``.
+    def _dense_sums(self, x, pdf, cdf):
+        """As :meth:`_expanded`, summed over every centre: one block of t per
+        chunk of points feeds both sums."""
+        dens = np.empty(x.size) if pdf else None
+        cum = np.empty(x.size) if cdf else None
+        for sl, t in self._kernel_columns(x):
+            if pdf:
+                dens[sl] = np.exp(-0.5 * t * t).sum(axis=1)
+            if cdf:
+                cum[sl] = ndtr(t).sum(axis=1)
+        return dens, cum
 
-        Below _FGT_MIN_CENTRES every sum runs over every centre with
-        :meth:`_kernel_columns`.  Above it the sums are expanded, and a pdf
-        sum that falls below _EXACT_BELOW of the largest box count is summed
+    def _kernel_sums(self, x, pdf, cdf):
+        """The pdf if ``pdf`` and the clamped cdf if ``cdf`` at 1-d ``x``, None
+        where not asked for: the sums over the centres of exp(-t**2 / 2) and
+        of ndtr(t), scaled.
+
+        Below _FGT_MIN_CENTRES every sum runs over every centre
+        (:meth:`_dense_sums`).  Above it the sums are expanded, and a pdf sum
+        that falls below _EXACT_BELOW of the largest box count is summed
         again over every centre the same way.
         """
-        if self.samples.size < _FGT_MIN_CENTRES:
-            out, dense = np.empty(x.size), np.arange(x.size)
-        else:
-            out = self._expanded(x, cdf)
-            if cdf:
-                return out
-            dense = np.nonzero(out < _EXACT_BELOW * self._boxes[3])[0]
-        for sl, t in self._kernel_columns(x[dense]):
-            out[dense[sl]] = ndtr(t).sum(axis=1) if cdf else np.exp(-0.5 * t * t).sum(axis=1)
+        with np.errstate(over="ignore"):  # huge points; see the module docstring
+            if self.samples.size < _FGT_MIN_CENTRES:
+                dens, cum = self._dense_sums(x, pdf, cdf)
+            else:
+                dens, cum = self._expanded(x, pdf, cdf)
+                if pdf:
+                    dense = np.nonzero(dens < _EXACT_BELOW * self._boxes[3])[0]
+                    dens[dense] = self._dense_sums(x[dense], pdf=True, cdf=False)[0]
+        if pdf:
+            dens /= self.samples.size
+            dens *= _INV_SQRT_2PI / self.bandwidth
+        if cdf:
+            cum /= self.samples.size
+            np.clip(cum, CDF_FLOOR, CDF_CEIL, out=cum)
+        return dens, cum
+
+    def _log_of_pdf(self, x, dens):
+        """:meth:`log_pdf` at 1-d ``x`` whose pdf is ``dens``."""
+        out = np.empty(dens.size, dtype=float)
+        normal = dens >= _TINY
+        out[normal] = np.log(dens[normal])
+        under = np.nonzero(~normal)[0]
+        if under.size:
+            log_norm = np.log(self.samples.size * self.bandwidth * np.sqrt(2.0 * np.pi))
+            with np.errstate(over="ignore"):  # huge points; see the module docstring
+                for sl, t in self._kernel_columns(x[under]):
+                    out[under[sl]] = logsumexp(-0.5 * t * t, axis=1) - log_norm
+            lost = np.isneginf(out) & np.isfinite(x)
+            if lost.any():
+                raise OutOfRangeError(
+                    f"log density at x={float(x[lost][0])!r} lies below -{float(np.finfo(float).max)!r}"
+                )
         return out
+
+    def _cdf_and_log_pdf(self, x):
+        """``(cdf(x), log_pdf(x))`` at 1-d ``x``, bitwise as the two public
+        calls give them, from one kernel pass: one Hermite recurrence per
+        slot above the crossover, one block of t per chunk below it."""
+        dens, cum = self._kernel_sums(x, pdf=True, cdf=True)
+        return cum, self._log_of_pdf(x, dens)
 
     def pdf(self, x):
         """Density at ``x`` (scalar or array; returns matching shape).
@@ -285,10 +357,7 @@ class KdeMarginal:
         every centre too.  See the module docstring.
         """
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # huge points; see the module docstring
-            out = self._kernel_sums(x.reshape(-1), cdf=False)
-        out /= self.samples.size
-        out *= _INV_SQRT_2PI / self.bandwidth
+        out, _ = self._kernel_sums(x.reshape(-1), pdf=True, cdf=False)
         return out.reshape(x.shape) if x.shape else float(out[0])
 
     def log_pdf(self, x):
@@ -298,7 +367,9 @@ class KdeMarginal:
         least ``np.finfo(float).tiny``.  Further beyond the support the pdf
         loses its significant bits and then underflows to 0, so there the log
         is taken inside the kernel sum over every centre:
-        ``logsumexp(-t**2 / 2) - log(m h sqrt(2 pi))``.
+        ``logsumexp(-t**2 / 2) - log(m h sqrt(2 pi))``.  Scoring takes it and
+        the cdf from one kernel pass, :meth:`_cdf_and_log_pdf`, with the same
+        bits.
 
         Raises
         ------
@@ -307,21 +378,7 @@ class KdeMarginal:
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
-        dens = np.asarray(self.pdf(x), dtype=float).reshape(-1)
-        out = np.empty(dens.size, dtype=float)
-        normal = dens >= _TINY
-        out[normal] = np.log(dens[normal])
-        under = np.nonzero(~normal)[0]
-        if under.size:
-            log_norm = np.log(self.samples.size * self.bandwidth * np.sqrt(2.0 * np.pi))
-            with np.errstate(over="ignore"):  # huge points; see the module docstring
-                for sl, t in self._kernel_columns(flat[under]):
-                    out[under[sl]] = logsumexp(-0.5 * t * t, axis=1) - log_norm
-            lost = np.isneginf(out) & np.isfinite(flat)
-            if lost.any():
-                raise OutOfRangeError(
-                    f"log density at x={float(flat[lost][0])!r} lies below -{float(np.finfo(float).max)!r}"
-                )
+        out = self._log_of_pdf(flat, self._kernel_sums(flat, pdf=True, cdf=False)[0])
         return out.reshape(x.shape) if x.shape else float(out[0])
 
     def cdf(self, x):
@@ -334,11 +391,7 @@ class KdeMarginal:
         and each box further left adds its count (see the module docstring).
         """
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1)
-        with np.errstate(over="ignore"):  # huge points; see the module docstring
-            out = self._kernel_sums(flat, cdf=True)
-        out /= self.samples.size
-        np.clip(out, CDF_FLOOR, CDF_CEIL, out=out)
+        _, out = self._kernel_sums(x.reshape(-1), pdf=False, cdf=True)
         return out.reshape(x.shape) if x.shape else float(out[0])
 
     def quantile(self, u):

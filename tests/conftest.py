@@ -1,8 +1,9 @@
 """Shared fixtures, synthetic-data generators and the dense-kernel,
-quadrature, Gaussian-conditioning and structure-search oracles for the test
-suite."""
+model-file, quadrature, Gaussian-conditioning and structure-search oracles
+for the test suite."""
 
 import functools
+import json
 from functools import lru_cache
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import logsumexp, ndtr, roots_hermitenorm, roots_legendre
 
+from copulabn.cbn import CbnModel
 from copulabn.dag import Dag
 from copulabn.errors import ConvergenceError, OutOfRangeError, SingularDesignError
 from copulabn.gaussian_bn import _VARIANCE_FLOOR
@@ -61,6 +63,32 @@ def dense_kde(marginal, x):
     log_pdf = logsumexp(-0.5 * t * t, axis=1) - log_norm
     log_pdf[normal] = np.log(pdf[normal])
     return pdf, cdf, log_pdf
+
+
+def model_document(model):
+    """Model-file oracle: the text of a v1 model document, every list
+    rendered by ``json.dumps(indent=2)``.
+
+    This was the package's own writer before it joined the samples apart
+    from the pure-Python encoder.
+    """
+    doc = {
+        "format": "copulabn-model",
+        "version": 1,
+        "model_kind": "cbn" if isinstance(model, CbnModel) else "lgbn",
+        "column_names": list(model.column_names),
+        "parents": [list(ps) for ps in model.dag.parents],
+    }
+    if isinstance(model, CbnModel):
+        doc["rho"] = list(model.rho)
+        doc["marginals"] = [
+            {"bandwidth": m.bandwidth, "samples": m.samples.tolist()} for m in model.marginals
+        ]
+    else:
+        doc["intercepts"] = list(model.intercepts)
+        doc["coefficients"] = [list(cs) for cs in model.coefficients]
+        doc["variances"] = list(model.variances)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def chain_scores(rho, num_vars, num_rows, rng):

@@ -15,13 +15,15 @@ _spec.loader.exec_module(bench_record)
 _METRICS = {"cbn_fit_s": "lower", "sample_rows_per_s": "higher"}
 
 
-def _record(commit, fit_s, rows_per_s, digests, correct=True, failed=0, workload="sample"):
-    """A perfbench record with only the fields the script reads."""
-    return {
+def _record(commit, fit_s, rows_per_s, digests, correct=True, failed=0, workload="sample",
+            layer_s=None):
+    """A perfbench record with only the fields the script reads; a traced
+    one when ``layer_s`` gives its per-layer time."""
+    record = {
         "workload": workload,
         "seed": 1,
         "seconds": 40,
-        "trace": 0,
+        "trace": int(layer_s is not None),
         "environment": {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
                         "nproc": 2, "blas_threads": 1, "git_commit": commit},
         "end_to_end": {"cbn_fit_s": {"value": fit_s, "unit": "s"},
@@ -30,6 +32,9 @@ def _record(commit, fit_s, rows_per_s, digests, correct=True, failed=0, workload
         "commands_failed": failed,
         "digests": digests,
     }
+    if layer_s is not None:
+        record["per_layer"] = {"cbn.lower_bound_rows.self_s": {"value": layer_s, "unit": "s"}}
+    return record
 
 
 def test_summary_of_two_hand_made_pairs(tmp_path, monkeypatch):
@@ -78,3 +83,17 @@ def test_pairs_must_match_and_missing_files_differ():
                                _METRICS, 1, "t")
     with pytest.raises(ValueError, match="1 parent records for 2 change records"):
         bench_record.summarise([p], [c, c], _METRICS, 1, "t")
+
+
+def test_traced_pairs_form_their_own_group_with_per_layer_medians():
+    digests = {"cbn.json": "a"}
+    parent = [_record("p", 0.3, 100.0, digests), _record("p", 0.4, 90.0, digests, layer_s=0.2)]
+    change = [_record("c", 0.2, 110.0, digests), _record("c", 0.3, 95.0, digests, layer_s=0.1)]
+    doc = bench_record.summarise(parent, change, _METRICS, 1, "t", ["cbn.lower_bound_rows.self_s"])
+    assert doc["benchmark"].endswith("--trace T")
+    untraced, traced = doc["workloads"]
+    assert (untraced["trace"], untraced["pairs"], traced["trace"], traced["pairs"]) == (0, 1, 1, 1)
+    assert "per_layer" not in untraced
+    assert traced["per_layer"] == {"parent": {"cbn.lower_bound_rows.self_s": 0.2},
+                                   "change": {"cbn.lower_bound_rows.self_s": 0.1}}
+    assert traced["sides"]["change"]["cbn_fit_s"]["median"] == 0.3

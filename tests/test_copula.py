@@ -1,6 +1,7 @@
 """Uniform-correlation Gaussian copula against dense linear-algebra oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from copulabn.copula import (
     uniform_sigma_logdet,
 )
 from copulabn.errors import (
+    InvalidInputError,
     InvalidRhoError,
     OutOfRangeError,
     TooFewRowsError,
@@ -160,6 +162,14 @@ def test_unit_cube_interior_is_required():
     for bad in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan], [-0.1, 0.5]):
         with pytest.raises(OutOfRangeError):
             copula_log_density(0.3, np.array(bad))
+
+
+def test_malformed_points_are_a_typed_error_naming_their_shape():
+    for bad in (np.array([0.3, 0.6]), np.empty((3, 0)), np.full((2, 2, 2), 0.5), np.array(0.5)):
+        with pytest.raises(InvalidInputError, match=re.escape(f"got shape {bad.shape}")):
+            copula_log_density_rows(0.3, bad)
+    with pytest.raises(InvalidInputError, match=re.escape("got shape (1, 0)")):
+        copula_log_density(0.3, [])
 
 
 def test_ratio_log_matches_density_quotient():

@@ -445,7 +445,7 @@ def test_the_dense_kernel_is_not_used_above_the_crossover(monkeypatch):
         return out
 
     def handed_over(x):
-        return tall._expanded(x, cdf=False) < marginals_module._EXACT_BELOW * tall._boxes[3]
+        return tall._expanded(x, pdf=True, cdf=False)[0] < marginals_module._EXACT_BELOW * tall._boxes[3]
 
     monkeypatch.setattr(KdeMarginal, "_kernel_columns", record)
     monkeypatch.setattr(KdeMarginal, "cdf", cdf_without_dense)
@@ -462,7 +462,14 @@ def test_the_dense_kernel_is_not_used_above_the_crossover(monkeypatch):
     assert np.all(np.isfinite(tall.log_pdf(x)))
     assert all(np.all(handed_over(points)) for points in seen)
     seen.clear()
+    tall._cdf_and_log_pdf(x)  # one pass: the pdf hands over as alone, the cdf never
+    assert np.array_equal(seen[0], x[handed_over(x)])
+    assert all(np.all(handed_over(points)) for points in seen)
+    seen.clear()
     small.cdf(0.0)
+    assert len(seen) == 1
+    seen.clear()
+    small._cdf_and_log_pdf(np.array([0.0, 1.0]))  # one block of t feeds both sums
     assert len(seen) == 1
 
 
@@ -487,7 +494,7 @@ def test_the_hand_over_is_the_dense_kernel_bit_for_bit(kind, size, seed, narrow)
         hi + h * rng.uniform(6.0, 40.0, 40),
         [lo - 1e4 * h, hi + 1e4 * h, -1e6, 1e6],
     ])
-    x = x[marginal._expanded(x, cdf=False) < marginals_module._EXACT_BELOW * marginal._boxes[3]]
+    x = x[marginal._expanded(x, pdf=True, cdf=False)[0] < marginals_module._EXACT_BELOW * marginal._boxes[3]]
     assert x.size
     got = [marginal.pdf(x), marginal.log_pdf(x)]
     with pytest.MonkeyPatch.context() as patch:
@@ -495,3 +502,41 @@ def test_the_hand_over_is_the_dense_kernel_bit_for_bit(kind, size, seed, narrow)
         want = [marginal.pdf(x), marginal.log_pdf(x)]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
+    size=st.integers(marginals_module._FGT_MIN_CENTRES // 2, TALL),
+    seed=st.integers(0, 2**32 - 1),
+    narrow=st.booleans(),
+    huge=st.sampled_from([1e300, -1e308, 1.7e308]),
+)
+@example(kind="warped", size=150, seed=0, narrow=False, huge=1.7e308)
+@example(kind="warped", size=TALL, seed=0, narrow=False, huge=1e300)
+@example(kind="cauchy", size=TALL, seed=3, narrow=True, huge=-1e308)
+def test_one_pass_gives_the_bits_of_the_separate_calls(kind, size, seed, narrow, huge):
+    # The bulk, both tails where the expansion hands over to the dense
+    # kernel, outliers where log_pdf takes logsumexp, NaN and +-inf, in a
+    # shuffled batch; then the same batch with a huge point, whose log
+    # density is an error.
+    rng = np.random.default_rng(seed)
+    column = _column(kind, size, rng)
+    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    h, lo, hi = marginal.bandwidth, column.min(), column.max()
+    x = np.concatenate([
+        rng.choice(column, 200) + h * rng.normal(0.0, 2.0, 200),
+        lo - h * rng.uniform(6.0, 40.0, 40),
+        hi + h * rng.uniform(6.0, 40.0, 40),
+        [lo - 1e4 * h, hi + 1e4 * h, -1e6, 1e6, np.nan, -np.inf, np.inf],
+    ])
+    rng.shuffle(x)
+    assert np.any(marginal.pdf(x) == 0.0)  # some points take the logsumexp branch
+    cdf, log_pdf = marginal._cdf_and_log_pdf(x)
+    assert cdf.tobytes() == marginal.cdf(x).tobytes()
+    assert log_pdf.tobytes() == marginal.log_pdf(x).tobytes()
+    x = np.insert(x, int(rng.integers(0, x.size + 1)), huge)
+    with pytest.raises(OutOfRangeError) as alone:
+        marginal.log_pdf(x)
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(alone.value))}$"):
+        marginal._cdf_and_log_pdf(x)

@@ -16,7 +16,7 @@ from copulabn.gaussian_bn import LinearGaussianBn, log_marginal_lg_rows
 from copulabn.marginals import KdeMarginal
 from copulabn.model_io import deserialize, load_model, save_model, serialize
 
-from conftest import chain_scores, cycle_warps, warp_columns
+from conftest import chain_scores, cycle_warps, model_document, warp_columns
 
 
 def _cbn_model(seed=0):
@@ -147,6 +147,23 @@ def test_document_shape():
     assert doc["model_kind"] == "lgbn"
     assert doc["column_names"] == ["a", "b", "c"]
     assert doc["parents"] == [[], [], [0, 1]]
+
+
+def test_model_files_are_the_bytes_json_dumps_writes():
+    # serialize joins the samples apart from json.dumps; its text stays what
+    # json.dumps(indent=2) writes of the whole document, at awkward floats
+    # and at names that quote, escape or mimic the document's own text.
+    fitted, _ = _cbn_model(seed=2)
+    edge = KdeMarginal.from_params(
+        [-0.0, 5e-324, 1e23, float(2**53 + 1), float(2**53 + 2), 1.7e308, -1.7e308, 0.1], 0.5
+    )
+    names = ('say "hi", then \\ go', "Zürich µ 日本", '"samples": []')
+    odd = CbnModel(fitted.dag, (edge, *fitted.marginals[1:]), fitted.rho, names)
+    lg = _lg_model()
+    odd_lg = LinearGaussianBn(lg.dag, lg.intercepts, lg.coefficients, lg.variances, names)
+    for model in (fitted, odd, lg, odd_lg):
+        assert serialize(model) == model_document(model)
+    assert json.loads(serialize(odd))["column_names"] == list(names)
 
 
 def test_rejects_non_model_documents():
