@@ -25,44 +25,61 @@ and ``cdf(x) = sum ndtr(t) / m``, with t = (x - s) / h.  Below
 per (point, centre) pair.  Above it they come from a fast Gauss transform
 (Greengard & Strain 1991; Yang, Duraiswami & Gumerov 2003):
 
-* Moments.  The sorted centres fall into boxes w = h sqrt(2) wide.  For a box
-  centred at c, with u = (x - c) / w and d = (s - c) / w in [-1/2, 1/2],
-  ``exp(-t**2 / 2) = exp(-(u - d)**2) = sum_a d**a / a! h_a(u)`` and
-  ``ndtr(t) = erfc(d - u) / 2 = erfc(-u) / 2 - pi**-0.5 sum_{a>=1} d**a / a! h_(a-1)(u)``,
+* Moments.  The sorted centres fall into source boxes w = h sqrt(2) wide.
+  For a box centred at c, with u = (x - c) / w and d = (s - c) / w in
+  [-1/2, 1/2], ``exp(-t**2 / 2) = exp(-(u - d)**2) = sum_a d**a / a! h_a(u)``
+  and ``ndtr(t) = erfc(d - u) / 2 = erfc(-u) / 2 - pi**-0.5 sum_{a>=1} d**a / a! h_(a-1)(u)``,
   where h_a(u) = H_a(u) exp(-u**2) are the Hermite functions.  So a box is
-  its count and its moments A_a = sum d**a / a!, computed once per marginal,
-  and the pdf and the cdf at any point are linear in the same moments.
-* One pass.  The pdf sum multiplies A_a by h_a(u) and the cdf sum by
-  h_(a-1)(u), so one recurrence over a, with one gather of each moment row
-  and one exp per slot, feeds both sums.  Scoring a column (``cbn``) asks for
-  both at once; a call for one sum skips the other's products.  Below
-  ``_FGT_MIN_CENTRES`` one block of t per chunk of points feeds both sums the
-  same way.
+  its count and its moments A_a = sum d**a / a!.
+* Translation.  Target boxes lie on the same grid.  Since h_a' = -h_(a+1),
+  at a point x = t + v w of the target box centred at t, the Hermite
+  expansion of each source box is a Taylor series in v about
+  Delta = (t - c) / w, the offset of the rounded centres, and the box's
+  kernel sum is ``sum_b L_b v**b`` with
+  ``L_b = (-1)**b / b! sum_a A_a h_(a+b)(Delta)``.  The table holds, per
+  target box, the coefficients L_b summed over its sources, and the
+  kernel-cdf sum at t from the expansion above.  Since the kernel-cdf sum
+  grows at pi**-0.5 times the kernel sum per unit of v, a point costs one
+  gather of its box's column and two Horner passes:
+  ``pdf = sum_b L_b v**b`` and ``cdf = cum(t) + pi**-0.5 sum_b L_b v**(b+1) / (b+1)``.
+  The table is built once per marginal, in blocks of (target, source)
+  pairs, and cached.  Scoring a column (``cbn``) and each Newton step of
+  ``quantile`` ask for both sums in one pass; a call for one sum skips the
+  other's Horner pass.  Below ``_FGT_MIN_CENTRES`` one block of t per chunk
+  of points feeds both sums the same way.
 * Truncation.  By Cramer's inequality,
   ``|h_a(u)| <= K 2**(a/2) sqrt(a!) exp(-u**2 / 2)`` with K = 1.086435, so
   the terms a >= P of one centre add at most ``K sum_{a>=P} 2**(-a/2) / sqrt(a!)``
   of a kernel's peak.  ``_HERMITE_TERMS`` is the smallest P for which that is
-  at most 2**-53: P = 25.
-* Cut-off.  A box whose centre lies more than ``_REACH`` = 1/2 + sqrt(53 log 2),
+  at most 2**-53: P = 25.  The same bound holds for the Taylor series of one
+  centre's kernel in v, with |v| <= 1/2, so each table column keeps 25
+  coefficients too.
+* Reach.  A box whose centre lies more than ``_REACH`` = 1/2 + sqrt(53 log 2),
   about 6.56 widths, from x holds only centres whose kernel there is below
-  2**-53 of its peak.  It is not expanded: it adds its count to the cdf sum
-  if it lies left of x, and nothing else.  At most ``_SLOTS`` = 14 boxes are
-  in reach of a point.
+  2**-53 of its peak.  A point of a target box lies within _REACH of a
+  source box only if their keys differ by at most ``_TRANSLATE`` = 7, so a
+  target adds up to 15 sources, and only boxes within 7 keys of an
+  occupied one are targets.  Sources further left add their count to the
+  cdf at t.  A point in no target box gets a kernel sum of 0 and, as its
+  kernel-cdf sum, the count of centres left of it.
 * Hand-over.  The expansion's error is small against the peak, not
   against a small pdf: in a far tail its relative error reaches 1.  So
   where the expanded kernel sum falls below ``_EXACT_BELOW`` = 1e-3 of the
   largest box count (0.36 to 1.3 times the sum's peak), the pdf is summed
   again over every centre, as below ``_FGT_MIN_CENTRES``.  Against the dense
   kernel on warped, tied, gapped and Cauchy columns of 200 to 4,000 centres,
-  the expansion's relative error measured at most 7e-15 above that fraction
-  and up to 6e-14 just below it.  The cdf keeps its expansion everywhere:
-  its error is small against ``CDF_FLOOR``.
-* Crossover.  The expansion costs a fixed 25 terms in 14 slots per point
-  against the dense kernel's m per point.  With 200 to 5,000 points per call
-  the two broke even at 100 to 150 centres for the cdf and pdf together, and
-  the dense kernel won on calls of 20 points.  ``_FGT_MIN_CENTRES`` = 200
-  leaves a margin, so tables of a few hundred rows keep the dense kernel and
-  its bits.
+  the expanded kernel sum's relative error measured at most 1.2e-14 above
+  that fraction and 3.3e-14 between 1e-4 and 1e-3 of the largest count.
+  The cdf keeps its expansion everywhere: its error, at most 6e-16 in the
+  same runs, is small against ``CDF_FLOOR``.
+* Crossover.  The expansion costs a table build of 0.5 to 0.9 ms per
+  marginal and then a fixed 2 x 25 terms per point, against the dense
+  kernel's m per point.  Measured for the cdf and pdf together on a 2-core
+  VM, at 50 to 200 centres: calls of 300 or 2,000 points were 3 to 40 times
+  faster expanded, calls of 21 points broke even near 150 centres, and
+  single points were 5 to 10 times faster on the dense kernel.
+  ``_FGT_MIN_CENTRES`` = 200 keeps the dense kernel and its bits for
+  tables of a few hundred rows.
 
 Huge points.  A finite point some 1e154 bandwidths or more from a centre
 overflows t, or -t**2 / 2, to infinity.  The sums read that as an infinitely
@@ -71,11 +88,12 @@ warning.  Where every term of a point's log-density sum overflows, its log
 density lies below -``np.finfo(float).max`` and ``log_pdf`` raises
 ``OutOfRangeError``.
 
-Every sum runs in a fixed order per point: for the expansion over a within a
-box and then over the point's boxes from left to right.  So a point's pdf,
-cdf and log_pdf are bitwise the same whether it is evaluated alone or in any
-batch, for any ``_CHUNK_ELEMENTS``, and whether its cdf and log_pdf come from
-one pass or from two calls.
+Every sum runs in a fixed order per point: over b by Horner's rule, on a
+table whose every column sums its sources from left to right and each
+source over a.  So a point's pdf, cdf and log_pdf are bitwise the same
+whether it is evaluated alone or in any batch, for any ``_CHUNK_ELEMENTS``
+(the table's blocks included), and whether its cdf and log_pdf come from one
+pass or from two calls.
 """
 
 import math
@@ -134,42 +152,52 @@ def _hermite_terms():
 
 _HERMITE_TERMS = _hermite_terms()
 _REACH = 0.5 + math.sqrt(-math.log(_UNIT_ROUNDOFF))
-_SLOTS = int(2.0 * _REACH) + 1
+_TRANSLATE = int(_REACH + 0.5)
 _EXACT_BELOW = 1e-3
 _FGT_MIN_CENTRES = 200
 
 # KdeMarginal.quantile stops each target once |cdf(x) - u| < _QUANTILE_TOL and
-# raises ConvergenceError after _QUANTILE_MAX_ITER cdf evaluations.
+# raises ConvergenceError after _QUANTILE_MAX_ITER Newton iterations.
 _QUANTILE_TOL = 1e-10
 _QUANTILE_MAX_ITER = 200
 
 
-def _hermite_parts(u, moments, box, pdf, cdf):
-    """Each slot's expansion at offsets ``u`` from the boxes ``box``: the
-    kernel sum ``sum_a A_a h_a(u)`` if ``pdf``, and the kernel-cdf sum
-    ``A_0 erfc(-u) / 2 - pi**-0.5 sum_{a>=1} A_a h_(a-1)(u)`` if ``cdf``; None
-    where not asked for.
+def _translated(moments, delta):
+    """Source boxes' shares of their target boxes' tables, one column per
+    (target, source) pair: the moments ``A_a`` of the source and the offset
+    ``delta`` = (t - c) / w of the target's centre t from the source's c.
 
-    One recurrence h_a = 2u h_(a-1) - 2(a-1) h_(a-2), from h_0 = exp(-u**2),
-    serves both: each moment row A_a is taken once and multiplies h_a in the
-    kernel sum and h_(a-1) in the cdf sum.  Each sum runs in order of a.
+    Returns the sums ``sum_a A_a h_(a+b)(delta)`` for b < ``_HERMITE_TERMS``
+    (rows b) and the kernel-cdf sum at t,
+    ``A_0 erfc(-delta) / 2 - pi**-0.5 sum_{a>=1} A_a h_(a-1)(delta)``.  The
+    Hermite functions come from one recurrence
+    h_n = 2 delta h_(n-1) - 2(n-1) h_(n-2), from h_0 = exp(-delta**2); each
+    sum runs in order of a.
     """
-    first = moments[0].take(box)
-    two_u = 2.0 * u
-    h_prev, h = 0.0, np.exp(-u * u)
-    dens = first * h if pdf else None
-    for a in range(1, len(moments)):
-        coef = moments[a].take(box)
-        if cdf and a == 1:
-            series = coef * h
-        elif cdf:
-            series += coef * h
-        if pdf or a + 1 < len(moments):
-            h, h_prev = two_u * h - (2.0 * (a - 1)) * h_prev, h
-        if pdf:
-            dens += coef * h
-    cum = 0.5 * first * erfc(-u) - _INV_SQRT_PI * series if cdf else None
-    return dens, cum
+    terms = moments.shape[0]
+    herm = np.empty((2 * terms - 1, delta.size))
+    two_delta = 2.0 * delta
+    herm[0] = np.exp(-delta * delta)
+    herm[1] = two_delta * herm[0]
+    for n in range(2, 2 * terms - 1):
+        herm[n] = two_delta * herm[n - 1] - (2.0 * (n - 1)) * herm[n - 2]
+    dens = moments[0] * herm[:terms]
+    series = moments[1] * herm[0]
+    for a in range(1, terms):
+        dens += moments[a] * herm[a : a + terms]
+        if a > 1:
+            series += moments[a] * herm[a - 1]
+    return dens, 0.5 * moments[0] * erfc(-delta) - _INV_SQRT_PI * series
+
+
+def _horner(coef, v):
+    """``sum_b coef[b] v**b`` by Horner's rule, from the last row b down."""
+    total = coef[-1] * v
+    for row in coef[-2:0:-1]:
+        total += row
+        total *= v
+    total += coef[0]
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,64 +248,85 @@ class KdeMarginal:
 
     @cached_property
     def _boxes(self):
-        # Sorted centres in boxes h*sqrt(2) wide.  Per box: its centre c, the
-        # number of centres in earlier boxes, and the moments
-        # A_a = sum d**a / a! of the offsets d = (s - c) / (h sqrt 2), one row
-        # per a.  A last, empty box pads the slots of a point with fewer than
-        # _SLOTS boxes in reach.
+        # The sorted centres fall into source boxes w = h sqrt(2) wide, keyed
+        # k = floor((s - s_0) / w) and centred at s_0 + (k + 1/2) w; each
+        # source box within _TRANSLATE keys of a target box on the same grid
+        # adds its share (_translated) to the target's table.  Returns
+        # (origin s_0, target keys, target centres, largest box count, coef,
+        # base), one column per target box: coef[0] holds the Taylor
+        # coefficients L_b of the kernel sum in rows b, coef[1] the kernel-cdf
+        # sum's pi**-0.5 L_b / (b + 1), and base the kernel-cdf sum at the
+        # target's centre.  After the last target box come the gaps: gap
+        # column j has zero coefficients and, as its base, the count of
+        # centres left of the gap before target box j (past the last box for
+        # the last gap column).
         s = np.sort(self.samples)
         width = self.bandwidth * _SQRT2
         key = np.floor((s - s[0]) / width)
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         counts = np.diff(np.r_[starts, s.size])
-        centres = s[0] + (key[starts] + 0.5) * width
-        d = (s - np.repeat(centres, counts)) / width
-        moments = np.zeros((_HERMITE_TERMS, starts.size + 1))
+        source = key[starts]
+        origins = s[0] + (source + 0.5) * width
+        d = (s - np.repeat(origins, counts)) / width
+        moments = np.zeros((_HERMITE_TERMS, source.size))
         term = np.ones(s.size)
         for a in range(_HERMITE_TERMS):
-            moments[a, :-1] = np.add.reduceat(term, starts)
+            moments[a] = np.add.reduceat(term, starts)
             term = term * d / (a + 1)
+        offsets = np.arange(-_TRANSLATE, _TRANSLATE + 1)
+        keys = np.unique(source[:, None] + offsets)
+        centres = s[0] + (keys + 0.5) * width
         left = np.r_[0.0, np.cumsum(counts, dtype=float)]
-        return np.r_[centres, 0.0], left, moments, float(counts.max())
+        coef = np.zeros((2, _HERMITE_TERMS, 2 * keys.size + 1))
+        base = left[np.searchsorted(source, np.r_[keys - _TRANSLATE, keys, np.inf])]
+        # Pair p joins source p % n with the target offsets[p // n] keys to
+        # its left, so each target adds its sources from left to right.
+        # Blocks of pairs bound the Hermite rows; one offset's targets are
+        # distinct, so each block adds one slice of pairs per offset.
+        n = source.size
+        step = max(1, _CHUNK_ELEMENTS // (2 * _HERMITE_TERMS))
+        for start in range(0, offsets.size * n, step):
+            pair = np.arange(start, min(start + step, offsets.size * n))
+            box = pair % n
+            target = np.searchsorted(keys, source[box] - offsets[pair // n])
+            dens, cum = _translated(moments[:, box], (centres[target] - origins[box]) / width)
+            cuts = np.r_[0, np.flatnonzero(box[1:] <= box[:-1]) + 1, pair.size]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                coef[0][:, target[lo:hi]] += dens[:, lo:hi]
+                base[target[lo:hi]] += cum[lo:hi]
+        b = np.arange(1.0, _HERMITE_TERMS + 1.0)[:, None]  # b + 1
+        coef[0] *= np.cumprod(np.r_[1.0, -1.0 / b[:-1, 0]])[:, None]  # (-1)**b / b!
+        coef[1] = coef[0] * (_INV_SQRT_PI / b)
+        return s[0], keys, np.r_[centres, np.zeros(keys.size + 1)], float(counts.max()), coef, base
 
     def _expanded(self, x, pdf, cdf):
         """Kernel sums if ``pdf`` and kernel-cdf sums if ``cdf``, over all
         centres at 1-d ``x``; None where not asked for.
 
-        Every box within _REACH of a point is expanded; slot k of a point
-        holds the k-th such box, and the sums run over a = 0, 1, ... within a
-        slot and then over the slots in order.  One Hermite recurrence per
-        slot feeds both sums.  Boxes beyond _REACH add their count to the cdf
-        sum if they lie left of the point, and nothing else.
+        A point x in target box T, at v = (x - t_T) / w, takes one column of
+        the table: the kernel sum ``sum_b L_b v**b`` and the kernel-cdf sum
+        ``cum(t_T) + pi**-0.5 sum_b L_b v**(b+1) / (b+1)``, each by Horner's
+        rule from b = _HERMITE_TERMS - 1 down.  A point in no target box
+        lies beyond _REACH of every centre: its kernel sum is 0 and its
+        kernel-cdf sum the count of centres left of it.
         """
-        centres, left, moments, _ = self._boxes
+        origin, keys, centres, _, coef, base = self._boxes
         width = self.bandwidth * _SQRT2
-        slots = np.arange(_SLOTS)[:, None]
         dens = np.empty(x.size) if pdf else None
         cum = np.empty(x.size) if cdf else None
-        # Eight (slots, points) arrays fit the budget.  A pass for both sums
-        # holds about a dozen, and measured no faster in smaller chunks.
-        step = max(1, _CHUNK_ELEMENTS // (8 * _SLOTS))
+        step = max(1, _CHUNK_ELEMENTS // _HERMITE_TERMS)  # a gather holds 25 rows of a chunk
         for start in range(0, x.size, step):
             chunk = slice(start, start + step)
             xc = x[chunk]
-            lo = np.searchsorted(centres[:-1], xc - _REACH * width, side="left")
-            hi = np.searchsorted(centres[:-1], xc + _REACH * width, side="right")
-            box = lo + slots
-            inside = box < hi
-            box = np.where(inside, box, centres.size - 1)
-            u = np.where(inside, (xc - centres[box]) / width, 0.0)
-            dens_parts, cum_parts = _hermite_parts(u, moments, box, pdf, cdf)
+            key = np.floor((xc - origin) / width)
+            box = np.searchsorted(keys, key)
+            inside = keys.take(box, mode="clip") == key
+            box = np.where(inside, box, box + keys.size)
+            v = np.where(inside, (xc - centres[box]) / width, 0.0)
             if pdf:
-                total = np.zeros(xc.size)
-                for part in dens_parts:
-                    total += part
-                dens[chunk] = total
+                dens[chunk] = _horner(coef[0].take(box, axis=1), v)
             if cdf:
-                total = left[lo]
-                for part in cum_parts:
-                    total += part
-                cum[chunk] = total
+                cum[chunk] = base.take(box) + v * _horner(coef[1].take(box, axis=1), v)
         for out in (dens, cum):
             if out is not None:
                 out[np.isnan(x)] = np.nan
@@ -301,9 +350,11 @@ class KdeMarginal:
         of ndtr(t), scaled.
 
         Below _FGT_MIN_CENTRES every sum runs over every centre
-        (:meth:`_dense_sums`).  Above it the sums are expanded, and a pdf sum
-        that falls below _EXACT_BELOW of the largest box count is summed
-        again over every centre the same way.
+        (:meth:`_dense_sums`).  Above it both sums come from one gather of
+        each point's target box in the fast Gauss transform's table
+        (:meth:`_expanded`), and a pdf sum that falls below _EXACT_BELOW of
+        the largest box count is summed again over every centre the same
+        way.
         """
         with np.errstate(over="ignore"):  # huge points; see the module docstring
             if self.samples.size < _FGT_MIN_CENTRES:
@@ -341,8 +392,9 @@ class KdeMarginal:
 
     def _cdf_and_log_pdf(self, x):
         """``(cdf(x), log_pdf(x))`` at 1-d ``x``, bitwise as the two public
-        calls give them, from one kernel pass: one Hermite recurrence per
-        slot above the crossover, one block of t per chunk below it."""
+        calls give them, from one kernel pass: one gather of each point's
+        table column above the crossover, one block of t per chunk below
+        it."""
         dens, cum = self._kernel_sums(x, pdf=True, cdf=True)
         return cum, self._log_of_pdf(x, dens)
 
@@ -351,10 +403,11 @@ class KdeMarginal:
 
         The mean of the m kernels at ``x``: summed over every centre below
         ``_FGT_MIN_CENTRES`` centres, and above it from the fast Gauss
-        transform's ``_HERMITE_TERMS``-term expansion (truncation at most
-        2**-53 of a kernel's peak by Cramer's inequality), except where that
-        falls below ``_EXACT_BELOW`` of the peak: there it is summed over
-        every centre too.  See the module docstring.
+        transform's ``_HERMITE_TERMS``-term Taylor series about the centre of
+        the point's box (truncation at most 2**-53 of a kernel's peak by
+        Cramer's inequality), except where that falls below
+        ``_EXACT_BELOW`` of the peak: there it is summed over every centre
+        too.  See the module docstring.
         """
         x = np.asarray(x, dtype=float)
         out, _ = self._kernel_sums(x.reshape(-1), pdf=True, cdf=False)
@@ -386,9 +439,10 @@ class KdeMarginal:
 
         Values are clipped to ``[CDF_FLOOR, CDF_CEIL]`` so the normal score
         of any output is finite.  The mean of the m kernel cdfs: summed over
-        every centre below ``_FGT_MIN_CENTRES`` centres; above it, each box
-        within ``_REACH`` of ``x`` adds its ``_HERMITE_TERMS``-term expansion
-        and each box further left adds its count (see the module docstring).
+        every centre below ``_FGT_MIN_CENTRES`` centres; above it, the sum
+        at the centre of the point's box plus the ``_HERMITE_TERMS``-term
+        Taylor series of the kernel sum's integral from there (see the
+        module docstring).
         """
         x = np.asarray(x, dtype=float)
         _, out = self._kernel_sums(x.reshape(-1), pdf=False, cdf=True)
@@ -400,10 +454,10 @@ class KdeMarginal:
         Each of n targets starts at the linear interpolation inside its
         bracket of a cdf table of n + 1 evenly spaced points over the
         support, so a target's bits depend on n (within ``_QUANTILE_TOL``).
-        Every iteration evaluates the cdf on the targets not yet converged,
-        shrinks each bracket by the sign of the error, and takes the Newton
-        step ``x - err / pdf(x)``, or the bracket midpoint when that step is
-        not finite or leaves the bracket.
+        Every iteration evaluates the cdf and the pdf on the targets not yet
+        converged, in one kernel pass, shrinks each bracket by the sign of
+        the error, and takes the Newton step ``x - err / pdf(x)``, or the
+        bracket midpoint when that step is not finite or leaves the bracket.
 
         Parameters
         ----------
@@ -419,7 +473,7 @@ class KdeMarginal:
         ------
         ConvergenceError
             Some target still misses ``_QUANTILE_TOL`` after
-            ``_QUANTILE_MAX_ITER`` cdf evaluations.
+            ``_QUANTILE_MAX_ITER`` kernel passes.
         """
         u = np.asarray(u, dtype=float)
         flat = u.reshape(-1)
@@ -443,9 +497,10 @@ class KdeMarginal:
         active = np.arange(target.size)
         for _ in range(_QUANTILE_MAX_ITER):
             xa = x[active]
-            err = self.cdf(xa) - target[active]
+            dens, cum = self._kernel_sums(xa, pdf=True, cdf=True)
+            err = cum - target[active]
             open_ = np.abs(err) >= _QUANTILE_TOL
-            active, xa, err = active[open_], xa[open_], err[open_]
+            active, xa, err, dens = active[open_], xa[open_], err[open_], dens[open_]
             if active.size == 0:
                 return x.reshape(u.shape) if u.shape else float(x[0])
             high = err > 0.0
@@ -453,7 +508,7 @@ class KdeMarginal:
             lo[active[~high]] = xa[~high]
             la, ha = lo[active], hi[active]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                step = xa - err / self.pdf(xa)
+                step = xa - err / dens
             x[active] = np.where((step > la) & (step < ha), step, 0.5 * (la + ha))
         raise ConvergenceError(
             f"quantile left {active.size} of {target.size} targets outside tol={_QUANTILE_TOL:g} "

@@ -154,14 +154,17 @@ def test_quantile_properties(kind, size, seed, narrow, levels):
 
 def test_quantile_needs_few_cdf_sweeps(monkeypatch):
     # n targets pay for a cdf table of at most n + 1 points and then at most
-    # 8 Newton sweeps.  20 targets on a 150-centre column evaluate fewer cdf
-    # points in all than a fixed 1,025-point table alone would.
+    # 8 Newton sweeps, each one kernel pass for the cdf and the pdf.  20
+    # targets on a 150-centre column evaluate fewer points in all than a
+    # fixed 1,025-point table alone would.
     rng = np.random.default_rng(7)
     z = rng.standard_normal(1000)
     column = np.exp(z / 2.0) + 0.3 * z
     sizes = []
-    cdf = KdeMarginal.cdf
-    monkeypatch.setattr(KdeMarginal, "cdf", lambda self, x: sizes.append(np.size(x)) or cdf(self, x))
+    sums = KdeMarginal._kernel_sums
+    monkeypatch.setattr(
+        KdeMarginal, "_kernel_sums", lambda self, x, pdf, cdf: sizes.append(x.size) or sums(self, x, pdf, cdf)
+    )
     draws = []
     for centres, n in ((1000, 1000), (150, 20)):
         marginal = fit_kde(column[:centres])
@@ -344,15 +347,17 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, query):
     # give bitwise the same pdf, cdf and log_pdf: one point per block (a
     # budget of 1 or 7 elements), a few points per block (a ragged last
     # block), and one block for all.  The 150-centre column takes the dense
-    # kernel, the 301- and TALL-centre columns the fast Gauss transform.
+    # kernel, the 301- and TALL-centre columns the fast Gauss transform,
+    # whose table is built on first use, in blocks of (target, source) box
+    # pairs, and cached: so each budget gets a fresh marginal.
     for size in (150, 301, TALL):
         assert (size < marginals_module._FGT_MIN_CENTRES) == (size == 150)
-        rng = np.random.default_rng(11)
-        marginal = fit_kde(rng.gamma(2.0, 1.5, size=size))
-        assert marginal.pdf(45.0) == 0.0  # "far" takes the logsumexp branch
+        column = np.random.default_rng(11).gamma(2.0, 1.5, size=size)
         results = []
         for chunk in (1, 7, 7 * 301, 10**9):
             monkeypatch.setattr(marginals_module, "_CHUNK_ELEMENTS", chunk)
+            marginal = fit_kde(column)
+            assert marginal.pdf(45.0) == 0.0  # "far" takes the logsumexp branch
             results.append([np.asarray(f(query)) for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)])
         monkeypatch.undo()
         for other in results[1:]:
@@ -374,6 +379,11 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, query):
 @example(kind="tied", size=TALL, seed=1, narrow=True)
 @example(kind="gapped", size=TALL, seed=2, narrow=True)
 @example(kind="cauchy", size=TALL, seed=3, narrow=False)
+# Boxes thousands of widths from the grid's origin, where a translation by
+# the integer box offset instead of the rounded centres' offset is off by
+# up to 7e-12 in the pdf.
+@example(kind="cauchy", size=TALL, seed=1, narrow=True)
+@example(kind="gapped", size=1000, seed=7, narrow=True)
 def test_kernel_matches_the_dense_oracle(kind, size, seed, narrow):
     # Points in the bulk, in both tails 6-40 bandwidths out, and far outliers.
     # The log density is compared relative to max(1, |log pdf|): near
@@ -398,6 +408,27 @@ def test_kernel_matches_the_dense_oracle(kind, size, seed, narrow):
     assert np.all(np.abs(got_log - log_pdf)[finite] <= 1e-13 * np.maximum(np.abs(log_pdf[finite]), 1.0))
     assert np.all(got_pdf >= 0.0)
     assert np.all((CDF_FLOOR <= got_cdf) & (got_cdf <= CDF_CEIL))
+
+
+@pytest.mark.parametrize("size", [marginals_module._FGT_MIN_CENTRES, 1000, TALL])
+def test_a_point_in_no_box_has_the_count_of_centres_left_of_it(size):
+    # Points in the middle of a narrow gapped column's gap lie more than
+    # 8 box widths from every centre, so in no target box of the expansion.
+    # Their cdf is the count of centres left of them, and the pdf there is
+    # the dense kernel's.
+    rng = np.random.default_rng(15)
+    column = _column("gapped", size, rng)
+    marginal = KdeMarginal.from_params(column, 0.05)
+    s = np.sort(column)
+    gap = int(np.argmax(np.diff(s)))
+    x = s[gap] + (s[gap + 1] - s[gap]) * np.array([0.25, 0.5, 0.75])
+    assert np.all(np.abs(x[:, None] - s).min(axis=1) > 8.0 * np.sqrt(2.0) * marginal.bandwidth)
+    np.testing.assert_array_equal(marginal.cdf(x), (gap + 1.0) / size)
+    np.testing.assert_array_equal(marginal._cdf_and_log_pdf(x)[0], (gap + 1.0) / size)
+    pdf, cdf, log_pdf = dense_kde(marginal, x)
+    np.testing.assert_array_equal(cdf, (gap + 1.0) / size)
+    assert marginal.pdf(x).tobytes() == pdf.tobytes()
+    assert marginal.log_pdf(x).tobytes() == log_pdf.tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

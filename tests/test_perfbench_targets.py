@@ -54,8 +54,10 @@ def test_tracer_wraps_every_target_and_restores_the_package():
             wrapped = _bindings()[module_name, path]
             assert wrapped is not original and wrapped.__wrapped__ is original, path
             # Every other name bound to a traced function is wrapped too.
+            # Bindings compare by identity: `in` would compare a module's
+            # arrays elementwise.
             if "." not in path:
-                assert original not in _bindings().values(), path
+                assert not any(value is original for value in _bindings().values()), path
         rng = np.random.default_rng(0)
         x = warp_columns(chain_scores(0.6, 4, 200, rng), cycle_warps(4))
         data = apply_missing_mask(MaskedDataset.from_values(x), 0.2, seed=1)
