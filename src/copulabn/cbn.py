@@ -45,7 +45,7 @@ from .copula import (
 )
 from .dag import Dag
 from .data import SEED_TAG_SAMPLE
-from .errors import InvalidInputError, OutOfRangeError, ValidationError, _integer
+from .errors import InvalidInputError, OutOfRangeError, ValidationError, _check_columns, _integer
 from .marginals import fit_kde
 
 __all__ = [
@@ -108,13 +108,6 @@ class CbnModel:
         return [(i, ps) for i, ps in enumerate(self.dag.parents) if ps]
 
 
-def _check_data_shape(model, num_cols):
-    if num_cols != model.num_vars:
-        raise InvalidInputError(
-            f"data has {num_cols} columns but the model has {model.num_vars} variables"
-        )
-
-
 def _add_family_terms(model, totals, z, observed):
     """``totals`` plus each family's per-row (expected) log ratio term, added
     one family at a time in node order."""
@@ -141,7 +134,7 @@ def _row_totals(model, values, observed):
 def log_density_rows(model, values):
     """Joint log density of fully observed rows; shape (rows,)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    _check_data_shape(model, values.shape[1])
+    _check_columns(values.shape[1], model.num_vars, "model")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("log_density needs fully observed, finite rows")
     observed = np.ones(values.shape, dtype=bool)
@@ -160,7 +153,7 @@ def lower_bound_rows(model, data):
     as :func:`log_density_rows`); rows with hidden cells get observed
     marginal terms plus expected ratio terms.
     """
-    _check_data_shape(model, data.num_cols)
+    _check_columns(data.num_cols, model.num_vars, "model")
     return _row_totals(model, data.values, data.observed)
 
 
@@ -198,10 +191,7 @@ def fit_missing(data, dag):
     Marginals and normal scores come from :func:`_score_table`, so after a
     structure search on the same ``data`` object neither is computed again.
     """
-    if data.num_cols != dag.num_vars:
-        raise InvalidInputError(
-            f"data has {data.num_cols} columns but the graph has {dag.num_vars} nodes"
-        )
+    _check_columns(data.num_cols, dag.num_vars, "graph")
     table = _score_table(data)
     rho = [None] * dag.num_vars
     for size, families in dag.families_by_size().items():
@@ -315,7 +305,7 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     x = np.asarray(instance, dtype=float)
     if x.ndim != 1:
         raise InvalidInputError(f"instance must be one row, got shape {x.shape}")
-    _check_data_shape(model, x.size)
+    _check_columns(x.size, model.num_vars, "model")
     if np.isinf(x).any():
         raise InvalidInputError("instance has an infinite coordinate")
     mc_samples = _integer(mc_samples, "mc_samples", 2, OutOfRangeError)

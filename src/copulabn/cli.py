@@ -50,37 +50,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _fraction_list(text):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"invalid fraction list: {text!r}")
-    if not values:
-        raise _UsageError("empty fraction list")
-    for v in values:
-        if not 0.0 <= v < 1.0:
-            raise _UsageError(f"missing fraction {v} outside [0, 1)")
-    return values
-
-
-def _int_list(text):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"invalid integer list: {text!r}")
-    if not values:
-        raise _UsageError("empty integer list")
-    return values
-
-
 def _int_at_least(low):
     """argparse type: an integer no smaller than ``low``."""
-    def parse(text):
+    def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
-    return parse
+    return integer
+
+
+def _fraction(text):
+    """argparse type: a fraction of cells to hide, in [0, 1) (never nan)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return value
+
+
+def _listed(parse):
+    """argparse type: a comma list of ``parse`` values, blank tokens skipped."""
+    def comma_list(text):
+        values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+    return comma_list
 
 
 def _build_parser():
@@ -88,13 +83,16 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"copulabn {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common_model_flags(p):
-        p.add_argument("--max-parents", default="3",
+    def common_model_flags(p, listed=False):
+        cap = _int_at_least(0)
+        p.add_argument("--max-parents", type=_listed(cap) if listed else cap,
+                       default=[3] if listed else 3,
                        help="parent cap for structure search (1: tree-shaped networks "
                             "only); benchmark takes a comma list (default: 3)")
 
-    def common_split_flags(p):
-        p.add_argument("--missing-fraction", default="0",
+    def common_split_flags(p, listed=False):
+        p.add_argument("--missing-fraction", type=_listed(_fraction) if listed else _fraction,
+                       default=[0.0] if listed else 0.0,
                        help="fraction of cells to hide; benchmark takes a comma list (default: 0)")
         p.add_argument("--splits", type=_int_at_least(1), default=10,
                        help="number of train/test splits (default: 10)")
@@ -111,7 +109,7 @@ def _build_parser():
                        help="model kind (default: cbn)")
     common_model_flags(p_fit)
     common_split_flags(p_fit)
-    p_fit.add_argument("--split-index", type=int, default=None,
+    p_fit.add_argument("--split-index", type=_int_at_least(0), default=None,
                        help="fit on the train half of this split instead of the full file")
     p_fit.add_argument("--out", required=True, help="output model file path")
 
@@ -119,7 +117,7 @@ def _build_parser():
     p_eval.add_argument("--model-file", required=True, help="fitted model path")
     p_eval.add_argument("--data", required=True, help="input CSV path")
     common_split_flags(p_eval)
-    p_eval.add_argument("--split-index", type=int, default=None,
+    p_eval.add_argument("--split-index", type=_int_at_least(0), default=None,
                         help="score one half of this split instead of the full file")
     p_eval.add_argument("--role", choices=["train", "test"], default="test",
                         help="which half of the split to score (default: test)")
@@ -134,10 +132,10 @@ def _build_parser():
 
     p_bench = sub.add_parser("benchmark", help="run the split/mask/fit/score grid")
     p_bench.add_argument("--data", required=True, help="input CSV path")
-    p_bench.add_argument("--model", default="cbn,lgbn",
+    p_bench.add_argument("--model", type=_listed(str), default=["cbn", "lgbn"],
                          help="comma list of model kinds (default: cbn,lgbn)")
-    common_model_flags(p_bench)
-    common_split_flags(p_bench)
+    common_model_flags(p_bench, listed=True)
+    common_split_flags(p_bench, listed=True)
     mask_scope_flag(p_bench)
     p_bench.add_argument("--out", required=True, help="output CSV path")
 
@@ -149,48 +147,31 @@ def _build_parser():
     return parser
 
 
-def _max_parents_list(args):
-    """Parent caps from --max-parents."""
-    caps = _int_list(args.max_parents)
-    if min(caps) < 0:
-        raise _UsageError(f"--max-parents must be >= 0, got {min(caps)}")
-    return caps
-
-
-def _split_flags(args):
-    """fit's and eval's single --missing-fraction; it and --split-index (in
-    [0, --splits)) are checked here, before any file is read."""
-    values = _fraction_list(args.missing_fraction)
-    if len(values) != 1:
-        raise _UsageError("this command takes a single --missing-fraction value")
-    if args.split_index is not None and not 0 <= args.split_index < args.splits:
+def _check_split_index(args):
+    """--split-index must name one of the --splits splits; checked before any file is read."""
+    if args.split_index is not None and args.split_index >= args.splits:
         raise _UsageError(f"--split-index {args.split_index} outside [0, {args.splits})")
-    return values[0]
 
 
-def _eval_subset(data, args, p):
-    """Select the rows named by the eval/fit split flags and hide a fraction p of their cells."""
+def _eval_subset(data, args, role, mask_scope):
+    """The ``role`` half of split --split-index (without one, all of ``data``)
+    with a fraction --missing-fraction of its cells hidden."""
+    p = args.missing_fraction
     if args.split_index is None:
         if p > 0.0:
             data = apply_missing_mask(data, p, mask_seed_for(args.seed, 0, p, "train"))
         return data
     protocol = ExperimentProtocol(
-        num_splits=args.splits,
-        base_seed=args.seed,
-        mask_scope=getattr(args, "mask_scope", "train_only"),
+        num_splits=args.splits, base_seed=args.seed, mask_scope=mask_scope
     )
     train, test, _, _ = _masked_split(data, protocol, args.split_index, p)
-    return train if getattr(args, "role", "train") == "train" else test
+    return train if role == "train" else test
 
 
 def _cmd_fit(args):
-    caps = _max_parents_list(args)
-    if len(caps) != 1:
-        raise _UsageError("this command takes a single --max-parents value")
-    config = SearchConfig(max_parents=caps[0])
-    p = _split_flags(args)
-    data = _eval_subset(load_csv(args.data), args, p)
-    model = fit_model(data, args.model, config)
+    _check_split_index(args)
+    data = _eval_subset(load_csv(args.data), args, "train", "train_only")
+    model = fit_model(data, args.model, SearchConfig(max_parents=args.max_parents))
     save_model(model, args.out)
     edges = model.dag.num_edges()
     print(f"fit {args.model}: {data.num_rows} rows, {data.num_cols} columns, "
@@ -199,12 +180,12 @@ def _cmd_fit(args):
 
 
 def _cmd_eval(args):
-    p = _split_flags(args)
+    _check_split_index(args)
     model = load_model(args.model_file)
     data = load_csv(args.data)
     if list(data.column_names) != list(model.column_names):
         raise DataError("dataset columns do not match the model's columns")
-    subset = _eval_subset(data, args, p)
+    subset = _eval_subset(data, args, args.role, args.mask_scope)
     scores = score_rows(model, subset)
     mean = float(np.mean(scores))
     if args.out is not None:
@@ -224,19 +205,11 @@ def _cmd_sample(args):
 
 
 def _cmd_benchmark(args):
-    kinds = [tok.strip() for tok in args.model.split(",") if tok.strip() != ""]
-    max_parents_list = _max_parents_list(args)
-    fractions = _fraction_list(args.missing_fraction)
     protocol = ExperimentProtocol(
         num_splits=args.splits, base_seed=args.seed, mask_scope=args.mask_scope
     )
     result = run_benchmark(
-        args.data,
-        protocol,
-        kinds,
-        max_parents_list,
-        fractions,
-        args.out,
+        args.data, protocol, args.model, args.max_parents, args.missing_fraction, args.out
     )
     for a in result.aggregates:
         print(f"benchmark: {a.model_kind} max_parents={a.max_parents} "

@@ -72,3 +72,13 @@ def _integer(value, name, floor, error):
         need = "a non-negative integer" if floor == 0 else f"an integer >= {floor}"
         raise error(f"{name} must be {need}, got {value!r}")
     return int(value)
+
+
+def _check_columns(num_cols, num_vars, holder):
+    """Raise ``InvalidInputError`` unless a table of ``num_cols`` columns fits
+    a ``holder`` (``"model"`` or ``"graph"``) of ``num_vars`` variables."""
+    if num_cols != num_vars:
+        unit = {"model": "variables", "graph": "nodes"}[holder]
+        raise InvalidInputError(
+            f"data has {num_cols} columns but the {holder} has {num_vars} {unit}"
+        )

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, SingularDesignError, ValidationError
+from .errors import (
+    ConvergenceError,
+    InvalidInputError,
+    SingularDesignError,
+    ValidationError,
+    _check_columns,
+)
 
 __all__ = [
     "LinearGaussianBn",
@@ -150,10 +156,7 @@ def fit_complete_lg(data, dag):
     """
     if not data.fully_observed:
         raise InvalidInputError("fit_complete_lg requires fully observed data; use em_fit_lg")
-    if data.num_cols != dag.num_vars:
-        raise InvalidInputError(
-            f"data has {data.num_cols} columns but the graph has {dag.num_vars} nodes"
-        )
+    _check_columns(data.num_cols, dag.num_vars, "graph")
     max_family = max((len(ps) for ps in dag.parents), default=0) + 1
     if data.num_rows <= max_family + 1:
         raise InvalidInputError(
@@ -252,10 +255,7 @@ def log_marginal_lg_rows(model, data):
     normal.  Rows with nothing observed contribute 0 (the integral of a
     density over everything).
     """
-    if data.num_cols != model.num_vars:
-        raise InvalidInputError(
-            f"data has {data.num_cols} columns but the model has {model.num_vars} variables"
-        )
+    _check_columns(data.num_cols, model.num_vars, "model")
     return _condition(model, data.values, data.observed, False)[0]
 
 
@@ -321,10 +321,7 @@ def em_fit_lg(data, dag, history=None):
         appended to it; the last entry equals
         ``log_marginal_lg_rows(model, data).sum()`` of the returned model.
     """
-    if data.num_cols != dag.num_vars:
-        raise InvalidInputError(
-            f"data has {data.num_cols} columns but the graph has {dag.num_vars} nodes"
-        )
+    _check_columns(data.num_cols, dag.num_vars, "graph")
     if data.fully_observed:
         model = fit_complete_lg(data, dag)
         if history is not None:

@@ -79,7 +79,15 @@ per (point, centre) pair.  Above it they come from a fast Gauss transform
   faster expanded, calls of 21 points broke even near 150 centres, and
   single points were 5 to 10 times faster on the dense kernel.
   ``_FGT_MIN_CENTRES`` = 200 keeps the dense kernel and its bits for
-  tables of a few hundred rows.
+  tables of a few hundred rows.  End to end, expanding every table
+  (``_FGT_MIN_CENTRES`` = 1) on the wide-missing benchmark, about 150
+  centres a column, lifted eval from 7,300-7,600 to 12,400-14,500 rows/s
+  but cut sampling from 660-680 to 260-320 rows/s and slowed the cbn fit
+  from 0.086-0.090 to 0.101-0.119 s (3 alternating pairs of 12 s runs,
+  seed 1).  A table build costs 0.5 to 1.2 ms from 20 to 2,000 centres:
+  numpy call overhead, not arithmetic.  So each kernel wins on a
+  benchmarked workload, and the dispatch by centre count stays until a
+  table build is far cheaper.
 
 Huge points.  A finite point some 1e154 bandwidths or more from a centre
 overflows t, or -t**2 / 2, to infinity.  The sums read that as an infinitely

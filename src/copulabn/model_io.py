@@ -93,7 +93,10 @@ def deserialize(text):
     if doc.get("version") != _VERSION:
         raise ValidationError(f"unsupported model version {doc.get('version')!r}")
     kind = _require(doc, "model_kind")
-    names = tuple(str(c) for c in _require(doc, "column_names"))
+    names = _require(doc, "column_names")
+    if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
+        raise ValidationError("field 'column_names' must be a list of strings")
+    names = tuple(names)
     parents = _require(doc, "parents")
     try:
         dag = Dag(len(names), tuple(tuple(_numbers(ps, "parents", (int,))) for ps in parents))

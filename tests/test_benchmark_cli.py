@@ -465,6 +465,11 @@ def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, ca
         ["sample", "--model-file", model, "--count", "3", "--seed", "-1",
          "--out", str(tmp_path / "s.csv")],
         bench + ["--seed", "-1"],
+        fit + ["--missing-fraction", "0.1,"],
+        fit + ["--max-parents", "2,"],
+        ["eval", "--model-file", model, "--data", str(small_csv), "--missing-fraction", "nan"],
+        bench + ["--missing-fraction", ","],
+        bench + ["--max-parents", "1,,x"],
     ):
         assert main(argv) == 1, argv
     # Usage is checked before any input file is read, so a missing one does
@@ -492,6 +497,14 @@ def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, ca
         ["sample", "--model-file", str(tmp_path / "missing.json"), "--count", "3",
          "--seed", "-1", "--out", str(tmp_path / "s.csv")],
         ["benchmark", "--data", missing, "--seed", "-1", "--out", str(tmp_path / "b.csv")],
+        fit + ["--missing-fraction", "0.1,"],
+        fit + ["--max-parents", "2,"],
+        ["eval", "--model-file", str(tmp_path / "missing.json"), "--data", missing,
+         "--missing-fraction", "nan"],
+        ["benchmark", "--data", missing, "--missing-fraction", ",",
+         "--out", str(tmp_path / "b.csv")],
+        ["benchmark", "--data", missing, "--max-parents", "1,,x",
+         "--out", str(tmp_path / "b.csv")],
     ):
         assert main(argv) == 1, argv
     assert not (tmp_path / "m.json").exists()

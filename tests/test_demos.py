@@ -57,3 +57,13 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_layout_names_every_module_and_code_directory():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(.*?)```", readme.split("## Layout", 1)[1], re.DOTALL).group(1)
+    named = set(re.findall(r"[\w.]+", block))
+    modules = {p.name for p in (ROOT / "src" / "copulabn").glob("*.py")}
+    assert modules <= named, modules - named
+    directories = set(re.findall(r"^(\w+)/", block, re.MULTILINE))
+    assert {"src", "tests", "demos", "scripts", "perfbench"} <= directories

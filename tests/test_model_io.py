@@ -228,6 +228,24 @@ def test_rejects_bad_cbn_documents():
 
 
 @pytest.mark.parametrize(
+    "names", ["ab", {"a": 1, "b": 2}, [1, None]], ids=["string", "object", "non-strings"]
+)
+def test_rejects_column_names_that_are_not_a_list_of_strings(names):
+    # str() of each item would read these as ('a', 'b'), ('a', 'b') and ('1', 'None').
+    model = LinearGaussianBn(
+        dag=Dag.chain(2),
+        intercepts=(0.0, 1.0),
+        coefficients=((), (0.5,)),
+        variances=(1.0, 2.0),
+        column_names=("a", "b"),
+    )
+    doc = json.loads(serialize(model))
+    assert deserialize(json.dumps(doc)).column_names == ("a", "b")
+    with pytest.raises(ValidationError, match="column_names"):
+        deserialize(json.dumps(dict(doc, column_names=names)))
+
+
+@pytest.mark.parametrize(
     "kind, field, bad",
     [
         ("cbn", "rho", "0.5"),
