@@ -212,7 +212,7 @@ def run_benchmark(
     """
     model_kinds = tuple(model_kinds)
     max_parents_list = tuple(SearchConfig(max_parents=k).max_parents for k in max_parents_list)
-    missing_fractions = tuple(float(p) for p in missing_fractions)
+    missing_fractions = tuple(float(p) + 0.0 for p in missing_fractions)  # -0.0 reads as 0.0
     if not model_kinds or not max_parents_list or not missing_fractions:
         raise InvalidInputError("benchmark grids must be non-empty")
     for kind in model_kinds:

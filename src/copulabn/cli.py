@@ -61,11 +61,12 @@ def _int_at_least(low):
 
 
 def _fraction(text):
-    """argparse type: a fraction of cells to hide, in [0, 1) (never nan)."""
+    """argparse type: a fraction of cells to hide, in [0, 1) (never nan);
+    -0.0 reads as 0.0."""
     value = float(text)
     if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
-    return value
+    return value + 0.0
 
 
 def _listed(parse):
@@ -78,29 +79,36 @@ def _listed(parse):
     return comma_list
 
 
+# Defaults of the flags that describe the split --split-index names.  Without
+# --split-index, fit and eval would ignore them, so there they default to
+# None ("not given") and take these values once _check_split_flags passes.
+_SPLIT_DEFAULTS = {"splits": 10, "role": "test", "mask_scope": "train_only"}
+
+
 def _build_parser():
     parser = _Parser(prog="copulabn", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"copulabn {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common_model_flags(p, listed=False):
+    def common_model_flags(p, bench=False):
         cap = _int_at_least(0)
-        p.add_argument("--max-parents", type=_listed(cap) if listed else cap,
-                       default=[3] if listed else 3,
+        p.add_argument("--max-parents", type=_listed(cap) if bench else cap,
+                       default=[3] if bench else 3,
                        help="parent cap for structure search (1: tree-shaped networks "
                             "only); benchmark takes a comma list (default: 3)")
 
-    def common_split_flags(p, listed=False):
-        p.add_argument("--missing-fraction", type=_listed(_fraction) if listed else _fraction,
-                       default=[0.0] if listed else 0.0,
+    def common_split_flags(p, bench=False):
+        p.add_argument("--missing-fraction", type=_listed(_fraction) if bench else _fraction,
+                       default=[0.0] if bench else 0.0,
                        help="fraction of cells to hide; benchmark takes a comma list (default: 0)")
-        p.add_argument("--splits", type=_int_at_least(1), default=10,
+        p.add_argument("--splits", type=_int_at_least(1),
+                       default=_SPLIT_DEFAULTS["splits"] if bench else None,
                        help="number of train/test splits (default: 10)")
         p.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed (default: 0)")
 
-    def mask_scope_flag(p):
+    def mask_scope_flag(p, bench=False):
         p.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
-                       default="train_only",
+                       default=_SPLIT_DEFAULTS["mask_scope"] if bench else None,
                        help="which halves receive hidden cells (default: train_only)")
 
     p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
@@ -119,7 +127,7 @@ def _build_parser():
     common_split_flags(p_eval)
     p_eval.add_argument("--split-index", type=_int_at_least(0), default=None,
                         help="score one half of this split instead of the full file")
-    p_eval.add_argument("--role", choices=["train", "test"], default="test",
+    p_eval.add_argument("--role", choices=["train", "test"], default=None,
                         help="which half of the split to score (default: test)")
     mask_scope_flag(p_eval)
     p_eval.add_argument("--out", default=None, help="optional per-instance score CSV")
@@ -134,9 +142,9 @@ def _build_parser():
     p_bench.add_argument("--data", required=True, help="input CSV path")
     p_bench.add_argument("--model", type=_listed(str), default=["cbn", "lgbn"],
                          help="comma list of model kinds (default: cbn,lgbn)")
-    common_model_flags(p_bench, listed=True)
-    common_split_flags(p_bench, listed=True)
-    mask_scope_flag(p_bench)
+    common_model_flags(p_bench, bench=True)
+    common_split_flags(p_bench, bench=True)
+    mask_scope_flag(p_bench, bench=True)
     p_bench.add_argument("--out", required=True, help="output CSV path")
 
     p_marg = sub.add_parser("marginals", help="tabulate fitted marginals")
@@ -147,8 +155,17 @@ def _build_parser():
     return parser
 
 
-def _check_split_index(args):
-    """--split-index must name one of the --splits splits; checked before any file is read."""
+def _check_split_flags(args):
+    """Checked before any file is read: the flags that describe a split come
+    with --split-index, which names one of the --splits splits.  Then the
+    flags not given take their defaults."""
+    split_flags = {name: value for name, value in vars(args).items() if name in _SPLIT_DEFAULTS}
+    given = [f"--{name.replace('_', '-')}" for name, value in split_flags.items() if value is not None]
+    if args.split_index is None and given:
+        raise _UsageError(f"{', '.join(given)} without --split-index would be ignored")
+    for name, value in split_flags.items():
+        if value is None:
+            setattr(args, name, _SPLIT_DEFAULTS[name])
     if args.split_index is not None and args.split_index >= args.splits:
         raise _UsageError(f"--split-index {args.split_index} outside [0, {args.splits})")
 
@@ -169,7 +186,7 @@ def _eval_subset(data, args, role, mask_scope):
 
 
 def _cmd_fit(args):
-    _check_split_index(args)
+    _check_split_flags(args)
     data = _eval_subset(load_csv(args.data), args, "train", "train_only")
     model = fit_model(data, args.model, SearchConfig(max_parents=args.max_parents))
     save_model(model, args.out)
@@ -180,7 +197,7 @@ def _cmd_fit(args):
 
 
 def _cmd_eval(args):
-    _check_split_index(args)
+    _check_split_flags(args)
     model = load_model(args.model_file)
     data = load_csv(args.data)
     if list(data.column_names) != list(model.column_names):

@@ -20,10 +20,11 @@ density underflows to 0, down to a log density of -``np.finfo(float).max``.
 Kernel sums
 -----------
 With m centres s and bandwidth h, ``pdf(x) = sum exp(-t**2 / 2) / (m h sqrt(2 pi))``
-and ``cdf(x) = sum ndtr(t) / m``, with t = (x - s) / h.  Below
-``_FGT_MIN_CENTRES`` centres both sums run over every centre, one exp or ndtr
-per (point, centre) pair.  Above it they come from a fast Gauss transform
-(Greengard & Strain 1991; Yang, Duraiswami & Gumerov 2003):
+and ``cdf(x) = sum ndtr(t) / m``, with t = (x - s) / h.  ``pdf``, ``cdf`` and
+``log_pdf`` take both sums from a fast Gauss transform (Greengard & Strain
+1991; Yang, Duraiswami & Gumerov 2003) at every centre count; the dense
+kernel, one exp or ndtr per (point, centre) pair, is kept for the hand-over
+below and for ``quantile`` below ``_FGT_MIN_CENTRES`` centres:
 
 * Moments.  The sorted centres fall into source boxes w = h sqrt(2) wide.
   For a box centred at c, with u = (x - c) / w and d = (s - c) / w in
@@ -42,11 +43,16 @@ per (point, centre) pair.  Above it they come from a fast Gauss transform
   grows at pi**-0.5 times the kernel sum per unit of v, a point costs one
   gather of its box's column and two Horner passes:
   ``pdf = sum_b L_b v**b`` and ``cdf = cum(t) + pi**-0.5 sum_b L_b v**(b+1) / (b+1)``.
-  The table is built once per marginal, in blocks of (target, source)
-  pairs, and cached.  Scoring a column (``cbn``) and each Newton step of
-  ``quantile`` ask for both sums in one pass; a call for one sum skips the
-  other's Horner pass.  Below ``_FGT_MIN_CENTRES`` one block of t per chunk
-  of points feeds both sums the same way.
+  The rounded centres lie Delta = j + eps widths apart, j = -7...7 keys
+  and eps their rounding, so a source's share is two fixed matrices, built
+  at import for the 15 offsets, applied to its moments:
+  ``h_(a+b)(j + eps) = h_(a+b)(j) - eps h_(a+b+1)(j)``, and the cdf at t
+  likewise from erfc(-j) / 2, h_(a-1)(j) and ``eps pi**-0.5 sum_a A_a h_a(j)``.
+  The eps term matters far from the grid's origin, where eps reaches 1e-11.
+  The table is built once per marginal and cached.  Scoring a column
+  (``cbn``) and each Newton step of ``quantile`` ask for both sums in one
+  pass; a call for one sum skips the other's Horner pass.  On the dense
+  kernel one block of t per chunk of points feeds both sums the same way.
 * Truncation.  By Cramer's inequality,
   ``|h_a(u)| <= K 2**(a/2) sqrt(a!) exp(-u**2 / 2)`` with K = 1.086435, so
   the terms a >= P of one centre add at most ``K sum_{a>=P} 2**(-a/2) / sqrt(a!)``
@@ -66,28 +72,22 @@ per (point, centre) pair.  Above it they come from a fast Gauss transform
   against a small pdf: in a far tail its relative error reaches 1.  So
   where the expanded kernel sum falls below ``_EXACT_BELOW`` = 1e-3 of the
   largest box count (0.36 to 1.3 times the sum's peak), the pdf is summed
-  again over every centre, as below ``_FGT_MIN_CENTRES``.  Against the dense
-  kernel on warped, tied, gapped and Cauchy columns of 200 to 4,000 centres,
-  the expanded kernel sum's relative error measured at most 1.2e-14 above
-  that fraction and 3.3e-14 between 1e-4 and 1e-3 of the largest count.
-  The cdf keeps its expansion everywhere: its error, at most 6e-16 in the
-  same runs, is small against ``CDF_FLOOR``.
-* Crossover.  The expansion costs a table build of 0.5 to 0.9 ms per
-  marginal and then a fixed 2 x 25 terms per point, against the dense
-  kernel's m per point.  Measured for the cdf and pdf together on a 2-core
-  VM, at 50 to 200 centres: calls of 300 or 2,000 points were 3 to 40 times
-  faster expanded, calls of 21 points broke even near 150 centres, and
-  single points were 5 to 10 times faster on the dense kernel.
-  ``_FGT_MIN_CENTRES`` = 200 keeps the dense kernel and its bits for
-  tables of a few hundred rows.  End to end, expanding every table
-  (``_FGT_MIN_CENTRES`` = 1) on the wide-missing benchmark, about 150
-  centres a column, lifted eval from 7,300-7,600 to 12,400-14,500 rows/s
-  but cut sampling from 660-680 to 260-320 rows/s and slowed the cbn fit
-  from 0.086-0.090 to 0.101-0.119 s (3 alternating pairs of 12 s runs,
-  seed 1).  A table build costs 0.5 to 1.2 ms from 20 to 2,000 centres:
-  numpy call overhead, not arithmetic.  So each kernel wins on a
-  benchmarked workload, and the dispatch by centre count stays until a
-  table build is far cheaper.
+  again over every centre.  Against the dense kernel on warped, tied,
+  gapped and Cauchy columns of 2 to 4,000 centres, the expanded kernel
+  sum's relative error measured at most 1.7e-14 above that fraction and
+  5.2e-14 between 1e-4 and 1e-3 of the largest count.  The cdf keeps its
+  expansion everywhere: its error, at most 8e-16 in the same runs, is small
+  against ``CDF_FLOOR``.
+* Crossover.  A table build costs 0.18 to 0.47 ms from 20 to 4,000 centres
+  on a 2-core VM, and then a point costs a fixed 2 x 25 terms, against the
+  dense kernel's m.  Scoring reads whole columns, so it always expands.  ``quantile``
+  below ``_FGT_MIN_CENTRES`` = 200 centres keeps the dense kernel, for its
+  bracket table and its Newton steps: a ``sample`` command builds its
+  marginals afresh and draws a few points per column (20 rows of 40
+  columns on the wide-missing benchmark), where a table would cost more
+  than the sums it saves.  That quantile inverts the dense cdf, which
+  differs from the public ``cdf`` by ulps, so ``cdf(quantile(u))`` stays
+  within ``_QUANTILE_TOL`` of u.
 
 Huge points.  A finite point some 1e154 bandwidths or more from a centre
 overflows t, or -t**2 / 2, to infinity.  The sums read that as an infinitely
@@ -97,11 +97,10 @@ density lies below -``np.finfo(float).max`` and ``log_pdf`` raises
 ``OutOfRangeError``.
 
 Every sum runs in a fixed order per point: over b by Horner's rule, on a
-table whose every column sums its sources from left to right and each
-source over a.  So a point's pdf, cdf and log_pdf are bitwise the same
-whether it is evaluated alone or in any batch, for any ``_CHUNK_ELEMENTS``
-(the table's blocks included), and whether its cdf and log_pdf come from one
-pass or from two calls.
+table built once per marginal in a fixed order, whatever the thread count.
+So a point's pdf, cdf and log_pdf are bitwise the same whether it is
+evaluated alone or in any batch, for any ``_CHUNK_ELEMENTS``, and whether
+its cdf and log_pdf come from one pass or from two calls.
 """
 
 import math
@@ -159,6 +158,11 @@ def _hermite_terms():
 
 
 _HERMITE_TERMS = _hermite_terms()
+_INV_FACTORIAL = 1.0 / np.array([math.factorial(a) for a in range(_HERMITE_TERMS)], dtype=float)
+# Source boxes per matrix product of the table build: 15 x 26 x 25 x 16
+# multiply-adds stay below the size at which OpenBLAS splits a product over
+# threads (4 x 65,536), so the table's bits do not depend on the thread count.
+_BLAS_COLUMNS = 16
 _REACH = 0.5 + math.sqrt(-math.log(_UNIT_ROUNDOFF))
 _TRANSLATE = int(_REACH + 0.5)
 _EXACT_BELOW = 1e-3
@@ -170,32 +174,33 @@ _QUANTILE_TOL = 1e-10
 _QUANTILE_MAX_ITER = 200
 
 
-def _translated(moments, delta):
-    """Source boxes' shares of their target boxes' tables, one column per
-    (target, source) pair: the moments ``A_a`` of the source and the offset
-    ``delta`` = (t - c) / w of the target's centre t from the source's c.
+def _offset_matrices():
+    # For a target box j = -_TRANSLATE, ..., _TRANSLATE keys right of a
+    # source box, block j of `shares` maps the source's moments A_a to its
+    # share of the target's table: rows b < P give (-1)**b / b! h_(a+b)(j),
+    # whose products are the coefficients L_b, and row P the kernel-cdf sum
+    # at the target's centre, erfc(-j) / 2 for a = 0 and -pi**-0.5 h_(a-1)(j)
+    # after.  Block j of `slopes` is its derivative in the offset, since
+    # h_n' = -h_(n+1).  h_n comes from h_n = 2j h_(n-1) - 2(n-1) h_(n-2).
+    j = np.arange(-_TRANSLATE, _TRANSLATE + 1.0)
+    herm = np.empty((2 * _HERMITE_TERMS, j.size))
+    herm[0] = np.exp(-j * j)
+    herm[1] = 2.0 * j * herm[0]
+    for n in range(2, herm.shape[0]):
+        herm[n] = 2.0 * j * herm[n - 1] - (2.0 * (n - 1)) * herm[n - 2]
+    a = np.arange(_HERMITE_TERMS)
+    sign = (_INV_FACTORIAL * (-1.0) ** a)[:, None, None]  # (-1)**b / b!, rows b
+    shares = np.empty((j.size, _HERMITE_TERMS + 1, _HERMITE_TERMS))
+    slopes = np.empty_like(shares)
+    shares[:, :-1] = (sign * herm[a[:, None] + a]).transpose(2, 0, 1)
+    slopes[:, :-1] = (-sign * herm[a[:, None] + a + 1]).transpose(2, 0, 1)
+    shares[:, -1, 0] = 0.5 * erfc(-j)
+    shares[:, -1, 1:] = -_INV_SQRT_PI * herm[: _HERMITE_TERMS - 1].T
+    slopes[:, -1] = _INV_SQRT_PI * herm[:_HERMITE_TERMS].T
+    return j, shares.reshape(-1, _HERMITE_TERMS), slopes.reshape(-1, _HERMITE_TERMS)
 
-    Returns the sums ``sum_a A_a h_(a+b)(delta)`` for b < ``_HERMITE_TERMS``
-    (rows b) and the kernel-cdf sum at t,
-    ``A_0 erfc(-delta) / 2 - pi**-0.5 sum_{a>=1} A_a h_(a-1)(delta)``.  The
-    Hermite functions come from one recurrence
-    h_n = 2 delta h_(n-1) - 2(n-1) h_(n-2), from h_0 = exp(-delta**2); each
-    sum runs in order of a.
-    """
-    terms = moments.shape[0]
-    herm = np.empty((2 * terms - 1, delta.size))
-    two_delta = 2.0 * delta
-    herm[0] = np.exp(-delta * delta)
-    herm[1] = two_delta * herm[0]
-    for n in range(2, 2 * terms - 1):
-        herm[n] = two_delta * herm[n - 1] - (2.0 * (n - 1)) * herm[n - 2]
-    dens = moments[0] * herm[:terms]
-    series = moments[1] * herm[0]
-    for a in range(1, terms):
-        dens += moments[a] * herm[a : a + terms]
-        if a > 1:
-            series += moments[a] * herm[a - 1]
-    return dens, 0.5 * moments[0] * erfc(-delta) - _INV_SQRT_PI * series
+
+_OFFSETS, _SHARES, _SLOPES = _offset_matrices()
 
 
 def _horner(coef, v):
@@ -258,54 +263,49 @@ class KdeMarginal:
     def _boxes(self):
         # The sorted centres fall into source boxes w = h sqrt(2) wide, keyed
         # k = floor((s - s_0) / w) and centred at s_0 + (k + 1/2) w; each
-        # source box within _TRANSLATE keys of a target box on the same grid
-        # adds its share (_translated) to the target's table.  Returns
-        # (origin s_0, target keys, target centres, largest box count, coef,
-        # base), one column per target box: coef[0] holds the Taylor
-        # coefficients L_b of the kernel sum in rows b, coef[1] the kernel-cdf
-        # sum's pi**-0.5 L_b / (b + 1), and base the kernel-cdf sum at the
-        # target's centre.  After the last target box come the gaps: gap
-        # column j has zero coefficients and, as its base, the count of
-        # centres left of the gap before target box j (past the last box for
-        # the last gap column).
+        # source box adds its share to the target boxes, on the same grid,
+        # within _TRANSLATE keys.  Returns (origin s_0, target keys, target
+        # centres, largest box count, coef, base), one column per target box:
+        # coef[0] holds the Taylor coefficients L_b of the kernel sum in rows
+        # b, coef[1] the kernel-cdf sum's pi**-0.5 L_b / (b + 1), and base the
+        # kernel-cdf sum at the target's centre.  Gap column j, after the
+        # last target box, has zero coefficients and, as its base, the count
+        # of centres left of the gap before target box j (past the last box).
         s = np.sort(self.samples)
         width = self.bandwidth * _SQRT2
         key = np.floor((s - s[0]) / width)
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        counts = np.diff(np.r_[starts, s.size])
+        starts = np.flatnonzero(np.diff(key, prepend=-1.0))
+        counts = np.diff(starts, append=s.size)
         source = key[starts]
         origins = s[0] + (source + 0.5) * width
-        d = (s - np.repeat(origins, counts)) / width
-        moments = np.zeros((_HERMITE_TERMS, source.size))
-        term = np.ones(s.size)
-        for a in range(_HERMITE_TERMS):
-            moments[a] = np.add.reduceat(term, starts)
-            term = term * d / (a + 1)
-        offsets = np.arange(-_TRANSLATE, _TRANSLATE + 1)
-        keys = np.unique(source[:, None] + offsets)
-        centres = s[0] + (keys + 0.5) * width
-        left = np.r_[0.0, np.cumsum(counts, dtype=float)]
-        coef = np.zeros((2, _HERMITE_TERMS, 2 * keys.size + 1))
-        base = left[np.searchsorted(source, np.r_[keys - _TRANSLATE, keys, np.inf])]
-        # Pair p joins source p % n with the target offsets[p // n] keys to
-        # its left, so each target adds its sources from left to right.
-        # Blocks of pairs bound the Hermite rows; one offset's targets are
-        # distinct, so each block adds one slice of pairs per offset.
+        power = np.empty((_HERMITE_TERMS, s.size))  # d**a in rows a
+        power[0] = 1.0
+        power[1] = (s - np.repeat(origins, counts)) / width
+        for a in range(2, _HERMITE_TERMS):
+            np.multiply(power[a - 1], power[1], out=power[a])
         n = source.size
-        step = max(1, _CHUNK_ELEMENTS // (2 * _HERMITE_TERMS))
-        for start in range(0, offsets.size * n, step):
-            pair = np.arange(start, min(start + step, offsets.size * n))
-            box = pair % n
-            target = np.searchsorted(keys, source[box] - offsets[pair // n])
-            dens, cum = _translated(moments[:, box], (centres[target] - origins[box]) / width)
-            cuts = np.r_[0, np.flatnonzero(box[1:] <= box[:-1]) + 1, pair.size]
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                coef[0][:, target[lo:hi]] += dens[:, lo:hi]
-                base[target[lo:hi]] += cum[lo:hi]
+        moments = np.zeros((-(-n // _BLAS_COLUMNS) * _BLAS_COLUMNS, _HERMITE_TERMS))  # zero boxes pad a block
+        moments[:n] = (np.add.reduceat(power, starts, axis=1) * _INV_FACTORIAL[:, None]).T
+        keys = np.unique(source[:, None] + _OFFSETS)
+        centres = s[0] + (keys + 0.5) * width
+        # The rounded centres lie j + eps widths apart, eps of the order of
+        # their rounding: each (source, offset) pair's share is its block at
+        # j plus eps times the block's slope.  Each target sums its pairs,
+        # sorted by target, and then its base adds the count of centres left
+        # of its reach.
+        target = np.searchsorted(keys, source[:, None] + _OFFSETS).ravel()
+        eps = ((centres[target] - np.repeat(origins, _OFFSETS.size)) / width - np.tile(_OFFSETS, n))[:, None]
+        blocks = moments.reshape(-1, _BLAS_COLUMNS, _HERMITE_TERMS)
+        shares = [(blocks @ m.T).reshape(-1, _HERMITE_TERMS + 1)[: target.size] for m in (_SHARES, _SLOPES)]
+        order = np.argsort(target, kind="stable")
+        first = np.searchsorted(target[order], np.arange(keys.size))
+        table = np.zeros((_HERMITE_TERMS + 1, 2 * keys.size + 1))
+        table[:, : keys.size] = np.add.reduceat((shares[0] + eps * shares[1])[order], first, axis=0).T
+        left = np.cumsum(np.concatenate(([0.0], counts)))
+        table[-1] += left[np.searchsorted(source, np.concatenate((keys - _TRANSLATE, keys, [np.inf])))]
         b = np.arange(1.0, _HERMITE_TERMS + 1.0)[:, None]  # b + 1
-        coef[0] *= np.cumprod(np.r_[1.0, -1.0 / b[:-1, 0]])[:, None]  # (-1)**b / b!
-        coef[1] = coef[0] * (_INV_SQRT_PI / b)
-        return s[0], keys, np.r_[centres, np.zeros(keys.size + 1)], float(counts.max()), coef, base
+        coef = np.stack([table[:-1], table[:-1] * (_INV_SQRT_PI / b)])
+        return s[0], keys, np.concatenate((centres, np.zeros(keys.size + 1))), float(counts.max()), coef, table[-1]
 
     def _expanded(self, x, pdf, cdf):
         """Kernel sums if ``pdf`` and kernel-cdf sums if ``cdf``, over all
@@ -352,26 +352,26 @@ class KdeMarginal:
                 cum[sl] = ndtr(t).sum(axis=1)
         return dens, cum
 
-    def _kernel_sums(self, x, pdf, cdf):
+    def _kernel_sums(self, x, pdf, cdf, dense=False):
         """The pdf if ``pdf`` and the clamped cdf if ``cdf`` at 1-d ``x``, None
         where not asked for: the sums over the centres of exp(-t**2 / 2) and
         of ndtr(t), scaled.
 
-        Below _FGT_MIN_CENTRES every sum runs over every centre
-        (:meth:`_dense_sums`).  Above it both sums come from one gather of
-        each point's target box in the fast Gauss transform's table
-        (:meth:`_expanded`), and a pdf sum that falls below _EXACT_BELOW of
-        the largest box count is summed again over every centre the same
-        way.
+        Both sums come from one gather of each point's target box in the
+        fast Gauss transform's table (:meth:`_expanded`), and a pdf sum that
+        falls below _EXACT_BELOW of the largest box count is summed again
+        over every centre (:meth:`_dense_sums`).  If ``dense``, as for
+        :meth:`quantile` below _FGT_MIN_CENTRES, every sum runs over every
+        centre.
         """
         with np.errstate(over="ignore"):  # huge points; see the module docstring
-            if self.samples.size < _FGT_MIN_CENTRES:
+            if dense:
                 dens, cum = self._dense_sums(x, pdf, cdf)
             else:
                 dens, cum = self._expanded(x, pdf, cdf)
                 if pdf:
-                    dense = np.nonzero(dens < _EXACT_BELOW * self._boxes[3])[0]
-                    dens[dense] = self._dense_sums(x[dense], pdf=True, cdf=False)[0]
+                    low = np.nonzero(dens < _EXACT_BELOW * self._boxes[3])[0]
+                    dens[low] = self._dense_sums(x[low], pdf=True, cdf=False)[0]
         if pdf:
             dens /= self.samples.size
             dens *= _INV_SQRT_2PI / self.bandwidth
@@ -400,22 +400,19 @@ class KdeMarginal:
 
     def _cdf_and_log_pdf(self, x):
         """``(cdf(x), log_pdf(x))`` at 1-d ``x``, bitwise as the two public
-        calls give them, from one kernel pass: one gather of each point's
-        table column above the crossover, one block of t per chunk below
-        it."""
+        calls give them, from one gather of each point's table column."""
         dens, cum = self._kernel_sums(x, pdf=True, cdf=True)
         return cum, self._log_of_pdf(x, dens)
 
     def pdf(self, x):
         """Density at ``x`` (scalar or array; returns matching shape).
 
-        The mean of the m kernels at ``x``: summed over every centre below
-        ``_FGT_MIN_CENTRES`` centres, and above it from the fast Gauss
-        transform's ``_HERMITE_TERMS``-term Taylor series about the centre of
-        the point's box (truncation at most 2**-53 of a kernel's peak by
+        The mean of the m kernels at ``x``, from the fast Gauss transform's
+        ``_HERMITE_TERMS``-term Taylor series about the centre of the
+        point's box (truncation at most 2**-53 of a kernel's peak by
         Cramer's inequality), except where that falls below
-        ``_EXACT_BELOW`` of the peak: there it is summed over every centre
-        too.  See the module docstring.
+        ``_EXACT_BELOW`` of the peak: there it is summed over every centre.
+        See the module docstring.
         """
         x = np.asarray(x, dtype=float)
         out, _ = self._kernel_sums(x.reshape(-1), pdf=True, cdf=False)
@@ -446,11 +443,10 @@ class KdeMarginal:
         """Clamped distribution function at ``x``.
 
         Values are clipped to ``[CDF_FLOOR, CDF_CEIL]`` so the normal score
-        of any output is finite.  The mean of the m kernel cdfs: summed over
-        every centre below ``_FGT_MIN_CENTRES`` centres; above it, the sum
-        at the centre of the point's box plus the ``_HERMITE_TERMS``-term
-        Taylor series of the kernel sum's integral from there (see the
-        module docstring).
+        of any output is finite.  The mean of the m kernel cdfs: the sum at
+        the centre of the point's box plus the ``_HERMITE_TERMS``-term Taylor
+        series of the kernel sum's integral from there (see the module
+        docstring).
         """
         x = np.asarray(x, dtype=float)
         _, out = self._kernel_sums(x.reshape(-1), pdf=False, cdf=True)
@@ -466,6 +462,8 @@ class KdeMarginal:
         converged, in one kernel pass, shrinks each bracket by the sign of
         the error, and takes the Newton step ``x - err / pdf(x)``, or the
         bracket midpoint when that step is not finite or leaves the bracket.
+        Below ``_FGT_MIN_CENTRES`` centres both the table and the steps sum
+        every kernel.
 
         Parameters
         ----------
@@ -491,9 +489,10 @@ class KdeMarginal:
             raise OutOfRangeError("quantile targets must lie strictly inside (0, 1)")
         target = np.clip(flat, CDF_FLOOR, CDF_CEIL)
 
+        dense = self.samples.size < _FGT_MIN_CENTRES
         # The support ends lie in the clamp, so the table brackets every target.
         xs = np.linspace(self.support_lo, self.support_hi, target.size + 1)
-        cs = self.cdf(xs)
+        cs = self._kernel_sums(xs, pdf=False, cdf=True, dense=dense)[1]
         hi_idx = np.clip(np.searchsorted(cs, target, side="left"), 1, xs.size - 1)
         lo = xs[hi_idx - 1].copy()
         hi = xs[hi_idx].copy()
@@ -505,7 +504,7 @@ class KdeMarginal:
         active = np.arange(target.size)
         for _ in range(_QUANTILE_MAX_ITER):
             xa = x[active]
-            dens, cum = self._kernel_sums(xa, pdf=True, cdf=True)
+            dens, cum = self._kernel_sums(xa, pdf=True, cdf=True, dense=dense)
             err = cum - target[active]
             open_ = np.abs(err) >= _QUANTILE_TOL
             active, xa, err, dens = active[open_], xa[open_], err[open_], dens[open_]

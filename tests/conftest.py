@@ -1,22 +1,23 @@
 """Shared fixtures, synthetic-data generators and the dense-kernel,
-model-file, quadrature, Gaussian-conditioning and structure-search oracles
-for the test suite."""
+translation-table, model-file, quadrature, Gaussian-conditioning and
+structure-search oracles for the test suite."""
 
 import functools
 import json
+import math
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import logsumexp, ndtr, roots_hermitenorm, roots_legendre
+from scipy.special import erfc, logsumexp, ndtr, roots_hermitenorm, roots_legendre
 
 from copulabn.cbn import CbnModel
 from copulabn.dag import Dag
 from copulabn.errors import ConvergenceError, OutOfRangeError, SingularDesignError
 from copulabn.gaussian_bn import _VARIANCE_FLOOR
-from copulabn.marginals import CDF_CEIL, CDF_FLOOR
+from copulabn.marginals import _HERMITE_TERMS, _INV_SQRT_PI, _TRANSLATE, CDF_CEIL, CDF_FLOOR
 from copulabn.structure import _MAX_MOVES, ScoredStructure
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -63,6 +64,71 @@ def dense_kde(marginal, x):
     log_pdf = logsumexp(-0.5 * t * t, axis=1) - log_norm
     log_pdf[normal] = np.log(pdf[normal])
     return pdf, cdf, log_pdf
+
+
+def translated(moments, delta):
+    """Source boxes' shares of their target boxes' tables, one column per
+    (target, source) pair: the moments ``A_a`` of the source and the offset
+    ``delta`` = (t - c) / w of the target's centre t from the source's c.
+
+    Returns the sums ``sum_a A_a h_(a+b)(delta)`` for b < ``_HERMITE_TERMS``
+    (rows b) and the kernel-cdf sum at t,
+    ``A_0 erfc(-delta) / 2 - pi**-0.5 sum_{a>=1} A_a h_(a-1)(delta)``.  The
+    Hermite functions come from one recurrence
+    h_n = 2 delta h_(n-1) - 2(n-1) h_(n-2), from h_0 = exp(-delta**2); each
+    sum runs in order of a.
+
+    This was the package's own translation, run per pair at the pair's
+    offset, before the table was built from fixed offset matrices.
+    """
+    terms = moments.shape[0]
+    herm = np.empty((2 * terms - 1, delta.size))
+    two_delta = 2.0 * delta
+    herm[0] = np.exp(-delta * delta)
+    herm[1] = two_delta * herm[0]
+    for n in range(2, 2 * terms - 1):
+        herm[n] = two_delta * herm[n - 1] - (2.0 * (n - 1)) * herm[n - 2]
+    dens = moments[0] * herm[:terms]
+    series = moments[1] * herm[0]
+    for a in range(1, terms):
+        dens += moments[a] * herm[a : a + terms]
+        if a > 1:
+            series += moments[a] * herm[a - 1]
+    return dens, 0.5 * moments[0] * erfc(-delta) - _INV_SQRT_PI * series
+
+
+def translated_table(marginal):
+    """Translation oracle of ``KdeMarginal._boxes``: its (largest box count,
+    coef, base), from :func:`translated` at each (target, source) pair's
+    offset.  Each target adds its sources from left to right, and then its
+    base the count of centres left of its reach."""
+    s = np.sort(marginal.samples)
+    width = marginal.bandwidth * np.sqrt(2.0)
+    key = np.floor((s - s[0]) / width)
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    counts = np.diff(np.r_[starts, s.size])
+    source = key[starts]
+    origins = s[0] + (source + 0.5) * width
+    d = (s - np.repeat(origins, counts)) / width
+    moments = np.zeros((_HERMITE_TERMS, source.size))
+    term = np.ones(s.size)
+    for a in range(_HERMITE_TERMS):
+        moments[a] = np.add.reduceat(term, starts)
+        term = term * d / (a + 1)
+    keys = np.unique(source[:, None] + np.arange(-_TRANSLATE, _TRANSLATE + 1))
+    centres = s[0] + (keys + 0.5) * width
+    left = np.r_[0.0, np.cumsum(counts, dtype=float)]
+    coef = np.zeros((_HERMITE_TERMS, 2 * keys.size + 1))
+    base = np.zeros(2 * keys.size + 1)
+    for offset in range(_TRANSLATE, -_TRANSLATE - 1, -1):
+        target = np.searchsorted(keys, source + offset)
+        dens, cum = translated(moments, (centres[target] - origins) / width)
+        coef[:, target] += dens
+        base[target] += cum
+    base += left[np.searchsorted(source, np.r_[keys - _TRANSLATE, keys, np.inf])]
+    b = np.arange(_HERMITE_TERMS)
+    coef *= np.array([(-1.0) ** i / math.factorial(i) for i in b])[:, None]
+    return float(counts.max()), np.stack([coef, coef * (_INV_SQRT_PI / (b + 1.0))[:, None]]), base
 
 
 def model_document(model):

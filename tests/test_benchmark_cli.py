@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from copulabn import benchmark, gaussian_bn
 from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark, score_rows
 from copulabn.cbn import forward_sample
-from copulabn.cli import main
+from copulabn.cli import _fraction, main
 from copulabn.data import ExperimentProtocol, MaskedDataset, load_csv, make_split, save_csv
 from copulabn.marginals import fit_kde
 from copulabn.model_io import load_model
@@ -511,6 +512,60 @@ def test_cli_rejects_out_of_range_counts_as_usage_errors(small_csv, tmp_path, ca
     assert not (tmp_path / "b.csv").exists()
     assert not (tmp_path / "s.csv").exists()
     capsys.readouterr()
+
+
+def test_negative_zero_missing_fraction_reads_as_zero(small_csv, tmp_path, capsys):
+    # One grid has one CSV byte form: -0.0 labels its rows 0.0, from the
+    # command line and from run_benchmark alike.
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    for fraction, out in zip(("0", "-0.0"), outs):
+        assert main([
+            "benchmark", "--data", str(small_csv), "--model", "lgbn", "--max-parents", "1",
+            f"--missing-fraction={fraction},0.1", "--splits", "2", "--out", str(out),
+        ]) == 0
+    assert "missing=-0" not in capsys.readouterr().out
+    run_benchmark(small_csv, ExperimentProtocol(num_splits=2), ["lgbn"], [1], [-0.0, 0.1], outs[2])
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    assert math.copysign(1.0, _fraction("-0.0")) == 1.0  # fit and eval read it so too
+
+
+def test_split_flags_without_a_split_index_are_usage_errors(small_csv, tmp_path, capsys):
+    # --splits, --role and --mask-scope describe the split --split-index
+    # names; without one they would be ignored, so they are refused before
+    # any file is read.
+    model = str(tmp_path / "m.json")
+    assert main(["fit", "--data", str(small_csv), "--max-parents", "1", "--out", model]) == 0
+    missing = (str(tmp_path / "missing.csv"), str(tmp_path / "no.json"))
+    for data, model_file in ((str(small_csv), model), missing):
+        fit = ["fit", "--data", data, "--out", str(tmp_path / "f.json")]
+        ev = ["eval", "--model-file", model_file, "--data", data, "--out", str(tmp_path / "s.csv")]
+        for argv in (
+            fit + ["--splits", "3"],
+            fit + ["--splits", "10", "--missing-fraction", "0.1"],
+            ev + ["--splits", "3"],
+            ev + ["--role", "test"],
+            ev + ["--role", "train", "--missing-fraction", "0.1"],
+            ev + ["--mask-scope", "train_and_test"],
+            ev + ["--mask-scope", "train_only", "--seed", "2"],
+        ):
+            assert main(argv) == 1, argv
+            assert "without --split-index" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+    assert not (tmp_path / "s.csv").exists()
+    # With a split index each flag is read, and the defaults match the help.
+    for argv in (
+        ["fit", "--data", str(small_csv), "--split-index", "1", "--splits", "3", "--out", model],
+        ["eval", "--model-file", model, "--data", str(small_csv), "--split-index", "1", "--splits", "3",
+         "--role", "train", "--mask-scope", "train_and_test"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    outs = []
+    for extra in ([], ["--splits", "10", "--role", "test", "--mask-scope", "train_only"]):
+        assert main(["eval", "--model-file", model, "--data", str(small_csv),
+                     "--split-index", "1", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_cli_help_and_version_exit_zero(capsys):

@@ -1,10 +1,14 @@
 """Kernel marginals against brute-force normal-mixture oracles."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
@@ -19,9 +23,9 @@ from copulabn.errors import (
 )
 from copulabn import marginals as marginals_module
 from copulabn.marginals import CDF_CEIL, CDF_FLOOR, KdeMarginal, fit_kde
-from conftest import dense_kde
+from conftest import dense_kde, translated_table
 
-# A column this long takes the fast Gauss transform, not the dense kernel.
+# A column this long takes the fast Gauss transform in quantile too.
 TALL = 4000
 
 
@@ -163,7 +167,9 @@ def test_quantile_needs_few_cdf_sweeps(monkeypatch):
     sizes = []
     sums = KdeMarginal._kernel_sums
     monkeypatch.setattr(
-        KdeMarginal, "_kernel_sums", lambda self, x, pdf, cdf: sizes.append(x.size) or sums(self, x, pdf, cdf)
+        KdeMarginal,
+        "_kernel_sums",
+        lambda self, x, pdf, cdf, **kw: sizes.append(x.size) or sums(self, x, pdf, cdf, **kw),
     )
     draws = []
     for centres, n in ((1000, 1000), (150, 20)):
@@ -291,7 +297,7 @@ def test_log_pdf_matches_log_of_pdf_where_positive():
 def test_log_pdf_is_finite_where_pdf_underflows():
     # Also where the pdf is subnormal: its few significant bits would put
     # errors of up to 0.75 nats into np.log(pdf), so logsumexp takes over.
-    for size in (150, 300):  # the dense kernel, then the expansion
+    for size in (150, 300):  # below and above quantile's crossover
         rng = np.random.default_rng(10)
         marginal = fit_kde(rng.normal(size=size))
         m, h = marginal.samples.size, marginal.bandwidth
@@ -312,7 +318,7 @@ def test_log_pdf_is_finite_where_pdf_underflows():
 def test_non_finite_points():
     # NaN stays NaN; an infinite point has no kernel mass and clamped cdf.
     rng = np.random.default_rng(13)
-    for size in (150, TALL):  # the dense kernel, then the expansion
+    for size in (150, TALL):  # below and above quantile's crossover
         marginal = fit_kde(rng.normal(size=size))
         x = np.array([np.nan, -np.inf, np.inf])
         assert np.all(np.isnan([f(x)[0] for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)]))
@@ -327,7 +333,7 @@ def test_huge_finite_points():
     # -finfo.max is an error that names the point.
     rng = np.random.default_rng(14)
     huge = np.array([1e155, 1e300, -1e308, 1e308, 1.7e308, -1.7e308])
-    for size in (150, TALL):  # the dense kernel, then the expansion
+    for size in (150, TALL):  # below and above quantile's crossover
         marginal = fit_kde(rng.normal(size=size))
         np.testing.assert_array_equal(marginal.pdf(huge), 0.0)
         np.testing.assert_array_equal(marginal.cdf(huge), np.where(huge > 0.0, CDF_CEIL, CDF_FLOOR))
@@ -344,12 +350,13 @@ def test_huge_finite_points():
 )
 def test_kernel_blocks_do_not_change_results(monkeypatch, query):
     # Blocks split only along the query points, so every block size must
-    # give bitwise the same pdf, cdf and log_pdf: one point per block (a
-    # budget of 1 or 7 elements), a few points per block (a ragged last
-    # block), and one block for all.  The 150-centre column takes the dense
-    # kernel, the 301- and TALL-centre columns the fast Gauss transform,
-    # whose table is built on first use, in blocks of (target, source) box
-    # pairs, and cached: so each budget gets a fresh marginal.
+    # give bitwise the same pdf, cdf, log_pdf and quantile: one point per
+    # block (a budget of 1 or 7 elements), a few points per block (a ragged
+    # last block), and one block for all.  Every column's pdf, cdf and
+    # log_pdf take the fast Gauss transform, whose table is built on first
+    # use and cached, so each budget gets a fresh marginal.  The quantile
+    # of the 150-centre column takes the dense kernel.
+    levels = np.linspace(0.05, 0.95, 7)
     for size in (150, 301, TALL):
         assert (size < marginals_module._FGT_MIN_CENTRES) == (size == 150)
         column = np.random.default_rng(11).gamma(2.0, 1.5, size=size)
@@ -359,6 +366,7 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, query):
             marginal = fit_kde(column)
             assert marginal.pdf(45.0) == 0.0  # "far" takes the logsumexp branch
             results.append([np.asarray(f(query)) for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)])
+            results[-1].append(marginal.quantile(levels))
         monkeypatch.undo()
         for other in results[1:]:
             for got, want in zip(other, results[0]):
@@ -371,10 +379,12 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, query):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
-    size=st.integers(marginals_module._FGT_MIN_CENTRES // 2, TALL),
+    size=st.integers(2, TALL),
     seed=st.integers(0, 2**32 - 1),
     narrow=st.booleans(),
 )
+@example(kind="warped", size=2, seed=0, narrow=False)
+@example(kind="cauchy", size=150, seed=0, narrow=True)
 @example(kind="warped", size=TALL, seed=0, narrow=False)
 @example(kind="tied", size=TALL, seed=1, narrow=True)
 @example(kind="gapped", size=TALL, seed=2, narrow=True)
@@ -391,6 +401,7 @@ def test_kernel_matches_the_dense_oracle(kind, size, seed, narrow):
     # pdf's own rounding.
     rng = np.random.default_rng(seed)
     column = _column(kind, size, rng)
+    assume(narrow or np.ptp(column) > 0.0)  # a few tied centres can all be equal
     marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
     h, lo, hi = marginal.bandwidth, column.min(), column.max()
     x = np.concatenate([
@@ -408,6 +419,66 @@ def test_kernel_matches_the_dense_oracle(kind, size, seed, narrow):
     assert np.all(np.abs(got_log - log_pdf)[finite] <= 1e-13 * np.maximum(np.abs(log_pdf[finite]), 1.0))
     assert np.all(got_pdf >= 0.0)
     assert np.all((CDF_FLOOR <= got_cdf) & (got_cdf <= CDF_CEIL))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
+    size=st.integers(2, TALL),
+    seed=st.integers(0, 2**32 - 1),
+    narrow=st.booleans(),
+)
+@example(kind="gapped", size=2, seed=0, narrow=True)
+@example(kind="warped", size=150, seed=0, narrow=False)
+@example(kind="gapped", size=TALL, seed=2, narrow=True)
+@example(kind="cauchy", size=TALL, seed=1, narrow=True)  # boxes thousands of widths from the origin
+def test_the_table_matches_the_translation_oracle(kind, size, seed, narrow):
+    # The fixed offset matrices and their first-order term in the rounding
+    # of the box centres give each target the coefficients that translating
+    # every (target, source) pair at its own offset gives, within 1e-15 of
+    # the largest box count.  A base also adds the count of centres left of
+    # the target's reach, up to m, so it may differ in its last two bits.
+    column = _column(kind, size, np.random.default_rng(seed))
+    assume(narrow or np.ptp(column) > 0.0)
+    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    largest, coef, base = translated_table(marginal)
+    _, _, _, got_largest, got_coef, got_base = marginal._boxes
+    assert got_largest == largest and got_coef.shape == coef.shape
+    assert np.all(np.abs(got_coef - coef) <= 1e-15 * largest)
+    assert np.all(np.abs(got_base - base) <= 1e-15 * largest + 2.0 * np.spacing(base))
+
+
+_TABLE_DIGEST = """
+import hashlib
+import numpy as np
+from copulabn.marginals import KdeMarginal, fit_kde
+digest = hashlib.sha256()
+for seed, kind in enumerate(["warped", "tied", "gapped", "cauchy"]):
+    z = np.random.default_rng(seed).standard_normal(4000)
+    column = {"warped": np.exp(z / 2.0) + 0.3 * z, "tied": np.round(z, 0),
+              "gapped": np.where(z > 0.0, z + 200.0, z), "cauchy": np.tan(z)}[kind]
+    for marginal in (fit_kde(column), KdeMarginal.from_params(column, 0.05)):
+        for part in marginal._boxes[1:]:
+            digest.update(np.asarray(part).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_the_table_does_not_depend_on_the_thread_count():
+    # Matrix products build the table; its bytes must not depend on how
+    # many threads the BLAS splits a product over.  The narrow Cauchy-like
+    # column has some 400 source boxes: one product over all of them would
+    # be split.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _TABLE_DIGEST], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("size", [marginals_module._FGT_MIN_CENTRES, 1000, TALL])
@@ -456,68 +527,68 @@ def test_a_point_gets_the_same_bits_alone_or_in_any_batch(size, seed, others, re
 
 
 def test_the_dense_kernel_is_not_used_above_the_crossover(monkeypatch):
-    # Above the crossover the cdf never takes the dense kernel, and the pdf
-    # and log_pdf take it only where the expansion hands over.
+    # At every centre count the cdf never takes the dense kernel, and the
+    # pdf and log_pdf take it only where the expansion hands over.  Only
+    # quantile keeps it below the crossover, for its table and its Newton
+    # steps, and builds no expansion there.
     rng = np.random.default_rng(12)
-    tall = fit_kde(_column("warped", TALL, rng))
-    small = fit_kde(_column("warped", marginals_module._FGT_MIN_CENTRES - 1, rng))
     seen = []
     dense = KdeMarginal._kernel_columns
-    cdf = KdeMarginal.cdf
 
     def record(self, x):
         seen.append(x.copy())
         return dense(self, x)
 
-    def cdf_without_dense(self, x):
-        before = len(seen)
-        out = cdf(self, x)
-        assert self is small or len(seen) == before
-        return out
-
-    def handed_over(x):
-        return tall._expanded(x, pdf=True, cdf=False)[0] < marginals_module._EXACT_BELOW * tall._boxes[3]
-
     monkeypatch.setattr(KdeMarginal, "_kernel_columns", record)
-    monkeypatch.setattr(KdeMarginal, "cdf", cdf_without_dense)
-    x = np.concatenate([np.linspace(tall.support_lo, tall.support_hi, 500), [-1e4, 1e4]])
-    tall.cdf(x)
-    tall.quantile(rng.random(200))
-    assert all(np.all(handed_over(points)) for points in seen)  # the quantile's Newton steps
-    seen.clear()
-    tall.pdf(x)
-    assert np.array_equal(np.concatenate(seen), x[handed_over(x)])
-    assert 0 < seen[0].size < x.size / 2  # the grid's tails hand over, its bulk does not
-    seen.clear()
-    assert tall.pdf(1e4) == 0.0  # log_pdf takes its logsumexp branch there
-    assert np.all(np.isfinite(tall.log_pdf(x)))
-    assert all(np.all(handed_over(points)) for points in seen)
-    seen.clear()
-    tall._cdf_and_log_pdf(x)  # one pass: the pdf hands over as alone, the cdf never
-    assert np.array_equal(seen[0], x[handed_over(x)])
-    assert all(np.all(handed_over(points)) for points in seen)
-    seen.clear()
-    small.cdf(0.0)
-    assert len(seen) == 1
-    seen.clear()
-    small._cdf_and_log_pdf(np.array([0.0, 1.0]))  # one block of t feeds both sums
-    assert len(seen) == 1
+    for size in (2, 20, marginals_module._FGT_MIN_CENTRES - 1, marginals_module._FGT_MIN_CENTRES, TALL):
+        column = _column("warped", size, rng)
+        marginal = fit_kde(column)
+
+        def handed_over(x):
+            expanded = marginal._expanded(x, pdf=True, cdf=False)[0]
+            return expanded < marginals_module._EXACT_BELOW * marginal._boxes[3]
+
+        u = rng.random(20)
+        marginal.quantile(u)
+        if size < marginals_module._FGT_MIN_CENTRES:
+            assert "_boxes" not in vars(marginal)
+            assert seen[0].size == u.size + 1 and len(seen) > 1  # the bracket table, then the Newton steps
+        else:
+            assert all(np.all(handed_over(points)) for points in seen)  # the Newton steps
+        seen.clear()
+        x = np.concatenate([np.linspace(marginal.support_lo, marginal.support_hi, 500), [-1e4, 1e4]])
+        marginal.cdf(x)
+        assert not seen
+        marginal.pdf(x)
+        assert np.array_equal(np.concatenate(seen), x[handed_over(x)])
+        assert 0 < seen[0].size < x.size / 2  # the grid's tails hand over, its bulk does not
+        seen.clear()
+        assert marginal.pdf(1e4) == 0.0  # log_pdf takes its logsumexp branch there
+        assert np.all(np.isfinite(marginal.log_pdf(x)))
+        assert all(np.all(handed_over(points)) for points in seen)
+        seen.clear()
+        marginal._cdf_and_log_pdf(x)  # one pass: the pdf hands over as alone, the cdf never
+        assert np.array_equal(seen[0], x[handed_over(x)])
+        assert all(np.all(handed_over(points)) for points in seen)
+        seen.clear()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
-    size=st.integers(marginals_module._FGT_MIN_CENTRES, TALL),
+    size=st.integers(2, TALL),
     seed=st.integers(0, 2**32 - 1),
     narrow=st.booleans(),
 )
+@example(kind="warped", size=2, seed=0, narrow=False)
 @example(kind="warped", size=TALL, seed=0, narrow=False)
 @example(kind="cauchy", size=TALL, seed=3, narrow=True)
 def test_the_hand_over_is_the_dense_kernel_bit_for_bit(kind, size, seed, narrow):
-    # Where the expansion hands over, pdf and log_pdf equal bitwise what the
-    # same marginal gives with every point on the dense kernel.
+    # Where the expansion hands over, pdf and log_pdf equal bitwise the
+    # dense kernel's, summed over every centre.
     rng = np.random.default_rng(seed)
     column = _column(kind, size, rng)
+    assume(narrow or np.ptp(column) > 0.0)
     marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
     h, lo, hi = marginal.bandwidth, column.min(), column.max()
     x = np.concatenate([
@@ -528,21 +599,20 @@ def test_the_hand_over_is_the_dense_kernel_bit_for_bit(kind, size, seed, narrow)
     x = x[marginal._expanded(x, pdf=True, cdf=False)[0] < marginals_module._EXACT_BELOW * marginal._boxes[3]]
     assert x.size
     got = [marginal.pdf(x), marginal.log_pdf(x)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(marginals_module, "_FGT_MIN_CENTRES", size + 1)
-        want = [marginal.pdf(x), marginal.log_pdf(x)]
-    for g, w in zip(got, want):
+    pdf, _, log_pdf = dense_kde(marginal, x)
+    for g, w in zip(got, [pdf, log_pdf]):
         assert g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["warped", "tied", "gapped", "cauchy"]),
-    size=st.integers(marginals_module._FGT_MIN_CENTRES // 2, TALL),
+    size=st.integers(2, TALL),
     seed=st.integers(0, 2**32 - 1),
     narrow=st.booleans(),
     huge=st.sampled_from([1e300, -1e308, 1.7e308]),
 )
+@example(kind="tied", size=2, seed=0, narrow=True, huge=1e300)
 @example(kind="warped", size=150, seed=0, narrow=False, huge=1.7e308)
 @example(kind="warped", size=TALL, seed=0, narrow=False, huge=1e300)
 @example(kind="cauchy", size=TALL, seed=3, narrow=True, huge=-1e308)
@@ -553,6 +623,7 @@ def test_one_pass_gives_the_bits_of_the_separate_calls(kind, size, seed, narrow,
     # density is an error.
     rng = np.random.default_rng(seed)
     column = _column(kind, size, rng)
+    assume(narrow or np.ptp(column) > 0.0)
     marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
     h, lo, hi = marginal.bandwidth, column.min(), column.max()
     x = np.concatenate([
