@@ -8,7 +8,6 @@ check the samples against theory.
 """
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from copulabn.cbn import fit_complete, forward_sample, log_density
 from copulabn.dag import Dag
@@ -54,5 +53,7 @@ for j, name in enumerate(model.column_names):
 # correlation is (6/pi) asin(rho/2) — rank correlations survive the
 # marginal warps untouched.
 want = 6.0 / np.pi * np.arcsin(model.rho[1] / 2.0)
-got = spearmanr(samples[:, 0], samples[:, 1]).statistic
+# Spearman's rho is Pearson's correlation of the ranks (the draws have no ties).
+ranks = np.argsort(np.argsort(samples[:, :2], axis=0), axis=0)
+got = np.corrcoef(ranks.T)[0, 1]
 print(f"\nSpearman a~b in the samples: {got:.4f} (closed form {want:.4f})")

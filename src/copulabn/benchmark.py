@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cbn import CbnModel, lower_bound_rows
@@ -265,7 +264,6 @@ def run_benchmark(
             "package_version": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "protocol": {
                 "num_splits": protocol.num_splits,
                 "base_seed": protocol.base_seed,

@@ -33,8 +33,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .copula import (
     _check_rho,
     _scores,
@@ -118,17 +118,24 @@ def _add_family_terms(model, totals, z, observed):
     return totals
 
 
+def _cell_scores(u, observed):
+    """Normal scores of the observed cells of ``u``, from one :func:`_scores`
+    call over the whole table; NaN at hidden cells."""
+    z = np.full(u.shape, np.nan)
+    z[observed] = _scores(u[observed])
+    return z
+
+
 def _row_totals(model, values, observed):
     """Each row's marginal log densities plus its family terms.  One kernel
-    pass per column gives both the cells' log densities and their normal
-    scores; hidden cells add exactly 0.0 and have NaN scores."""
+    pass per column gives both the cells' log densities and their cdfs;
+    hidden cells add exactly 0.0 and have NaN scores."""
     logpdf = np.zeros_like(values)
-    z = np.full(values.shape, np.nan)
+    u = np.empty(values.shape)
     for j, marginal in enumerate(model.marginals):
         idx = observed[:, j]
-        cdf, logpdf[idx, j] = marginal._cdf_and_log_pdf(values[idx, j])
-        z[idx, j] = _scores(cdf)
-    return _add_family_terms(model, logpdf.sum(axis=1), z, observed)
+        u[idx, j], logpdf[idx, j] = marginal._cdf_and_log_pdf(values[idx, j])
+    return _add_family_terms(model, logpdf.sum(axis=1), _cell_scores(u, observed), observed)
 
 
 def log_density_rows(model, values):
@@ -216,11 +223,11 @@ def fit_missing(data, dag):
 
 def _normal_scores_from_marginals(marginals, values, observed):
     """Per-cell normal scores of the clamped cdf(x); NaN at hidden cells."""
-    z = np.full(values.shape, np.nan)
+    u = np.empty(values.shape)
     for j, marginal in enumerate(marginals):
         idx = observed[:, j]
-        z[idx, j] = _scores(marginal.cdf(values[idx, j]))
-    return z
+        u[idx, j] = marginal.cdf(values[idx, j])
+    return _cell_scores(u, observed)
 
 
 # Score tables by dataset object.  MaskedDataset is frozen with eq=False (it
@@ -349,14 +356,13 @@ def forward_sample(model, count, seed):
     for node in model.dag.topological_order:
         parents = model.dag.parents[node]
         if not parents:
-            u_node = np.clip(rng.random(count), 1e-12, 1.0 - 1e-12)
-            u[:, node] = u_node
-            z[:, node] = _scores(u_node)
+            u[:, node] = np.clip(rng.random(count), 1e-12, 1.0 - 1e-12)
+            z[:, node] = _scores(u[:, node])
             continue
         mean, variance = conditional_z_params(model.rho[node], z[:, parents])
-        z_node = mean + np.sqrt(variance) * rng.standard_normal(count)
-        z[:, node] = z_node
-        u[:, node] = np.clip(ndtr(z_node), 1e-12, 1.0 - 1e-12)
+        z[:, node] = mean + np.sqrt(variance) * rng.standard_normal(count)
+    children = [node for node, parents in enumerate(model.dag.parents) if parents]
+    u[:, children] = np.clip(ndtr(z[:, children]), 1e-12, 1.0 - 1e-12)  # one call; ndtr is elementwise
     out = np.empty((count, n))
     for j in range(n):
         out[:, j] = model.marginals[j].quantile(u[:, j])

@@ -35,8 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .errors import InvalidInputError, InvalidRhoError, OutOfRangeError, TooFewRowsError
 
 __all__ = [
@@ -117,7 +117,12 @@ def _ratio_from_stats(n, rho, fam_q, fam_s_sq, par_q, par_s_sq, rows=1.0):
 
 def _scores(u):
     """Normal scores ndtri(u) of points strictly inside (0, 1): the one
-    normal-score transform of the package."""
+    normal-score transform of the package.
+
+    ndtri is ``copulabn._normal.ndtri``, Wichura's AS 241 in numpy (relative
+    error below 1e-15).  It works elementwise, and each call has a fixed
+    cost several times scipy's, so callers pass a whole table at once.
+    """
     u = np.asarray(u, dtype=float)
     if u.size and (not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0)):
         raise OutOfRangeError("u values must lie strictly inside (0, 1)")

@@ -89,6 +89,8 @@ def test_benchmark_manifest_sidecar(small_csv, tmp_path):
     assert manifest["protocol"]["base_seed"] == 7
     assert manifest["grid"]["model_kinds"] == ["cbn"]
     assert manifest["cell_wall_seconds"] == [r.wall_seconds for r in result.rows]
+    assert manifest["numpy"] == np.__version__
+    assert "scipy" not in manifest  # numpy is the one runtime dependency
 
 
 @pytest.mark.parametrize(

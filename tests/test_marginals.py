@@ -234,6 +234,25 @@ def test_quantile_raises_when_out_of_iterations(monkeypatch):
     marginal.quantile(levels)
 
 
+@pytest.mark.parametrize("size", [300, 150])  # the table runs at 300 centres, the dense kernel at 150
+def test_quantile_far_from_zero_stops_at_a_bracket_one_float_wide(size):
+    # Adjacent floats near 1e8 lie 1.5e-8 apart, so the cdf steps by about
+    # 6e-9 between them and no float reaches _QUANTILE_TOL of a target.
+    rng = np.random.default_rng(9)
+    marginal = fit_kde(1e8 + rng.standard_normal(size))
+    dense = size < marginals_module._FGT_MIN_CENTRES
+    u = np.array([0.2, 0.8, 0.5, 0.03])
+    x = marginal.quantile(u)
+
+    def err(v):
+        return marginal._kernel_sums(v, pdf=False, cdf=True, dense=dense)[1] - u
+
+    below, above = err(np.nextafter(x, -np.inf)), err(np.nextafter(x, np.inf))
+    assert np.all(below < 0.0) and np.all(above > 0.0)  # x is within one float of the target
+    assert np.all(np.abs(err(x)) <= np.minimum(-below, above))  # and the nearer end
+    assert np.any(np.abs(err(x)) >= marginals_module._QUANTILE_TOL)  # the new stop ended some target
+
+
 def test_quantile_rejects_closed_endpoints():
     marginal = fit_kde(np.arange(10.0))
     for bad in (0.0, 1.0, -0.2, 1.7):
