@@ -22,9 +22,11 @@ E[q] = q_obs + t and E[s^2] = s_obs^2 + t, in closed form.
 
 Fitting is two-stage: marginals first from each column's observed values,
 then each family's rho by exact maximization, over the valid interval, of
-its own (expected) sum of ratio terms.  The bound equals the complete-data
-log-likelihood exactly (bitwise, not just numerically) when nothing is
-hidden.
+its sum of ratio terms over the rows where the whole family is observed.
+Only a family with fewer than two such rows maximizes instead its expected
+ratio terms over all rows, its share of the bound.  The bound equals the
+complete-data log-likelihood exactly (bitwise, not just numerically) when
+nothing is hidden.
 """
 
 import weakref
@@ -37,6 +39,7 @@ import numpy as np
 from ._normal import ndtr
 from .copula import (
     _check_rho,
+    _rows,
     _scores,
     _second_moments,
     conditional_z_params,
@@ -139,8 +142,12 @@ def _row_totals(model, values, observed):
 
 
 def log_density_rows(model, values):
-    """Joint log density of fully observed rows; shape (rows,)."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    """Joint log density of fully observed rows; shape (rows,).
+
+    ``values`` is an (m, n) array or one row; any other shape raises
+    ``InvalidInputError`` naming it.
+    """
+    values = _rows(values)
     _check_columns(values.shape[1], model.num_vars, "model")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("log_density needs fully observed, finite rows")

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .benchmark import _masked_split, fit_model, mask_seed_for, run_benchmark, score_rows
+from .benchmark import MODEL_KINDS, _masked_split, fit_model, mask_seed_for, run_benchmark, score_rows
 from .data import ExperimentProtocol, _write_csv, apply_missing_mask, load_csv
 from .errors import (
     CopulaBnError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .marginals import fit_kde
 from .model_io import load_model, save_model
-from .cbn import forward_sample
+from .cbn import CbnModel, forward_sample
 from .structure import SearchConfig
 
 __all__ = ["main"]
@@ -82,7 +82,9 @@ def _listed(parse):
 # Defaults of the flags that describe the split --split-index names.  Without
 # --split-index, fit and eval would ignore them, so there they default to
 # None ("not given") and take these values once _check_split_flags passes.
-_SPLIT_DEFAULTS = {"splits": 10, "role": "test", "mask_scope": "train_only"}
+_SPLIT_DEFAULTS = {
+    "splits": ExperimentProtocol.num_splits, "role": "test", "mask_scope": ExperimentProtocol.mask_scope
+}
 
 
 def _build_parser():
@@ -103,17 +105,17 @@ def _build_parser():
                        help="fraction of cells to hide; benchmark takes a comma list (default: 0)")
         p.add_argument("--splits", type=_int_at_least(1),
                        default=_SPLIT_DEFAULTS["splits"] if bench else None,
-                       help="number of train/test splits (default: 10)")
+                       help=f"number of train/test splits (default: {_SPLIT_DEFAULTS['splits']})")
         p.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed (default: 0)")
 
     def mask_scope_flag(p, bench=False):
         p.add_argument("--mask-scope", choices=["train_only", "train_and_test"],
                        default=_SPLIT_DEFAULTS["mask_scope"] if bench else None,
-                       help="which halves receive hidden cells (default: train_only)")
+                       help=f"which halves receive hidden cells (default: {_SPLIT_DEFAULTS['mask_scope']})")
 
     p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
     p_fit.add_argument("--data", required=True, help="input CSV path")
-    p_fit.add_argument("--model", choices=["cbn", "lgbn"], default="cbn",
+    p_fit.add_argument("--model", choices=MODEL_KINDS, default="cbn",
                        help="model kind (default: cbn)")
     common_model_flags(p_fit)
     common_split_flags(p_fit)
@@ -140,8 +142,8 @@ def _build_parser():
 
     p_bench = sub.add_parser("benchmark", help="run the split/mask/fit/score grid")
     p_bench.add_argument("--data", required=True, help="input CSV path")
-    p_bench.add_argument("--model", type=_listed(str), default=["cbn", "lgbn"],
-                         help="comma list of model kinds (default: cbn,lgbn)")
+    p_bench.add_argument("--model", type=_listed(str), default=list(MODEL_KINDS),
+                         help=f"comma list of model kinds (default: {','.join(MODEL_KINDS)})")
     common_model_flags(p_bench, bench=True)
     common_split_flags(p_bench, bench=True)
     mask_scope_flag(p_bench, bench=True)
@@ -213,7 +215,7 @@ def _cmd_eval(args):
 
 def _cmd_sample(args):
     model = load_model(args.model_file)
-    if not hasattr(model, "marginals"):
+    if not isinstance(model, CbnModel):
         raise InvalidInputError("sampling is only supported for cbn model files")
     values = forward_sample(model, args.count, args.seed)
     _write_csv(args.out, model.column_names, values.tolist())

@@ -129,6 +129,18 @@ def _scores(u):
     return ndtri(u)
 
 
+def _rows(values):
+    """``values`` as a 2-d float array, a 1-d one as its single row.
+
+    Raises ``InvalidInputError`` naming the shape when ``values`` is not
+    1-d or 2-d.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise InvalidInputError(f"expected one row or an (m, n) array of rows, got shape {arr.shape}")
+    return arr.reshape(1, -1) if arr.ndim == 1 else arr
+
+
 def copula_log_density(rho, u):
     """Log copula density at one point of the open unit cube.
 
@@ -163,20 +175,24 @@ def copula_log_density_rows(rho, u_rows):
 def ratio_log_from_z(rho, z_block, obs_block=None):
     """Log ratio terms from normal scores, child column first.
 
-    ``z_block`` has shape ``(m, n)`` with the child's score in column 0 and
-    parents after it, and ``rho`` lies inside ``rho_bounds(n)``.  Returns the
-    per-row log of (family copula density / parent-block copula density),
-    both with the same ``rho``.  Zero when there are no parents.
+    ``z_block`` has shape ``(m, n)``, or ``(n,)`` for one row, with the
+    child's score in column 0 and parents after it, and ``rho`` lies inside
+    ``rho_bounds(n)``.  Returns the per-row log of (family copula density /
+    parent-block copula density), both with the same ``rho``.  Zero when
+    there are no parents.
 
     ``obs_block`` marks the observed cells (None: every cell is observed).
     Each hidden cell's score is integrated out as an independent standard
     normal and its entry in ``z_block`` is ignored: the log ratio is affine
     in q and s^2, so its expectation is the ratio at their expected values.
     On a fully observed row the term is the exact ratio.
+
+    Raises
+    ------
+    InvalidInputError
+        ``z_block`` is neither 1-d nor 2-d; the message names its shape.
     """
-    z = np.asarray(z_block, dtype=float)
-    if z.ndim == 1:
-        z = z[None, :]
+    z = _rows(z_block)
     n = z.shape[1]
     _check_rho(n, rho)
     if obs_block is None:
@@ -213,11 +229,11 @@ def conditional_z_params(rho, z_parents):
     ``variance = 1 - k * rho**2 / (1 + (k-1) rho)`` for ``k`` parents.
     ``z_parents`` is one row of k scores, giving a float mean, or a
     (rows, k) block, giving one mean per row; the variance is a float.
-    ``rho`` must lie inside ``rho_bounds(k + 1)``.
+    ``rho`` must lie inside ``rho_bounds(k + 1)``.  Any other shape raises
+    ``InvalidInputError`` naming it.
     """
-    z = np.asarray(z_parents, dtype=float)
-    block = z.ndim == 2
-    z = z if block else z.reshape(1, -1)
+    block = np.ndim(z_parents) == 2
+    z = _rows(z_parents)
     k = z.shape[1]
     _check_rho(k + 1, rho)
     denom = 1.0 + (k - 1) * rho

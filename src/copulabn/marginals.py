@@ -225,40 +225,53 @@ def _horner(coef, v):
 class KdeMarginal:
     """Gaussian kernel density estimate of one variable.
 
+    The constructor checks its arguments and keeps a read-only float copy
+    of the samples, so every marginal is valid and a caller who later
+    changes its own array changes nothing here.
+
     Attributes
     ----------
     samples : ndarray
-        The observed values the estimate was fit to (1-d, finite).
+        The kernel centres, read-only: any array_like of finite values,
+        flattened to 1-d.
     bandwidth : float
-        Common kernel standard deviation.
-    support_lo, support_hi : float
-        Range outside which the density is treated as negligible.
+        Common kernel standard deviation, a positive real.
+
+    Raises
+    ------
+    EmptyInputError
+        No samples.
+    InvalidInputError
+        A sample is not finite.
+    OutOfRangeError
+        The bandwidth is not a positive real.
     """
 
     samples: np.ndarray
     bandwidth: float
-    support_lo: float
-    support_hi: float
 
-    @classmethod
-    def from_params(cls, samples, bandwidth):
-        """Build from samples and a bandwidth, deriving the support bounds.
-
-        Shared by fitting and deserialization so both produce identical
-        estimates from identical parameters.
-        """
-        samples = np.array(samples, dtype=float).reshape(-1)
+    def __post_init__(self):
+        samples = np.array(self.samples, dtype=float).reshape(-1)
         if samples.size == 0:
             raise EmptyInputError("no samples")
         if not np.all(np.isfinite(samples)):
             raise InvalidInputError("samples contain non-finite values")
-        bandwidth = float(bandwidth)
+        bandwidth = float(self.bandwidth)
         if not np.isfinite(bandwidth) or bandwidth <= 0.0:
             raise OutOfRangeError(f"bandwidth must be a positive real, got {bandwidth!r}")
         samples.setflags(write=False)
-        lo = float(samples.min() - _SUPPORT_PAD * bandwidth)
-        hi = float(samples.max() + _SUPPORT_PAD * bandwidth)
-        return cls(samples=samples, bandwidth=bandwidth, support_lo=lo, support_hi=hi)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "bandwidth", bandwidth)
+
+    @cached_property
+    def support_lo(self):
+        """``min(samples) - 5 bandwidth``: the density's support starts here."""
+        return float(self.samples.min() - _SUPPORT_PAD * self.bandwidth)
+
+    @cached_property
+    def support_hi(self):
+        """``max(samples) + 5 bandwidth``: the density's support ends here."""
+        return float(self.samples.max() + _SUPPORT_PAD * self.bandwidth)
 
     def _kernel_columns(self, x):
         """Yield (slice, standardized differences) over 1-d ``x`` in bounded chunks."""
@@ -515,29 +528,28 @@ class KdeMarginal:
         x = np.minimum(lo + np.clip(frac, 0.0, 1.0) * (hi - lo), hi)  # rounding can pass hi
 
         active = np.arange(target.size)
-        for _ in range(_QUANTILE_MAX_ITER):
-            xa = x[active]
-            dens, cum = self._kernel_sums(xa, pdf=True, cdf=True, dense=dense)
-            err = cum - target[active]
-            open_ = np.abs(err) >= _QUANTILE_TOL
-            active, xa, err, dens = active[open_], xa[open_], err[open_], dens[open_]
-            if active.size == 0:
-                return x.reshape(u.shape) if u.shape else float(x[0])
-            high = err > 0.0
-            hi[active[high]], err_hi[active[high]] = xa[high], err[high]
-            lo[active[~high]], err_lo[active[~high]] = xa[~high], err[~high]
-            la, ha = lo[active], hi[active]
-            closed = np.nextafter(la, ha) >= ha
-            if closed.any():
-                done = active[closed]
-                x[done] = np.where(np.abs(err_lo[done]) <= np.abs(err_hi[done]), lo[done], hi[done])
-                open_ = ~closed
+        # A zero pdf makes the Newton step inf or nan; the bracket then takes over.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(_QUANTILE_MAX_ITER):
+                xa = x[active]
+                dens, cum = self._kernel_sums(xa, pdf=True, cdf=True, dense=dense)
+                err = cum - target[active]
+                open_ = np.abs(err) >= _QUANTILE_TOL
+                up = open_ & (err > 0.0)
+                down = open_ ^ up
+                hi[active[up]], err_hi[active[up]] = xa[up], err[up]
+                lo[active[down]], err_lo[active[down]] = xa[down], err[down]
+                la, ha = lo[active], hi[active]
+                closed = open_ & (np.nextafter(la, ha) >= ha)
+                if closed.any():
+                    done = active[closed]
+                    x[done] = np.where(np.abs(err_lo[done]) <= np.abs(err_hi[done]), lo[done], hi[done])
+                    open_ ^= closed
                 active, xa, err, dens, la, ha = (a[open_] for a in (active, xa, err, dens, la, ha))
                 if active.size == 0:
                     return x.reshape(u.shape) if u.shape else float(x[0])
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 step = xa - err / dens
-            x[active] = np.where((step > la) & (step < ha), step, 0.5 * (la + ha))
+                x[active] = np.where((step > la) & (step < ha), step, 0.5 * (la + ha))
         raise ConvergenceError(
             f"quantile left {active.size} of {target.size} targets outside tol={_QUANTILE_TOL:g} "
             f"after {_QUANTILE_MAX_ITER} cdf evaluations"
@@ -548,8 +560,8 @@ def fit_kde(values):
     """Fit a Gaussian kernel density to one variable's observed values.
 
     The kernel width follows the rule
-    ``1.06 * std(values, ddof=1) * len(values) ** (-1/5)``; use
-    :meth:`KdeMarginal.from_params` for a given width.
+    ``1.06 * std(values, ddof=1) * len(values) ** (-1/5)``; build a
+    :class:`KdeMarginal` directly for a given width.
 
     Parameters
     ----------
@@ -581,4 +593,4 @@ def fit_kde(values):
     std = float(np.std(arr, ddof=1))
     if std == 0.0:
         raise DegenerateInputError("all observed values are identical; marginal would be degenerate")
-    return KdeMarginal.from_params(arr, 1.06 * std * arr.size ** (-0.2))
+    return KdeMarginal(arr, 1.06 * std * arr.size ** (-0.2))

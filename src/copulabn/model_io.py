@@ -30,34 +30,26 @@ def serialize(model):
     bytes, are joined as their reprs at C speed rather than through the
     pure-Python encoder that ``indent`` selects; the text is the same.
     """
+    if not isinstance(model, (CbnModel, LinearGaussianBn)):
+        raise ValidationError(f"cannot serialize object of type {type(model).__name__}")
+    doc = {
+        "format": _FORMAT,
+        "version": _VERSION,
+        "model_kind": "cbn" if isinstance(model, CbnModel) else "lgbn",
+        "column_names": list(model.column_names),
+        "parents": [list(ps) for ps in model.dag.parents],
+    }
     if isinstance(model, CbnModel):
-        doc = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "model_kind": "cbn",
-            "column_names": list(model.column_names),
-            "parents": [list(ps) for ps in model.dag.parents],
-            "rho": list(model.rho),
-            "marginals": [{"bandwidth": m.bandwidth, "samples": []} for m in model.marginals],
-        }
+        doc["rho"] = list(model.rho)
+        doc["marginals"] = [{"bandwidth": m.bandwidth, "samples": []} for m in model.marginals]
         # Each samples list is set into the text where json.dumps wrote it
         # empty.  No JSON string holds '"samples": []': it escapes its quotes.
         head, *tails = json.dumps(doc, indent=2).split('"samples": []')
         lists = (",\n        ".join(map(float.__repr__, m.samples.tolist())) for m in model.marginals)
         return head + "".join(f'"samples": [\n        {v}\n      ]{tail}' for v, tail in zip(lists, tails)) + "\n"
-    elif isinstance(model, LinearGaussianBn):
-        doc = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "model_kind": "lgbn",
-            "column_names": list(model.column_names),
-            "parents": [list(ps) for ps in model.dag.parents],
-            "intercepts": list(model.intercepts),
-            "coefficients": [list(cs) for cs in model.coefficients],
-            "variances": list(model.variances),
-        }
-    else:
-        raise ValidationError(f"cannot serialize object of type {type(model).__name__}")
+    doc["intercepts"] = list(model.intercepts)
+    doc["coefficients"] = [list(cs) for cs in model.coefficients]
+    doc["variances"] = list(model.variances)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -105,9 +97,7 @@ def deserialize(text):
             marg = _require(doc, "marginals")
             for m in marg:
                 _numbers([m["bandwidth"], *m["samples"]], "marginals")
-            marginals = tuple(
-                KdeMarginal.from_params(m["samples"], m["bandwidth"]) for m in marg
-            )
+            marginals = tuple(KdeMarginal(m["samples"], m["bandwidth"]) for m in marg)
             return CbnModel(dag=dag, marginals=marginals, rho=rho, column_names=names)
         if kind == "lgbn":
             return LinearGaussianBn(

@@ -1,5 +1,6 @@
 """Benchmark grid determinism and command-line behavior."""
 
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from copulabn import benchmark, gaussian_bn
+from copulabn import benchmark, cli, gaussian_bn
 from copulabn.benchmark import BenchmarkRow, mask_seed_for, run_benchmark, score_rows
 from copulabn.cbn import forward_sample
 from copulabn.cli import _fraction, main
@@ -578,3 +579,100 @@ def test_cli_help_and_version_exit_zero(capsys):
         main(["--version"])
     assert info.value.code == 0
     capsys.readouterr()
+
+
+# ------------------------------------------------- every flag is read
+
+
+# Every optional flag of every command, at a value other than its default:
+# (command, argv added to the command's base, the flag's argv, outcome).  The
+# flag's argv is compared with the base plus the added argv alone.  Outcome
+# "changes": the output bytes (stdout and each file written, bar the
+# benchmark manifest's wall-clock timings) differ; "refused": exit 1; any
+# other outcome names why the flag may be ignored there, and the bytes must
+# then be the same.
+_SEED_UNUSED = "--seed where nothing is random"
+_NO_MASK = "--mask-scope at missing fraction 0"
+_FLAG_CASES = [
+    ("fit", [], ["--model", "lgbn"], "changes"),
+    ("fit", [], ["--max-parents", "0"], "changes"),
+    ("fit", [], ["--missing-fraction", "0.25"], "changes"),
+    ("fit", ["--split-index", "5"], ["--splits", "3"], "refused"),
+    ("fit", ["--missing-fraction", "0.25"], ["--seed", "1"], "changes"),
+    ("fit", [], ["--seed", "1"], _SEED_UNUSED),
+    ("fit", [], ["--split-index", "0"], "changes"),
+    ("eval", [], ["--missing-fraction", "0.25"], "changes"),
+    ("eval", ["--split-index", "5"], ["--splits", "3"], "refused"),
+    ("eval", ["--missing-fraction", "0.25"], ["--seed", "1"], "changes"),
+    ("eval", [], ["--seed", "1"], _SEED_UNUSED),
+    ("eval", [], ["--split-index", "0"], "changes"),
+    ("eval", ["--split-index", "0"], ["--role", "train"], "changes"),
+    ("eval", ["--split-index", "0", "--missing-fraction", "0.25"], ["--mask-scope", "train_and_test"], "changes"),
+    ("eval", ["--split-index", "0"], ["--mask-scope", "train_and_test"], _NO_MASK),
+    ("sample", [], ["--seed", "1"], "changes"),
+    ("benchmark", [], ["--model", "cbn"], "changes"),
+    ("benchmark", [], ["--max-parents", "0"], "changes"),
+    ("benchmark", [], ["--missing-fraction", "0.25"], "changes"),
+    ("benchmark", [], ["--splits", "3"], "changes"),
+    ("benchmark", [], ["--seed", "1"], "changes"),
+    ("benchmark", ["--missing-fraction", "0.25"], ["--mask-scope", "train_and_test"], "changes"),
+    ("benchmark", [], ["--mask-scope", "train_and_test"], _NO_MASK),
+    ("marginals", [], ["--grid-points", "9"], "changes"),
+]
+# Flags no case sets: they say where the output goes, not what it is.
+_WHERE_FLAGS = {"--out"}
+
+
+def test_the_flag_table_covers_every_optional_flag():
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in commands.choices.items():
+        optional = {a.option_strings[-1] for a in parser._actions if a.option_strings and not a.required}
+        covered = {flag[0] for name, _, flag, _ in _FLAG_CASES if name == command}
+        assert optional - {"--help"} - _WHERE_FLAGS == covered, command
+
+
+@pytest.fixture(scope="module")
+def flag_runs(small_csv, tmp_path_factory):
+    """Runs one command line in a fresh directory: (exit code, output bytes)."""
+    root = tmp_path_factory.mktemp("flags")
+    model = root / "model.json"
+    assert main(["fit", "--data", str(small_csv), "--out", str(model)]) == 0
+    base = {
+        "fit": ["--data", str(small_csv), "--out", "model.json"],
+        "eval": ["--model-file", str(model), "--data", str(small_csv)],
+        "sample": ["--model-file", str(model), "--count", "5", "--out", "rows.csv"],
+        "benchmark": ["--data", str(small_csv), "--out", "grid.csv"],
+        "marginals": ["--data", str(small_csv), "--out", "grid.csv"],
+    }
+    runs = {}
+
+    def run(command, argv, capsys, monkeypatch):
+        key = (command, *argv)
+        if key not in runs:
+            workdir = root / f"run{len(runs)}"
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            capsys.readouterr()
+            code = main([command, *base[command], *argv])
+            files = [p.name.encode() + p.read_bytes() for p in sorted(workdir.iterdir())
+                     if not p.name.endswith(".manifest.json")]
+            runs[key] = code, b"\n".join([capsys.readouterr().out.encode(), *files])
+        return runs[key]
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "command, extra, flag, outcome", _FLAG_CASES, ids=[" ".join([c, *e, *f]) for c, e, f, _ in _FLAG_CASES]
+)
+def test_each_flag_changes_the_output_or_is_refused(flag_runs, capsys, monkeypatch, command, extra, flag, outcome):
+    base_code, base_bytes = flag_runs(command, extra, capsys, monkeypatch)
+    assert base_code == 0
+    code, out = flag_runs(command, [*extra, *flag], capsys, monkeypatch)
+    if outcome == "refused":
+        assert code == 1
+    elif outcome == "changes":
+        assert code == 0 and out != base_bytes
+    else:
+        assert outcome in (_SEED_UNUSED, _NO_MASK)
+        assert code == 0 and out == base_bytes

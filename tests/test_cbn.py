@@ -1,6 +1,7 @@
 """The joint model: exact density, likelihood bound, energy check, sampling."""
 
 import gc
+import re
 import sys
 import weakref
 
@@ -91,6 +92,12 @@ def test_log_density_scalar_entry_point():
     assert log_density(model, x) == log_density_rows(model, x[None, :])[0]
     with pytest.raises(InvalidInputError):
         log_density(model, x[:2])
+
+
+def test_log_density_rows_refuses_an_array_that_is_not_1d_or_2d():
+    model, _, _ = _chain_model()
+    with pytest.raises(InvalidInputError, match=re.escape("got shape (2, 3, 4)")):
+        log_density_rows(model, np.zeros((2, 3, 4)))
 
 
 def test_root_only_model_is_product_of_marginals():

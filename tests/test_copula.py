@@ -172,6 +172,13 @@ def test_malformed_points_are_a_typed_error_naming_their_shape():
         copula_log_density(0.3, [])
 
 
+@pytest.mark.parametrize("bad", [np.zeros((2, 2, 2)), np.array(0.5)])
+def test_row_functions_refuse_arrays_that_are_not_1d_or_2d(bad):
+    for call in (conditional_z_params, ratio_log_from_z):
+        with pytest.raises(InvalidInputError, match=re.escape(f"got shape {bad.shape}")):
+            call(0.05, bad)
+
+
 def test_ratio_log_matches_density_quotient():
     rng = np.random.default_rng(14)
     for k in (2, 3, 4):  # number of parents

@@ -142,7 +142,7 @@ def test_quantile_properties(kind, size, seed, narrow, levels):
     rng = np.random.default_rng(seed)
     # A narrow kernel leaves flat cdf stretches between clusters and ties.
     column = _column(kind, size, rng)
-    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    marginal = KdeMarginal(column, 0.05) if narrow else fit_kde(column)
     tol = marginals_module._QUANTILE_TOL
     # The first two targets clip to CDF_FLOOR and CDF_CEIL: both ends are reached.
     u = np.concatenate([[1e-12, 1.0 - 1e-12], levels, rng.random(100)])
@@ -210,7 +210,7 @@ def test_quantile_of_a_small_draw(kind, size, seed, levels):
     # narrow kernel most of a gapped, tied or Cauchy column lies in one
     # bracket.  The safeguarded steps must still reach the tolerance.
     rng = np.random.default_rng(seed)
-    marginal = KdeMarginal.from_params(_column(kind, size, rng), 0.05)
+    marginal = KdeMarginal(_column(kind, size, rng), 0.05)
     tol = marginals_module._QUANTILE_TOL
     u = np.array(levels)
     x = marginal.quantile(u)
@@ -285,18 +285,49 @@ def test_fit_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         fit_kde(np.array([1.0, np.inf, 2.0]))
     with pytest.raises(OutOfRangeError):
-        KdeMarginal.from_params(np.arange(5.0), 0.0)
+        KdeMarginal(np.arange(5.0), 0.0)
     with pytest.raises(OutOfRangeError):
-        KdeMarginal.from_params(np.arange(5.0), -1.0)
+        KdeMarginal(np.arange(5.0), -1.0)
     with pytest.raises(InvalidInputError):
         fit_kde(np.ones((3, 3)))
 
 
-def test_from_params_reproduces_fit():
+@pytest.mark.parametrize(
+    "samples, bandwidth, error",
+    [
+        (np.arange(5.0), 0.0, OutOfRangeError),
+        (np.arange(5.0), -1.0, OutOfRangeError),
+        (np.arange(5.0), np.nan, OutOfRangeError),
+        ([], 0.5, EmptyInputError),
+        ([0.0, np.inf, 2.0], 0.5, InvalidInputError),
+    ],
+    ids=["bandwidth 0", "bandwidth -1", "bandwidth nan", "no samples", "an inf sample"],
+)
+def test_the_constructor_refuses_an_invalid_marginal(samples, bandwidth, error):
+    with pytest.raises(error):
+        KdeMarginal(samples, bandwidth)
+
+
+def test_a_marginal_is_its_samples_and_bandwidth():
+    column = np.array([0.0, 1.0, 2.0])
+    marginal = KdeMarginal(column, 0.5)
+    column[:] = 50.0  # the caller's array, not the marginal's copy
+    fresh = KdeMarginal([0.0, 1.0, 2.0], 0.5)
+    assert marginal.pdf(0.5) == fresh.pdf(0.5) > 0.1
+    column[:] = -50.0  # after the first call too
+    assert marginal.pdf(0.5) == fresh.pdf(0.5)
+    assert not marginal.samples.flags.writeable
+    assert (marginal.support_lo, marginal.support_hi) == (-2.5, 4.5)
+    assert abs(marginal.quantile(0.5) - 1.0) < 1e-9
+    with pytest.raises(TypeError):
+        KdeMarginal(column, 0.5, support_lo=10.0)
+
+
+def test_rebuilt_marginal_reproduces_fit():
     rng = np.random.default_rng(6)
     values = rng.normal(size=80)
     fitted = fit_kde(values)
-    rebuilt = KdeMarginal.from_params(fitted.samples, fitted.bandwidth)
+    rebuilt = KdeMarginal(fitted.samples, fitted.bandwidth)
     np.testing.assert_array_equal(rebuilt.samples, fitted.samples)
     assert rebuilt.bandwidth == fitted.bandwidth
     assert rebuilt.support_lo == fitted.support_lo
@@ -421,7 +452,7 @@ def test_kernel_matches_the_dense_oracle(kind, size, seed, narrow):
     rng = np.random.default_rng(seed)
     column = _column(kind, size, rng)
     assume(narrow or np.ptp(column) > 0.0)  # a few tied centres can all be equal
-    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    marginal = KdeMarginal(column, 0.05) if narrow else fit_kde(column)
     h, lo, hi = marginal.bandwidth, column.min(), column.max()
     x = np.concatenate([
         rng.choice(column, 200) + h * rng.normal(0.0, 2.0, 200),
@@ -459,7 +490,7 @@ def test_the_table_matches_the_translation_oracle(kind, size, seed, narrow):
     # the target's reach, up to m, so it may differ in its last two bits.
     column = _column(kind, size, np.random.default_rng(seed))
     assume(narrow or np.ptp(column) > 0.0)
-    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    marginal = KdeMarginal(column, 0.05) if narrow else fit_kde(column)
     largest, coef, base = translated_table(marginal)
     _, _, _, got_largest, got_coef, got_base = marginal._boxes
     assert got_largest == largest and got_coef.shape == coef.shape
@@ -476,7 +507,7 @@ for seed, kind in enumerate(["warped", "tied", "gapped", "cauchy"]):
     z = np.random.default_rng(seed).standard_normal(4000)
     column = {"warped": np.exp(z / 2.0) + 0.3 * z, "tied": np.round(z, 0),
               "gapped": np.where(z > 0.0, z + 200.0, z), "cauchy": np.tan(z)}[kind]
-    for marginal in (fit_kde(column), KdeMarginal.from_params(column, 0.05)):
+    for marginal in (fit_kde(column), KdeMarginal(column, 0.05)):
         for part in marginal._boxes[1:]:
             digest.update(np.asarray(part).tobytes())
 print(digest.hexdigest())
@@ -508,7 +539,7 @@ def test_a_point_in_no_box_has_the_count_of_centres_left_of_it(size):
     # the dense kernel's.
     rng = np.random.default_rng(15)
     column = _column("gapped", size, rng)
-    marginal = KdeMarginal.from_params(column, 0.05)
+    marginal = KdeMarginal(column, 0.05)
     s = np.sort(column)
     gap = int(np.argmax(np.diff(s)))
     x = s[gap] + (s[gap + 1] - s[gap]) * np.array([0.25, 0.5, 0.75])
@@ -608,7 +639,7 @@ def test_the_hand_over_is_the_dense_kernel_bit_for_bit(kind, size, seed, narrow)
     rng = np.random.default_rng(seed)
     column = _column(kind, size, rng)
     assume(narrow or np.ptp(column) > 0.0)
-    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    marginal = KdeMarginal(column, 0.05) if narrow else fit_kde(column)
     h, lo, hi = marginal.bandwidth, column.min(), column.max()
     x = np.concatenate([
         lo - h * rng.uniform(6.0, 40.0, 40),
@@ -643,7 +674,7 @@ def test_one_pass_gives_the_bits_of_the_separate_calls(kind, size, seed, narrow,
     rng = np.random.default_rng(seed)
     column = _column(kind, size, rng)
     assume(narrow or np.ptp(column) > 0.0)
-    marginal = KdeMarginal.from_params(column, 0.05) if narrow else fit_kde(column)
+    marginal = KdeMarginal(column, 0.05) if narrow else fit_kde(column)
     h, lo, hi = marginal.bandwidth, column.min(), column.max()
     x = np.concatenate([
         rng.choice(column, 200) + h * rng.normal(0.0, 2.0, 200),

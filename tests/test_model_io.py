@@ -91,7 +91,7 @@ def test_serialize_then_deserialize_is_the_identity(kind, n, seed):
 
     if kind == "cbn":
         marginals = tuple(
-            KdeMarginal.from_params(scaled(int(rng.integers(2, 30))), abs(scaled(1)[0]) + 1e-9)
+            KdeMarginal(scaled(int(rng.integers(2, 30))), abs(scaled(1)[0]) + 1e-9)
             for _ in range(n)
         )
         rho = tuple(float(rng.uniform(*rho_bounds(len(ps) + 1))) if ps else None for ps in parents)
@@ -154,7 +154,7 @@ def test_model_files_are_the_bytes_json_dumps_writes():
     # json.dumps(indent=2) writes of the whole document, at awkward floats
     # and at names that quote, escape or mimic the document's own text.
     fitted, _ = _cbn_model(seed=2)
-    edge = KdeMarginal.from_params(
+    edge = KdeMarginal(
         [-0.0, 5e-324, 1e23, float(2**53 + 1), float(2**53 + 2), 1.7e308, -1.7e308, 0.1], 0.5
     )
     names = ('say "hi", then \\ go', "Zürich µ 日本", '"samples": []')
