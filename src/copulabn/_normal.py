@@ -10,10 +10,11 @@ in numpy alone.
     one Horner pass in its offset from that node, at most 1/512.  The
     truncation is below 2e-16 of the value even at -9.  Beyond
     +/-(9 + 1/512) it returns 0 or 1: an absolute error below
-    ndtr(-9) = 1.13e-19, which every caller tolerates (dense kernel-cdf sums
-    need only absolute precision, and ``cbn.forward_sample`` clips u to
-    [1e-12, 1 - 1e-12]).  Against mpmath its largest relative error on
-    [-9, 9] measured 4.4e-16, where ``scipy.special.ndtr`` measured 1.4e-14.
+    ndtr(-9) = 1.13e-19, which its one caller tolerates:
+    ``cbn.forward_sample`` maps a drawn child's normal score to u with it,
+    and the quantile clips u to the cdf's clamp, [1e-6, 1 - 1e-6].  Against
+    mpmath its largest relative error on [-9, 9] measured 4.4e-16, where
+    ``scipy.special.ndtr`` measured 1.4e-14.
 ``ndtri``
     Wichura's AS 241 (Applied Statistics 37, 1988): one rational function of
     degree 7 over 7 for |p - 1/2| <= 0.425 and two in r = sqrt(-log s),

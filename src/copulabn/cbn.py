@@ -49,7 +49,7 @@ from .copula import (
 from .dag import Dag
 from .data import SEED_TAG_SAMPLE
 from .errors import InvalidInputError, OutOfRangeError, ValidationError, _check_columns, _integer
-from .marginals import fit_kde
+from .marginals import _Table, fit_kde
 
 __all__ = [
     "CbnModel",
@@ -106,6 +106,12 @@ class CbnModel:
     def num_vars(self):
         return self.dag.num_vars
 
+    @cached_property
+    def _table(self):
+        """One fast Gauss transform table for all the marginals, column j for
+        ``marginals[j]``: scoring and sampling gather every cell from it."""
+        return _Table(self.marginals)
+
     def families(self):
         """(child, parents) pairs for every node that has parents."""
         return [(i, ps) for i, ps in enumerate(self.dag.parents) if ps]
@@ -129,15 +135,20 @@ def _cell_scores(u, observed):
     return z
 
 
+def _observed_cells(observed):
+    """(rows, columns) of the observed cells, column by column."""
+    cols, rows = np.nonzero(observed.T)
+    return rows, cols
+
+
 def _row_totals(model, values, observed):
-    """Each row's marginal log densities plus its family terms.  One kernel
-    pass per column gives both the cells' log densities and their cdfs;
-    hidden cells add exactly 0.0 and have NaN scores."""
+    """Each row's marginal log densities plus its family terms.  One gather
+    of the model's table per observed cell gives both its log density and
+    its cdf; hidden cells add exactly 0.0 and have NaN scores."""
     logpdf = np.zeros_like(values)
     u = np.empty(values.shape)
-    for j, marginal in enumerate(model.marginals):
-        idx = observed[:, j]
-        u[idx, j], logpdf[idx, j] = marginal._cdf_and_log_pdf(values[idx, j])
+    rows, cols = _observed_cells(observed)
+    u[rows, cols], logpdf[rows, cols] = model._table.cdf_and_log_pdf(values[rows, cols], cols)
     return _add_family_terms(model, logpdf.sum(axis=1), _cell_scores(u, observed), observed)
 
 
@@ -228,12 +239,12 @@ def fit_missing(data, dag):
     return CbnModel(dag=dag, marginals=table.marginals, rho=rho, column_names=data.column_names)
 
 
-def _normal_scores_from_marginals(marginals, values, observed):
-    """Per-cell normal scores of the clamped cdf(x); NaN at hidden cells."""
+def _normal_scores(table, values, observed):
+    """Per-cell normal scores of the clamped cdf(x), from one gather of the
+    marginals' ``table`` per observed cell; NaN at hidden cells."""
     u = np.empty(values.shape)
-    for j, marginal in enumerate(marginals):
-        idx = observed[:, j]
-        u[idx, j] = marginal.cdf(values[idx, j])
+    rows, cols = _observed_cells(observed)
+    u[rows, cols] = table.sums(values[rows, cols], cols, pdf=False, cdf=True)[1]
     return _cell_scores(u, observed)
 
 
@@ -252,7 +263,7 @@ class _ScoreTable:
 
     @cached_property
     def z(self):
-        z = _normal_scores_from_marginals(self.marginals, self.values, self.observed)
+        z = _normal_scores(_Table(self.marginals), self.values, self.observed)
         z.setflags(write=False)
         return z
 
@@ -326,7 +337,7 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
     seed = _integer(seed, "seed", 0, OutOfRangeError)
     observed = ~np.isnan(x)
     obs = observed[None, :]
-    z = _normal_scores_from_marginals(model.marginals, x[None, :], obs)
+    z = _normal_scores(model._table, x[None, :], obs)
     bound_term = float(_add_family_terms(model, np.zeros(1), z, obs)[0])
 
     if observed.all():
@@ -339,7 +350,7 @@ def energy_identity_check(model, instance, mc_samples, seed=0):
         centers = marginal.samples[rng.integers(0, marginal.samples.size, mc_samples)]
         draws[:, j] = centers + marginal.bandwidth * rng.standard_normal(mc_samples)
     drawn = np.broadcast_to(~observed, draws.shape)
-    z_samples = np.where(drawn, _normal_scores_from_marginals(model.marginals, draws, drawn), z)
+    z_samples = np.where(drawn, _normal_scores(model._table, draws, drawn), z)
     total = _add_family_terms(model, np.zeros(mc_samples), z_samples, np.ones_like(drawn))
     energy_mc = float(total.mean())
     se = float(total.std(ddof=1) / np.sqrt(mc_samples))
@@ -351,8 +362,10 @@ def forward_sample(model, count, seed):
 
     Roots draw u uniformly; each child draws its normal score from the
     family copula's conditional normal given the parents' scores; scores
-    map back through ndtr and each marginal's quantile.  Deterministic
-    given ``seed``.
+    map back through ndtr and each marginal's quantile.  One Newton loop
+    of the model's table inverts every column of the draw at once, each
+    cell with the bits of ``model.marginals[j].quantile(u[:, j])``.
+    Deterministic given ``seed``.
     """
     count = _integer(count, "count", 1, OutOfRangeError)
     seed = _integer(seed, "seed", 0, OutOfRangeError)
@@ -369,8 +382,5 @@ def forward_sample(model, count, seed):
         mean, variance = conditional_z_params(model.rho[node], z[:, parents])
         z[:, node] = mean + np.sqrt(variance) * rng.standard_normal(count)
     children = [node for node, parents in enumerate(model.dag.parents) if parents]
-    u[:, children] = np.clip(ndtr(z[:, children]), 1e-12, 1.0 - 1e-12)  # one call; ndtr is elementwise
-    out = np.empty((count, n))
-    for j in range(n):
-        out[:, j] = model.marginals[j].quantile(u[:, j])
-    return out
+    u[:, children] = ndtr(z[:, children])  # one call; ndtr is elementwise
+    return model._table.quantile(u)

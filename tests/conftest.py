@@ -98,10 +98,10 @@ def translated(moments, delta):
 
 
 def translated_table(marginal):
-    """Translation oracle of ``KdeMarginal._boxes``: its (largest box count,
-    coef, base), from :func:`translated` at each (target, source) pair's
-    offset.  Each target adds its sources from left to right, and then its
-    base the count of centres left of its reach."""
+    """Translation oracle of a marginal's own table, ``KdeMarginal._table``:
+    its (largest box count, coef, base), from :func:`translated` at each
+    (target, source) pair's offset.  Each target adds its sources from left
+    to right, and then its base the count of centres left of its reach."""
     s = np.sort(marginal.samples)
     width = marginal.bandwidth * np.sqrt(2.0)
     key = np.floor((s - s[0]) / width)

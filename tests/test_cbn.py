@@ -42,7 +42,8 @@ from copulabn.errors import (
     OutOfRangeError,
     ValidationError,
 )
-from copulabn.marginals import fit_kde
+from copulabn import marginals as marginals_module
+from copulabn.marginals import KdeMarginal, fit_kde
 from copulabn.model_io import save_model
 from copulabn.structure import SearchConfig, greedy_search
 from conftest import (
@@ -434,6 +435,32 @@ def test_forward_sample_is_seeded_and_shaped():
         with pytest.raises(OutOfRangeError, match="must be"):
             forward_sample(model, count, seed)
     np.testing.assert_array_equal(forward_sample(model, np.int64(40), np.uint8(3)), a)
+
+
+def test_a_draw_inverts_each_column_as_its_marginal_does(monkeypatch):
+    # forward_sample inverts every column of a draw in one Newton loop of
+    # the model's table: each column is bitwise its marginal's quantile of
+    # the same u.  The marginals hold 2 to 2,000 centres, one near 1e8.
+    rng = np.random.default_rng(63)
+    z = rng.standard_normal(2000)
+    marginals = (
+        fit_kde(np.exp(z / 2.0) + 0.3 * z),
+        KdeMarginal(rng.standard_cauchy(150), 0.05),
+        fit_kde(1e8 + z[:300]),
+        KdeMarginal([0.0, 3.0], 0.05),
+    )
+    model = CbnModel(Dag.chain(4), marginals, (None, 0.6, -0.4, 0.5), ("a", "b", "c", "d"))
+    draws = []
+    quantile = marginals_module._Table.quantile
+    monkeypatch.setattr(
+        marginals_module._Table, "quantile", lambda self, u: draws.append(u) or quantile(self, u)
+    )
+    x = forward_sample(model, 50, seed=8)
+    monkeypatch.undo()
+    (u,) = draws
+    assert u.shape == x.shape == (50, 4)
+    for j, marginal in enumerate(marginals):
+        assert x[:, j].tobytes() == marginal.quantile(u[:, j]).tobytes()
 
 
 def test_forward_samples_follow_model_marginals():

@@ -22,10 +22,10 @@ from copulabn.errors import (
     OutOfRangeError,
 )
 from copulabn import marginals as marginals_module
-from copulabn.marginals import CDF_CEIL, CDF_FLOOR, KdeMarginal, fit_kde
+from copulabn.marginals import CDF_CEIL, CDF_FLOOR, KdeMarginal, _alone, _Table, fit_kde
 from conftest import dense_kde, translated_table
 
-# A column this long takes the fast Gauss transform in quantile too.
+# A tall column, of thousands of centres as on the tall-complete benchmark.
 TALL = 4000
 
 
@@ -158,18 +158,16 @@ def test_quantile_properties(kind, size, seed, narrow, levels):
 
 def test_quantile_needs_few_cdf_sweeps(monkeypatch):
     # n targets pay for a cdf table of at most n + 1 points and then at most
-    # 8 Newton sweeps, each one kernel pass for the cdf and the pdf.  20
-    # targets on a 150-centre column evaluate fewer points in all than a
+    # 8 Newton sweeps, each one gather of the table for the cdf and the pdf.
+    # 20 targets on a 150-centre column evaluate fewer points in all than a
     # fixed 1,025-point table alone would.
     rng = np.random.default_rng(7)
     z = rng.standard_normal(1000)
     column = np.exp(z / 2.0) + 0.3 * z
     sizes = []
-    sums = KdeMarginal._kernel_sums
+    sums = _Table.sums
     monkeypatch.setattr(
-        KdeMarginal,
-        "_kernel_sums",
-        lambda self, x, pdf, cdf, **kw: sizes.append(x.size) or sums(self, x, pdf, cdf, **kw),
+        _Table, "sums", lambda self, x, col, pdf, cdf: sizes.append(x.size) or sums(self, x, col, pdf, cdf)
     )
     draws = []
     for centres, n in ((1000, 1000), (150, 20)):
@@ -189,10 +187,7 @@ def test_quantile_needs_few_cdf_sweeps(monkeypatch):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["tied", "gapped", "cauchy"]),
-    size=st.one_of(
-        st.integers(20, marginals_module._FGT_MIN_CENTRES - 1),
-        st.integers(marginals_module._FGT_MIN_CENTRES, TALL),
-    ),
+    size=st.one_of(st.integers(20, 199), st.integers(200, TALL)),
     seed=st.integers(0, 2**32 - 1),
     levels=st.lists(
         st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), st.floats(1e-12, 1.0 - 1e-12)),
@@ -204,7 +199,7 @@ def test_quantile_needs_few_cdf_sweeps(monkeypatch):
 @example(kind="gapped", size=150, seed=5, levels=[1e-12, 0.5, 1.0 - 1e-12])
 @example(kind="gapped", size=TALL, seed=6, levels=[0.5])
 @example(kind="cauchy", size=TALL, seed=7, levels=[1.0 - 1e-12, 1e-12])
-@example(kind="tied", size=marginals_module._FGT_MIN_CENTRES, seed=8, levels=[0.3, 0.7])
+@example(kind="tied", size=200, seed=8, levels=[0.3, 0.7])
 def test_quantile_of_a_small_draw(kind, size, seed, levels):
     # One to three targets get a table of two to four points, so on a
     # narrow kernel most of a gapped, tied or Cauchy column lies in one
@@ -234,18 +229,18 @@ def test_quantile_raises_when_out_of_iterations(monkeypatch):
     marginal.quantile(levels)
 
 
-@pytest.mark.parametrize("size", [300, 150])  # the table runs at 300 centres, the dense kernel at 150
+@pytest.mark.parametrize("size", [300, 150])
 def test_quantile_far_from_zero_stops_at_a_bracket_one_float_wide(size):
     # Adjacent floats near 1e8 lie 1.5e-8 apart, so the cdf steps by about
-    # 6e-9 between them and no float reaches _QUANTILE_TOL of a target.
+    # 6e-9 between them and no float reaches _QUANTILE_TOL of a target.  At
+    # both sizes the quantile inverts the public cdf.
     rng = np.random.default_rng(9)
     marginal = fit_kde(1e8 + rng.standard_normal(size))
-    dense = size < marginals_module._FGT_MIN_CENTRES
     u = np.array([0.2, 0.8, 0.5, 0.03])
     x = marginal.quantile(u)
 
     def err(v):
-        return marginal._kernel_sums(v, pdf=False, cdf=True, dense=dense)[1] - u
+        return marginal.cdf(v) - u
 
     below, above = err(np.nextafter(x, -np.inf)), err(np.nextafter(x, np.inf))
     assert np.all(below < 0.0) and np.all(above > 0.0)  # x is within one float of the target
@@ -300,12 +295,40 @@ def test_fit_rejects_bad_input():
         (np.arange(5.0), np.nan, OutOfRangeError),
         ([], 0.5, EmptyInputError),
         ([0.0, np.inf, 2.0], 0.5, InvalidInputError),
+        ([0.0, 1.0, 2.0], "0.5", OutOfRangeError),
+        ([0.0, 1.0, 2.0], True, OutOfRangeError),
+        ([0.0, 1.0, 2.0], np.bool_(True), OutOfRangeError),
+        ([0.0, 1.0, 2.0], [0.5], OutOfRangeError),
+        ([True, False], 0.5, InvalidInputError),
+        (["0", "1"], 0.5, InvalidInputError),
+        ([0.0, None], 0.5, InvalidInputError),
     ],
-    ids=["bandwidth 0", "bandwidth -1", "bandwidth nan", "no samples", "an inf sample"],
+    ids=[
+        "bandwidth 0", "bandwidth -1", "bandwidth nan", "no samples", "an inf sample",
+        "a string bandwidth", "a boolean bandwidth", "a numpy boolean bandwidth", "a list bandwidth",
+        "boolean samples", "string samples", "a None sample",
+    ],
 )
 def test_the_constructor_refuses_an_invalid_marginal(samples, bandwidth, error):
     with pytest.raises(error):
         KdeMarginal(samples, bandwidth)
+
+
+@pytest.mark.parametrize(
+    "samples, bandwidth",
+    [
+        ([0, 1, 2], 1),
+        (np.arange(3, dtype=np.uint8), np.int64(2)),
+        (np.arange(3, dtype=np.int32), np.float32(0.5)),
+        (np.arange(3.0, dtype=np.float32), np.array(0.5)),
+    ],
+    ids=["python ints", "numpy unsigned and int64", "numpy int32 and float32", "float32 and a 0-d array"],
+)
+def test_the_constructor_takes_numpy_numbers(samples, bandwidth):
+    marginal = KdeMarginal(samples, bandwidth)
+    assert type(marginal.bandwidth) is float and marginal.bandwidth == float(bandwidth)
+    assert marginal.samples.dtype == np.float64
+    np.testing.assert_array_equal(marginal.samples, [0.0, 1.0, 2.0])
 
 
 def test_a_marginal_is_its_samples_and_bandwidth():
@@ -347,7 +370,7 @@ def test_log_pdf_matches_log_of_pdf_where_positive():
 def test_log_pdf_is_finite_where_pdf_underflows():
     # Also where the pdf is subnormal: its few significant bits would put
     # errors of up to 0.75 nats into np.log(pdf), so logsumexp takes over.
-    for size in (150, 300):  # below and above quantile's crossover
+    for size in (150, 300):
         rng = np.random.default_rng(10)
         marginal = fit_kde(rng.normal(size=size))
         m, h = marginal.samples.size, marginal.bandwidth
@@ -368,7 +391,7 @@ def test_log_pdf_is_finite_where_pdf_underflows():
 def test_non_finite_points():
     # NaN stays NaN; an infinite point has no kernel mass and clamped cdf.
     rng = np.random.default_rng(13)
-    for size in (150, TALL):  # below and above quantile's crossover
+    for size in (150, TALL):
         marginal = fit_kde(rng.normal(size=size))
         x = np.array([np.nan, -np.inf, np.inf])
         assert np.all(np.isnan([f(x)[0] for f in (marginal.pdf, marginal.cdf, marginal.log_pdf)]))
@@ -383,7 +406,7 @@ def test_huge_finite_points():
     # -finfo.max is an error that names the point.
     rng = np.random.default_rng(14)
     huge = np.array([1e155, 1e300, -1e308, 1e308, 1.7e308, -1.7e308])
-    for size in (150, TALL):  # below and above quantile's crossover
+    for size in (150, TALL):
         marginal = fit_kde(rng.normal(size=size))
         np.testing.assert_array_equal(marginal.pdf(huge), 0.0)
         np.testing.assert_array_equal(marginal.cdf(huge), np.where(huge > 0.0, CDF_CEIL, CDF_FLOOR))
@@ -404,11 +427,9 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, query):
     # block (a budget of 1 or 7 elements), a few points per block (a ragged
     # last block), and one block for all.  Every column's pdf, cdf and
     # log_pdf take the fast Gauss transform, whose table is built on first
-    # use and cached, so each budget gets a fresh marginal.  The quantile
-    # of the 150-centre column takes the dense kernel.
+    # use and cached, so each budget gets a fresh marginal.
     levels = np.linspace(0.05, 0.95, 7)
     for size in (150, 301, TALL):
-        assert (size < marginals_module._FGT_MIN_CENTRES) == (size == 150)
         column = np.random.default_rng(11).gamma(2.0, 1.5, size=size)
         results = []
         for chunk in (1, 7, 7 * 301, 10**9):
@@ -492,24 +513,133 @@ def test_the_table_matches_the_translation_oracle(kind, size, seed, narrow):
     assume(narrow or np.ptp(column) > 0.0)
     marginal = KdeMarginal(column, 0.05) if narrow else fit_kde(column)
     largest, coef, base = translated_table(marginal)
-    _, _, _, got_largest, got_coef, got_base = marginal._boxes
+    table = marginal._table
+    got_largest, got_coef, got_base = table.largest[0], table.coef, table.base
     assert got_largest == largest and got_coef.shape == coef.shape
     assert np.all(np.abs(got_coef - coef) <= 1e-15 * largest)
     assert np.all(np.abs(got_base - base) <= 1e-15 * largest + 2.0 * np.spacing(base))
 
 
+def _model_marginals():
+    """Marginals of warped, tied, gapped and Cauchy columns of 2, 150 and
+    2,000 centres, and one column near 1e8: one model's columns."""
+    rng = np.random.default_rng(16)
+    marginals = []
+    for kind in ("warped", "tied", "gapped", "cauchy"):
+        for size in (2, 150, 2000) if kind != "cauchy" else (2000, 150, 2):
+            column = _column(kind, size, rng)
+            narrow = size == 2 or kind == "cauchy"
+            marginals.append(KdeMarginal(column, 0.05) if narrow else fit_kde(column))
+    marginals.insert(6, fit_kde(1e8 + rng.standard_normal(300)))
+    return marginals
+
+
+def test_each_column_of_a_models_table_is_the_table_it_builds_alone():
+    # The columns' keys are shifted apart, each column's source boxes fill
+    # whole matrix-product blocks of their own, and each target sums its
+    # pairs in the order it sums them alone: so each column, its target
+    # boxes and its gaps, is bitwise its marginal's own table.
+    marginals = _model_marginals()
+    table = _Table(marginals)
+    T = marginals_module._TRANSLATE
+    first, last = table.offset - T, table.offset + table.top - 1.0  # each column's target keys
+    assert np.all(first[1:] - last[:-1] > T + 1)
+    in_column = (table.keys[:, None] >= first) & (table.keys[:, None] <= last)
+    assert np.all(in_column.sum(axis=1) == 1)  # every box belongs to one column
+    for c, marginal in enumerate(marginals):
+        alone = marginal._table
+        box = np.flatnonzero((table.keys >= first[c]) & (table.keys <= last[c]))
+        cols = np.concatenate([box, table.keys.size + c + np.arange(box[0], box[-1] + 2)])
+        pairs = [
+            (table.keys[box] - table.offset[c], alone.keys),
+            (table.centres[cols], alone.centres),
+            (table.coef[:, :, cols], alone.coef),
+            (table.base[cols], alone.base),
+        ]
+        pairs += [(getattr(table, name)[c], getattr(alone, name)[0])
+                  for name in ("origin", "width", "top", "largest", "size", "scale")]
+        for got, want in pairs:
+            assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [marginals_module._CHUNK_ELEMENTS, 7 * marginals_module._HERMITE_TERMS])
+def test_a_models_table_gives_each_marginals_bits(monkeypatch, chunk):
+    # pdf, cdf and log_pdf through the model's table equal each marginal's
+    # own calls bitwise: in the bulk, where the pdf hands over to the dense
+    # kernel, where log_pdf takes logsumexp, at NaN and +-inf, and at a
+    # point whose key, unclipped, would fall among the next column's boxes.
+    monkeypatch.setattr(marginals_module, "_CHUNK_ELEMENTS", chunk)
+    marginals = _model_marginals()
+    table = _Table(marginals)
+    rng = np.random.default_rng(17)
+    points = []
+    for m in marginals:
+        h, lo, hi = m.bandwidth, m.samples.min(), m.samples.max()
+        points.append(np.concatenate([
+            rng.choice(m.samples, 50) + h * rng.normal(0.0, 2.0, 50),
+            lo - h * rng.uniform(6.0, 40.0, 10),
+            hi + h * rng.uniform(6.0, 40.0, 10),
+            [lo - 1e4 * h, hi + 1e4 * h, np.nan, np.inf, -np.inf],
+        ]))
+    # Column c is a gapped column of 2,000 centres, and column c + 1 a
+    # narrow Cauchy column thousands of keys wide.
+    c = 9
+    far = table.keys[table.keys > table.offset[c] + table.top[c] + 1e4 / np.sqrt(2.0)][0]
+    assert far < table.offset[c + 2] - marginals_module._TRANSLATE  # a box of column c + 1
+    point = table.origin[c] + (far - table.offset[c] + 0.5) * table.width[c]
+    assert point > marginals[c].samples.max() + 1e4 * marginals[c].bandwidth
+    assert np.floor((point - table.origin[c]) / table.width[c]) + table.offset[c] == far
+    points[c] = np.append(points[c], point)
+    col = np.repeat(np.arange(len(marginals)), [p.size for p in points])
+    x = np.concatenate(points)
+    order = rng.permutation(x.size)
+    x, col = x[order], col[order]
+    dens, cum = table.sums(x, col, pdf=True, cdf=True)
+    cdf, log_pdf = table.cdf_and_log_pdf(x, col)
+    assert np.any(dens == 0.0)  # the logsumexp branch
+    assert np.any((dens > 0.0) & (dens < 1e-3 * table.largest[col] * table.scale[col] / table.size[col]))
+    for c, m in enumerate(marginals):
+        at = col == c
+        assert dens[at].tobytes() == m.pdf(x[at]).tobytes()
+        assert cum[at].tobytes() == cdf[at].tobytes() == m.cdf(x[at]).tobytes()
+        assert log_pdf[at].tobytes() == m.log_pdf(x[at]).tobytes()
+    # A log density below -finfo.max is the error the marginal raises alone.
+    x, col = np.insert(x, 5, 1e300), np.insert(col, 5, 3)
+    with pytest.raises(OutOfRangeError) as alone:
+        marginals[3].log_pdf(1e300)
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(alone.value))}$"):
+        table.cdf_and_log_pdf(x, col)
+
+
+def test_a_models_quantile_gives_each_marginals_bits():
+    # One Newton loop over every column's targets: each column's answers
+    # are bitwise its marginal's quantile of the same targets.
+    marginals = _model_marginals()
+    u = np.random.default_rng(18).random((30, len(marginals)))
+    u[0] = 1e-12
+    x = _Table(marginals).quantile(u)
+    assert x.shape == u.shape
+    for c, m in enumerate(marginals):
+        assert x[:, c].tobytes() == m.quantile(u[:, c]).tobytes()
+
+
 _TABLE_DIGEST = """
 import hashlib
 import numpy as np
-from copulabn.marginals import KdeMarginal, fit_kde
+from copulabn.marginals import KdeMarginal, _Table, fit_kde
 digest = hashlib.sha256()
+def update(table):
+    for part in (table.keys, table.centres, table.largest, table.coef, table.base):
+        digest.update(part.tobytes())
+mixed = []
 for seed, kind in enumerate(["warped", "tied", "gapped", "cauchy"]):
     z = np.random.default_rng(seed).standard_normal(4000)
     column = {"warped": np.exp(z / 2.0) + 0.3 * z, "tied": np.round(z, 0),
               "gapped": np.where(z > 0.0, z + 200.0, z), "cauchy": np.tan(z)}[kind]
     for marginal in (fit_kde(column), KdeMarginal(column, 0.05)):
-        for part in marginal._boxes[1:]:
-            digest.update(np.asarray(part).tobytes())
+        update(marginal._table)
+    mixed += [KdeMarginal(column, 0.05), KdeMarginal(column[:150], 0.05), KdeMarginal(column[:2], 0.05)]
+update(_Table(mixed))
 print(digest.hexdigest())
 """
 
@@ -518,7 +648,8 @@ def test_the_table_does_not_depend_on_the_thread_count():
     # Matrix products build the table; its bytes must not depend on how
     # many threads the BLAS splits a product over.  The narrow Cauchy-like
     # column has some 400 source boxes: one product over all of them would
-    # be split.
+    # be split.  So would one over a model's columns, here 12 of 2, 150 and
+    # 4,000 centres in one table.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     digests = set()
@@ -531,7 +662,7 @@ def test_the_table_does_not_depend_on_the_thread_count():
     assert len(digests) == 1
 
 
-@pytest.mark.parametrize("size", [marginals_module._FGT_MIN_CENTRES, 1000, TALL])
+@pytest.mark.parametrize("size", [200, 1000, TALL])
 def test_a_point_in_no_box_has_the_count_of_centres_left_of_it(size):
     # Points in the middle of a narrow gapped column's gap lie more than
     # 8 box widths from every centre, so in no target box of the expansion.
@@ -545,7 +676,7 @@ def test_a_point_in_no_box_has_the_count_of_centres_left_of_it(size):
     x = s[gap] + (s[gap + 1] - s[gap]) * np.array([0.25, 0.5, 0.75])
     assert np.all(np.abs(x[:, None] - s).min(axis=1) > 8.0 * np.sqrt(2.0) * marginal.bandwidth)
     np.testing.assert_array_equal(marginal.cdf(x), (gap + 1.0) / size)
-    np.testing.assert_array_equal(marginal._cdf_and_log_pdf(x)[0], (gap + 1.0) / size)
+    np.testing.assert_array_equal(marginal._table.cdf_and_log_pdf(*_alone(x))[0], (gap + 1.0) / size)
     pdf, cdf, log_pdf = dense_kde(marginal, x)
     np.testing.assert_array_equal(cdf, (gap + 1.0) / size)
     assert marginal.pdf(x).tobytes() == pdf.tobytes()
@@ -576,11 +707,17 @@ def test_a_point_gets_the_same_bits_alone_or_in_any_batch(size, seed, others, re
         assert np.float64(f(point)).tobytes() == f(batch)[at].tobytes()
 
 
-def test_the_dense_kernel_is_not_used_above_the_crossover(monkeypatch):
+def _handed_over(marginal, x):
+    """Where the expansion's pdf at ``x`` hands over to the dense kernel."""
+    expanded = marginal._table._expanded(*_alone(x), pdf=True, cdf=False)[0]
+    return expanded < marginals_module._EXACT_BELOW * marginal._table.largest[0]
+
+
+def test_the_dense_kernel_runs_only_where_the_expansion_hands_over(monkeypatch):
     # At every centre count the cdf never takes the dense kernel, and the
-    # pdf and log_pdf take it only where the expansion hands over.  Only
-    # quantile keeps it below the crossover, for its table and its Newton
-    # steps, and builds no expansion there.
+    # pdf and log_pdf take it only where the expansion hands over.  So does
+    # quantile, for its table and its Newton steps, at 2 centres as at
+    # thousands: it builds the expansion and inverts the public cdf.
     rng = np.random.default_rng(12)
     seen = []
     dense = KdeMarginal._kernel_columns
@@ -590,36 +727,29 @@ def test_the_dense_kernel_is_not_used_above_the_crossover(monkeypatch):
         return dense(self, x)
 
     monkeypatch.setattr(KdeMarginal, "_kernel_columns", record)
-    for size in (2, 20, marginals_module._FGT_MIN_CENTRES - 1, marginals_module._FGT_MIN_CENTRES, TALL):
+    for size in (2, 20, 199, 200, TALL):
         column = _column("warped", size, rng)
         marginal = fit_kde(column)
-
-        def handed_over(x):
-            expanded = marginal._expanded(x, pdf=True, cdf=False)[0]
-            return expanded < marginals_module._EXACT_BELOW * marginal._boxes[3]
-
         u = rng.random(20)
-        marginal.quantile(u)
-        if size < marginals_module._FGT_MIN_CENTRES:
-            assert "_boxes" not in vars(marginal)
-            assert seen[0].size == u.size + 1 and len(seen) > 1  # the bracket table, then the Newton steps
-        else:
-            assert all(np.all(handed_over(points)) for points in seen)  # the Newton steps
+        x = marginal.quantile(u)
+        assert "_table" in vars(marginal)
+        assert all(np.all(_handed_over(marginal, points)) for points in seen)
+        assert np.all(np.abs(marginal.cdf(x) - u) < marginals_module._QUANTILE_TOL)
         seen.clear()
         x = np.concatenate([np.linspace(marginal.support_lo, marginal.support_hi, 500), [-1e4, 1e4]])
         marginal.cdf(x)
         assert not seen
         marginal.pdf(x)
-        assert np.array_equal(np.concatenate(seen), x[handed_over(x)])
+        assert np.array_equal(np.concatenate(seen), x[_handed_over(marginal, x)])
         assert 0 < seen[0].size < x.size / 2  # the grid's tails hand over, its bulk does not
         seen.clear()
         assert marginal.pdf(1e4) == 0.0  # log_pdf takes its logsumexp branch there
         assert np.all(np.isfinite(marginal.log_pdf(x)))
-        assert all(np.all(handed_over(points)) for points in seen)
+        assert all(np.all(_handed_over(marginal, points)) for points in seen)
         seen.clear()
-        marginal._cdf_and_log_pdf(x)  # one pass: the pdf hands over as alone, the cdf never
-        assert np.array_equal(seen[0], x[handed_over(x)])
-        assert all(np.all(handed_over(points)) for points in seen)
+        marginal._table.cdf_and_log_pdf(*_alone(x))  # one pass: the pdf hands over as alone, the cdf never
+        assert np.array_equal(seen[0], x[_handed_over(marginal, x)])
+        assert all(np.all(_handed_over(marginal, points)) for points in seen)
         seen.clear()
 
 
@@ -646,7 +776,7 @@ def test_the_hand_over_is_the_dense_kernel_bit_for_bit(kind, size, seed, narrow)
         hi + h * rng.uniform(6.0, 40.0, 40),
         [lo - 1e4 * h, hi + 1e4 * h, -1e6, 1e6],
     ])
-    x = x[marginal._expanded(x, pdf=True, cdf=False)[0] < marginals_module._EXACT_BELOW * marginal._boxes[3]]
+    x = x[_handed_over(marginal, x)]
     assert x.size
     got = [marginal.pdf(x), marginal.log_pdf(x)]
     pdf, _, log_pdf = dense_kde(marginal, x)
@@ -684,11 +814,11 @@ def test_one_pass_gives_the_bits_of_the_separate_calls(kind, size, seed, narrow,
     ])
     rng.shuffle(x)
     assert np.any(marginal.pdf(x) == 0.0)  # some points take the logsumexp branch
-    cdf, log_pdf = marginal._cdf_and_log_pdf(x)
+    cdf, log_pdf = marginal._table.cdf_and_log_pdf(*_alone(x))
     assert cdf.tobytes() == marginal.cdf(x).tobytes()
     assert log_pdf.tobytes() == marginal.log_pdf(x).tobytes()
     x = np.insert(x, int(rng.integers(0, x.size + 1)), huge)
     with pytest.raises(OutOfRangeError) as alone:
         marginal.log_pdf(x)
     with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(alone.value))}$"):
-        marginal._cdf_and_log_pdf(x)
+        marginal._table.cdf_and_log_pdf(*_alone(x))
