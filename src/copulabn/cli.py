@@ -13,6 +13,7 @@ input files), 3 numerical failure.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -87,7 +88,10 @@ _SPLIT_DEFAULTS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: parsing reads it and changes nothing in it."""
     parser = _Parser(prog="copulabn", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"copulabn {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")

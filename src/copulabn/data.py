@@ -9,10 +9,21 @@ seeds derived from a single base seed.
 Every CSV the package writes gives floats as their shortest round-trip ``repr``.
 All but the benchmark grid's (LF line ends) go through :func:`_write_csv`:
 UTF-8, CRLF line ends, hidden cells empty.
+
+:func:`load_csv` picks its path before it parses.  One scan of the body
+(:func:`_needs_csv_pass`) sends a file with an empty or blank cell, a comma
+next to whitespace or a quote, or an underscore to the ``csv`` module, which
+reads it row by row and parses each cell with ``float()``.  Any other body is
+parsed in one ``np.loadtxt`` call, which rounds as ``float()`` does (both call
+``PyOS_string_to_double``).  When that call refuses the body or reads a
+non-finite value, the ``csv`` pass reads the file again and names the first
+bad cell.  The scan reads 64K characters at a time and ``np.loadtxt`` a line
+at a time, so no path holds the whole text at once.
 """
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +49,8 @@ __all__ = [
     "prepare_communities_csv",
 ]
 
-# Rows that load_csv parses in one pass; a block's cell strings are all held
-# at once, so the block bounds that memory.
+# Rows that load_csv's csv pass parses at once; a block's cell strings are
+# all held at once, so the block bounds that memory.
 _PARSE_ROWS = 64
 
 # Purpose tags mixed into derived seeds so different uses of the same base
@@ -173,6 +184,14 @@ def load_csv(path):
     numbers everywhere they are non-empty; constant columns and columns
     with fewer than two observed values are rejected.
 
+    A body that :func:`_needs_csv_pass` finds plain (no empty or blank
+    cell, no comma next to whitespace or a quote, no underscore) is parsed
+    in one ``np.loadtxt`` call, which rounds each cell as ``float()`` does.
+    Every other body, and one that call refuses or reads a non-finite
+    value from, is read by the ``csv`` module row by row, which also finds
+    the first bad cell for the message.  Both give the same values, errors
+    and messages.
+
     Raises
     ------
     ParseError
@@ -182,42 +201,18 @@ def load_csv(path):
         A constant or nearly-empty column (the message names it).
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
-        except (csv.Error, UnicodeDecodeError) as err:
-            raise _unreadable(path, reader, err) from None
-        names = [h.strip() for h in header]
-        if any(not n for n in names):
-            raise ParseError(f"{path}: header has an empty column name")
-        if len(set(names)) != len(names):
-            raise ParseError(f"{path}: header has duplicate column names")
-        blocks, rows, line_numbers, failure = [], [], [], None
-        try:
-            for r, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(names):
-                    failure = ParseError(
-                        f"{path}: row {r} has {len(row)} cells, expected {len(names)}"
-                    )
-                    break
-                rows.append(row)
-                line_numbers.append(r)
-                if len(rows) == _PARSE_ROWS:
-                    blocks.append(_parse_cells(path, names, rows, line_numbers))
-                    rows, line_numbers = [], []
-        except (csv.Error, UnicodeDecodeError) as err:
-            failure = _unreadable(path, reader, err)
-        # Parsed before the failure is raised: a bad cell in a row read before
-        # it is reported first.  Bytes that are not UTF-8 fail the whole chunk
-        # the decoder reads them in (8 KB), so no row of that chunk is read.
-        blocks.append(_parse_cells(path, names, rows, line_numbers))
-    if failure is not None:
-        raise failure
-    values = np.concatenate(blocks)
+        # readline, not the file's own iterator, keeps fh.tell() usable.
+        reader = csv.reader(iter(fh.readline, ""))
+        names = _header(path, reader)
+        values = _parse_body(fh, len(names))
+        if values is None:
+            if fh.seekable():
+                # From the start, so the decoder's chunks and the reader's
+                # line count fall as in one pass over the file.
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)  # the header, already read and checked
+            values = _parse_rows(path, names, reader)
     if not values.shape[0]:
         raise EmptyInputError(f"{path}: no data rows")
     data = MaskedDataset.from_values(values, tuple(names))
@@ -230,6 +225,105 @@ def load_csv(path):
         if float(col.max()) == float(col.min()):
             raise DegenerateColumnError(f"column '{name}' is constant; it cannot be modeled")
     return data
+
+
+def _header(path, reader):
+    """The stripped column names of the header row ``reader`` reads next."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: file is empty") from None
+    except (csv.Error, UnicodeDecodeError) as err:
+        raise _unreadable(path, reader, err) from None
+    names = [h.strip() for h in header]
+    if any(not n for n in names):
+        raise ParseError(f"{path}: header has an empty column name")
+    if len(set(names)) != len(names):
+        raise ParseError(f"{path}: header has duplicate column names")
+    return names
+
+
+def _parse_body(fh, width):
+    """The rest of ``fh`` as a (rows, ``width``) array from one ``np.loadtxt``
+    call, or None where the csv pass must read it: :func:`_needs_csv_pass`
+    says so, or the call refuses a cell, finds no row, the wrong number of
+    columns or a non-finite value.  A stream that cannot seek (a pipe) is
+    left to the csv pass, which reads it once."""
+    if not fh.seekable():
+        return None
+    start = fh.tell()
+    try:
+        if _needs_csv_pass(fh):
+            return None
+        fh.seek(start)
+        with warnings.catch_warnings():
+            # loadtxt warns on a body with no rows; the csv pass reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:  # a cell loadtxt cannot read, or bytes that are not UTF-8
+        return None
+    if values.shape[0] and values.shape[1] == width and np.isfinite(values).all():
+        return values
+    return None
+
+
+def _needs_csv_pass(fh):
+    """Whether the rest of ``fh`` holds text that only the csv pass reads
+    as ``float()`` of each stripped cell does, read in chunks that double
+    from 8K to 64K characters.
+
+    That is a comma next to another comma, a line end or any ASCII
+    character below it (so every empty or blank cell, a cell padded with
+    ASCII whitespace, and a quoted one), an underscore, or a whole chunk
+    without a comma or line end.  No chunk is longer than half the csv
+    module's field limit, so a field over that limit covers a whole chunk.
+    Anything else ``np.loadtxt`` either reads as the csv pass would, or
+    refuses.
+    """
+    cap = min(1 << 16, (csv.field_size_limit() + 1) // 2)
+    size = min(1 << 13, cap)  # small at first: a file with hidden cells shows one early
+    last = b"\n"  # the body starts a line
+    while chunk := fh.read(size):
+        if "_" in chunk:
+            return True
+        if len(chunk) == size and not ("," in chunk or "\n" in chunk or "\r" in chunk):
+            return True
+        # UTF-8 keeps each ASCII character one byte and writes no other byte below 128.
+        text = np.frombuffer(last + chunk.encode(), np.uint8)
+        if (np.maximum(text[1:], text[:-1]) == ord(",")).any():
+            return True
+        last = text[-1:].tobytes()
+        size = min(2 * size, cap)
+    return last == b","
+
+
+def _parse_rows(path, names, reader):
+    """The (rows, columns) values of the rows ``reader`` reads after the header,
+    parsed ``_PARSE_ROWS`` at a time by :func:`_parse_cells`."""
+    blocks, rows, line_numbers, failure = [], [], [], None
+    try:
+        for r, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                failure = ParseError(
+                    f"{path}: row {r} has {len(row)} cells, expected {len(names)}"
+                )
+                break
+            rows.append(row)
+            line_numbers.append(r)
+            if len(rows) == _PARSE_ROWS:
+                blocks.append(_parse_cells(path, names, rows, line_numbers))
+                rows, line_numbers = [], []
+    except (csv.Error, UnicodeDecodeError) as err:
+        failure = _unreadable(path, reader, err)
+    # Parsed before the failure is raised: a bad cell in a row read before
+    # it is reported first.  Bytes that are not UTF-8 fail the whole chunk
+    # the decoder reads them in (8 KB), so no row of that chunk is read.
+    blocks.append(_parse_cells(path, names, rows, line_numbers))
+    if failure is not None:
+        raise failure
+    return np.concatenate(blocks)
 
 
 def _unreadable(path, reader, err):

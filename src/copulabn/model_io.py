@@ -53,11 +53,25 @@ def serialize(model):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _numbers(values, field, kinds=(int, float)):
-    """``values`` if it is a list of JSON values whose types are in ``kinds``; booleans never are."""
-    if not isinstance(values, list) or not all(type(v) in kinds for v in values):
+_NUMBER = frozenset((int, float))
+
+
+def _numbers(values, field, kinds=_NUMBER):
+    """``values`` if it is a list of JSON values whose types are in ``kinds``;
+    booleans never are.  The types are gathered in one C pass, ``set(map(type,
+    values))``, so a marginal's thousands of samples cost no Python loop."""
+    if not isinstance(values, list) or not set(map(type, values)) <= kinds:
         raise ValidationError(f"field {field!r} must be a list of numbers")
     return values
+
+
+def _floats(values, field):
+    """The JSON numbers ``values`` as a tuple of floats; an integer too large
+    for a float is a ``ValidationError``, not an ``OverflowError``."""
+    try:
+        return tuple(map(float, _numbers(values, field)))
+    except OverflowError:
+        raise ValidationError(f"field {field!r} holds an integer too large for a float") from None
 
 
 def _require(doc, key):
@@ -91,22 +105,21 @@ def deserialize(text):
     names = tuple(names)
     parents = _require(doc, "parents")
     try:
-        dag = Dag(len(names), tuple(tuple(_numbers(ps, "parents", (int,))) for ps in parents))
+        dag = Dag(len(names), tuple(tuple(_numbers(ps, "parents", {int})) for ps in parents))
         if kind == "cbn":
-            rho = _numbers(_require(doc, "rho"), "rho", (int, float, type(None)))
+            rho = _numbers(_require(doc, "rho"), "rho", _NUMBER | {type(None)})
             marg = _require(doc, "marginals")
             for m in marg:
-                _numbers([m["bandwidth"], *m["samples"]], "marginals")
+                _numbers([m["bandwidth"]], "marginals")
+                _numbers(m["samples"], "marginals")
             marginals = tuple(KdeMarginal(m["samples"], m["bandwidth"]) for m in marg)
             return CbnModel(dag=dag, marginals=marginals, rho=rho, column_names=names)
         if kind == "lgbn":
             return LinearGaussianBn(
                 dag=dag,
-                intercepts=tuple(_numbers(_require(doc, "intercepts"), "intercepts")),
-                coefficients=tuple(
-                    tuple(_numbers(cs, "coefficients")) for cs in _require(doc, "coefficients")
-                ),
-                variances=tuple(_numbers(_require(doc, "variances"), "variances")),
+                intercepts=_floats(_require(doc, "intercepts"), "intercepts"),
+                coefficients=tuple(_floats(cs, "coefficients") for cs in _require(doc, "coefficients")),
+                variances=_floats(_require(doc, "variances"), "variances"),
                 column_names=names,
             )
         raise ValidationError(f"unknown model_kind {kind!r}")

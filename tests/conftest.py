@@ -1,7 +1,8 @@
 """Shared fixtures, synthetic-data generators and the dense-kernel,
-translation-table, model-file, quadrature, Gaussian-conditioning and
+translation-table, model-file, CSV-reading, quadrature, Gaussian-conditioning and
 structure-search oracles for the test suite."""
 
+import csv
 import functools
 import json
 import math
@@ -15,7 +16,15 @@ from scipy.special import erfc, logsumexp, ndtr, roots_hermitenorm, roots_legend
 
 from copulabn.cbn import CbnModel
 from copulabn.dag import Dag
-from copulabn.errors import ConvergenceError, OutOfRangeError, SingularDesignError
+from copulabn.data import MaskedDataset
+from copulabn.errors import (
+    ConvergenceError,
+    DegenerateColumnError,
+    EmptyInputError,
+    OutOfRangeError,
+    ParseError,
+    SingularDesignError,
+)
 from copulabn.gaussian_bn import _VARIANCE_FLOOR
 from copulabn.marginals import _HERMITE_TERMS, _INV_SQRT_PI, _TRANSLATE, CDF_CEIL, CDF_FLOOR
 from copulabn.structure import _MAX_MOVES, ScoredStructure
@@ -155,6 +164,71 @@ def model_document(model):
         doc["coefficients"] = [list(cs) for cs in model.coefficients]
         doc["variances"] = list(model.variances)
     return json.dumps(doc, indent=2) + "\n"
+
+
+def csv_reader_load(path):
+    """CSV-reading oracle: ``load_csv`` as the csv module reads a file, every
+    non-blank cell through Python ``float()`` of the stripped text.
+
+    This was the package's only reader before the one-shot ``np.loadtxt``
+    parse.  It parsed 64 rows at a time, which changes no value and no
+    message: a bad cell on a row read before a ragged row, a line the csv
+    module rejects, or bytes that are not UTF-8 is reported first either way.
+    """
+    def unreadable(err):
+        if isinstance(err, UnicodeDecodeError):
+            return ParseError(f"{path}: not UTF-8 text ({err.reason})")
+        return ParseError(f"{path}: line {reader.line_num}: {err}")
+
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: file is empty") from None
+        except (csv.Error, UnicodeDecodeError) as err:
+            raise unreadable(err) from None
+        names = [h.strip() for h in header]
+        if any(not n for n in names):
+            raise ParseError(f"{path}: header has an empty column name")
+        if len(set(names)) != len(names):
+            raise ParseError(f"{path}: header has duplicate column names")
+        rows, failure = [], None
+        try:
+            for r, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    failure = ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(names)}")
+                    break
+                rows.append((r, row))
+        except (csv.Error, UnicodeDecodeError) as err:
+            failure = unreadable(err)
+    values = np.full((len(rows), len(names)), np.nan)
+    for i, (r, row) in enumerate(rows):
+        for c, cell in enumerate(row):
+            cell = cell.strip()
+            if not cell:
+                continue
+            where = f"{path}: row {r}, column {c + 1} ({names[c]})"
+            try:
+                values[i, c] = float(cell)
+            except ValueError:
+                raise ParseError(f"{where}: cannot parse {cell!r} as a number") from None
+            if not math.isfinite(values[i, c]):
+                raise ParseError(f"{where}: {cell!r} is not a finite number")
+    if failure is not None:
+        raise failure
+    if not rows:
+        raise EmptyInputError(f"{path}: no data rows")
+    data = MaskedDataset.from_values(values, tuple(names))
+    for j, name in enumerate(data.column_names):
+        col = data.values[data.observed[:, j], j]
+        if col.size < 2:
+            raise DegenerateColumnError(f"column '{name}' has {col.size} observed values; need at least 2")
+        if float(col.max()) == float(col.min()):
+            raise DegenerateColumnError(f"column '{name}' is constant; it cannot be modeled")
+    return data
 
 
 def chain_scores(rho, num_vars, num_rows, rng):

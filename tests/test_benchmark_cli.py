@@ -311,6 +311,38 @@ def test_cli_exit_codes(small_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+# The messages the constructors already gave for a cbn field.
+_HUGE_CBN_MESSAGES = {"rho": "rho must be a real number", "bandwidth": "bandwidth must be a positive real",
+                      "samples": "samples must be real numbers"}
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("lgbn", "intercepts"), ("lgbn", "coefficients"), ("lgbn", "variances"),
+    ("cbn", "rho"), ("cbn", "bandwidth"), ("cbn", "samples"),
+])
+def test_cli_integer_too_large_for_a_float_in_a_model_file_is_a_data_error(
+        small_csv, tmp_path, capsys, kind, field):
+    # JSON integers have no size limit; one past the float range (1e400) exits
+    # 2 with a typed message, where an lgbn file raised OverflowError.
+    message = _HUGE_CBN_MESSAGES.get(field, f"field {field!r} holds an integer too large for a float")
+    model = tmp_path / f"{kind}.json"
+    assert main(["fit", "--data", str(small_csv), "--model", kind, "--max-parents", "1",
+                 "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    node = next(i for i, ps in enumerate(doc["parents"]) if ps)
+    if field == "coefficients":
+        doc[field][node][0] = "HUGE"
+    elif field in ("bandwidth", "samples"):
+        doc["marginals"][node][field] = "HUGE" if field == "bandwidth" else ["HUGE", 0.5]
+    else:
+        doc[field][node] = "HUGE"
+    model.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 400))
+    capsys.readouterr()
+    assert main(["eval", "--model-file", str(model), "--data", str(small_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("copulabn: data error: ") and message in err, err
+
+
 def test_cli_csv_outputs_pin_their_bytes(small_csv, tmp_path, capsys):
     # eval --out, sample and marginals: one header, then every float as its
     # shortest round-trip repr, with \r\n line ends.

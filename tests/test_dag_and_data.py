@@ -1,12 +1,16 @@
 """Graph container, dataset container, CSV loading, splits, and masking."""
 
+import os
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from copulabn import data as data_module
 from copulabn.dag import Dag
 from copulabn.data import (
     ExperimentProtocol,
@@ -25,6 +29,8 @@ from copulabn.errors import (
     ParseError,
     ValidationError,
 )
+
+from conftest import csv_reader_load
 
 
 # ---------------------------------------------------------------- Dag
@@ -288,6 +294,147 @@ def test_save_csv_round_trips_every_value_bitwise(tmp_path_factory, rows):
     np.testing.assert_array_equal(back.observed, data.observed)
     assert back.values.view(np.uint64)[back.observed].tolist() == (
         data.values.view(np.uint64)[data.observed].tolist())
+
+
+def _load_outcome(path):
+    """What loading ``path`` gives: the dataset's names, mask and value bits,
+    or the exception's type and message.  Any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = load_csv(path)
+        except Exception as err:
+            new = (type(err), str(err))
+        else:
+            new = (data.column_names, data.observed.tobytes(), data.values.tobytes())
+        try:
+            data = csv_reader_load(path)
+        except Exception as err:
+            return new, (type(err), str(err))
+        return new, (data.column_names, data.observed.tobytes(), data.values.tobytes())
+
+
+# Cells the one-shot parse reads; cells only the csv pass reads as float()
+# does (underscores, padding, quotes, empty and blank cells); bad cells.
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["\xa01.5\xa0", "-0", "1e-320", "2.5E+3"]),
+)
+_READABLE_CELLS = st.sampled_from(["1_000", " 1.5 ", "", " ", '"1.5"'])
+_BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e999", "#1", "0x10", "abc"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """The text of a CSV file: a header, then rows of cells, with the line
+    ends, blank lines, byte-order mark and ragged rows a user's file may have."""
+    num_cols = draw(st.integers(1, 4))
+    cells = draw(st.sampled_from([_PLAIN_CELLS, st.one_of(_PLAIN_CELLS, _READABLE_CELLS),
+                                  st.one_of(_PLAIN_CELLS, _READABLE_CELLS, _BAD_CELLS)]))
+    rows = draw(st.lists(st.lists(cells, min_size=num_cols, max_size=num_cols), min_size=1, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    names = [f"c{j}" for j in range(num_cols)]
+    names[0] = draw(st.sampled_from(["c0", '"c,0"', f'"c{end}0"', ' "c0"']))
+    lines = [",".join(row) for row in rows]
+    if draw(st.integers(0, 3)) == 0:  # one ragged row
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i] + ",1" if draw(st.booleans()) else lines[i].rpartition(",")[0]
+    for i in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(i, "")
+    text = end.join([",".join(names), *lines]) + draw(st.sampled_from(["", end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_csv_texts())
+def test_load_csv_reads_what_the_csv_reader_reads(tmp_path_factory, text):
+    # The one-shot parse, the path choice and the csv pass together give the
+    # csv reader's values, mask and names, or its exception and message.
+    path = tmp_path_factory.mktemp("prop") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    new, old = _load_outcome(path)
+    assert new == old
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n3," + "0" * 131_073 + "\n4,5\n",
+    "a,b\n1,2\n3," + " " * 131_073 + "1\n4,5\n",
+    "a\n1\n" + "0" * 131_073 + "\n3\n",
+    "a,b\n1,2\n3," + "0" * 131_072 + "\n4,5\n",
+])
+def test_a_field_over_the_csv_limit_reads_as_the_csv_reader_reads_it(tmp_path, text):
+    # np.loadtxt has no field limit; a field over the csv module's is refused
+    # as before, one at the limit is read.
+    path = _write(tmp_path, "long.csv", text)
+    new, old = _load_outcome(path)
+    assert new == old
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x,y\n", EmptyInputError),
+    ("x,y\r\n\r\n\n", EmptyInputError),
+    ("x,y\n1,2\n", DegenerateColumnError),
+    ("x\n1\n", DegenerateColumnError),
+    ("x\n1\n1\n", DegenerateColumnError),
+    ("x\n1\n\n2\n", None),
+    ("x\n1\nnan\n", ParseError),
+])
+def test_no_warning_escapes_load_csv(tmp_path, text, error):
+    # np.loadtxt warns on a body with no rows; load_csv raises its own error.
+    path = _write(tmp_path, "small.csv", text)
+    new, old = _load_outcome(path)
+    assert new == old
+    assert (new[0] is error) if error else new[0] == ("x",)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_the_path_is_chosen_before_parsing(tmp_path, monkeypatch):
+    # A complete table that save_csv writes takes one np.loadtxt call and no
+    # csv pass; one with hidden cells, or an underscore, goes straight to the
+    # csv pass and never pays for a refused fast parse.
+    fast = _count_calls(monkeypatch, np, "loadtxt")
+    rows = _count_calls(monkeypatch, data_module, "_parse_rows")
+    values = np.random.default_rng(3).normal(size=(300, 4))
+    save_csv(MaskedDataset.from_values(values, "abcd"), tmp_path / "full.csv")
+    assert load_csv(tmp_path / "full.csv").values.tobytes() == values.tobytes()
+    assert (fast, rows) == (["loadtxt"], [])
+    values[-1, -1] = np.nan  # one hidden cell, in the last row
+    save_csv(MaskedDataset.from_values(values, "abcd"), tmp_path / "hidden.csv")
+    _write(tmp_path, "underscore.csv", "a,b\n1,2\n3,4_0\n")
+    for name in ("hidden.csv", "underscore.csv"):
+        fast.clear()
+        rows.clear()
+        new, old = _load_outcome(tmp_path / name)
+        assert new == old
+        assert (fast, rows) == ([], ["_parse_rows"])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_csv_reads_a_pipe_once(tmp_path):
+    # A pipe cannot seek back to its body, so the csv pass reads it as it comes.
+    text = "a,b\n1.5,2\n,3\n2.5,4\n"
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    data = load_csv(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    expected = load_csv(_write(tmp_path, "file.csv", text))
+    assert data.values.tobytes() == expected.values.tobytes()
+    assert data.observed.tolist() == expected.observed.tolist()
 
 
 # ------------------------------------------------------------- splits
