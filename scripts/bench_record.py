@@ -11,7 +11,9 @@ i-th change record; both must be of the same workload, seed and trace setting):
         --out BENCH_21.json
 
 Per workload, seed and trace setting it writes each end-to-end metric's
-median and quartiles (numpy linear percentiles) per side, the pairs the
+median and quartiles (numpy linear percentiles) per side, and for each timed
+metric (the commands' and set-up's) the same of its unscaled value, the
+record's ``raw_timings`` and ``raw_setup_s``, under ``raw``; the pairs the
 change won (ties count for neither), whether every run of both sides was
 correct, the commands that failed on both sides, and which output digests
 equal the parent's.  Pairs of traced runs (``--trace 1``) form groups of
@@ -32,8 +34,9 @@ METHOD = (
     "Alternating pairs of runs of the parent and the change, each on its own checkout with "
     "identical perfbench files; the side that runs first alternates by pair. Per workload, "
     "seed and trace setting: each end-to-end metric's median and quartiles (numpy linear "
-    "percentiles) over the runs of each side, and the pairs the change won (ties count "
-    "for neither); traced groups add each per-layer metric's median per side."
+    "percentiles) over the runs of each side, next to the same of the unscaled time under "
+    "'raw' for each timed metric, and the pairs the change won (ties count for neither); "
+    "traced groups add each per-layer metric's median per side."
 )
 
 
@@ -44,6 +47,17 @@ def _load(paths):
 def _spread(values):
     q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def _side(values, raws):
+    """Each metric's spread over one side's runs, with the spread of its
+    unscaled values under ``raw`` when it is timed."""
+    out = {}
+    for m, v in values.items():
+        out[m] = _spread(v)
+        if m in raws[0]:
+            out[m]["raw"] = _spread([r[m] for r in raws])
+    return out
 
 
 def _commit(records):
@@ -72,6 +86,8 @@ def summarise(parent, change, metrics, pr, title, layers=()):
         sides = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
         value = {side: {m: [r["end_to_end"][m]["value"] for r in runs] for m in metrics}
                  for side, runs in sides.items()}
+        raw = {side: [{**r["raw_timings"], "setup_s": r["raw_setup_s"]} for r in runs]
+               for side, runs in sides.items()}
         wins = {m: sum((c > p) if better == "higher" else (c < p)
                        for p, c in zip(value["parent"][m], value["change"][m]))
                 for m, better in metrics.items()}
@@ -82,8 +98,7 @@ def summarise(parent, change, metrics, pr, title, layers=()):
             "seed": seed,
             "trace": trace,
             "pairs": len(pairs),
-            "sides": {side: {m: _spread(v) for m, v in vals.items()}
-                      for side, vals in value.items()},
+            "sides": {side: _side(value[side], raw[side]) for side in sides},
             "change_wins": wins,
             "all_correct": all(r["correct"] for r in runs),
             "commands_failed": sum(r["commands_failed"] for r in runs),

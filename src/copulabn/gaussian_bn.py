@@ -8,10 +8,14 @@ One kernel, :func:`_condition`, does all the conditioning in information
 form: it reads the joint precision off the network and, per hidden-set
 size |H|, factors every row's |H| x |H| precision block in one batched
 call, which gives the rows' log marginals and, for EM, the expected
-moments.  Every family (complete-data fit, EM start and M-step, search
-score) is least squares on one mean and one covariance C, centred in two
-passes over the (completed) rows; families of one size (a search's candidates,
-a fit's families) are solved as one batch, :func:`_family_from_moments`.
+moments.  What depends only on the mask (the row groups and the flat
+indices that gather each row's block) is planned apart, by :func:`_blocks`:
+once per EM fit, whose mask is fixed, and once per call elsewhere, so a pass
+does only the model's arithmetic.  Every family (complete-data fit, EM start
+and M-step, search score) is least squares on one mean and one covariance C,
+centred in two passes over the (completed) rows; families of one size (a
+search's candidates, a fit's families) are solved as one batch,
+:func:`_family_from_moments`.
 """
 
 from dataclasses import dataclass
@@ -20,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    EmptyInputError,
     InvalidInputError,
     SingularDesignError,
     ValidationError,
@@ -191,7 +196,27 @@ def joint_gaussian(model):
     return mean, cov
 
 
-def _condition(model, values, observed, moments):
+def _blocks(observed):
+    """The part of :func:`_condition`'s work that depends only on the mask.
+
+    Yields one entry per hidden-set size |H| > 0, ascending: the group's
+    ``rows``; the flat indices of each row's Lambda_HH block into the n x n
+    precision, ``(rows, |H|, |H|)``; the flat indices of each row's hidden
+    cells into the (M, n) table, ``(rows, |H|)``; and the group's identity
+    right-hand side.  EM keeps the entries in a list, built once per fit and
+    handed to every pass, since its mask never changes.  A caller that makes
+    one pass streams them, so it holds one group's indices at a time.
+    """
+    n = observed.shape[1]
+    num_hidden = n - observed.sum(axis=1)
+    for h in np.unique(num_hidden[num_hidden > 0]).tolist():
+        rows = np.nonzero(num_hidden == h)[0]
+        hid = np.nonzero(~observed[rows])[1].reshape(rows.size, h)
+        yield (rows, hid[:, :, None] * n + hid[:, None, :], rows[:, None] * n + hid,
+               np.broadcast_to(np.eye(h), (rows.size, h, h)))
+
+
+def _condition(model, values, observed, moments, blocks):
     """Exact Gaussian conditioning of each row's hidden cells on its observed ones.
 
     Works in information form, straight from the network.  With A = I - B
@@ -206,45 +231,52 @@ def _condition(model, values, observed, moments):
         E[x_H | x_O] = mean_H - Lambda_HH^-1 u_H,
         Cov(x_H | x_O) = Lambda_HH^-1.
 
-    Rows are grouped by |H|, not by pattern: each group's Lambda_HH blocks
-    are stacked and take one batched Cholesky factorization and one batched
-    solve.  Returns ``(log_rows, mean, cov)``: rows with nothing observed
-    score 0; ``mean`` and ``cov`` are the expected mean and centred
-    covariance of x (hidden cells filled with their conditional means, plus
-    each row's conditional covariance), from :func:`_mean_cov`, or None when
-    ``moments`` is false.
+    Rows are grouped by |H|, not by pattern, as ``blocks`` (the entries of
+    :func:`_blocks` on ``observed``, read once) plans them: each group's
+    Lambda_HH blocks and u_H are gathered by flat index, stacked, and take one
+    batched Cholesky factorization and one batched solve.  The rows'
+    conditional covariances are summed by one ``bincount`` over the groups in
+    ascending |H|, which adds them in the order, and so with the bits, of one
+    ``np.add.at`` per group.  Returns ``(log_rows, mean, cov)``: rows with
+    nothing observed score 0; ``mean`` and ``cov`` are the expected mean and
+    centred covariance of x (hidden cells filled with their conditional
+    means, plus each row's conditional covariance), from :func:`_mean_cov`,
+    or None when ``moments`` is false.
     """
     n = model.num_vars
     a = np.eye(n)
-    for node, parents in enumerate(model.dag.parents):
-        a[node, list(parents)] = np.negative(model.coefficients[node])
+    edges = [node * n + p for node, parents in enumerate(model.dag.parents) for p in parents]
+    a.reshape(-1)[edges] = np.negative([c for cs in model.coefficients for c in cs])
     mean = np.linalg.solve(a, model.intercepts)
     variances = np.asarray(model.variances)
     scaled = a / np.sqrt(variances)[:, None]
     precision = scaled.T @ scaled
     d = np.where(observed, values - mean, 0.0)
     u = d @ precision
-    num_hidden = n - observed.sum(axis=1)
-    log_rows = -0.5 * ((n - num_hidden) * _LOG_2PI + np.log(variances).sum() + (u * d).sum(axis=1))
+    num_observed = observed.sum(axis=1)
+    log_rows = -0.5 * (num_observed * _LOG_2PI + np.log(variances).sum() + (u * d).sum(axis=1))
     completed = np.where(observed, values, mean) if moments else None
-    hidden_cov = np.zeros((n, n)) if moments else None
-    for h in np.unique(num_hidden[num_hidden > 0]):
-        rows = np.nonzero(num_hidden == h)[0]
-        hid = np.nonzero(~observed[rows])[1].reshape(rows.size, h)
-        factor = np.linalg.cholesky(precision[hid[:, :, None], hid[:, None, :]])
-        rhs = np.take_along_axis(u[rows], hid, axis=1)[:, :, None]
+    scatter, inverses = [], []
+    for rows, block, cells, eye in blocks:
+        factor = np.linalg.cholesky(precision.reshape(-1)[block])
+        rhs = u.reshape(-1)[cells][:, :, None]
         if moments:
-            rhs = np.concatenate([rhs, np.broadcast_to(np.eye(h), (rows.size, h, h))], axis=2)
+            rhs = np.concatenate([rhs, eye], axis=2)
         sol = np.linalg.solve(factor, rhs)  # L^-1 u_H, then L^-1 if moments
         logdet_hh = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
         log_rows[rows] -= 0.5 * (logdet_hh - (sol[:, :, 0] ** 2).sum(axis=1))
         if moments:
             inverse = sol[:, :, 1:].transpose(0, 2, 1) @ sol  # Lambda_HH^-1 [u_H, I]
-            completed[rows[:, None], hid] -= inverse[:, :, 0]
-            np.add.at(hidden_cov, (hid[:, :, None], hid[:, None, :]), inverse[:, :, 1:])
-    log_rows[num_hidden == n] = 0.0
+            completed.reshape(-1)[cells] -= inverse[:, :, 0]
+            scatter.append(block.ravel())
+            inverses.append(inverse[:, :, 1:].ravel())
+    log_rows[num_observed == 0] = 0.0
     if not moments:
         return log_rows, None, None
+    hidden_cov = 0.0
+    if scatter:
+        hidden_cov = np.bincount(np.concatenate(scatter), weights=np.concatenate(inverses),
+                                 minlength=n * n).reshape(n, n)
     return log_rows, *_mean_cov(completed, hidden_cov)
 
 
@@ -256,7 +288,7 @@ def log_marginal_lg_rows(model, data):
     density over everything).
     """
     _check_columns(data.num_cols, model.num_vars, "model")
-    return _condition(model, data.values, data.observed, False)[0]
+    return _condition(model, data.values, data.observed, False, _blocks(data.observed))[0]
 
 
 def log_marginal_lg(model, instance):
@@ -272,7 +304,7 @@ def log_marginal_lg(model, instance):
     observed = ~np.isnan(x)
     if not observed.any():
         raise InvalidInputError("instance has no observed coordinates")
-    return float(_condition(model, x, observed, False)[0][0])
+    return float(_condition(model, x, observed, False, _blocks(observed))[0][0])
 
 
 def expected_moments(model, data):
@@ -282,7 +314,7 @@ def expected_moments(model, data):
     covariance additionally receives each row's conditional covariance.
     Returns ``(mean, cov, num_rows)``.
     """
-    _, mean, cov = _condition(model, data.values, data.observed, True)
+    _, mean, cov = _condition(model, data.values, data.observed, True, _blocks(data.observed))
     return mean, cov, data.num_rows
 
 
@@ -312,7 +344,10 @@ def em_fit_lg(data, dag, history=None):
     improves after ``_EM_MAX_ITERS`` iterations; the likelihood
     sequence is non-decreasing up to numerical slack.  One conditioning pass
     per model yields both its log-likelihood and the next E-step, so k
-    iterations take k + 1 passes.
+    iterations take k + 1 passes.  The mask never changes within a fit, so
+    its row groups and gather indices (:func:`_blocks`) are planned once,
+    before the first pass, and every pass does only the model's arithmetic.
+    A column with no observed cell raises ``EmptyInputError``.
 
     Parameters
     ----------
@@ -328,16 +363,20 @@ def em_fit_lg(data, dag, history=None):
             history.append(float(log_marginal_lg_rows(model, data).sum()))
         return model
 
+    empty = np.flatnonzero(~data.observed.any(axis=0))
+    if empty.size:
+        raise EmptyInputError(f"column {data.column_names[empty[0]]!r} has no observed cell")
     # Independent-Gaussian start: the observed cells' means and variances, no correlations.
     cells = [data.values[data.observed[:, j], j] for j in range(data.num_cols)]
     start = np.array([col.mean() for col in cells]), np.diag([col.var() for col in cells])
     model = _fit_from_moments(*start, dag, data.column_names)
 
-    _, mean, cov = _condition(model, data.values, data.observed, True)
+    blocks = list(_blocks(data.observed))
+    _, mean, cov = _condition(model, data.values, data.observed, True, blocks)
     last_ll = -np.inf
     for _ in range(_EM_MAX_ITERS):
         model = _fit_from_moments(mean, cov, dag, data.column_names)
-        log_rows, mean, cov = _condition(model, data.values, data.observed, True)
+        log_rows, mean, cov = _condition(model, data.values, data.observed, True, blocks)
         ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)

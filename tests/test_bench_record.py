@@ -16,9 +16,10 @@ _METRICS = {"cbn_fit_s": "lower", "sample_rows_per_s": "higher"}
 
 
 def _record(commit, fit_s, rows_per_s, digests, correct=True, failed=0, workload="sample",
-            layer_s=None):
+            layer_s=None, raw_scale=2.0, raw_setup_s=0.1):
     """A perfbench record with only the fields the script reads; a traced
-    one when ``layer_s`` gives its per-layer time."""
+    one when ``layer_s`` gives its per-layer time.  Its unscaled times are
+    ``raw_scale`` times the scaled ones."""
     record = {
         "workload": workload,
         "seed": 1,
@@ -28,6 +29,9 @@ def _record(commit, fit_s, rows_per_s, digests, correct=True, failed=0, workload
                         "nproc": 2, "blas_threads": 1, "git_commit": commit},
         "end_to_end": {"cbn_fit_s": {"value": fit_s, "unit": "s"},
                        "sample_rows_per_s": {"value": rows_per_s, "unit": "rows/s"}},
+        "raw_timings": {"cbn_fit_s": fit_s * raw_scale,
+                        "sample_rows_per_s": rows_per_s / raw_scale},
+        "raw_setup_s": raw_setup_s,
         "correct": correct,
         "commands_failed": failed,
         "digests": digests,
@@ -97,3 +101,33 @@ def test_traced_pairs_form_their_own_group_with_per_layer_medians():
     assert traced["per_layer"] == {"parent": {"cbn.lower_bound_rows.self_s": 0.2},
                                    "change": {"cbn.lower_bound_rows.self_s": 0.1}}
     assert traced["sides"]["change"]["cbn_fit_s"]["median"] == 0.3
+
+
+def test_timed_metrics_carry_their_unscaled_spread():
+    # The reference kernel's speed scales every timed metric; the raw values
+    # are read from each record's raw_timings and raw_setup_s, and untimed
+    # metrics have none.
+    metrics = {**_METRICS, "setup_s": "lower", "peak_rss_mb": "lower"}
+
+    def record(commit, fit_s, raw_scale, raw_setup_s, rss):
+        r = _record(commit, fit_s, 100.0, {}, raw_scale=raw_scale, raw_setup_s=raw_setup_s)
+        r["end_to_end"]["setup_s"] = {"value": 0.08, "unit": "s"}
+        r["end_to_end"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+        return r
+
+    parent = [record("p", 0.2, 1.0, 0.10, 50.0), record("p", 0.4, 1.5, 0.30, 51.0),
+              record("p", 0.3, 1.0, 0.20, 52.0)]
+    change = [record("c", 0.1, 1.0, 0.05, 50.0)] * 3
+    (entry,) = bench_record.summarise(parent, change, metrics, 1, "t")["workloads"]
+    fit = entry["sides"]["parent"]["cbn_fit_s"]
+    assert [fit["q1"], fit["median"], fit["q3"]] == pytest.approx([0.25, 0.3, 0.35])
+    assert fit["raw"] == pytest.approx({"median": 0.3, "q1": 0.25, "q3": 0.45})
+    rows = entry["sides"]["parent"]["sample_rows_per_s"]["raw"]
+    assert rows == pytest.approx({"median": 100.0, "q1": (100.0 / 1.5 + 100.0) / 2, "q3": 100.0})
+    assert entry["sides"]["parent"]["setup_s"]["raw"] == pytest.approx(
+        {"median": 0.2, "q1": 0.15, "q3": 0.25})
+    assert entry["sides"]["change"]["setup_s"] == {
+        "median": 0.08, "q1": 0.08, "q3": 0.08, "raw": {"median": 0.05, "q1": 0.05, "q3": 0.05}}
+    assert "raw" not in entry["sides"]["parent"]["peak_rss_mb"]
+    # Wins stay a count of the scaled values.
+    assert entry["change_wins"]["cbn_fit_s"] == 3 and entry["change_wins"]["setup_s"] == 0

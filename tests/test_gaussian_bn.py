@@ -10,8 +10,10 @@ from scipy.stats import multivariate_normal, norm
 from copulabn import gaussian_bn
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
+from copulabn.benchmark import fit_model
 from copulabn.errors import (
     ConvergenceError,
+    EmptyInputError,
     InvalidInputError,
     SingularDesignError,
     ValidationError,
@@ -27,6 +29,7 @@ from copulabn.gaussian_bn import (
     log_marginal_lg_rows,
 )
 from copulabn.model_io import serialize
+from copulabn.structure import SearchConfig
 
 from conftest import condition_by_pattern, family_from_moments
 
@@ -520,6 +523,90 @@ def test_batched_kernel_matches_per_pattern_oracle(n, num_rows, seed):
     np.testing.assert_allclose(got_cov, want_cov, rtol=1e-10, atol=1e-10 * np.abs(want_cov).max())
 
 
+def _condition_per_group(model, values, observed, moments):
+    """Reference E-step with nothing planned: per |H| group, 2-d fancy-index
+    gathers, ``take_along_axis`` and one ``np.add.at``."""
+    n = model.num_vars
+    a = np.eye(n)
+    for node, parents in enumerate(model.dag.parents):
+        a[node, list(parents)] = np.negative(model.coefficients[node])
+    mean = np.linalg.solve(a, model.intercepts)
+    variances = np.asarray(model.variances)
+    scaled = a / np.sqrt(variances)[:, None]
+    precision = scaled.T @ scaled
+    d = np.where(observed, values - mean, 0.0)
+    u = d @ precision
+    num_hidden = n - observed.sum(axis=1)
+    log_rows = -0.5 * ((n - num_hidden) * gaussian_bn._LOG_2PI + np.log(variances).sum()
+                       + (u * d).sum(axis=1))
+    completed = np.where(observed, values, mean) if moments else None
+    hidden_cov = np.zeros((n, n)) if moments else None
+    for h in np.unique(num_hidden[num_hidden > 0]):
+        rows = np.nonzero(num_hidden == h)[0]
+        hid = np.nonzero(~observed[rows])[1].reshape(rows.size, h)
+        factor = np.linalg.cholesky(precision[hid[:, :, None], hid[:, None, :]])
+        rhs = np.take_along_axis(u[rows], hid, axis=1)[:, :, None]
+        if moments:
+            rhs = np.concatenate([rhs, np.broadcast_to(np.eye(h), (rows.size, h, h))], axis=2)
+        sol = np.linalg.solve(factor, rhs)
+        logdet_hh = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+        log_rows[rows] -= 0.5 * (logdet_hh - (sol[:, :, 0] ** 2).sum(axis=1))
+        if moments:
+            inverse = sol[:, :, 1:].transpose(0, 2, 1) @ sol
+            completed[rows[:, None], hid] -= inverse[:, :, 0]
+            np.add.at(hidden_cov, (hid[:, :, None], hid[:, None, :]), inverse[:, :, 1:])
+    log_rows[num_hidden == n] = 0.0
+    if not moments:
+        return log_rows, None, None
+    return log_rows, *gaussian_bn._mean_cov(completed, hidden_cov)
+
+
+def _planned_mask(rng, num_rows, n, complete):
+    """Row 0 fully observed and row 1 fully hidden, the only such row, so its
+    |H| group holds one row; the others hidden at random, each keeping one
+    observed cell.  Every cell observed when ``complete``."""
+    observed = rng.random((num_rows, n)) >= rng.random((num_rows, 1))
+    observed[np.arange(2, num_rows), rng.integers(n, size=num_rows - 2)] = True
+    observed[0] = True
+    observed[1] = False
+    return observed | complete
+
+
+def _passes_as_bytes(model, values, observed, plan):
+    """The bytes of a pass without and one with moments, each reading ``plan()``."""
+    return [None if out is None else out.tobytes()
+            for moments in (False, True)
+            for out in gaussian_bn._condition(model, values, observed, moments, plan())]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    num_rows=st.integers(3, 40),
+    complete=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planned_blocks_keep_every_bit_of_the_per_group_e_step(n, num_rows, complete, seed):
+    rng = np.random.default_rng(seed)
+    first, second = _random_network(rng, n), _random_network(rng, n)
+    observed = _planned_mask(rng, num_rows, n, complete)
+    values = np.where(observed, _sample_lg(first, num_rows, rng), np.nan)
+    blocks = list(gaussian_bn._blocks(observed))
+    sizes = [rows.size for rows, *_ in blocks]
+    assert sizes == [] if complete else sizes[-1] == 1
+    before = [[part.tobytes() for part in entry] for entry in blocks]
+    # One plan serves two models in turn, as EM's passes share one; each
+    # pass gives the per-group code's bytes, and so does a streamed plan.
+    for model in (first, second):
+        want = [None if out is None else out.tobytes()
+                for moments in (False, True)
+                for out in _condition_per_group(model, values, observed, moments)]
+        assert _passes_as_bytes(model, values, observed, lambda: blocks) == want
+        streamed = _passes_as_bytes(model, values, observed, lambda: gaussian_bn._blocks(observed))
+        assert streamed == want
+    assert [[part.tobytes() for part in entry] for entry in blocks] == before
+
+
 def test_family_ll_matches_direct_gaussian_log_likelihood():
     rng = np.random.default_rng(8)
     truth = _collider_model()
@@ -734,6 +821,53 @@ def test_em_improves_on_its_independent_start():
         log_marginal_lg_rows(model, data).sum()
         > log_marginal_lg_rows(independent, data).sum()
     )
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 200])
+def test_em_plans_its_blocks_once_per_fit(monkeypatch, max_iters):
+    rng = np.random.default_rng(15)
+    truth = _collider_model()
+    data = apply_missing_mask(
+        MaskedDataset.from_values(_sample_lg(truth, 300, rng), truth.column_names), 0.3, seed=16
+    )
+    plans, passes = [], []
+    blocks, condition = gaussian_bn._blocks, gaussian_bn._condition
+
+    def counted_blocks(observed):
+        plans.append(observed)
+        return blocks(observed)
+
+    def counted_condition(*args):
+        passes.append(args[-1])
+        return condition(*args)
+
+    monkeypatch.setattr(gaussian_bn, "_blocks", counted_blocks)
+    monkeypatch.setattr(gaussian_bn, "_condition", counted_condition)
+    monkeypatch.setattr(gaussian_bn, "_EM_MAX_ITERS", max_iters)
+    try:
+        em_fit_lg(data, truth.dag)
+    except ConvergenceError:
+        pass
+    assert len(plans) == 1 and len(passes) >= min(max_iters, 4) + 1
+    assert all(plan is passes[0] for plan in passes)
+    # The other callers plan once per call.
+    expected_moments(truth, data)
+    log_marginal_lg_rows(truth, data)
+    log_marginal_lg(truth, data.values[0])
+    assert len(plans) == 4
+
+
+def test_a_column_with_no_observed_cell_is_empty_input():
+    rng = np.random.default_rng(22)
+    truth = _collider_model()
+    values = _sample_lg(truth, 40, rng)
+    values[:, 1] = np.nan
+    values[::3, 0] = np.nan
+    data = MaskedDataset.from_values(values, truth.column_names)
+    with pytest.raises(EmptyInputError, match="column 'b' has no observed cell"):
+        em_fit_lg(data, truth.dag)
+    with pytest.raises(EmptyInputError, match="column 'b'"):
+        fit_model(data, "lgbn", SearchConfig(max_parents=2))
 
 
 def test_em_rejects_bad_arguments():
