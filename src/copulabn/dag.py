@@ -1,9 +1,11 @@
 """Directed acyclic graphs over variable indices.
 
 A :class:`Dag` stores one ordered parent tuple per node.  Instances are
-immutable and cache their topological order and ancestor bit sets, which
-:meth:`Dag.ancestor_matrix` unpacks for array code; structure search steps
-from one ``Dag`` to the next.
+immutable, validate themselves when built, and cache their topological order
+and ancestor bit sets; a pickle holds only the two fields, so it is the same
+whichever caches were read, and unpickling validates again.  Structure search
+keeps its own graph state, updated in place move by move, and builds one
+``Dag`` from the graph it returns.
 """
 
 import heapq
@@ -51,6 +53,9 @@ class Dag:
                     raise ValidationError(f"node {i} has out-of-range parent {p}")
         object.__setattr__(self, "parents", parents)
         self.topological_order  # acyclicity check happens here
+
+    def __reduce__(self):
+        return Dag, (self.num_vars, self.parents)
 
     @classmethod
     def empty(cls, num_vars):
@@ -103,13 +108,6 @@ class Dag:
             for p in self.parents[node]:
                 sets[node] |= sets[p] | 1 << p
         return tuple(sets)
-
-    def ancestor_matrix(self):
-        """``ancestors`` as a boolean matrix: entry [v, p] is True when p ~> v."""
-        width = (self.num_vars + 7) // 8
-        packed = b"".join(a.to_bytes(width, "little") for a in self.ancestors)
-        bits = np.frombuffer(packed, dtype=np.uint8).reshape(self.num_vars, width)
-        return np.unpackbits(bits, axis=1, count=self.num_vars, bitorder="little").astype(bool)
 
     def families_by_size(self):
         """Every node's family as a row, child first and then its parents, grouped by

@@ -204,8 +204,10 @@ def _blocks(observed):
     precision, ``(rows, |H|, |H|)``; the flat indices of each row's hidden
     cells into the (M, n) table, ``(rows, |H|)``; and the group's identity
     right-hand side.  EM keeps the entries in a list, built once per fit and
-    handed to every pass, since its mask never changes.  A caller that makes
-    one pass streams them, so it holds one group's indices at a time.
+    handed to every pass, since its mask never changes, with their block
+    indices concatenated once (each entry's block a view of that array).  A
+    caller that makes one pass streams them, so it holds one group's indices
+    at a time.
     """
     n = observed.shape[1]
     num_hidden = n - observed.sum(axis=1)
@@ -216,7 +218,7 @@ def _blocks(observed):
                np.broadcast_to(np.eye(h), (rows.size, h, h)))
 
 
-def _condition(model, values, observed, moments, blocks):
+def _condition(model, values, observed, moments, blocks, scatter=None):
     """Exact Gaussian conditioning of each row's hidden cells on its observed ones.
 
     Works in information form, straight from the network.  With A = I - B
@@ -237,11 +239,16 @@ def _condition(model, values, observed, moments, blocks):
     batched Cholesky factorization and one batched solve.  The rows'
     conditional covariances are summed by one ``bincount`` over the groups in
     ascending |H|, which adds them in the order, and so with the bits, of one
-    ``np.add.at`` per group.  Returns ``(log_rows, mean, cov)``: rows with
-    nothing observed score 0; ``mean`` and ``cov`` are the expected mean and
-    centred covariance of x (hidden cells filled with their conditional
-    means, plus each row's conditional covariance), from :func:`_mean_cov`,
-    or None when ``moments`` is false.
+    ``np.add.at`` per group.  Each group writes its Lambda_HH^-1 blocks
+    straight into one weight array; ``scatter``, the entries' block indices
+    concatenated in plan order, says where bincount adds each.  EM passes it
+    built once per fit; without it a pass writes it beside the weights.
+
+    Returns ``(log_rows, mean, cov)``: rows with nothing observed score 0;
+    ``mean`` and ``cov`` are the expected mean and centred covariance of x
+    (hidden cells filled with their conditional means, plus each row's
+    conditional covariance), from :func:`_mean_cov`, or None when
+    ``moments`` is false.
     """
     n = model.num_vars
     a = np.eye(n)
@@ -255,8 +262,13 @@ def _condition(model, values, observed, moments, blocks):
     u = d @ precision
     num_observed = observed.sum(axis=1)
     log_rows = -0.5 * (num_observed * _LOG_2PI + np.log(variances).sum() + (u * d).sum(axis=1))
-    completed = np.where(observed, values, mean) if moments else None
-    scatter, inverses = [], []
+    if moments:
+        completed = np.where(observed, values, mean)
+        weights = np.empty(int(np.square(n - num_observed).sum()))
+        fill = scatter is None
+        if fill:
+            scatter = np.empty(weights.size, dtype=np.intp)
+    start = 0
     for rows, block, cells, eye in blocks:
         factor = np.linalg.cholesky(precision.reshape(-1)[block])
         rhs = u.reshape(-1)[cells][:, :, None]
@@ -268,15 +280,17 @@ def _condition(model, values, observed, moments, blocks):
         if moments:
             inverse = sol[:, :, 1:].transpose(0, 2, 1) @ sol  # Lambda_HH^-1 [u_H, I]
             completed.reshape(-1)[cells] -= inverse[:, :, 0]
-            scatter.append(block.ravel())
-            inverses.append(inverse[:, :, 1:].ravel())
+            end = start + block.size
+            weights[start:end].reshape(block.shape)[...] = inverse[:, :, 1:]
+            if fill:
+                scatter[start:end] = block.reshape(-1)
+            start = end
     log_rows[num_observed == 0] = 0.0
     if not moments:
         return log_rows, None, None
     hidden_cov = 0.0
-    if scatter:
-        hidden_cov = np.bincount(np.concatenate(scatter), weights=np.concatenate(inverses),
-                                 minlength=n * n).reshape(n, n)
+    if weights.size:
+        hidden_cov = np.bincount(scatter, weights=weights, minlength=n * n).reshape(n, n)
     return log_rows, *_mean_cov(completed, hidden_cov)
 
 
@@ -372,11 +386,16 @@ def em_fit_lg(data, dag, history=None):
     model = _fit_from_moments(*start, dag, data.column_names)
 
     blocks = list(_blocks(data.observed))
-    _, mean, cov = _condition(model, data.values, data.observed, True, blocks)
+    scatter = np.concatenate([block.reshape(-1) for _, block, _, _ in blocks])
+    # Each entry's block becomes a view of scatter, so the plan holds its indices once.
+    parts = np.split(scatter, np.cumsum([block.size for _, block, _, _ in blocks])[:-1])
+    blocks = [(rows, part.reshape(block.shape), cells, eye)
+              for (rows, block, cells, eye), part in zip(blocks, parts)]
+    _, mean, cov = _condition(model, data.values, data.observed, True, blocks, scatter)
     last_ll = -np.inf
     for _ in range(_EM_MAX_ITERS):
         model = _fit_from_moments(mean, cov, dag, data.column_names)
-        log_rows, mean, cov = _condition(model, data.values, data.observed, True, blocks)
+        log_rows, mean, cov = _condition(model, data.values, data.observed, True, blocks, scatter)
         ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)

@@ -5,13 +5,24 @@ the empty graph: every legal move is scored, the best strictly improving
 one is applied, and the search stops when none improves.  Results are
 deterministic: moves are scanned as additions, deletions, then reversals,
 each in (child, parent) order, and the first maximum wins.  The engine
-steps from one :class:`Dag` to the next and keeps two gain arrays, each
-child's family score with each node added to or deleted from its parents
-(Chickering 2002 caches such deltas); scores decompose per family, so after
-a move only the rows of the one or two children whose parents changed are
-refilled.  Legality comes as boolean masks from the graph's ancestor matrix
-(Giudici & Castelo 2003), and one masked argmax picks the move.
-``SearchConfig(max_parents=1)`` restricts the search to forests of trees.
+keeps two gain arrays, each child's family score with each node added to or
+deleted from its parents (Chickering 2002 caches such deltas); scores
+decompose per family, so after a move only the rows of the one or two
+children whose parents changed are refilled.  Family scores are cached by
+(child, parent bit mask).
+
+The graph is kept in place, as parent bit masks, an edge matrix and an
+ancestor matrix, and each accepted move updates them rather than rebuilding
+the graph (Giudici & Castelo 2003 update the ancestor matrix the same way).
+An addition p -> c ORs what p reaches into the rows of c and its
+descendants.  A deletion recomputes c and its descendants, each from its
+parents, in the order of their old ancestor counts within that set: removing
+an edge only removes ancestor relations, so that order stays topological.
+A reversal is a deletion, then an addition.  Legality comes as boolean
+masks from the two matrices, and one masked argmax picks the move.  One
+:class:`Dag` is built per search, of the graph returned, and its
+construction validates it.  ``SearchConfig(max_parents=1)`` restricts the
+search to forests of trees.
 
 Two plain ``score(child, parent_sets)`` functions of (moments, rows) plug
 into the same engine.  Each call passes one child and a non-empty list of
@@ -130,24 +141,62 @@ def _without(ps, p):
     return tuple(q for q in ps if q != p)
 
 
-def _legal_moves(dag, max_parents):
-    """Boolean (child, parent) masks of ``dag``'s legal additions, deletions
-    and reversals of the edge parent->child.
+class _Graph:
+    """The search's graph, updated in place by each accepted move.
 
-    Adding parent->child closes a cycle iff child is an ancestor of parent.
-    Reversing parent->child closes one iff another parent of child has
-    parent as an ancestor.
+    ``parents[v]`` is node v's sorted parent tuple and ``bits[v]`` the same
+    set as a bit mask, the family cache's key.  ``edges[c, p]`` is 1.0 when
+    p -> c, and ``reach[v, p]`` is 1.0 when p is v or one of v's ancestors.
+    Both matrices are float so that reversal legality is one BLAS product.
     """
-    n = dag.num_vars
-    ancestors = dag.ancestor_matrix()
-    sizes = np.array([len(ps) for ps in dag.parents])
-    edges = np.zeros((n, n), dtype=bool)
-    edges[np.repeat(np.arange(n), sizes), [p for ps in dag.parents for p in ps]] = True
-    room = sizes < max_parents
-    add = ~edges & ~ancestors.T & room[:, None]
-    np.fill_diagonal(add, False)
-    reached = edges @ ancestors
-    return add, edges, edges & room[None, :] & ~reached
+
+    def __init__(self, num_vars):
+        self.parents = [()] * num_vars
+        self.bits = [0] * num_vars
+        self.edges = np.zeros((num_vars, num_vars))
+        self.reach = np.eye(num_vars)
+
+    def legal(self, max_parents):
+        """Boolean (3, child, parent) masks of the legal additions, deletions
+        and reversals of the edge parent->child.
+
+        Adding parent->child closes a cycle iff child reaches parent.
+        Reversing it closes one iff another parent of child has parent as an
+        ancestor; as parent reaches itself, iff more than one of child's
+        parents reaches parent.
+        """
+        edges = self.edges > 0.0
+        room = self.edges.sum(axis=1) < max_parents
+        add = ~edges & (self.reach.T == 0.0) & room[:, None]
+        reverse = edges & room[None, :] & (self.edges @ self.reach == 1.0)
+        return np.stack([add, edges, reverse])
+
+    def add(self, child, parent):
+        """Adds parent->child: child and its descendants gain what parent reaches."""
+        self.parents[child] = _with(self.parents[child], parent)
+        self.bits[child] |= 1 << parent
+        self.edges[child, parent] = 1.0
+        below = self.reach[:, child] > 0.0
+        self.reach[below] = np.maximum(self.reach[below], self.reach[parent])
+
+    def delete(self, child, parent):
+        """Deletes parent->child: child and its descendants are each recomputed
+        from their parents.  A deletion only removes ancestor relations, so
+        ordering them by their old ancestor counts within the set keeps every
+        node after its parents."""
+        self.parents[child] = _without(self.parents[child], parent)
+        self.bits[child] &= ~(1 << parent)
+        self.edges[child, parent] = 0.0
+        below = np.flatnonzero(self.reach[:, child])
+        counts = self.reach[np.ix_(below, below)].sum(axis=1)
+        for node in below[np.argsort(counts)].tolist():
+            self.reach[node] = self.edges[node] @ self.reach > 0.0
+            self.reach[node, node] = 1.0
+
+    def reverse(self, child, parent):
+        """Reverses parent->child: a deletion, then child->parent's addition."""
+        self.delete(child, parent)
+        self.add(parent, child)
 
 
 def _search(num_vars, score, config):
@@ -162,36 +211,40 @@ def _search(num_vars, score, config):
     emptied (set to NaN) when its parents change.  A child's missing
     additions are scored in one ``score`` call and its missing deletions in
     another, so every call gets a non-empty list of parent sets of one size,
-    |ps| + 1 or |ps| - 1.  No family is scored twice: a family seen before,
-    NaN-scored ones included, is read from the cache, and a list with
-    nothing left to score makes no call."""
+    |ps| + 1 or |ps| - 1.  No family is scored twice: the cache is keyed by
+    (child, parent bit mask), a family seen before, NaN-scored ones included,
+    is read from it, and a list with nothing left to score makes no call;
+    sorted parent tuples are built only for the families sent to ``score``.
+    The graph is one :class:`_Graph`, updated in place by each accepted move,
+    and the one :class:`Dag` built, at the end, validates the result."""
     scored = {}
-
-    def family_scores(child, parent_sets):
-        todo = [ps for ps in parent_sets if (child, ps) not in scored]
-        if todo:
-            scored.update(zip([(child, ps) for ps in todo], score(child, todo)))
-        return [scored[child, ps] for ps in parent_sets]
-
-    dag = Dag.empty(num_vars)
-    current = np.array([family_scores(i, [()])[0] for i in range(num_vars)])
+    graph = _Graph(num_vars)
+    for i in range(num_vars):
+        scored[i, 0] = score(i, [()])[0]
+    current = np.array([scored[i, 0] for i in range(num_vars)])
     added, deleted = np.full((2, num_vars, num_vars), np.nan)
 
     for accepted in range(_MAX_MOVES + 1):
         # legal[kind] for the additions, deletions and reversals.
-        legal = np.stack(_legal_moves(dag, config.max_parents))
+        legal = graph.legal(config.max_parents)
         # need[0] and need[1]: the empty entries of added and deleted that a legal move reads.
         need = np.stack([(legal[0] | legal[2].T) & np.isnan(added), legal[1] & np.isnan(deleted)])
         for child in np.nonzero(need.any(axis=(0, 2)))[0].tolist():
-            ps = dag.parents[child]
+            ps, bits = graph.parents[child], graph.bits[child]
             for table, mask, edit in zip((added, deleted), need[:, child], (_with, _without)):
                 cols = np.nonzero(mask)[0].tolist()
-                table[child, cols] = family_scores(child, [edit(ps, p) for p in cols])
+                # Adding or deleting p toggles bit p.
+                keys = [(child, bits ^ (1 << p)) for p in cols]
+                todo = [(key, p) for key, p in zip(keys, cols) if key not in scored]
+                if todo:
+                    values = score(child, [edit(ps, p) for _, p in todo])
+                    scored.update(zip([key for key, _ in todo], values))
+                table[child, cols] = [scored[key] for key in keys]
 
         add_gain = added - current[:, None]
         delete_gain = deleted - current[:, None]
         gains = np.stack([add_gain, delete_gain, (delete_gain + added.T) - current[None, :]])
-        gains[~legal | np.isnan(gains)] = -np.inf
+        gains = np.where(legal & ~np.isnan(gains), gains, -np.inf)
         # Scan order is the flat order: additions, deletions, then reversals,
         # each (child, parent)-ordered; argmax keeps the first maximum.
         best = int(np.argmax(gains))
@@ -201,19 +254,12 @@ def _search(num_vars, score, config):
         if accepted == _MAX_MOVES:
             raise ConvergenceError(f"search still gains {best_gain!r} after {_MAX_MOVES} moves")
         kind, child, parent = (int(i) for i in np.unravel_index(best, gains.shape))
-        parents = list(dag.parents)
-        if kind == 0:
-            move = [(child, _with(parents[child], parent))]
-        else:
-            move = [(child, _without(parents[child], parent))]
-        if kind == 2:
-            move.append((parent, _with(parents[parent], child)))
-        for node, ps in move:
-            parents[node] = ps
-            current[node] = scored[node, ps]
+        (graph.add, graph.delete, graph.reverse)[kind](child, parent)
+        for node in (child, parent) if kind == 2 else (child,):
+            current[node] = scored[node, graph.bits[node]]
             added[node] = deleted[node] = np.nan
-        dag = Dag(num_vars, tuple(parents))
 
+    dag = Dag(num_vars, tuple(graph.parents))
     return ScoredStructure(dag, float(sum(current)), tuple(current))
 
 

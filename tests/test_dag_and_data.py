@@ -1,6 +1,7 @@
 """Graph container, dataset container, CSV loading, splits, and masking."""
 
 import os
+import pickle
 import re
 import threading
 import warnings
@@ -99,6 +100,24 @@ def test_dag_rejects_cycles_self_loops_and_bad_indices():
         Dag.from_edges(2, [(5, 1)])
     with pytest.raises(ValidationError):
         Dag(num_vars=0, parents=())
+
+
+@pytest.mark.parametrize(
+    "reads", [(), ("topological_order",), ("ancestors",), ("ancestors", "topological_order")]
+)
+def test_dag_pickles_the_same_bytes_whichever_caches_were_read(reads):
+    def build():
+        return Dag.from_edges(5, [(3, 0), (0, 2), (4, 2), (2, 1)])
+
+    dag = build()
+    for name in reads:
+        getattr(dag, name)
+    data = pickle.dumps(dag)
+    assert data == pickle.dumps(build())
+    back = pickle.loads(data)
+    assert back == dag and back.parents == ((3,), (2,), (0, 4), (), ())
+    assert back.topological_order == dag.topological_order
+    assert back.ancestors == dag.ancestors
 
 
 # ------------------------------------------------------ MaskedDataset

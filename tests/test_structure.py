@@ -25,7 +25,6 @@ from copulabn.structure import (
     ScoredStructure,
     SearchConfig,
     _copula_score,
-    _legal_moves,
     _search,
     bic_penalty,
     greedy_search,
@@ -205,68 +204,83 @@ def _builds_a_dag(parents):
     return True
 
 
+def _brute_force_moves(parents, max_parents):
+    """(3, child, parent) masks of the additions, deletions and reversals of
+    parent->child whose result is a DAG within the cap, move by move."""
+    n = len(parents)
+    moves = np.zeros((3, n, n), dtype=bool)
+    for child, parent in itertools.permutations(range(n), 2):
+        changed = [set(ps) for ps in parents]
+        if parent in parents[child]:
+            moves[1, child, parent] = True
+            changed[child].remove(parent)
+            changed[parent].add(child)
+            moves[2, child, parent] = len(parents[parent]) < max_parents and _builds_a_dag(changed)
+        else:
+            changed[child].add(parent)
+            moves[0, child, parent] = len(parents[child]) < max_parents and _builds_a_dag(changed)
+    return moves
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     num_vars=st.integers(1, 12),
-    density=st.floats(0.0, 0.7),
     max_parents=st.integers(0, 12),
+    num_moves=st.integers(0, 60),
+    cut_share=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_move_legality_matches_dag_validation(num_vars, density, max_parents, seed):
-    # A random DAG: edges run forward along a random node order.
+def test_in_place_graph_matches_a_fresh_dag_after_every_move(
+    num_vars, max_parents, num_moves, cut_share, seed
+):
+    # A random walk of legal moves on the search's in-place graph.  A share
+    # of the steps deletes an edge that is the only path from its parent to
+    # its child, so the ancestors below it must shrink.  After every move the
+    # graph's state must equal that of a fresh Dag of its parent sets, and
+    # its masks the moves whose result is a DAG within the cap.
     rng = np.random.default_rng(seed)
-    order = [int(v) for v in rng.permutation(num_vars)]
+    graph = structure._Graph(num_vars)
     parents = [set() for _ in range(num_vars)]
-    for i in range(num_vars):
-        for j in range(i + 1, num_vars):
-            if rng.random() < density:
-                parents[order[j]].add(order[i])
+    for _ in range(num_moves + 1):
+        dag = Dag(num_vars, tuple(tuple(sorted(ps)) for ps in parents))
+        assert graph.parents == list(dag.parents)
+        assert graph.bits == [sum(1 << p for p in ps) for ps in parents]
+        edges = np.zeros((num_vars, num_vars))
+        for child, ps in enumerate(parents):
+            edges[child, list(ps)] = 1.0
+        assert graph.edges.tobytes() == edges.tobytes()
+        for node in range(num_vars):
+            reached, stack = set(), list(parents[node])
+            while stack:
+                p = stack.pop()
+                if p not in reached:
+                    reached.add(p)
+                    stack.extend(parents[p])
+            assert dag.ancestors[node] == sum(1 << p for p in reached)
+            row = np.zeros(num_vars)
+            row[[node, *reached]] = 1.0
+            assert graph.reach[node].tobytes() == row.tobytes()
+        legal = graph.legal(max_parents)
+        assert legal.dtype == bool
+        np.testing.assert_array_equal(legal, _brute_force_moves(parents, max_parents))
 
-    # Ancestor sets against brute-force reachability over parent lists.
-    dag = Dag(num_vars, tuple(tuple(sorted(ps)) for ps in parents))
-    for node in range(num_vars):
-        reached, stack = set(), list(parents[node])
-        while stack:
-            p = stack.pop()
-            if p not in reached:
-                reached.add(p)
-                stack.extend(parents[p])
-        assert dag.ancestors[node] == sum(1 << p for p in reached)
-
-    # The engine offers an add or a reversal exactly when the resulting
-    # graph is a DAG and the touched family stays within the cap.  Written
-    # as the (node, new sorted parents) changes each move makes, in scan
-    # order: each mask's (child, parent) entries, row-major.
-    add, delete, reverse = _legal_moves(dag, max_parents)
-    ordered = [[int(p) for p in ps] for ps in dag.parents]
-    moves = [((c, tuple(sorted([*ordered[c], p]))),) for c, p in np.argwhere(add).tolist()]
-    moves += [((c, tuple(q for q in ordered[c] if q != p)),) for c, p in np.argwhere(delete).tolist()]
-    moves += [
-        ((c, tuple(q for q in ordered[c] if q != p)), (p, tuple(sorted([*ordered[p], c]))))
-        for c, p in np.argwhere(reverse).tolist()
-    ]
-    expected = {"add": [], "delete": [], "reverse": []}
-    for child in range(num_vars):
-        for parent in range(num_vars):
-            if parent == child:
-                continue
-            changed = [set(ps) for ps in parents]
-            if parent in parents[child]:
-                changed[child].remove(parent)
-                expected["delete"].append(((child, tuple(sorted(changed[child]))),))
-                changed[parent].add(child)
-                if len(parents[parent]) < max_parents and _builds_a_dag(changed):
-                    expected["reverse"].append(
-                        (
-                            (child, tuple(sorted(changed[child]))),
-                            (parent, tuple(sorted(changed[parent]))),
-                        )
-                    )
-            else:
-                changed[child].add(parent)
-                if len(parents[child]) < max_parents and _builds_a_dag(changed):
-                    expected["add"].append(((child, tuple(sorted(changed[child]))),))
-    assert moves == expected["add"] + expected["delete"] + expected["reverse"]
+        moves = [tuple(move) for move in np.argwhere(legal).tolist()]
+        if not moves:
+            break
+        cuts = [
+            (kind, child, parent)
+            for kind, child, parent in moves
+            if kind == 1 and not any(dag.ancestors[q] >> parent & 1 for q in parents[child])
+        ]
+        pool = cuts if cuts and rng.random() < cut_share else moves
+        kind, child, parent = pool[rng.integers(len(pool))]
+        (graph.add, graph.delete, graph.reverse)[kind](child, parent)
+        if kind == 0:
+            parents[child].add(parent)
+        else:
+            parents[child].remove(parent)
+        if kind == 2:
+            parents[parent].add(child)
 
 
 def _reference_search(num_vars, score, max_parents):
@@ -704,3 +718,20 @@ def test_search_is_deterministic():
     assert a.dag == b.dag
     assert a.score == b.score
     assert a.per_family_scores == b.per_family_scores
+
+
+def test_one_search_builds_one_dag(monkeypatch):
+    # The engine keeps its graph in place; the one Dag it builds is the
+    # returned graph, whose construction validates it.
+    built = []
+    post_init = Dag.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    score = _cbn_score(_chain_dataset(num_vars=6, num_rows=600, seed=4))
+    monkeypatch.setattr(Dag, "__post_init__", counted)
+    result = _search(6, score, SearchConfig(max_parents=2))
+    assert result.dag.num_edges() >= 2
+    assert len(built) == 1 and built[0] is result.dag
