@@ -13,8 +13,10 @@ side runs in its own subprocess, with one BLAS thread, in a temporary
 directory of its own.
 
 Per output it prints ``identical``, or what moved: for a model file the
-edges its DAG gains and loses, and for every output the largest absolute
-and relative move of its numbers.  It exits 1 when a side's command fails.
+edges its DAG gains and loses, for every output the largest absolute and
+relative move of its numbers, and for a score file (``*.scores.csv``) each
+side's mean score over the rows whose scores are finite on both sides.  It
+exits 1 when a side's command fails.
 """
 
 import argparse
@@ -104,6 +106,21 @@ def _move(a, b):
     return abs(a - b), abs(a - b) / max(abs(a), abs(b))
 
 
+def mean_scores(parent, change):
+    """(parent mean, change mean, rows) of two score files' ``log_score``
+    columns, over the rows whose scores are finite on both sides."""
+    def scores(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [float(row["log_score"]) for row in csv.DictReader(fh)]
+
+    pairs = [(a, b) for a, b in zip(scores(parent), scores(change))
+             if math.isfinite(a) and math.isfinite(b)]
+    if not pairs:
+        return math.nan, math.nan, 0
+    return (math.fsum(a for a, _ in pairs) / len(pairs), math.fsum(b for _, b in pairs) / len(pairs),
+            len(pairs))
+
+
 def describe(parent, change):
     """One line on how output file ``change`` differs from ``parent``."""
     if parent.read_bytes() == change.read_bytes():
@@ -120,6 +137,10 @@ def describe(parent, change):
         moves = [_move(a, b) for a, b in zip(nums_p, nums_c)]
         parts.append(f"largest move {max(m[0] for m in moves):.3g} absolute, "
                      f"{max(m[1] for m in moves):.3g} relative")
+        if parent.name.endswith(".scores.csv"):
+            before, after, rows = mean_scores(parent, change)
+            parts.append(f"mean score {before:.6f} -> {after:.6f} ({after - before:+.6f}) "
+                         f"over {rows} rows finite on both sides")
     return "; ".join(parts)
 
 

@@ -18,6 +18,7 @@ search's candidates, a fit's families) are solved as one batch,
 :func:`_family_from_moments`.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,15 +82,25 @@ class LinearGaussianBn:
         names = tuple(str(c) for c in self.column_names)
         if not (len(intercepts) == len(coefficients) == len(variances) == len(names) == n):
             raise ValidationError("per-node parameter lists must all have num_vars entries")
-        for i, (b, cs, v) in enumerate(zip(intercepts, coefficients, variances)):
-            if len(cs) != len(self.dag.parents[i]):
+        # Each check over every node at once; the first failing node reports
+        # the first of its checks that fails, in the order they are listed.
+        counts = np.array([len(cs) for cs in coefficients], dtype=np.intp)
+        miscounted = counts != np.array([len(ps) for ps in self.dag.parents], dtype=np.intp)
+        flat = np.fromiter(itertools.chain.from_iterable(coefficients), float, int(counts.sum()))
+        infinite = ~np.isfinite(intercepts)
+        infinite[np.repeat(np.arange(n), counts)[~np.isfinite(flat)]] = True
+        var = np.array(variances)
+        nonpositive = ~(np.isfinite(var) & (var > 0.0))
+        bad = miscounted | infinite | nonpositive
+        if bad.any():
+            i = int(np.argmax(bad))
+            if miscounted[i]:
                 raise ValidationError(
-                    f"node {i}: {len(cs)} coefficients for {len(self.dag.parents[i])} parents"
+                    f"node {i}: {counts[i]} coefficients for {len(self.dag.parents[i])} parents"
                 )
-            if not np.isfinite([b, *cs]).all():
+            if infinite[i]:
                 raise ValidationError(f"node {i}: intercept and coefficients must be finite")
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValidationError(f"node {i}: variance must be positive, got {v}")
+            raise ValidationError(f"node {i}: variance must be positive, got {variances[i]}")
         object.__setattr__(self, "intercepts", intercepts)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "variances", variances)
@@ -353,7 +364,9 @@ def em_fit_lg(data, dag, history=None):
     by the number of hidden cells), as an expected mean and centred
     covariance.  M-step: per-family least squares on those moments.  The
     start is the independent Gaussian of the observed cells' means and
-    variances.  Stops when the observed-data log-likelihood improves
+    variances; structure learning starts each new graph's EM instead from
+    the M-step on the moments its search scored, through the same loop.
+    Stops when the observed-data log-likelihood improves
     by less than ``_EM_TOL``, and raises ``ConvergenceError`` if it still
     improves after ``_EM_MAX_ITERS`` iterations; the likelihood
     sequence is non-decreasing up to numerical slack.  One conditioning pass
@@ -383,25 +396,31 @@ def em_fit_lg(data, dag, history=None):
     # Independent-Gaussian start: the observed cells' means and variances, no correlations.
     cells = [data.values[data.observed[:, j], j] for j in range(data.num_cols)]
     start = np.array([col.mean() for col in cells]), np.diag([col.var() for col in cells])
-    model = _fit_from_moments(*start, dag, data.column_names)
+    return _em(data, _fit_from_moments(*start, dag, data.column_names), history)[0]
 
+
+def _em(data, start, history=None):
+    """EM on a table with hidden cells from the model ``start``, on its graph:
+    the loop of :func:`em_fit_lg`, which documents it and ``history``.
+    Returns ``(model, mean, cov)``, the fitted model and its expected moments
+    (as :func:`expected_moments` gives them, bit for bit), from the last pass."""
     blocks = list(_blocks(data.observed))
     scatter = np.concatenate([block.reshape(-1) for _, block, _, _ in blocks])
     # Each entry's block becomes a view of scatter, so the plan holds its indices once.
     parts = np.split(scatter, np.cumsum([block.size for _, block, _, _ in blocks])[:-1])
     blocks = [(rows, part.reshape(block.shape), cells, eye)
               for (rows, block, cells, eye), part in zip(blocks, parts)]
-    _, mean, cov = _condition(model, data.values, data.observed, True, blocks, scatter)
+    _, mean, cov = _condition(start, data.values, data.observed, True, blocks, scatter)
     last_ll = -np.inf
     for _ in range(_EM_MAX_ITERS):
-        model = _fit_from_moments(mean, cov, dag, data.column_names)
+        model = _fit_from_moments(mean, cov, start.dag, data.column_names)
         log_rows, mean, cov = _condition(model, data.values, data.observed, True, blocks, scatter)
         ll = float(log_rows.sum())
         if history is not None:
             history.append(ll)
         gain, last_ll = ll - last_ll, ll
         if gain < _EM_TOL:
-            return model
+            return model, mean, cov
     raise ConvergenceError(
         f"EM still gains {gain!r} nats per iteration after {_EM_MAX_ITERS} iterations"
     )

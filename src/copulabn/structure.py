@@ -1,10 +1,14 @@
 """Score-based greedy structure search with a BIC penalty.
 
-Best-ascent hill climbing over add/delete/reverse edge moves, starting from
-the empty graph: every legal move is scored, the best strictly improving
-one is applied, and the search stops when none improves.  Results are
-deterministic: moves are scanned as additions, deletions, then reversals,
-each in (child, parent) order, and the first maximum wins.  The engine
+Best-ascent hill climbing over add/delete/reverse edge moves, from a start
+graph (the empty graph unless a structural-EM round passes the last one):
+every legal move is scored, and while the best gain exceeds a tolerance
+τ = 2⁻³⁰·N nats, for N rows, the first move in scan order whose gain is
+within τ of the best is applied.  Moves are scanned as additions,
+deletions, then reversals, each in (child, parent) order.  A
+score-equivalent score gives Markov-equivalent moves equal gains in exact
+arithmetic (Chickering 2002), so without τ such ties would go to rounding,
+and a gain of rounding size would count as an improvement.  The engine
 keeps two gain arrays, each child's family score with each node added to or
 deleted from its parents (Chickering 2002 caches such deltas); scores
 decompose per family, so after a move only the rows of the one or two
@@ -24,9 +28,10 @@ masks from the two matrices, and one masked argmax picks the move.  One
 construction validates it.  ``SearchConfig(max_parents=1)`` restricts the
 search to forests of trees.
 
-Two plain ``score(child, parent_sets)`` functions of (moments, rows) plug
-into the same engine.  Each call passes one child and a non-empty list of
-parent sets of one size, and gets the families' scores back as an array;
+Two plain ``score(child, parent_sets)`` functions of (moments, rows), each
+carrying its τ as ``score.tolerance``, plug into the same engine.  Each call
+passes one child and a non-empty list of parent sets of one size, and gets
+the families' scores back as an array;
 each scorer reads the list from its moment matrix in one gather and fits it
 in one batch, with the fitter that fits a model's families of one size:
 
@@ -37,10 +42,13 @@ in one batch, with the fitter that fits a model's families of one size:
   log-likelihood, a Schur complement of the (expected) mean-centred
   covariance, minus the penalty for its ``len(parents) + 2`` parameters.
 
-Both kinds learn in one structural-EM loop: search on the moments the
-current model gives, fit the graph found, and repeat while the moments read
-the model, as only the Gaussian E-step with hidden cells does; the copula
-moments hold the likelihood bound's expectations, read from the data alone.
+The copula moments hold the likelihood bound's expectations, read from the
+data alone, and so do complete-data Gaussian moments: those kinds run one
+search and one fit.  Only the Gaussian E-step with hidden cells reads the
+model, and there learning is structural EM (Friedman 1998): each round
+searches on the current model's expected moments, climbing from the model's
+own graph, and the new graph's EM starts from the M-step on those very
+moments; the loop stops when a search returns the graph it started from.
 """
 
 from dataclasses import dataclass
@@ -51,7 +59,14 @@ from .cbn import _score_table, fit_missing
 from .copula import family_stats
 from .dag import Dag
 from .errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError, _integer
-from .gaussian_bn import _mean_cov, em_fit_lg, expected_moments, family_ll_from_moments
+from .gaussian_bn import (
+    _em,
+    _fit_from_moments,
+    _mean_cov,
+    em_fit_lg,
+    expected_moments,
+    family_ll_from_moments,
+)
 
 __all__ = [
     "SearchConfig",
@@ -60,10 +75,14 @@ __all__ = [
     "greedy_search",
 ]
 
-# Cap on the searches of one structural-EM loop (lgbn with hidden cells).
-_STRUCTURE_ROUNDS = 3
-# Cap on accepted moves of one greedy search; an improving move left after it raises.
+# Cap on the searches of one structural-EM loop (lgbn with hidden cells); a
+# graph that still moves in the last one raises.
+_STRUCTURE_ROUNDS = 10
+# Cap on accepted moves of one greedy search; a move that still gains more than τ raises.
 _MAX_MOVES = 1000
+# Gains within _TIE nats per row of each other are ties, and a gain must exceed
+# that much to count: a family score sums N rows' terms, so its rounding grows with N.
+_TIE = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -120,6 +139,7 @@ def _copula_score(second, num_rows):
         families = [(child, *ps) for ps in parent_sets]
         return family_stats(second, float(num_rows), families).fit()[1] - penalty
 
+    score.tolerance = _TIE * num_rows
     return score
 
 
@@ -130,6 +150,7 @@ def _gaussian_score(mean, cov, num_rows):
         penalty = bic_penalty(len(parent_sets[0]) + 2, num_rows)
         return family_ll_from_moments(mean, cov, child, parent_sets, num_rows) - penalty
 
+    score.tolerance = _TIE * num_rows
     return score
 
 
@@ -199,10 +220,17 @@ class _Graph:
         self.add(parent, child)
 
 
-def _search(num_vars, score, config):
-    """Best-ascent engine: applies the best strictly improving move (first
-    maximum in scan order) until none improves, and returns the family scores
-    it maximized; ``ConvergenceError`` if one still improves after ``_MAX_MOVES``.
+def _search(num_vars, score, config, start=None):
+    """Best-ascent engine: climbs from the graph ``start`` (the empty graph
+    when None) while some move gains more than the scorer's tolerance τ,
+    ``score.tolerance``, and returns the family scores it maximized;
+    ``ConvergenceError`` if one still does after ``_MAX_MOVES`` moves.
+
+    Each step applies the first move in scan order whose gain is within τ of
+    the best gain.  Markov-equivalent moves of a score-equivalent score tie in
+    exact arithmetic (Chickering 2002), so the first maximum alone would break
+    such ties by rounding; τ = ``_TIE`` · N is far above a family score's
+    rounding and far below any gain that a real dependence earns.
 
     ``added[c, p]`` holds the score of c's family with p added and
     ``deleted[c, p]`` with p deleted; a reversal gains
@@ -211,18 +239,24 @@ def _search(num_vars, score, config):
     emptied (set to NaN) when its parents change.  A child's missing
     additions are scored in one ``score`` call and its missing deletions in
     another, so every call gets a non-empty list of parent sets of one size,
-    |ps| + 1 or |ps| - 1.  No family is scored twice: the cache is keyed by
+    |ps| + 1 or |ps| - 1; ``start``'s families come first, one call each.  No
+    family is scored twice: the cache is keyed by
     (child, parent bit mask), a family seen before, NaN-scored ones included,
     is read from it, and a list with nothing left to score makes no call;
     sorted parent tuples are built only for the families sent to ``score``.
-    The graph is one :class:`_Graph`, updated in place by each accepted move,
-    and the one :class:`Dag` built, at the end, validates the result."""
+    The graph is one :class:`_Graph`, ``start``'s edges added to an empty one,
+    updated in place by each accepted move, and the one :class:`Dag` built,
+    at the end, validates the result."""
     scored = {}
     graph = _Graph(num_vars)
+    for child, parents in enumerate(() if start is None else start.parents):
+        for parent in parents:
+            graph.add(child, parent)
     for i in range(num_vars):
-        scored[i, 0] = score(i, [()])[0]
-    current = np.array([scored[i, 0] for i in range(num_vars)])
+        scored[i, graph.bits[i]] = score(i, [graph.parents[i]])[0]
+    current = np.array([scored[i, graph.bits[i]] for i in range(num_vars)])
     added, deleted = np.full((2, num_vars, num_vars), np.nan)
+    tie = score.tolerance
 
     for accepted in range(_MAX_MOVES + 1):
         # legal[kind] for the additions, deletions and reversals.
@@ -245,12 +279,12 @@ def _search(num_vars, score, config):
         delete_gain = deleted - current[:, None]
         gains = np.stack([add_gain, delete_gain, (delete_gain + added.T) - current[None, :]])
         gains = np.where(legal & ~np.isnan(gains), gains, -np.inf)
-        # Scan order is the flat order: additions, deletions, then reversals,
-        # each (child, parent)-ordered; argmax keeps the first maximum.
-        best = int(np.argmax(gains))
-        best_gain = float(gains.flat[best])
-        if not best_gain > 0.0:
+        best_gain = float(gains.max())
+        if not best_gain > tie:
             break
+        # Scan order is the flat order: additions, deletions, then reversals,
+        # each (child, parent)-ordered; argmax finds the first within τ of the best.
+        best = int(np.argmax(gains.reshape(-1) >= best_gain - tie))
         if accepted == _MAX_MOVES:
             raise ConvergenceError(f"search still gains {best_gain!r} after {_MAX_MOVES} moves")
         kind, child, parent = (int(i) for i in np.unravel_index(best, gains.shape))
@@ -264,7 +298,11 @@ def _search(num_vars, score, config):
 
 
 def greedy_search(data, config, model_kind="cbn"):
-    """Best-ascent structure search from the empty graph.
+    """Best-ascent structure search.
+
+    The first search climbs from the empty graph.  Under the linear-Gaussian
+    baseline with hidden cells, structural-EM rounds follow, each climbing
+    from the last round's graph, until a search returns that graph.
 
     Parameters
     ----------
@@ -285,30 +323,38 @@ def greedy_search(data, config, model_kind="cbn"):
 
 
 def _learn(data, config, model_kind):
-    """Structural EM (Friedman 1998): ``(ScoredStructure, model fitted to its dag)``.
-
-    Each kind gives ``score_for(model)`` and ``fit(data, dag)``.  Only an E-step that
-    reads the model (lgbn with hidden cells) repeats, up to ``_STRUCTURE_ROUNDS``
-    searches, until a search returns the model's own graph."""
-    model = None
+    """``(ScoredStructure, model fitted to its dag)``: one search and one fit,
+    except for lgbn with hidden cells, whose E-step reads the model."""
     if model_kind == "cbn":
-        score = _copula_score(_score_table(data).second, data.num_rows)
-        score_for, fit = lambda _: score, fit_missing
+        score, fit = _copula_score(_score_table(data).second, data.num_rows), fit_missing
     elif model_kind == "lgbn" and data.fully_observed:
-        score = _gaussian_score(*_mean_cov(data.values), data.num_rows)
-        score_for, fit = lambda _: score, em_fit_lg
+        score, fit = _gaussian_score(*_mean_cov(data.values), data.num_rows), em_fit_lg
     elif model_kind == "lgbn":
-        def score_for(model):
-            return _gaussian_score(*expected_moments(model, data))
-
-        fit = em_fit_lg
-        model = fit(data, Dag.empty(data.num_cols))
+        return _structural_em(data, config)
     else:
         raise InvalidInputError(f"unknown model_kind {model_kind!r}")
+    result = _search(data.num_cols, score, config)
+    return result, fit(data, result.dag)
 
-    for _ in range(_STRUCTURE_ROUNDS if model is not None else 1):
-        result = _search(data.num_cols, score_for(model), config)
-        if model is not None and result.dag.parents == model.dag.parents:
-            break
-        model = fit(data, result.dag)
-    return result, model
+
+def _structural_em(data, config):
+    """Structural EM (Friedman 1998) for lgbn with hidden cells.
+
+    EM fits the empty graph from its independent-Gaussian start.  Then each
+    round searches on the model's expected moments, climbing from the
+    model's own graph, and stops when the search returns that graph.  A new
+    graph's EM starts from the M-step on the very moments its search scored,
+    so each round improves on the last rather than starting again, and the
+    next round's moments come from that EM's last pass, which conditions on
+    the model it returns.  A graph that still moves in search
+    ``_STRUCTURE_ROUNDS`` raises ``ConvergenceError``."""
+    model = em_fit_lg(data, Dag.empty(data.num_cols))
+    mean, cov, num_rows = expected_moments(model, data)
+    for _ in range(_STRUCTURE_ROUNDS):
+        result = _search(data.num_cols, _gaussian_score(mean, cov, num_rows), config, model.dag)
+        if result.dag.parents == model.dag.parents:
+            return result, model
+        model, mean, cov = _em(data, _fit_from_moments(mean, cov, result.dag, data.column_names))
+    raise ConvergenceError(
+        f"structure search still moves the graph after {_STRUCTURE_ROUNDS} structural-EM rounds"
+    )

@@ -484,29 +484,31 @@ def _rescan_moves(dag, max_parents):
                 )
 
 
-def rescan_search(num_vars, score, config):
+def rescan_search(num_vars, score, config, tolerance, start=None):
     """The best-ascent engine that rescans every legal move at every step,
     kept as the oracle of ``structure._search``: ``score(child, parents)``
-    gives one family's score."""
-    dag = Dag.empty(num_vars)
+    gives one family's score.  From ``start`` (the empty graph when None;
+    parents sorted, as the search keeps them), each step applies the first
+    move in scan order whose gain is within ``tolerance`` of the best gain,
+    while the best gain exceeds it."""
+    dag = Dag(num_vars, tuple(tuple(sorted(ps)) for ps in (start or Dag.empty(num_vars)).parents))
     fscore = functools.cache(score)
-    current = [fscore(i, ()) for i in range(num_vars)]
+    current = [fscore(i, ps) for i, ps in enumerate(dag.parents)]
 
     for accepted in range(_MAX_MOVES + 1):
-        best_gain = 0.0
-        best_move = None
+        moves = []
         for move in _rescan_moves(dag, config.max_parents):
             # Left to right: a reversal gains ((new_c - cur_c) + new_p) - cur_p.
             gain = 0.0
             for node, ps in move:
                 gain = gain + fscore(node, ps) - current[node]
-            if gain > best_gain:
-                best_gain = gain
-                best_move = move
-        if best_move is None:
+            moves.append((gain, move))
+        best_gain = max((gain for gain, _ in moves if not math.isnan(gain)), default=-math.inf)
+        if not best_gain > tolerance:
             break
         if accepted == _MAX_MOVES:
             raise ConvergenceError(f"search still gains {best_gain!r} after {_MAX_MOVES} moves")
+        best_move = next(move for gain, move in moves if gain >= best_gain - tolerance)
         parents = list(dag.parents)
         for node, ps in best_move:
             parents[node] = ps

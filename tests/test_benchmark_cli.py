@@ -304,11 +304,12 @@ def test_cli_exit_codes(small_csv, tmp_path, capsys):
         assert main(["eval", "--model-file", str(lgbn_out), "--data", str(small_csv)]) == 2
         assert "finite" in capsys.readouterr().err
     # numerical: collinear parent candidates break the linear-Gaussian fit
+    capsys.readouterr()
     assert main([
         "fit", "--data", str(_collinear_csv(tmp_path)), "--model", "lgbn",
         "--max-parents", "2", "--out", str(tmp_path / "m.json"),
     ]) == 3
-    capsys.readouterr()
+    assert "collinear parents (1, 2) for node 0" in capsys.readouterr().err
 
 
 # The messages the constructors already gave for a cbn field.
@@ -439,17 +440,19 @@ def test_cli_infinite_cell_is_a_data_error(tmp_path, capsys, cell):
 
 
 def _collinear_csv(tmp_path):
-    """40 rows where a and b are the same column and c follows them, so the
-    search scores c | {a, b} and the linear-Gaussian fit is singular."""
+    """40 rows where b and c are the same column and a follows them.  The
+    search first gives b the parent c; then a's two equal gains, from b and
+    from c, tie, and the tie goes to the scan order: a takes b, and its next
+    candidate, a | {b, c}, is singular in the linear-Gaussian fit."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=40)
-    c_col = x + 0.1 * rng.normal(size=40)
+    a_col = x + 0.1 * rng.normal(size=40)
     path = tmp_path / "dup.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "b", "c"])
         for i in range(40):
-            writer.writerow([repr(float(x[i])), repr(float(x[i])), repr(float(c_col[i]))])
+            writer.writerow([repr(float(a_col[i])), repr(float(x[i])), repr(float(x[i]))])
     return path
 
 

@@ -238,6 +238,52 @@ def test_model_validation():
             LinearGaussianBn(dag, intercepts, coefficients, (1.0, 1.0), ("a", "b"))
 
 
+def _per_node_validation(dag, intercepts, coefficients, variances):
+    """The node-by-node checks that ``LinearGaussianBn`` made before it checked
+    every node in one array pass: the first failing node's first failed
+    check's message, or None."""
+    for i, (b, cs, v) in enumerate(zip(intercepts, coefficients, variances)):
+        if len(cs) != len(dag.parents[i]):
+            return f"node {i}: {len(cs)} coefficients for {len(dag.parents[i])} parents"
+        if not np.isfinite([b, *cs]).all():
+            return f"node {i}: intercept and coefficients must be finite"
+        if not np.isfinite(v) or v <= 0.0:
+            return f"node {i}: variance must be positive, got {v}"
+    return None
+
+
+_DEFECTS = ("none", "count", "intercept", "coefficient", "variance", "nan variance", "inf variance")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(defects=st.lists(st.sampled_from(_DEFECTS), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_model_validation_names_the_first_failing_node_and_check(defects, seed):
+    rng = np.random.default_rng(seed)
+    n = len(defects)
+    net = _random_network(rng, n)
+    intercepts, variances = list(net.intercepts), list(net.variances)
+    coefficients = [list(cs) for cs in net.coefficients]
+    bad = {"intercept": np.nan, "variance": -rng.random(), "nan variance": np.nan, "inf variance": np.inf}
+    for i, defect in enumerate(defects):
+        if defect == "count":
+            coefficients[i].append(1.0)
+        elif defect == "intercept":
+            intercepts[i] = bad[defect]
+        elif defect == "coefficient":
+            # At a root, the infinite coefficient is also one too many.
+            coefficients[i] = [-np.inf, *coefficients[i][1:]]
+        elif defect != "none":
+            variances[i] = bad[defect]
+    want = _per_node_validation(net.dag, intercepts, coefficients, variances)
+    args = (net.dag, tuple(intercepts), tuple(map(tuple, coefficients)), tuple(variances), net.column_names)
+    if want is None:
+        assert LinearGaussianBn(*args) == LinearGaussianBn(*args)
+        return
+    with pytest.raises(ValidationError) as info:
+        LinearGaussianBn(*args)
+    assert str(info.value) == want
+
+
 # ---------------------------------------------------- joint compilation
 
 

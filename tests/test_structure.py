@@ -11,14 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from copulabn import structure
+from copulabn import gaussian_bn, structure
 from copulabn.benchmark import fit_model
 from copulabn.cbn import _score_table, fit_missing, log_density_rows
 from copulabn.copula import family_stats, ratio_log_from_z
 from copulabn.dag import Dag
 from copulabn.data import MaskedDataset, apply_missing_mask
 from copulabn.errors import ConvergenceError, InvalidInputError, OutOfRangeError, ValidationError
-from copulabn.gaussian_bn import em_fit_lg, log_marginal_lg_rows
+from copulabn.gaussian_bn import _fit_from_moments, em_fit_lg, expected_moments, log_marginal_lg_rows
 from copulabn.marginals import KdeMarginal, fit_kde
 from copulabn.model_io import serialize
 from copulabn.structure import (
@@ -120,13 +120,14 @@ def test_family_score_is_order_symmetric_in_parents():
 
 @contextlib.contextmanager
 def _recorded_searches():
-    """Every engine run inside the block as (score, result), in call order."""
+    """Every engine run inside the block as (score, start, result), in call
+    order; ``start`` is the empty graph for a cold run."""
     runs = []
     search = structure._search
 
-    def recorded(num_vars, score, config):
-        result = search(num_vars, score, config)
-        runs.append((score, result))
+    def recorded(num_vars, score, config, start=None):
+        result = search(num_vars, score, config, start)
+        runs.append((score, start or Dag.empty(num_vars), result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -137,12 +138,17 @@ def _recorded_searches():
 def _check_scores(result, runs):
     """The result is the last engine run's, and its scores are the penalized
     family scores that run's score function gives the returned parents."""
-    score, last = runs[-1]
+    score, _, last = runs[-1]
     assert last is result
     assert result.score == sum(result.per_family_scores)
     assert result.per_family_scores == tuple(
         score(i, [ps])[0] for i, ps in enumerate(result.dag.parents)
     )
+
+
+def _graph_score(score, dag):
+    """A graph's total score under ``score``, summed over its families."""
+    return sum(score(i, [tuple(sorted(ps))])[0] for i, ps in enumerate(dag.parents))
 
 
 def test_score_decomposes_over_families():
@@ -171,11 +177,12 @@ def test_search_never_scores_below_the_empty_graph(kind, num_vars, num_rows, rho
     with _recorded_searches() as runs:
         result = greedy_search(data, SearchConfig(max_parents=2), model_kind=kind)
     _check_scores(result, runs)
-    # Every run of the engine, structural-EM rounds included, starts from
-    # the empty graph and accepts only improving moves.
-    for score, run in runs:
-        empty = sum(score(i, [()])[0] for i in range(num_vars))
-        assert run.score >= empty - 1e-9 * max(1.0, abs(empty))
+    # The first run of the engine starts from the empty graph; every run,
+    # structural-EM rounds included, accepts only improving moves from its start.
+    assert runs[0][1] == Dag.empty(num_vars)
+    for score, start, run in runs:
+        begin = _graph_score(score, start)
+        assert run.score >= begin - 1e-9 * max(1.0, abs(begin))
     if kind == "cbn":
         assert result.score >= -1e-9
 
@@ -283,19 +290,21 @@ def test_in_place_graph_matches_a_fresh_dag_after_every_move(
             parents[parent].add(child)
 
 
-def _reference_search(num_vars, score, max_parents):
-    """Textbook best ascent: enumerate every addition, deletion and reversal
-    in scan order, keep those whose result is a DAG within the cap, and
-    apply the first strict maximum of the gains.  Like the engine, it gives
-    up after ``_MAX_MOVES`` accepted moves, since a gain of rounding size can
-    flip a reversal back and forth; the third value says whether it stopped
-    there with a strictly improving move still left."""
-    parents = [set() for _ in range(num_vars)]
+def _reference_search(num_vars, score, max_parents, tolerance, start):
+    """Textbook best ascent from the parent sets ``start``: enumerate every
+    addition, deletion and reversal in scan order, keep those whose result is
+    a DAG within the cap, and, while the best gain exceeds ``tolerance``,
+    apply the first move whose gain is within ``tolerance`` of it.  Like the
+    engine, it gives up after ``_MAX_MOVES`` accepted moves, since at a
+    tolerance of 0 a gain of rounding size can flip a reversal back and
+    forth; the third value says whether it stopped there with a move that
+    gains more than ``tolerance`` still left."""
+    parents = [set(ps) for ps in start]
 
     def family(node, ps):
         return score(node, tuple(sorted(ps)))
 
-    current = [family(i, ()) for i in range(num_vars)]
+    current = [family(i, ps) for i, ps in enumerate(parents)]
     for accepted in range(structure._MAX_MOVES + 1):
         adds, deletes, reversals = [], [], []
         for child in range(num_vars):
@@ -321,10 +330,11 @@ def _reference_search(num_vars, score, max_parents):
                     changed[child].add(parent)
                     if len(changed[child]) <= max_parents and _builds_a_dag(changed):
                         adds.append((family(child, changed[child]) - current[child], changed))
-        best_gain, best = 0.0, None
-        for gain, changed in adds + deletes + reversals:
-            if gain > best_gain:
-                best_gain, best = gain, changed
+        moves = adds + deletes + reversals
+        best_gain = max((gain for gain, _ in moves), default=-np.inf)
+        best = None
+        if best_gain > tolerance:
+            best = next(changed for gain, changed in moves if gain >= best_gain - tolerance)
         if best is None or accepted == structure._MAX_MOVES:
             break
         parents = best
@@ -369,61 +379,90 @@ def _reference_table(rng, num_vars, max_parents):
     return table
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1))
-# 3 nodes, cap 3: a reversal of rounding-size gain (6.9e-18) flips forever.
-@example(seed=98)
-def test_search_matches_a_reference_hill_climber(seed):
-    rng = np.random.default_rng(seed)
-    num_vars, max_parents = int(rng.integers(1, 8)), int(rng.integers(0, 4))
-    table = _reference_table(rng, num_vars, max_parents)
-
+def _table_scorer(table, tolerance):
+    """The engine's scorer of a score table, with tolerance ``tolerance``."""
     def score(child, parent_sets):
         return np.array([table[child, ps] for ps in parent_sets])
 
+    score.tolerance = tolerance
+    return score
+
+
+def _random_start(rng, num_vars, max_parents):
+    """A random DAG within the cap, its parents sorted: each node in a random
+    order draws up to ``max_parents`` parents from the nodes before it."""
+    order = rng.permutation(num_vars).tolist()
+    parents = [()] * num_vars
+    for k, node in enumerate(order):
+        size = int(rng.integers(0, min(max_parents, k) + 1))
+        parents[node] = tuple(sorted(rng.choice(order[:k], size, replace=False).tolist()))
+    return Dag(num_vars, tuple(parents))
+
+
+# Tolerances: 0 is the first maximum; table gains run from 1e-3 to 1e3, so the
+# larger ones make ties of moves that differ.
+_TOLERANCES = (0.0, 2.0**-30, 1e-3, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), tolerance=st.sampled_from(_TOLERANCES), warm=st.booleans())
+# 3 nodes, cap 3: at tolerance 0 a reversal of rounding-size gain (6.9e-18)
+# flips forever, until the move cap; at 2**-30 it is no gain, and the search stops.
+@example(seed=98, tolerance=0.0, warm=False)
+@example(seed=98, tolerance=2.0**-30, warm=False)
+def test_search_matches_a_reference_hill_climber(seed, tolerance, warm):
+    rng = np.random.default_rng(seed)
+    num_vars, max_parents = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+    table = _reference_table(rng, num_vars, max_parents)
+    start = _random_start(rng, num_vars, max_parents) if warm else None
+    score = _table_scorer(table, tolerance)
     config = SearchConfig(max_parents=max_parents)
     parents, current, capped = _reference_search(
-        num_vars, lambda child, ps: table[child, ps], max_parents
+        num_vars, lambda child, ps: table[child, ps], max_parents, tolerance,
+        (start or Dag.empty(num_vars)).parents,
     )
     if capped:
         # An unconverged search is an error, never a result.
         with pytest.raises(ConvergenceError):
-            _search(num_vars, score, config)
+            _search(num_vars, score, config, start)
         return
-    result = _search(num_vars, score, config)
+    result = _search(num_vars, score, config, start)
     assert result.dag.parents == parents
     assert np.array(result.per_family_scores).tobytes() == np.array(current).tobytes()
     assert np.float64(result.score).tobytes() == np.float64(sum(current)).tobytes()
 
 
-def _table_search(seed, nan_share=0.0):
+def _table_search(seed, nan_share=0.0, warm=False):
     """A random score table (see ``_reference_table``), with a share of its
-    families with parents scored NaN, and its size and cap."""
+    families with parents scored NaN; its size, cap and drawn tolerance; and,
+    when ``warm``, a random start graph."""
     rng = np.random.default_rng(seed)
     num_vars, max_parents = int(rng.integers(1, 8)), int(rng.integers(0, 4))
     table = _reference_table(rng, num_vars, max_parents)
     for (child, ps) in sorted(table):
         if ps and rng.random() < nan_share:
             table[child, ps] = float("nan")
-    return table, num_vars, SearchConfig(max_parents=max_parents)
+    tolerance = float(rng.choice(_TOLERANCES))
+    start = _random_start(rng, num_vars, max_parents) if warm else None
+    return table, num_vars, SearchConfig(max_parents=max_parents), tolerance, start
 
 
-def _outcome(search, num_vars, score, config):
+def _outcome(search, *args):
     """A search's pickled result, or ``ConvergenceError`` when it raises one."""
     try:
-        return pickle.dumps(search(num_vars, score, config))
+        return pickle.dumps(search(*args))
     except ConvergenceError:
         return ConvergenceError
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1))
-@example(seed=98)  # the search that hits the move cap
-def test_search_scores_each_family_once_and_only_those_the_rescan_scores(seed):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), warm=st.booleans())
+def test_search_scores_each_family_once_and_only_those_the_rescan_scores(seed, warm):
     # The engine scores no family twice, and exactly the families the
-    # rescanning engine scores: those of the moves legal at some step.  Every
-    # scorer call gets a non-empty list of parent sets of one size.
-    table, num_vars, config = _table_search(seed)
+    # rescanning engine scores: those of the start graph and of the moves
+    # legal at some step.  Every scorer call gets a non-empty list of parent
+    # sets of one size.
+    table, num_vars, config, tolerance, start = _table_search(seed, warm=warm)
     batched, scalar = [], []
 
     def score(child, parent_sets):
@@ -435,8 +474,9 @@ def test_search_scores_each_family_once_and_only_those_the_rescan_scores(seed):
         scalar.append((child, ps))
         return score(child, [ps])[0]
 
-    assert _outcome(_search, num_vars, score, config) == (
-        _outcome(rescan_search, num_vars, one, config)
+    score.tolerance = tolerance
+    assert _outcome(_search, num_vars, score, config, start) == (
+        _outcome(rescan_search, num_vars, one, config, tolerance, start)
     )
     engine = batched[: len(batched) - len(scalar)]
     assert len(set(engine)) == len(engine)
@@ -457,6 +497,7 @@ def test_each_scorer_call_gets_parent_sets_of_one_size_at_a_cap_of_four(seed):
         sizes.append({len(ps) for ps in parent_sets})
         return np.array([table[child, ps] for ps in parent_sets])
 
+    score.tolerance = 0.0
     _outcome(_search, num_vars, score, SearchConfig(max_parents=4))
     assert sizes and all(len(s) == 1 for s in sizes)
 
@@ -464,13 +505,11 @@ def test_each_scorer_call_gets_parent_sets_of_one_size_at_a_cap_of_four(seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), nan_share=st.floats(0.1, 0.9))
 def test_nan_family_scores_are_never_chosen(seed, nan_share):
-    table, num_vars, config = _table_search(seed, nan_share)
-
-    def score(child, parent_sets):
-        return np.array([table[child, ps] for ps in parent_sets])
-
+    table, num_vars, config, tolerance, _ = _table_search(seed, nan_share)
+    score = _table_scorer(table, tolerance)
     outcome = _outcome(_search, num_vars, score, config)
-    assert outcome == _outcome(rescan_search, num_vars, lambda c, ps: score(c, [ps])[0], config)
+    rescan = _outcome(rescan_search, num_vars, lambda c, ps: score(c, [ps])[0], config, tolerance)
+    assert outcome == rescan
     if isinstance(outcome, bytes):
         assert not np.isnan(pickle.loads(outcome).per_family_scores).any()
 
@@ -497,7 +536,7 @@ def test_search_is_pickle_identical_to_the_rescan_oracle(kind, missing, width):
     runs = []
     search = structure._search
 
-    def recorded(num_vars, score, config):
+    def recorded(num_vars, score, config, start=None):
         scored = {}
 
         def recording(child, parent_sets):
@@ -505,19 +544,21 @@ def test_search_is_pickle_identical_to_the_rescan_oracle(kind, missing, width):
             scored.update(zip([(child, ps) for ps in parent_sets], values))
             return values
 
-        result = search(num_vars, recording, config)
-        runs.append((score, scored, config, result))
+        recording.tolerance = score.tolerance
+        result = search(num_vars, recording, config, start)
+        runs.append((score, scored, config, start, result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_search", recorded)
         greedy_search(data, SearchConfig(max_parents=2), model_kind=kind)
-    for score, scored, config, result in runs:
+    for score, scored, config, start, result in runs:
         def one(child, ps):
             return scored[child, ps] if (child, ps) in scored else score(child, [ps])[0]
 
         assert result.dag.num_edges() > 0
-        assert pickle.dumps(result) == pickle.dumps(rescan_search(width, one, config))
+        oracle = rescan_search(width, one, config, score.tolerance, start)
+        assert pickle.dumps(result) == pickle.dumps(oracle)
 
 
 # ------------------------------------------------------------ recovery
@@ -598,35 +639,86 @@ def test_unknown_model_kind_raises():
 # ------------------------------------------------- the learned model
 
 
+@contextlib.contextmanager
+def _recorded_em_fits():
+    """Every EM fit on hidden cells inside the block as (start, history,
+    (model, mean, cov)), in call order: each run of the loop that
+    ``em_fit_lg`` and the structural-EM rounds share, patched in every module
+    that binds it."""
+    fits = []
+    em = gaussian_bn._em
+
+    def recorded(data, start, history=None):
+        history = [] if history is None else history
+        out = em(data, start, history)
+        fits.append((start, history, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("copulabn") and getattr(module, "_em", None) is em:
+                mp.setattr(module, "_em", recorded)
+        yield fits
+
+
 @pytest.mark.parametrize(
     "num_vars, num_rows, fits",
-    # The 5-column table's loop converges in its third search; the loop on
-    # the 40x200 table (the wide-missing shape) stops at the round cap, then
-    # fits the graph it found.
-    [(5, 400, structure._STRUCTURE_ROUNDS), (40, 200, structure._STRUCTURE_ROUNDS + 1)],
+    # Both loops converge: the 5-column table's in its second search, and the
+    # 40x200 table's (the wide-missing shape) in its third.
+    [(5, 400, 2), (40, 200, 3)],
 )
-def test_learning_never_fits_the_same_graph_twice_in_a_row(monkeypatch, num_vars, num_rows, fits):
+def test_learning_never_fits_the_same_graph_twice_in_a_row(num_vars, num_rows, fits):
     # Structural EM fits each graph its search finds; when a search returns
-    # the graph it was scored under, that fit is the model.  Patch every
-    # module that binds em_fit_lg.
-    fitted = []
-
-    def recording_em_fit_lg(data, dag, *args, **kwargs):
-        fitted.append(dag.parents)
-        return em_fit_lg(data, dag, *args, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("copulabn") and getattr(module, "em_fit_lg", None) is em_fit_lg:
-            monkeypatch.setattr(module, "em_fit_lg", recording_em_fit_lg)
+    # the graph it was scored under, that fit is the model.  The first fit,
+    # of the empty graph, starts from the independent Gaussian; every later
+    # one from the M-step on the moments its search scored, those of the
+    # last model, and its likelihood never falls below that start's.
     data = apply_missing_mask(
         _chain_dataset(rho=0.6, num_vars=num_vars, num_rows=num_rows, seed=16), 0.25, seed=17
     )
-    model = fit_model(data, "lgbn", SearchConfig(max_parents=2))
-    assert len(fitted) == fits
-    assert fitted[0] == Dag.empty(num_vars).parents
-    assert fitted[-1] == model.dag.parents
-    for before, after in zip(fitted, fitted[1:]):
+    with _recorded_em_fits() as fitted:
+        model = fit_model(data, "lgbn", SearchConfig(max_parents=2))
+    dags = [start.dag.parents for start, _, _ in fitted]
+    assert len(dags) == fits
+    assert dags[0] == Dag.empty(num_vars).parents
+    assert dags[-1] == model.dag.parents
+    assert serialize(fitted[-1][2][0]) == serialize(model)
+    for before, after in zip(dags, dags[1:]):
         assert before != after
+    assert serialize(fitted[0][2][0]) == serialize(em_fit_lg(data, Dag.empty(num_vars)))
+    for _, _, (fit, mean, cov) in fitted:
+        # The moments a fit hands on are its model's E-step, bit for bit.
+        want = expected_moments(fit, data)
+        assert (mean.tobytes(), cov.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    for (_, _, (last, _, _)), (start, history, _) in zip(fitted, fitted[1:]):
+        mean, cov, _ = expected_moments(last, data)
+        assert serialize(start) == serialize(_fit_from_moments(mean, cov, start.dag, data.column_names))
+        begin = float(log_marginal_lg_rows(start, data).sum())
+        assert np.diff([begin, *history]).min() >= -1e-8 * abs(begin)
+
+
+def test_learning_that_still_moves_at_the_round_cap_raises(monkeypatch):
+    # The 40x200 loop above needs three searches; capped at two, its graph
+    # still moves in the last one.
+    data = apply_missing_mask(_chain_dataset(rho=0.6, num_vars=40, num_rows=200, seed=16), 0.25, seed=17)
+    monkeypatch.setattr(structure, "_STRUCTURE_ROUNDS", 2)
+    with pytest.raises(ConvergenceError, match="still moves the graph after 2 structural-EM rounds"):
+        fit_model(data, "lgbn", SearchConfig(max_parents=2))
+    monkeypatch.setattr(structure, "_STRUCTURE_ROUNDS", 3)
+    fit_model(data, "lgbn", SearchConfig(max_parents=2))
+
+
+def test_search_that_still_gains_at_the_move_cap_raises():
+    # A score that rewards every parent: the climb adds edges up to a
+    # complete DAG, and on 46 nodes that has 1,035 edges, more than _MAX_MOVES.
+    def score(child, parent_sets):
+        return np.full(len(parent_sets), float(len(parent_sets[0])))
+
+    score.tolerance = 2.0**-30
+    with pytest.raises(ConvergenceError, match=f"search still gains 1.0 after {structure._MAX_MOVES} moves"):
+        _search(46, score, SearchConfig(max_parents=45))
+    result = _search(45, score, SearchConfig(max_parents=44))  # 990 edges
+    assert result.dag.num_edges() == 990
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -638,6 +730,10 @@ def test_learning_never_fits_the_same_graph_twice_in_a_row(monkeypatch, num_vars
     seed=st.integers(0, 2**32 - 1),
 )
 def test_learned_model_is_a_fresh_fit_of_the_returned_graph(kind, num_vars, num_rows, missing, seed):
+    # The model is a fit of the returned graph.  Under lgbn with hidden cells
+    # it is the EM that started from the moments of the round that found the
+    # graph, the search before the last, or the empty graph's plain EM when
+    # the first search kept it.
     rng = np.random.default_rng(seed)
     x = warp_columns(chain_scores(0.5, num_vars, num_rows, rng), cycle_warps(num_vars))
 
@@ -647,9 +743,24 @@ def test_learned_model_is_a_fresh_fit_of_the_returned_graph(kind, num_vars, num_
     config = SearchConfig(max_parents=2)
     model = fit_model(masked(), kind, config)
     data = masked()
-    dag = greedy_search(data, config, model_kind=kind).dag
-    fresh = (fit_missing if kind == "cbn" else em_fit_lg)(data, dag)
+    moments = []
+    gaussian_score = structure._gaussian_score
+
+    def recording(mean, cov, num_rows):
+        moments.append((mean, cov))
+        return gaussian_score(mean, cov, num_rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_gaussian_score", recording)
+        dag = greedy_search(data, config, model_kind=kind).dag
     assert model.dag.parents == dag.parents
+    if kind == "cbn":
+        fresh = fit_missing(data, dag)
+    elif data.fully_observed or len(moments) == 1:
+        fresh = em_fit_lg(data, dag)
+    else:
+        mean, cov = moments[-2]
+        fresh = gaussian_bn._em(data, _fit_from_moments(mean, cov, dag, data.column_names))[0]
     assert serialize(model) == serialize(fresh)
 
 
@@ -684,6 +795,76 @@ def test_reported_score_belongs_to_the_returned_model_on_complete_data(
         loglik = log_marginal_lg_rows(model, data).sum()
         recovered = result.score + penalties
     np.testing.assert_allclose(recovered, loglik, rtol=1e-12, atol=0)
+
+
+def _masked_chain(num_vars, num_rows, missing, seed, scale=1.0):
+    """A warped chain table times ``scale``, with ``missing`` of its cells hidden."""
+    rng = np.random.default_rng(seed)
+    x = warp_columns(chain_scores(0.6, num_vars, num_rows, rng), cycle_warps(num_vars))
+    return apply_missing_mask(MaskedDataset.from_values(x * scale), missing, seed=seed)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    num_vars=st.integers(3, 12),
+    num_rows=st.integers(40, 300),
+    missing=st.sampled_from([0.0, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lgbn_graph_is_the_same_for_a_table_scaled_by_one_plus_two_to_the_minus_fifty(
+    num_vars, num_rows, missing, seed
+):
+    # Rescaling every column moves each family's log-likelihood by the same
+    # amount per child, so every gain moves by rounding alone.  Ties between
+    # Markov-equivalent moves go to the scan order, not to that rounding.
+    config = SearchConfig(max_parents=2)
+    dags = [
+        greedy_search(_masked_chain(num_vars, num_rows, missing, seed, scale), config, "lgbn").dag
+        for scale in (1.0, 1.0 + 2.0**-50)
+    ]
+    assert dags[0].parents == dags[1].parents
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    num_vars=st.integers(4, 14),
+    num_rows=st.integers(60, 300),
+    missing=st.floats(0.1, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_structural_em_round_climbs_from_the_last_graph(num_vars, num_rows, missing, seed):
+    # Friedman's step: from round 2 on, each search starts from the graph
+    # the last one returned, and its score is at least that graph's score
+    # under the round's own moments.
+    data = _masked_chain(num_vars, num_rows, missing, seed)
+    with _recorded_searches() as runs:
+        greedy_search(data, SearchConfig(max_parents=2), model_kind="lgbn")
+    for (_, _, last), (score, start, run) in zip(runs, runs[1:]):
+        assert start.parents == last.dag.parents
+        begin = _graph_score(score, start)
+        assert run.score >= begin - 1e-9 * abs(begin)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    num_vars=st.integers(2, 12),
+    num_rows=st.integers(30, 300),
+    missing=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reported_score_is_the_search_on_the_returned_models_own_moments(
+    num_vars, num_rows, missing, seed
+):
+    # The masked half of the reported-score gate: the returned structure is,
+    # bit for bit, what the search returns on the expected moments of the
+    # returned model, climbing from that model's graph.
+    data = _masked_chain(num_vars, num_rows, missing, seed)
+    config = SearchConfig(max_parents=2)
+    result, model = structure._learn(data, config, "lgbn")
+    mean, cov, rows = expected_moments(model, data)
+    again = _search(num_vars, structure._gaussian_score(mean, cov, rows), config, model.dag)
+    assert again.dag.parents == model.dag.parents
+    assert pickle.dumps(again) == pickle.dumps(result)
 
 
 # --------------------------------------------------------- determinism
